@@ -567,9 +567,12 @@ def extract_model(t: Bts, max_contexts: int = 10 ** 5):
     for s in init.states:
         finals = frozenset(i for i, b in enumerate(t.bubbles)
                            if s in b.labels)
-        assert _absorbing(t, finals), f"state {s!r} resurrects"
+        if not _absorbing(t, finals):
+            raise AssertionError(f"state {s!r} resurrects")
         e = _graph_regex(len(t.bubbles), t.delta, t.initial, finals)
-        assert ox.nullable(e)
+        if not ox.nullable(e):
+            raise AssertionError(
+                f"expectation of state {s!r} misses the empty word")
         stripped = _strip_epsilon(e, t.alphabet)
         exp[s] = ox.epsilon() if ox.is_empty_language(stripped) else stripped
     agents = tuple(sorted(set(init.agents) | set(sx.agents(t.formula))))

@@ -14,10 +14,14 @@ steering each step toward the oldest undischarged eventuality.
 
 The lazy regime never enumerates. It runs a propositional search over
 the unfolding equations, builds successor states only for demanded
-letters, and memoizes states by their incoming demand. When a demand
-is propositionally unsatisfiable, the responsible modal literals of
-the parent are learned as a new clause, which is valid in every
-deterministic model, and the search restarts.
+letters, and memoizes states by their incoming demand. One incremental
+CDCL solver serves the whole run: each state's demand is a set of
+assumptions, and a refuted demand comes back with a core of them,
+which a deletion loop shrinks to an irreducible one. The modal literals
+of the parent behind that core are learned as a new clause, which is
+valid in every deterministic model, and the search restarts. Decision
+order and polarity are static, so each solve returns the least model
+in that order and the witnesses are deterministic.
 
 Both regimes validate a found witness with the model checker before
 reporting it. Resource caps turn into an unknown verdict, never into a
@@ -374,141 +378,304 @@ class _Exact:
 
 
 class _Dpll:
-    """Propositional search with assumptions and chronological flips.
+    """Incremental CDCL under assumptions, with failed-assumption cores.
 
-    Clauses keep their two watched literals in positions 0 and 1.
-    The solver is deterministic: decision order is fixed, default
-    polarity is False unless a hint says otherwise.
+    One instance serves every solve of a lazy run. Clauses keep their
+    two watched literals in positions 0 and 1, and a propagated literal
+    sits in position 0 of its reason clause. Level 0 holds the
+    consequences of the unit clauses; it persists between solves and
+    is rebuilt only after ``add_clause``. Each solve puts all of its
+    assumptions on level 1 and decides above it. A conflict above
+    level 1 is analysed to its first unique implication point; the
+    learned clause is kept for later solves, since it follows from the
+    clause database alone, and the search jumps back to where it
+    asserts. A conflict on level 1 refutes the assumptions: walking its
+    reasons back to them yields the core returned with ``unsat``.
+
+    Decision order and polarity are static (no activity heuristic,
+    phase saving or restarts), so every answer is the least model in
+    that order and polarity, the same model a chronological search
+    finds, and witnesses stay deterministic. ``solves``, ``decisions``,
+    ``conflicts`` (those above level 1, each teaching one clause),
+    ``propagations`` and ``learned`` count the work done.
     """
 
     def __init__(self, nvars, step_cap):
         self.nvars = nvars
         self.step_cap = step_cap
-        self.clauses = []
         self.units = []
         self.watches = [[] for _ in range(2 * nvars)]
         self.empty = False
+        self.value = [None] * (2 * nvars)
+        self.level = [0] * nvars
+        self.reason = [None] * nvars
+        self.trail = []
+        self.trail_lim = []
+        self.qhead = 0
+        self.stale = True
+        self._decide_key = None
+        self._decide = None
+        self.solves = 0
+        self.decisions = 0
+        self.conflicts = 0
+        self.propagations = 0
+        self.learned = 0
 
     @staticmethod
     def lit(var, positive):
         return 2 * var + (0 if positive else 1)
 
     def add_clause(self, lits):
-        lits = sorted(set(lits))
-        if any(l ^ 1 in set(lits) for l in lits):
-            return
+        """Add a clause; False when it is a tautology and was dropped."""
+        lits = set(lits)
+        if any(l ^ 1 in lits for l in lits):
+            return False
+        lits = sorted(lits)
+        self.stale = True
         if not lits:
             self.empty = True
         elif len(lits) == 1:
             self.units.append(lits[0])
         else:
-            ci = len(self.clauses)
-            self.clauses.append(lits)
-            self.watches[lits[0]].append(ci)
-            self.watches[lits[1]].append(ci)
-
-    def _value(self, assign, lit):
-        v = assign[lit >> 1]
-        if v is None:
-            return None
-        return v == (lit & 1 == 0)
-
-    def _propagate(self, assign, trail, queue):
-        """Assign all consequences; True on success, False on conflict."""
-        while queue:
-            lit = queue.pop()
-            fal = lit ^ 1
-            watchlist = self.watches[fal]
-            kept = []
-            pos = 0
-            while pos < len(watchlist):
-                ci = watchlist[pos]
-                pos += 1
-                clause = self.clauses[ci]
-                if clause[0] == fal:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = self._value(assign, clause[0])
-                if first is True:
-                    kept.append(ci)
-                    continue
-                moved = False
-                for k in range(2, len(clause)):
-                    if self._value(assign, clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[clause[1]].append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                kept.append(ci)
-                if first is False:
-                    kept.extend(watchlist[pos:])
-                    self.watches[fal] = kept
-                    return False
-                var = clause[0] >> 1
-                assign[var] = (clause[0] & 1) == 0
-                trail.append(var)
-                queue.append(clause[0])
-            self.watches[fal] = kept
+            self.watches[lits[0]].append(lits)
+            self.watches[lits[1]].append(lits)
         return True
 
+    def _assign(self, lit, reason):
+        self.value[lit] = True
+        self.value[lit ^ 1] = False
+        var = lit >> 1
+        self.level[var] = len(self.trail_lim)
+        self.reason[var] = reason
+        self.trail.append(lit)
+
+    def _cancel(self, lv):
+        """Undo every assignment above decision level ``lv``."""
+        if len(self.trail_lim) <= lv:
+            return
+        start = self.trail_lim[lv]
+        value = self.value
+        for lit in self.trail[start:]:
+            value[lit] = value[lit ^ 1] = None
+        del self.trail[start:]
+        del self.trail_lim[lv:]
+        self.qhead = start
+
+    def _rebuild(self):
+        """Recompute level 0 from the unit clauses."""
+        self.stale = False
+        self.value = [None] * (2 * self.nvars)
+        self.trail = []
+        self.trail_lim = []
+        self.qhead = 0
+        for lit in self.units:
+            if self.value[lit] is False:
+                self.empty = True
+                return
+            if self.value[lit] is None:
+                self._assign(lit, None)
+        if self._propagate() is not None:
+            self.empty = True
+
+    def _propagate(self):
+        """Propagate the trail; the conflicting clause, or None."""
+        value = self.value
+        trail = self.trail
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        lv = len(self.trail_lim)
+        head = self.qhead
+        conflict = None
+        while head < len(trail):
+            fal = trail[head] ^ 1
+            head += 1
+            watchlist = watches[fal]
+            kept = []
+            pos = 0
+            end = len(watchlist)
+            while pos < end:
+                clause = watchlist[pos]
+                pos += 1
+                if clause[0] == fal:
+                    clause[0] = clause[1]
+                    clause[1] = fal
+                first = clause[0]
+                if value[first] is True:
+                    kept.append(clause)
+                    continue
+                for k in range(2, len(clause)):
+                    other = clause[k]
+                    if value[other] is not False:
+                        clause[1] = other
+                        clause[k] = fal
+                        watches[other].append(clause)
+                        break
+                else:
+                    kept.append(clause)
+                    if value[first] is False:
+                        kept.extend(watchlist[pos:])
+                        conflict = clause
+                        break
+                    value[first] = True
+                    value[first ^ 1] = False
+                    var = first >> 1
+                    level[var] = lv
+                    reason[var] = clause
+                    trail.append(first)
+            watches[fal] = kept
+            if conflict is not None:
+                break
+        self.propagations += head - self.qhead
+        self.qhead = head
+        return conflict
+
+    def _analyze(self, conflict):
+        """First-UIP clause of a conflict above level 1, and the level
+        to jump back to. The asserting literal comes first and a literal
+        of the jump level second, ready to be watched."""
+        level = self.level
+        trail = self.trail
+        top = len(self.trail_lim)
+        seen = set()
+        learnt = [None]
+        pending = 0
+        clause = conflict
+        idx = len(trail) - 1
+        while True:
+            for q in clause:
+                var = q >> 1
+                if var in seen or level[var] == 0:
+                    continue
+                seen.add(var)
+                if level[var] == top:
+                    pending += 1
+                else:
+                    learnt.append(q)
+            while trail[idx] >> 1 not in seen:
+                idx -= 1
+            lit = trail[idx]
+            idx -= 1
+            pending -= 1
+            if pending == 0:
+                break
+            clause = self.reason[lit >> 1]
+        learnt[0] = lit ^ 1
+        back = 0
+        if len(learnt) > 1:
+            best = max(range(1, len(learnt)),
+                       key=lambda i: level[learnt[i] >> 1])
+            learnt[1], learnt[best] = learnt[best], learnt[1]
+            back = level[learnt[1] >> 1]
+        return learnt, back
+
+    def _final(self, start_vars, core):
+        """Extend ``core`` by the assumptions that the level-1
+        assignments of ``start_vars`` rest on."""
+        level = self.level
+        seen = {v for v in start_vars if level[v] > 0}
+        trail = self.trail
+        for idx in range(len(trail) - 1, self.trail_lim[0] - 1, -1):
+            lit = trail[idx]
+            var = lit >> 1
+            if var not in seen:
+                continue
+            why = self.reason[var]
+            if why is None:
+                core.append(lit)
+            else:
+                seen.update(q >> 1 for q in why if level[q >> 1] > 0)
+        return core
+
+    def _assume(self, assumptions):
+        """Open level 1 with the assumptions; a core if they fail.
+
+        They are propagated one at a time from the last, so a core
+        favours the later assumptions, which a deletion loop over them
+        in order tries to drop last.
+        """
+        self.trail_lim.append(len(self.trail))
+        for lit in reversed(assumptions):
+            truth = self.value[lit]
+            if truth is False:
+                return self._final([lit >> 1], [lit])
+            if truth is None:
+                self._assign(lit, None)
+                conflict = self._propagate()
+                if conflict is not None:
+                    return self._final([q >> 1 for q in conflict], [])
+        return None
+
+    def _decide_order(self, order):
+        key = tuple(order) if order else ()
+        if key != self._decide_key:
+            chosen = set(key)
+            self._decide_key = key
+            self._decide = list(key) + [v for v in range(self.nvars)
+                                        if v not in chosen]
+        return self._decide
+
     def solve(self, assumptions, polarity=None, order=None):
-        """("sat", assign) or ("unsat", None). Raises on step budget."""
+        """("sat", assign) or ("unsat", core). Raises on step budget.
+
+        ``assign`` gives every variable's truth; ``core`` is a subset
+        of ``assumptions`` that the clauses already refute.
+        """
+        self.solves += 1
+        if self.stale:
+            self._rebuild()
         if self.empty:
-            return "unsat", None
-        assign = [None] * self.nvars
-        trail = []
-        queue = []
-        for lit in list(self.units) + list(assumptions):
-            var, value = lit >> 1, (lit & 1) == 0
-            if assign[var] is None:
-                assign[var] = value
-                trail.append(var)
-                queue.append(lit)
-            elif assign[var] != value:
-                return "unsat", None
-        if not self._propagate(assign, trail, queue):
-            return "unsat", None
-        if polarity is None:
-            polarity = {}
-        if order:
-            chosen = set(order)
-            decide = list(order) + [v for v in range(self.nvars)
-                                    if v not in chosen]
-        else:
-            decide = list(range(self.nvars))
-        stack = []
-        pos = 0
+            return "unsat", []
+        try:
+            return self._search(assumptions, polarity or {},
+                                self._decide_order(order))
+        finally:
+            self._cancel(0)
+
+    def _search(self, assumptions, polarity, decide):
+        value = self.value
         steps = 0
         while True:
-            steps += 1
-            if steps > self.step_cap:
-                raise _StepBudget()
-            while pos < len(decide) and assign[decide[pos]] is not None:
-                pos += 1
-            if pos >= len(decide):
-                return "sat", assign
-            var = decide[pos]
-            value = polarity.get(var, False)
-            stack.append((len(trail), var, value, False, pos))
-            assign[var] = value
-            trail.append(var)
-            ok = self._propagate(assign, trail, [self.lit(var, value)])
-            while not ok:
-                while True:
-                    if not stack:
-                        return "unsat", None
-                    mark, dvar, dval, flipped, dpos = stack.pop()
-                    while len(trail) > mark:
-                        assign[trail.pop()] = None
-                    if not flipped:
+            core = self._assume(assumptions)
+            if core is not None:
+                return "unsat", core
+            pos = 0
+            decided_at = [0, 0]
+            while True:
+                conflict = self._propagate()
+                if conflict is not None:
+                    if len(self.trail_lim) <= 1:
+                        return "unsat", self._final(
+                            [q >> 1 for q in conflict], [])
+                    self.conflicts += 1
+                    self.learned += 1
+                    learnt, back = self._analyze(conflict)
+                    self._cancel(back)
+                    if back == 0:
+                        self.units.append(learnt[0])
+                        self._assign(learnt[0], None)
+                        if self._propagate() is not None:
+                            self.empty = True
+                            return "unsat", []
                         break
-                stack.append((mark, dvar, not dval, True, dpos))
-                assign[dvar] = not dval
-                trail.append(dvar)
-                pos = dpos
-                ok = self._propagate(assign, trail,
-                                     [self.lit(dvar, not dval)])
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
+                    self._assign(learnt[0], learnt)
+                    pos = decided_at[back + 1]
+                    del decided_at[back + 1:]
+                    continue
+                steps += 1
+                if steps > self.step_cap:
+                    raise _StepBudget()
+                while pos < len(decide) and value[2 * decide[pos]] is not None:
+                    pos += 1
+                if pos >= len(decide):
+                    return "sat", [value[2 * v] for v in range(self.nvars)]
+                var = decide[pos]
+                self.decisions += 1
+                self.trail_lim.append(len(self.trail))
+                decided_at.append(pos)
+                self._assign(self.lit(var, polarity.get(var, False)), None)
 
 
 class _Lazy:
@@ -610,9 +777,7 @@ class _Lazy:
             if g not in seen:
                 seen.add(g)
                 lits.append(self._lit(g, not assign[self.index[g]]))
-        before = len(self.dpll.clauses) + len(self.dpll.units)
-        self.dpll.add_clause(lits)
-        if len(self.dpll.clauses) + len(self.dpll.units) == before:
+        if not self.dpll.add_clause(lits):
             raise _Stuck("a refuting lemma was already known; the "
                          "propositional search is not converging")
 
@@ -659,23 +824,32 @@ class _Lazy:
                 key = (a, tuple(lits))
                 child = nodes.get(key)
                 if child is None:
-                    status, child_assign = self._solve(lits)
+                    status, result = self._solve(lits)
                     if status == "unsat":
-                        core = self._minimize_core(lits)
+                        core = self._minimize_core(lits, result)
                         culprits = [req[l >> 1][1] for l in core]
                         self._learn(assign, a, culprits)
                         return None
-                    child = register(key, list(child_assign))
+                    child = register(key, result)
                 trans[(nid, a)] = child
         return self._finish(assigns, trans)
 
-    def _minimize_core(self, lits):
+    def _minimize_core(self, lits, core):
+        """Drop each literal of ``lits`` in turn while the rest stay
+        unsatisfiable. ``core`` is a refuted subset of ``lits``; a trial
+        that still contains the latest such core is refuted without a
+        solve."""
         kept = list(lits)
-        for lit in list(lits):
+        core = set(core)
+        for lit in lits:
             trial = [l for l in kept if l != lit]
-            status, _ = self._solve(trial)
+            if lit not in core:
+                kept = trial
+                continue
+            status, result = self._solve(trial)
             if status == "unsat":
                 kept = trial
+                core = set(result)
         return kept
 
     def _finish(self, assigns, trans):

@@ -76,7 +76,8 @@ def filtrate(m: Model, phi: sx.Formula, rep_choice: str = "min") -> Filtration:
     member_lists = sorted(
         (sorted(v, key=state_sort_key) for v in by_profile.values()),
         key=lambda v: state_sort_key(v[0]))
-    assert len(member_lists) <= 2 ** len(fl)
+    if len(member_lists) > 2 ** len(fl):
+        raise AssertionError("more closure profiles than closure subsets")
     members = tuple(tuple(v) for v in member_lists)
     class_of = {s: c for c, v in enumerate(members) for s in v}
     pick = min if rep_choice == "min" else max
@@ -109,7 +110,9 @@ def filtrate(m: Model, phi: sx.Formula, rep_choice: str = "min") -> Filtration:
         for block in blocks:
             slices = {frozenset(h for h in hats if h in cprofile[c])
                       for c in block}
-            assert len(slices) <= 1
+            if len(slices) > 1:
+                raise AssertionError(
+                    "joined classes disagree on possibility formulas")
         relations[agent] = blocks
     quotient = Model(
         m.alphabet, m.agents, range(len(members)),
