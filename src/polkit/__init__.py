@@ -5,7 +5,7 @@ observations; announcements of observation words prune and residuate the
 model. The package provides the observation-expression algebra, formula
 parsing and model checking, filtration, bubble transition structures, a
 satisfiability procedure through a translation into a deterministic
-variant of PDL, and a complexity lower-bound generator.
+variant of PDL.
 """
 
 __version__ = "0.1.0"

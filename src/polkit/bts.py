@@ -15,8 +15,6 @@ language of words whose bubble path keeps that state alive.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import obsregex as ox
 from . import syntax as sx
 from .errors import ClosureTooLarge, NotABts, UnknownState
@@ -413,32 +411,18 @@ class Bts:
                 f"{len(self.bubbles)} bubbles)")
 
 
-@lru_cache(maxsize=4096)
-def _pi_dfa(pi, alphabet):
-    return ox.to_dfa(pi, alphabet)
-
-
 def _fulfilled(t: Bts, start: int, s, f) -> bool:
     """Does some word of f.pi keep ``s`` alive from bubble ``start`` to a
     bubble labelling it with f.arg?"""
-    dfa = _pi_dfa(f.pi, t.alphabet)
-    seen = {(start, 0)}
-    queue = [(start, 0)]
-    while queue:
-        bi, q = queue.pop()
-        if q in dfa.accepting and f.arg in t.bubbles[bi].labels[s]:
-            return True
+
+    def step(bi):
         for a in t.alphabet:
             j = t.delta.get((bi, a))
-            if j is None or s not in t.bubbles[j].labels:
-                continue
-            q2 = dfa.step(q, a)
-            if ox.is_empty_language(dfa.states[q2]):
-                continue
-            if (j, q2) not in seen:
-                seen.add((j, q2))
-                queue.append((j, q2))
-    return False
+            if j is not None and s in t.bubbles[j].labels:
+                yield a, j
+
+    return ox.search(ox.to_dfa(f.pi, t.alphabet), start, step,
+                     lambda bi: f.arg in t.bubbles[bi].labels[s]) is not None
 
 
 def is_bts(t: Bts):

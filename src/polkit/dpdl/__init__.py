@@ -16,10 +16,7 @@ from .core import (
 from .oracle import brute_dpdl_sat
 from .polsat import decode_bts, pol_bounded_sat, pol_sat
 from .solver import Sat, Unknown, Unsat, dpdl_sat
-from .translate import (
-    LabelBudget, Translation, full_budget, label_budget, translate,
-    translation,
-)
+from .translate import LabelBudget, Translation, full_budget
 
 __all__ = [
     "DpdlFormula", "Top", "Atom", "Not", "Or", "And", "Dia", "Box",
@@ -27,8 +24,7 @@ __all__ = [
     "closure", "dpdl_size", "dpdl_letters",
     "print_dpdl", "parse_dpdl", "dpdl_key",
     "DpdlModel", "dpdl_check",
-    "LabelBudget", "Translation", "full_budget", "label_budget",
-    "translate", "translation",
+    "LabelBudget", "Translation", "full_budget",
     "Sat", "Unsat", "Unknown", "dpdl_sat",
     "brute_dpdl_sat",
     "pol_sat", "pol_bounded_sat", "decode_bts",

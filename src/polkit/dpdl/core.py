@@ -29,18 +29,16 @@ __all__ = [
 
 
 class DpdlFormula:
-    """Base class of formula nodes. Construct via the factory functions."""
+    """Base class of formula nodes. Construct via the factory functions.
+
+    Nodes are interned, so identity is structural equality, and the
+    identity comparison and hash inherited from ``object`` serve as is.
+    """
 
     __slots__ = ("_key", "__weakref__")
 
     def __repr__(self):
         return f"DpdlFormula({print_dpdl(self)!r})"
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
 
 class Top(DpdlFormula):
@@ -400,17 +398,17 @@ def _parse_unary(toks, alphabet):
         toks.error("unexpected end of formula")
     if tok == "~":
         toks.take()
-        return lnot(_parse_unary(toks, alphabet))
+        return lnot(toks.nested(_parse_unary, alphabet))
     if tok == "<":
         toks.take()
         pi = _parse_regex_in(toks, ">", alphabet)
         toks.take()
-        return dia(pi, _parse_unary(toks, alphabet))
+        return dia(pi, toks.nested(_parse_unary, alphabet))
     if tok == "[":
         toks.take()
         pi = _parse_regex_in(toks, "]", alphabet)
         toks.take()
-        return box(pi, _parse_unary(toks, alphabet))
+        return box(pi, toks.nested(_parse_unary, alphabet))
     return _parse_base(toks, alphabet)
 
 
@@ -420,7 +418,7 @@ def _parse_base(toks, alphabet):
         toks.error("unexpected end of formula")
     if tok == "(":
         toks.take()
-        f = _parse_or(toks, alphabet)
+        f = toks.nested(_parse_or, alphabet)
         if toks.peek() != ")":
             toks.error("expected ')'")
         toks.take()
@@ -499,28 +497,10 @@ class DpdlModel:
                 f"alphabet={list(self.alphabet)!r})")
 
 
-def _run_endpoints(m: DpdlModel, s, pi: ox.ObsExpr):
-    """States reachable from ``s`` by some word in the program's language."""
-    syms = sorted(set(m.alphabet) | ox.atoms(pi))
-    if not syms:
-        syms = ["a"]
-    dfa = ox.to_dfa(pi, ox.Alphabet(syms))
-    ends = set()
-    seen = {(s, 0)}
-    queue = [(s, 0)]
-    while queue:
-        st, q = queue.pop()
-        if q in dfa.accepting:
-            ends.add(st)
-        for a in syms:
-            t = m.trans.get((st, a))
-            if t is None:
-                continue
-            nxt = (t, dfa.transitions[(q, a)])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return ends
+def _dfa_for(pi: ox.ObsExpr, letters):
+    """Derivative automaton of ``pi`` over ``letters`` and its own atoms."""
+    return ox.to_dfa(pi, ox.Alphabet(sorted(set(letters) | ox.atoms(pi))
+                                     or ["a"]))
 
 
 def dpdl_check(m: DpdlModel, s, f: DpdlFormula) -> bool:
@@ -528,6 +508,12 @@ def dpdl_check(m: DpdlModel, s, f: DpdlFormula) -> bool:
     if s not in m.val:
         raise UnknownState(f"state {s!r} not in model")
     memo = {}
+
+    def step(st):
+        for a in m.alphabet:
+            t = m.trans.get((st, a))
+            if t is not None:
+                yield a, t
 
     def ev(st, g):
         key = (st, g)
@@ -545,9 +531,11 @@ def dpdl_check(m: DpdlModel, s, f: DpdlFormula) -> bool:
         elif isinstance(g, And):
             v = all(ev(st, p) for p in g.parts)
         elif isinstance(g, Dia):
-            v = any(ev(t, g.arg) for t in _run_endpoints(m, st, g.pi))
+            v = ox.search(_dfa_for(g.pi, m.alphabet), st, step,
+                          lambda t: ev(t, g.arg)) is not None
         elif isinstance(g, Box):
-            v = all(ev(t, g.arg) for t in _run_endpoints(m, st, g.pi))
+            v = ox.search(_dfa_for(g.pi, m.alphabet), st, step,
+                          lambda t: not ev(t, g.arg)) is None
         else:
             raise TypeError(f"not a DpdlFormula: {g!r}")
         memo[key] = v

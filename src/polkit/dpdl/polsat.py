@@ -47,27 +47,6 @@ def _reachable(model: dc.DpdlModel, start):
     return order, index
 
 
-def _blocks(states, pairs):
-    """Partition ``states`` into the classes generated by ``pairs``."""
-    parent = {s: s for s in states}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-    groups = {}
-    for s in states:
-        groups.setdefault(find(s), []).append(s)
-    return tuple(tuple(sorted(g)) for g in
-                 sorted(groups.values(), key=lambda g: sorted(g)[0]))
-
-
 def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
     """Read the bubble transition structure out of a witness model."""
     order, index = _reachable(model, state)
@@ -84,7 +63,7 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
         for agent in t.agents:
             pairs = [(x, y) for x in slots for y in slots
                      if t.rel(agent, x, y).name in v]
-            relations[agent] = _blocks(slots, pairs)
+            relations[agent] = md.equivalence_blocks(slots, pairs)
         bubbles.append(bts.Bubble(tuple(slots), labels, relations))
     delta = {}
     for (w, a), target in model.trans.items():

@@ -171,18 +171,6 @@ class _Shape:
         return out
 
 
-_DFA_CACHE = {}
-
-
-def _dfa_for(pi, letters):
-    key = (pi, letters)
-    d = _DFA_CACHE.get(key)
-    if d is None:
-        syms = sorted(set(letters) | ox.atoms(pi)) or ["a"]
-        d = _DFA_CACHE[key] = ox.to_dfa(pi, ox.Alphabet(syms))
-    return d
-
-
 # --- exact regime -------------------------------------------------------------
 
 
@@ -238,24 +226,19 @@ class _Exact:
     def _discharged(self, i, expr, arg, want):
         return ox.nullable(expr) and (arg in self.atoms[i]) == want
 
-    def _reach_discharge(self, i, pi, arg, want):
-        dfa = _dfa_for(pi, self.shape.letters)
-        seen = {(i, 0)}
-        queue = [(i, 0)]
-        while queue:
-            j, q = queue.pop()
-            if q in dfa.accepting and (arg in self.atoms[j]) == want:
-                return True
-            for a in self.shape.letters:
-                if not self._needs(j, a):
-                    continue
-                q2 = dfa.transitions[(q, a)]
+    def _edges(self, j):
+        """The (letter, atom) steps a walk from atom ``j`` may take."""
+        for a in self.shape.letters:
+            if self._needs(j, a):
                 for k in self._candidates(j, a):
-                    nxt = (k, q2)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-        return False
+                    yield a, k
+
+    def _discharge_walk(self, i, pi, arg, want):
+        """Shortest walk from atom ``i`` along a word of ``pi`` to an atom
+        giving ``arg`` the truth ``want``, as (letter, atom) steps; None
+        when there is none."""
+        return ox.search(dc._dfa_for(pi, self.shape.letters), i, self._edges,
+                         lambda j: (arg in self.atoms[j]) == want)
 
     def eliminate(self):
         changed = True
@@ -270,7 +253,7 @@ class _Exact:
                 if ok:
                     for pi, arg, want in self.shape.eventualities(
                             self.atoms[i]):
-                        if not self._reach_discharge(i, pi, arg, want):
+                        if self._discharge_walk(i, pi, arg, want) is None:
                             ok = False
                             break
                 if not ok:
@@ -281,29 +264,6 @@ class _Exact:
         return [i for i in sorted(self.alive) if self.f in self.atoms[i]]
 
     # -- witness construction ---------------------------------------------
-
-    def _next_step(self, i, expr, arg, want):
-        """First (letter, atom) of a shortest discharging walk."""
-        seen = {(i, expr)}
-        layer = [(i, expr, None)]
-        while layer:
-            nxt = []
-            for j, e, first in layer:
-                for a in self.shape.letters:
-                    if not self._needs(j, a):
-                        continue
-                    e2 = ox.derive(e, a)
-                    if ox.is_empty_language(e2):
-                        continue
-                    for k in self._candidates(j, a):
-                        step = first if first is not None else (a, k)
-                        if self._discharged(k, e2, arg, want):
-                            return step
-                        if (k, e2) not in seen:
-                            seen.add((k, e2))
-                            nxt.append((k, e2, step))
-            layer = nxt
-        return None
 
     def extract(self):
         nodes = {}
@@ -342,12 +302,12 @@ class _Exact:
             agenda = agenda_of[nid]
             plan = None
             if agenda:
-                expr, arg, want = agenda[0]
-                plan = self._next_step(i, expr, arg, want)
-                if plan is None:
+                path = self._discharge_walk(i, *agenda[0])
+                if not path:
                     raise _Stuck(
                         "an eventuality became undischargeable during "
                         "witness construction")
+                plan = path[0]
             for a in self.shape.letters:
                 if not self._needs(i, a):
                     continue
@@ -871,23 +831,16 @@ class _Lazy:
         return Sat(model, 0)
 
     def _walk_discharges(self, assigns, trans, nid, pi, arg, want):
-        dfa = _dfa_for(pi, self.shape.letters)
         argvar = self.index[arg]
-        seen = {(nid, 0)}
-        queue = [(nid, 0)]
-        while queue:
-            j, q = queue.pop()
-            if q in dfa.accepting and assigns[j][argvar] == want:
-                return True
+
+        def step(j):
             for a in self.shape.letters:
                 child = trans.get((j, a))
-                if child is None:
-                    continue
-                nxt = (child, dfa.transitions[(q, a)])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return False
+                if child is not None:
+                    yield a, child
+
+        return ox.search(dc._dfa_for(pi, self.shape.letters), nid, step,
+                         lambda j: assigns[j][argvar] == want) is not None
 
     def _unfold_frontier(self, g):
         """One-letter modalities whose truth defers ``g`` to a successor."""

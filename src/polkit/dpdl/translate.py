@@ -22,8 +22,7 @@ from .. import syntax as sx
 from ..errors import BudgetInvalid
 from . import core as dc
 
-__all__ = ["LabelBudget", "full_budget", "label_budget",
-           "Translation", "translation", "translate"]
+__all__ = ["LabelBudget", "full_budget", "Translation"]
 
 
 @dataclass(frozen=True)
@@ -37,14 +36,6 @@ class LabelBudget:
 def full_budget(phi: sx.Formula) -> LabelBudget:
     """The exhaustive budget for ``phi``: one slot per closure subset."""
     return LabelBudget(2 ** len(sx.fl_closure(phi)), full=True)
-
-
-def label_budget(phi: sx.Formula, labels=None) -> LabelBudget:
-    """A validated budget of ``labels`` slots; ``None`` means exhaustive."""
-    cap = 2 ** len(sx.fl_closure(phi))
-    if labels is None:
-        labels = cap
-    return LabelBudget(labels, full=(labels == cap))
 
 
 def _check_budget(phi: sx.Formula, budget: LabelBudget) -> LabelBudget:
@@ -226,13 +217,3 @@ class Translation:
         parts.append(dc.box(ss, dc.land(*dead)))
         return dc.land(*parts)
 
-
-def translation(phi: sx.Formula, budget: LabelBudget | None = None
-                ) -> Translation:
-    return Translation(phi, budget)
-
-
-def translate(phi: sx.Formula, budget: LabelBudget | None = None
-              ) -> dc.DpdlFormula:
-    """The encoded formula for ``phi`` under ``budget`` (default: full)."""
-    return Translation(phi, budget).formula

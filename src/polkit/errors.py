@@ -50,10 +50,3 @@ class BudgetInvalid(PolError):
 class NotABts(PolError):
     """A structure that fails bubble transition structure validation."""
 
-
-class InconsistentTriple(PolError):
-    """A tape window containing more than one head marker."""
-
-
-class SpaceBoundTooLarge(PolError):
-    """A space bound whose position encoding exceeds the supported width."""

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import syntax as sx
-from .models import Model, state_sort_key
+from .models import Model, equivalence_blocks, state_sort_key
 
 __all__ = ["Filtration", "filtrate", "verify_filtration", "Disagreement"]
 
@@ -34,25 +34,6 @@ class Filtration:
     class_of: dict          # base state -> class id
     members: tuple          # class id -> tuple of base states
     representative: tuple   # class id -> canonical base state
-
-
-def _union_find_blocks(n, edges):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    blocks = {}
-    for x in range(n):
-        blocks.setdefault(find(x), []).append(x)
-    return [frozenset(b) for b in blocks.values()]
 
 
 def filtrate(m: Model, phi: sx.Formula, rep_choice: str = "min") -> Filtration:
@@ -104,7 +85,7 @@ def filtrate(m: Model, phi: sx.Formula, rep_choice: str = "min") -> Filtration:
                             for s1 in members[c1] for s2 in members[c2])
             if witnessed and transfers(c2, c1) and transfers(c1, c2):
                 edges.append((c1, c2))
-        blocks = _union_find_blocks(len(members), edges)
+        blocks = equivalence_blocks(range(len(members)), edges)
         # classes joined by the closure still agree on the agent's
         # possibility formulas, which is what truth preservation needs
         for block in blocks:

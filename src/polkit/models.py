@@ -21,8 +21,6 @@ true) there.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import obsregex as ox
 from . import syntax as sx
 from .errors import ResourceBudgetExceeded, UnknownAgent, UnknownState
@@ -38,9 +36,29 @@ def state_sort_key(s):
     return (isinstance(s, str), s)
 
 
-@lru_cache(maxsize=4096)
-def _word_dfa(pi: ObsExpr, alphabet: Alphabet) -> ox.Dfa:
-    return ox.to_dfa(pi, alphabet)
+def equivalence_blocks(states, pairs):
+    """Partition ``states`` into the classes generated by ``pairs``.
+
+    The blocks are sorted tuples, listed in the order of their least
+    members.
+    """
+    parent = {s: s for s in states}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+    groups = {}
+    for s in states:
+        groups.setdefault(find(s), []).append(s)
+    return tuple(tuple(sorted(g)) for g in
+                 sorted(groups.values(), key=lambda g: sorted(g)[0]))
 
 
 class _Ctx:
@@ -281,27 +299,22 @@ class Model:
         Branches where s has already died are skipped: a state that does
         not survive w survives no extension of w either.
         """
-        dfa = _word_dfa(pi, self.alphabet)
         start = self._eps(ctx)
         if start is None or s not in start.survivors:
             return False, None, None
-        seen = {(0, start.cid)}
-        queue = [(0, start, ())]
-        i = 0
-        while i < len(queue):
-            q, c, word = queue[i]
-            i += 1
-            if q in dfa.accepting and self._eval(c, s, body) is want:
-                return True, word, c
+
+        def step(c):
             for sym in self.alphabet:
                 nc = self._step(c, sym)
-                if nc is None or s not in nc.survivors:
-                    continue
-                nq = dfa.step(q, sym)
-                if (nq, nc.cid) not in seen:
-                    seen.add((nq, nc.cid))
-                    queue.append((nq, nc, word + (sym,)))
-        return False, None, None
+                if nc is not None and s in nc.survivors:
+                    yield sym, nc
+
+        path = ox.search(ox.to_dfa(pi, self.alphabet), start, step,
+                         lambda c: self._eval(c, s, body) is want)
+        if path is None:
+            return False, None, None
+        end = path[-1][1] if path else start
+        return True, tuple(sym for sym, _ in path), end
 
     # -- explanation --------------------------------------------------------
 

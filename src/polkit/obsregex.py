@@ -25,7 +25,7 @@ __all__ = [
     "empty", "epsilon", "atom", "alt", "seq", "star",
     "nullable", "derive", "residuate", "is_empty_language", "member",
     "atoms", "expr_size", "normalize",
-    "Dfa", "to_dfa", "language_equivalent",
+    "Dfa", "to_dfa", "search", "language_equivalent",
     "parse_regex", "print_regex", "parse_word",
 ]
 
@@ -84,19 +84,16 @@ class Alphabet:
 
 
 class ObsExpr:
-    """Base class of observation expression nodes. Construct via factories."""
+    """Base class of observation expression nodes. Construct via factories.
+
+    Nodes are interned, so identity is structural equality, and the
+    identity comparison and hash inherited from ``object`` serve as is.
+    """
 
     __slots__ = ("_key",)
 
     def __repr__(self):
         return f"ObsExpr({print_regex(self)!r})"
-
-    # Interned nodes: identity is structural equality.
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
 
 class Empty(ObsExpr):
@@ -356,6 +353,7 @@ class Dfa:
     states: tuple          # tuple of ObsExpr, index = state id
     transitions: dict      # (state, symbol) -> state
     accepting: frozenset
+    live: frozenset        # states whose language is not empty
 
     def step(self, state: int, sym: str) -> int:
         return self.transitions[(state, sym)]
@@ -367,8 +365,14 @@ class Dfa:
         return state in self.accepting
 
 
+@lru_cache(maxsize=4096)
 def to_dfa(e: ObsExpr, alphabet: Alphabet, max_states: int = 10 ** 6) -> Dfa:
-    """Derivative automaton of ``e``; all states reachable from the initial."""
+    """Derivative automaton of ``e``; all states reachable from the initial.
+
+    Results are cached, so equal arguments give the same automaton,
+    which callers must not mutate. The cache is the only automaton cache
+    of the package and holds a bounded number of automata.
+    """
     for sym in atoms(e):
         alphabet.require(sym)
     index = {e: 0}
@@ -392,7 +396,44 @@ def to_dfa(e: ObsExpr, alphabet: Alphabet, max_states: int = 10 ** 6) -> Dfa:
                 transitions[(src_id, sym)] = dst_id
         frontier = nxt
     accepting = frozenset(i for i, s in enumerate(states) if nullable(s))
-    return Dfa(alphabet, tuple(states), transitions, accepting)
+    live = frozenset(i for i, s in enumerate(states)
+                     if not is_empty_language(s))
+    return Dfa(alphabet, tuple(states), transitions, accepting, live)
+
+
+def search(dfa: Dfa, start, step, goal):
+    """Shortest walk through the product of ``dfa`` with a graph.
+
+    The walk starts at the pair ``(start, 0)``. ``step(node)`` yields the
+    graph's ``(symbol, successor)`` edges out of ``node``, and each edge
+    moves the automaton by its symbol. Pairs are visited breadth first;
+    ``goal(node)`` is asked only at pairs whose automaton state accepts.
+    A pair whose automaton state has an empty language is never queued,
+    since no walk through it ends in an accepting state.
+
+    Returns the ``(symbol, node)`` steps of a shortest walk to the first
+    goal met, ``[]`` when the start pair is one, or None when no goal
+    can be reached.
+    """
+    first = (start, 0)
+    parent = {first: None}
+    queue = [first] if 0 in dfa.live else []
+    for pair in queue:  # the queue grows while it is read
+        node, q = pair
+        if q in dfa.accepting and goal(node):
+            path = []
+            while parent[pair] is not None:
+                prev, sym = parent[pair]
+                path.append((sym, pair[0]))
+                pair = prev
+            path.reverse()
+            return path
+        for sym, nxt in step(node):
+            q2 = dfa.transitions[(q, sym)]
+            if q2 in dfa.live and (nxt, q2) not in parent:
+                parent[(nxt, q2)] = (pair, sym)
+                queue.append((nxt, q2))
+    return None
 
 
 def language_equivalent(e1: ObsExpr, e2: ObsExpr,
@@ -460,15 +501,31 @@ def print_regex(e: ObsExpr) -> str:
     raise TypeError(f"not an ObsExpr: {e!r}")
 
 
+# The parsers recurse once per nesting level; refusing deeper input
+# keeps a formula and the expressions inside it well within the stack.
+_MAX_NESTING = 64
+
+
 class _RegexTokens:
     def __init__(self, text):
         self.text = text
         self.pos = 0
         self.line = 1
         self.col = 1
+        self.depth = 0
 
     def error(self, msg):
         raise ParseError(msg, self.line, self.col)
+
+    def nested(self, parse, *args):
+        """``parse(self, *args)`` one nesting level deeper; a ParseError
+        once the input nests deeper than ``_MAX_NESTING`` levels."""
+        if self.depth >= _MAX_NESTING:
+            self.error(f"nesting deeper than {_MAX_NESTING} levels")
+        self.depth += 1
+        result = parse(self, *args)
+        self.depth -= 1
+        return result
 
     def _advance(self, n):
         for c in self.text[self.pos:self.pos + n]:
@@ -538,7 +595,7 @@ def _parse_base(toks, alphabet):
         toks.error("unexpected end of expression")
     if tok == "(":
         toks.take()
-        e = _parse_sum(toks, alphabet)
+        e = toks.nested(_parse_sum, alphabet)
         if toks.peek() != ")":
             toks.error("expected ')'")
         toks.take()

@@ -33,7 +33,6 @@ from .obsregex import Alphabet, ObsExpr
 __all__ = [
     "Formula", "Top", "Prop", "Not", "Or", "And", "Hat", "Know", "Dia", "Box",
     "top", "prop", "lnot", "lor", "land", "hat", "know", "dia", "box",
-    "lor_all", "land_all",
     "parse_formula", "print_formula", "formula_size",
     "props", "agents", "letters", "fl_closure",
 ]
@@ -42,18 +41,16 @@ _RESERVED = {"true", "false"}
 
 
 class Formula:
-    """Base class of formula nodes. Construct via the factory functions."""
+    """Base class of formula nodes. Construct via the factory functions.
+
+    Nodes are interned, so identity is structural equality, and the
+    identity comparison and hash inherited from ``object`` serve as is.
+    """
 
     __slots__ = ("_key",)
 
     def __repr__(self):
         return f"Formula({print_formula(self)!r})"
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
 
 class Top(Formula):
@@ -171,27 +168,6 @@ def dia(pi: ObsExpr, arg: Formula) -> Formula:
 
 def box(pi: ObsExpr, arg: Formula) -> Formula:
     return _intern(("[]", id(pi), id(arg)), lambda: Box(pi, arg))
-
-
-def _balanced(parts, join, unit):
-    """Combine a sequence with a balanced tree to keep recursion shallow."""
-    parts = list(parts)
-    if not parts:
-        return unit
-    while len(parts) > 1:
-        nxt = [join(parts[i], parts[i + 1]) if i + 1 < len(parts)
-               else parts[i]
-               for i in range(0, len(parts), 2)]
-        parts = nxt
-    return parts[0]
-
-
-def land_all(parts) -> Formula:
-    return _balanced(parts, land, _TOP)
-
-
-def lor_all(parts) -> Formula:
-    return _balanced(parts, lor, lnot(_TOP))
 
 
 def formula_size(f: Formula, _memo=None) -> int:
@@ -413,23 +389,23 @@ def _parse_unary(toks, alphabet):
         toks.error("unexpected end of formula")
     if tok == "~":
         toks.take()
-        return lnot(_parse_unary(toks, alphabet))
+        return lnot(toks.nested(_parse_unary, alphabet))
     if tok == "<":
         toks.take()
         pi = _parse_guarded_regex(toks, ">", alphabet)
         toks.take()  # '>'
-        return dia(pi, _parse_unary(toks, alphabet))
+        return dia(pi, toks.nested(_parse_unary, alphabet))
     if tok == "[":
         toks.take()
         pi = _parse_guarded_regex(toks, "]", alphabet)
         toks.take()  # ']'
-        return box(pi, _parse_unary(toks, alphabet))
+        return box(pi, toks.nested(_parse_unary, alphabet))
     if tok.startswith("K_") and len(tok) > 2:
         toks.take()
-        return know(tok[2:], _parse_unary(toks, alphabet))
+        return know(tok[2:], toks.nested(_parse_unary, alphabet))
     if tok.startswith("hK_") and len(tok) > 3:
         toks.take()
-        return hat(tok[3:], _parse_unary(toks, alphabet))
+        return hat(tok[3:], toks.nested(_parse_unary, alphabet))
     return _parse_base(toks, alphabet)
 
 
@@ -439,7 +415,7 @@ def _parse_base(toks, alphabet):
         toks.error("unexpected end of formula")
     if tok == "(":
         toks.take()
-        f = _parse_or(toks, alphabet)
+        f = toks.nested(_parse_or, alphabet)
         if toks.peek() != ")":
             toks.error("expected ')'")
         toks.take()

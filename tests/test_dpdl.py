@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polkit import dpdl as dp
 from polkit.dpdl import solver as dps
+from polkit.errors import ParseError
 
 from conftest import dpdl_formula_strategy
 
@@ -183,3 +184,12 @@ class TestDpdlSat:
                               "nullable body after its own unfolding")
     def test_nullable_star_body_in_exact_regime(self):
         dp.dpdl_sat(dp.parse_dpdl("<(a*;b*)*>p"))
+
+
+class TestParsing:
+    def test_deep_nesting_is_a_parse_error(self):
+        for text in ("~" * 3000 + "p", "(" * 2000 + "p" + ")" * 2000,
+                     "<a>" * 3000 + "p"):
+            with pytest.raises(ParseError):
+                dp.parse_dpdl(text)
+        assert dp.print_dpdl(dp.parse_dpdl("~" * 50 + "p")) == "~" * 50 + "p"

@@ -116,6 +116,16 @@ class TestDroneTruths:
         assert lines[0].endswith("True")
         assert any("witness observation" in ln for ln in lines)
 
+    @pytest.mark.parametrize("text,shown", [
+        ("<s*;p*;c>K_d T1", "witness observation: c"),
+        ("<(s+p)*;p;c>K_d T1", "witness observation: p-c"),
+        ("[s;(s+p)*;c]T2", "failing observation: s-c"),
+    ])
+    def test_explain_reports_a_shortest_word(self, text, shown):
+        m = drone_model()
+        lines = m.explain("u", parse_formula(text, m.alphabet))
+        assert lines[1].strip() == shown
+
 
 class TestDeadStates:
     def setup_method(self):

@@ -147,6 +147,13 @@ class TestEmptiness:
             assert not language_sample(e, ("a", "b"), 4)
 
 
+class TestNesting:
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_regex("(" * 2000 + "a" + ")" * 2000)
+        assert parse_regex("(" * 50 + "a" + ")" * 50) is atom("a")
+
+
 class TestDfaAndEquivalence:
     def test_dfa_accepts_language(self):
         e = re("b*;a;a;(a+b)*")
@@ -178,6 +185,53 @@ class TestDfaAndEquivalence:
     def test_equivalence_without_alphabet_infers_symbols(self):
         assert language_equivalent(re("a+0"), re("a"))
         assert not language_equivalent(epsilon(), empty())
+
+
+class TestProductSearch:
+    # 0 -a-> 1 -a-> 2 -a-> 3 and a shortcut 0 -b-> 3
+    LINE = {0: [("a", 1), ("b", 3)], 1: [("a", 2)], 2: [("a", 3)], 3: []}
+
+    def walk(self, text, goal):
+        return ox.search(to_dfa(re(text), AB), 0, self.LINE.__getitem__, goal)
+
+    def test_shortest_walk(self):
+        assert self.walk("(a+b)*", lambda n: n == 3) == [("b", 3)]
+        assert self.walk("a*", lambda n: n == 3) == \
+            [("a", 1), ("a", 2), ("a", 3)]
+
+    def test_start_pair_that_is_a_goal(self):
+        assert self.walk("a*", lambda n: n == 0) == []
+
+    def test_goal_only_counts_at_accepting_pairs(self):
+        assert self.walk("a;a", lambda n: n == 0) is None
+        assert self.walk("a;a", lambda n: n in (0, 2)) == [("a", 1), ("a", 2)]
+
+    def test_unreachable_goal(self):
+        assert self.walk("(a+b)*", lambda n: n == 4) is None
+        assert self.walk("b;a", lambda n: n == 3) is None
+
+    def test_dead_pairs_are_never_expanded(self):
+        # a cycle on three nodes with both letters on every edge; only
+        # the prefixes of a;b keep the automaton alive
+        expanded = []
+
+        def step(n):
+            expanded.append(n)
+            return [("a", (n + 1) % 3), ("b", (n + 1) % 3)]
+
+        assert ox.search(to_dfa(re("a;b"), AB), 0, step,
+                         lambda n: False) is None
+        assert expanded == [0, 1, 2]
+        expanded.clear()
+        assert ox.search(to_dfa(empty(), AB), 0, step, lambda n: True) is None
+        assert expanded == []
+
+    def test_automata_are_cached_and_the_cache_is_bounded(self):
+        e = re("(a;b)*;a")
+        assert to_dfa(e, AB) is to_dfa(e, Alphabet(["a", "b"]))
+        info = to_dfa.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
 
 
 class TestWords:

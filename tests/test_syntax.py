@@ -78,6 +78,13 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_formula(bad)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        for text in ("~" * 3000 + "p", "(" * 2000 + "p" + ")" * 2000,
+                     "K_i " * 3000 + "p"):
+            with pytest.raises(ParseError):
+                parse_formula(text)
+        assert print_formula(pf("~" * 50 + "p")) == "~" * 50 + "p"
+
     def test_reserved_prop_names(self):
         with pytest.raises(ValueError):
             prop("true")
