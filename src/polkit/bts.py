@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import obsregex as ox
 from . import syntax as sx
 from .errors import ClosureTooLarge, NotABts, UnknownState
-from .models import Model, state_sort_key
+from .models import Model, block_map, ordered_blocks, state_sort_key
 from .obsregex import Alphabet
 
 __all__ = [
@@ -74,12 +74,12 @@ def _hintikka_violation(h, fl, ordered=None):
             state = "both present" if f in h else "neither present"
             return Violation("1", f"{_pp(f.arg)} and its negation: {state}")
     for f in ordered:
-        if isinstance(f, sx.And) and (f in h) != (f.left in h and
-                                                  f.right in h):
+        if isinstance(f, sx.And) and (f in h) != all(p in h
+                                                     for p in f.parts):
             return Violation("2", f"{_pp(f)} disagrees with its conjuncts")
     for f in ordered:
-        if isinstance(f, sx.Or) and (f in h) != (f.left in h or
-                                                 f.right in h):
+        if isinstance(f, sx.Or) and (f in h) != any(p in h
+                                                    for p in f.parts):
             return Violation("3", f"{_pp(f)} disagrees with its disjuncts")
     for f in ordered:
         if isinstance(f, sx.Know) and f in h and f.arg not in h:
@@ -212,23 +212,8 @@ class Bubble:
             if s not in sset:
                 raise UnknownState(f"labelled state {s!r} is not a state")
         self.labels = {s: frozenset(labels.get(s, ())) for s in self.states}
-        self._blocks = {}
-        for agent, blocks in dict(relations or {}).items():
-            assigned = {}
-            for block in blocks:
-                fb = frozenset(block)
-                for s in fb:
-                    if s not in sset:
-                        raise UnknownState(
-                            f"state {s!r} in relation of agent {agent!r} "
-                            f"is not a state")
-                    if s in assigned:
-                        raise ValueError(
-                            f"state {s!r} occurs in two blocks of {agent!r}")
-                    assigned[s] = fb
-            for s in self.states:
-                assigned.setdefault(s, frozenset({s}))
-            self._blocks[agent] = assigned
+        self._blocks = {agent: block_map(self.states, agent, blocks)
+                        for agent, blocks in dict(relations or {}).items()}
         self.agents = tuple(sorted(self._blocks))
         self._canon = None
 
@@ -248,10 +233,7 @@ class Bubble:
         assigned = self._blocks.get(agent)
         if assigned is None:
             return tuple(frozenset({s}) for s in self.states)
-        blocks = set(assigned.values())
-        return tuple(sorted(blocks,
-                            key=lambda b: state_sort_key(
-                                min(b, key=state_sort_key))))
+        return ordered_blocks(assigned)
 
     def _key(self):
         if self._canon is None:

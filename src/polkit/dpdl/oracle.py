@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from .. import syntax as sx
 from . import core as dc
 from .solver import Sat, Unknown
 
@@ -21,27 +22,7 @@ def _subsets(pool):
         yield frozenset(p for i, p in enumerate(pool) if mask >> i & 1)
 
 
-def _atom_names(f):
-    out = set()
-    seen = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        if isinstance(g, dc.Atom):
-            out.add(g.name)
-        elif isinstance(g, dc.Not):
-            stack.append(g.arg)
-        elif isinstance(g, (dc.Or, dc.And)):
-            stack.extend(g.parts)
-        elif isinstance(g, (dc.Dia, dc.Box)):
-            stack.append(g.arg)
-    return sorted(out)
-
-
-def brute_dpdl_sat(f: dc.DpdlFormula, max_states: int = 3,
+def brute_dpdl_sat(f: sx.Formula, max_states: int = 3,
                    atom_pool=None):
     """Try every deterministic model up to ``max_states`` states.
 
@@ -51,10 +32,10 @@ def brute_dpdl_sat(f: dc.DpdlFormula, max_states: int = 3,
     ``Unknown``: exhausting the bound proves nothing beyond it.
     """
     if atom_pool is None:
-        atom_pool = _atom_names(f)
+        atom_pool = sorted(sx.props(f))
     else:
         atom_pool = sorted(atom_pool)
-    letters = sorted(dc.dpdl_letters(f))
+    letters = sorted(sx.letters(f))
     for k in range(1, max_states + 1):
         states = tuple(range(k))
         pairs = [(s, a) for s in states for a in letters]

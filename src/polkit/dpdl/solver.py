@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import obsregex as ox
+from .. import syntax as sx
 from ..errors import ResourceBudgetExceeded
 from . import core as dc
 
@@ -64,9 +65,9 @@ class _StepBudget(Exception):
 
 
 def _is_frontier(g) -> bool:
-    if isinstance(g, dc.Atom):
+    if isinstance(g, sx.Prop):
         return True
-    return (isinstance(g, (dc.Dia, dc.Box))
+    return (isinstance(g, (sx.Dia, sx.Box))
             and isinstance(g.pi, ox.Atom))
 
 
@@ -77,25 +78,25 @@ def _definition(g):
     ("eq", h), ("or", parts), ("and", parts). Every operand is itself
     a closure member whenever ``g`` is.
     """
-    if isinstance(g, dc.Top):
+    if isinstance(g, sx.Top):
         return ("true",)
-    if isinstance(g, dc.Atom):
+    if isinstance(g, sx.Prop):
         return ("frontier",)
-    if isinstance(g, dc.Not):
+    if isinstance(g, sx.Not):
         return ("not", g.arg)
-    if isinstance(g, dc.Or):
+    if isinstance(g, sx.Or):
         return ("or", g.parts)
-    if isinstance(g, dc.And):
+    if isinstance(g, sx.And):
         return ("and", g.parts)
-    make = dc.dia if isinstance(g, dc.Dia) else dc.box
-    junction = "or" if isinstance(g, dc.Dia) else "and"
+    make = sx.dia if isinstance(g, sx.Dia) else sx.box
+    junction = "or" if isinstance(g, sx.Dia) else "and"
     pi = g.pi
     if isinstance(pi, ox.Atom):
         return ("frontier",)
     if isinstance(pi, ox.Epsilon):
         return ("eq", g.arg)
     if isinstance(pi, ox.Empty):
-        return ("false",) if isinstance(g, dc.Dia) else ("true",)
+        return ("false",) if isinstance(g, sx.Dia) else ("true",)
     if isinstance(pi, ox.Sum):
         return (junction, tuple(make(p, g.arg) for p in pi.parts))
     if isinstance(pi, ox.Concat):
@@ -145,14 +146,17 @@ class _Shape:
         self.dia = {}
         self.box = {}
         for g in members:
-            if isinstance(g, (dc.Dia, dc.Box)) and isinstance(g.pi, ox.Atom):
-                table = self.dia if isinstance(g, dc.Dia) else self.box
+            if isinstance(g, (sx.Dia, sx.Box)) and isinstance(g.pi, ox.Atom):
+                table = self.dia if isinstance(g, sx.Dia) else self.box
                 table.setdefault(g.pi.symbol, []).append(g)
         self.letters = tuple(sorted(set(self.dia) | set(self.box)))
+        # Every letter of a closure's programs also heads one of its
+        # one-letter modalities, so this alphabet serves all of them.
+        self.alphabet = ox.Alphabet(self.letters or ["a"])
         self.profile = {a: tuple(self.dia.get(a, []) + self.box.get(a, []))
                         for a in self.letters}
         self.stars = [g for g in members
-                      if isinstance(g, (dc.Dia, dc.Box))
+                      if isinstance(g, (sx.Dia, sx.Box))
                       and isinstance(g.pi, ox.Star)]
 
     def eventualities(self, truth):
@@ -165,7 +169,7 @@ class _Shape:
         """
         out = []
         for g in self.stars:
-            want = isinstance(g, dc.Dia)
+            want = isinstance(g, sx.Dia)
             if (g in truth) == want:
                 out.append((g.pi, g.arg, want))
         return out
@@ -181,13 +185,13 @@ class _Exact:
         self.node_cap = node_cap
         self.shape = _Shape(members)
         self.frontier = [g for g in members if _is_frontier(g)]
-        order = [g for g in _topo_order(members) if not _is_frontier(g)]
+        defs = [(g, _definition(g)) for g in _topo_order(members)
+                if not _is_frontier(g)]
         self.atoms = []
         for mask in range(2 ** len(self.frontier)):
             val = {g: bool(mask >> i & 1)
                    for i, g in enumerate(self.frontier)}
-            for g in order:
-                d = _definition(g)
+            for g, d in defs:
                 if d[0] == "true":
                     val[g] = True
                 elif d[0] == "false":
@@ -237,7 +241,7 @@ class _Exact:
         """Shortest walk from atom ``i`` along a word of ``pi`` to an atom
         giving ``arg`` the truth ``want``, as (letter, atom) steps; None
         when there is none."""
-        return ox.search(dc._dfa_for(pi, self.shape.letters), i, self._edges,
+        return ox.search(ox.to_dfa(pi, self.shape.alphabet), i, self._edges,
                          lambda j: (arg in self.atoms[j]) == want)
 
     def eliminate(self):
@@ -275,7 +279,7 @@ class _Exact:
             agenda = [entry for entry in carried
                       if not self._discharged(i, *entry)]
             spawned = sorted(self.shape.eventualities(self.atoms[i]),
-                             key=lambda ob: dc.dpdl_key(ob[1]))
+                             key=lambda ob: sx.formula_key(ob[1]))
             for entry in spawned:
                 if entry not in agenda and not self._discharged(i, *entry):
                     agenda.append(entry)
@@ -327,7 +331,7 @@ class _Exact:
                 if child not in done:
                     pending.append(child)
         val = {nid: frozenset(g.name for g in self.atoms[i]
-                              if isinstance(g, dc.Atom))
+                              if isinstance(g, sx.Prop))
                for nid, i in enumerate(atom_of)}
         model = dc.DpdlModel(tuple(range(len(atom_of))), trans, val,
                              alphabet=self.shape.letters)
@@ -823,7 +827,7 @@ class _Lazy:
         if missing:
             return self._retry(missing)
         val = {nid: frozenset(g.name for g in self.members
-                              if isinstance(g, dc.Atom)
+                              if isinstance(g, sx.Prop)
                               and assign[self.index[g]])
                for nid, assign in enumerate(assigns)}
         model = dc.DpdlModel(tuple(range(len(assigns))), trans, val,
@@ -839,7 +843,7 @@ class _Lazy:
                 if child is not None:
                     yield a, child
 
-        return ox.search(dc._dfa_for(pi, self.shape.letters), nid, step,
+        return ox.search(ox.to_dfa(pi, self.shape.alphabet), nid, step,
                          lambda j: assigns[j][argvar] == want) is not None
 
     def _unfold_frontier(self, g):
@@ -856,7 +860,7 @@ class _Lazy:
             else:
                 continue
             for h in parts:
-                if h in seen or not isinstance(h, (dc.Dia, dc.Box)):
+                if h in seen or not isinstance(h, (sx.Dia, sx.Box)):
                     continue
                 seen.add(h)
                 if _is_frontier(h):
@@ -878,9 +882,9 @@ class _Lazy:
         """
         hints = {}
         for pi, arg, want in missing:
-            g = dc.dia(pi, arg) if want else dc.box(pi, arg)
+            g = sx.dia(pi, arg) if want else sx.box(pi, arg)
             for h in self._unfold_frontier(g):
-                hints[self.index[h]] = isinstance(h, dc.Box)
+                hints[self.index[h]] = isinstance(h, sx.Box)
             hints[self.index[arg]] = want
         self.retries += 1
         if self.retries > 8 or all(self.polarity.get(v) == t
@@ -910,7 +914,7 @@ class _AssignView:
 # --- entry point ----------------------------------------------------------
 
 
-def dpdl_sat(f: dc.DpdlFormula, *, atom_cap: int = 2 ** 14,
+def dpdl_sat(f: sx.Formula, *, atom_cap: int = 2 ** 14,
              node_cap: int = 5000, restart_cap: int = 200,
              step_cap: int = 5_000_000):
     """Decide satisfiability of ``f`` over deterministic models.
@@ -924,8 +928,11 @@ def dpdl_sat(f: dc.DpdlFormula, *, atom_cap: int = 2 ** 14,
     ``atom_cap`` bounds the assignment enumeration of the exact regime;
     formulas whose determining members would exceed it are handled
     lazily. The remaining caps bound witness size and search effort.
+    A formula with agent operators is a TypeError.
     """
-    members = dc.closure(f)
+    members = sx.closure(f)
+    if any(isinstance(g, (sx.Hat, sx.Know)) for g in members):
+        raise TypeError("dynamic logic has no agent operators")
     frontier_bits = sum(1 for g in members if _is_frontier(g))
     try:
         if 2 ** frontier_bits <= atom_cap:

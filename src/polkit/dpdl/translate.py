@@ -95,16 +95,16 @@ class Translation:
 
     # -- atoms ------------------------------------------------------------
 
-    def at(self, ell: int, psi: sx.Formula) -> dc.DpdlFormula:
+    def at(self, ell: int, psi: sx.Formula) -> sx.Formula:
         return self._at[(ell, psi)]
 
     def at_name(self, ell: int, psi: sx.Formula) -> str:
         return self._at_name[(ell, psi)]
 
-    def surv(self, ell: int) -> dc.DpdlFormula:
+    def surv(self, ell: int) -> sx.Formula:
         return self._surv[ell]
 
-    def rel(self, agent: str, ell: int, ell2: int) -> dc.DpdlFormula:
+    def rel(self, agent: str, ell: int, ell2: int) -> sx.Formula:
         return self._rel[(agent, ell, ell2)]
 
     def atom_names(self) -> frozenset:
@@ -119,7 +119,7 @@ class Translation:
     def _sigma_star(self) -> ox.ObsExpr:
         return ox.star(ox.alt(*[ox.atom(a) for a in self.alphabet]))
 
-    def _sem(self, psi: sx.Formula) -> dc.DpdlFormula:
+    def _sem(self, psi: sx.Formula) -> sx.Formula:
         """Truth-assignment clause for one closure member, all slots.
 
         Each member kind pins its atom to the atoms of its immediate
@@ -134,15 +134,15 @@ class Translation:
             if isinstance(psi, sx.Top):
                 parts.append(a)
             elif isinstance(psi, sx.Prop):
-                parts.append(dc.iff(a, dc.lnot(self.at(ell, sx.lnot(psi)))))
+                parts.append(dc.iff(a, sx.lnot(self.at(ell, sx.lnot(psi)))))
             elif isinstance(psi, sx.Not):
-                parts.append(dc.iff(a, dc.lnot(self.at(ell, psi.arg))))
+                parts.append(dc.iff(a, sx.lnot(self.at(ell, psi.arg))))
             elif isinstance(psi, sx.Or):
-                parts.append(dc.iff(a, dc.lor(self.at(ell, psi.left),
-                                              self.at(ell, psi.right))))
+                parts.append(dc.iff(a, dc.lor(*[self.at(ell, p)
+                                                for p in psi.parts])))
             elif isinstance(psi, sx.And):
-                parts.append(dc.iff(a, dc.land(self.at(ell, psi.left),
-                                               self.at(ell, psi.right))))
+                parts.append(dc.iff(a, dc.land(*[self.at(ell, p)
+                                                 for p in psi.parts])))
             elif isinstance(psi, sx.Hat):
                 branches = [dc.land(self.rel(psi.agent, ell, ell2),
                                     self.surv(ell2),
@@ -156,11 +156,11 @@ class Translation:
                             for ell2 in self.labels]
                 parts.append(dc.iff(a, dc.land(*branches)))
             elif isinstance(psi, sx.Dia):
-                parts.append(dc.iff(a, dc.dia(psi.pi,
+                parts.append(dc.iff(a, sx.dia(psi.pi,
                                               dc.land(self.at(ell, psi.arg),
                                                       self.surv(ell)))))
             elif isinstance(psi, sx.Box):
-                parts.append(dc.iff(a, dc.box(psi.pi,
+                parts.append(dc.iff(a, sx.box(psi.pi,
                                               dc.implies(self.surv(ell),
                                                          self.at(ell,
                                                                  psi.arg)))))
@@ -168,27 +168,27 @@ class Translation:
                 raise TypeError(f"not a Formula: {psi!r}")
         return dc.land(*parts)
 
-    def _build(self) -> dc.DpdlFormula:
+    def _build(self) -> sx.Formula:
         ss = self._sigma_star()
         parts = [self.surv(1), self.at(1, self.source)]
         for psi in self.fl:
-            parts.append(dc.box(ss, self._sem(psi)))
+            parts.append(sx.box(ss, self._sem(psi)))
         for psi in self.fl:
             if not isinstance(psi, sx.Prop):
                 continue
             neg = sx.lnot(psi)
             for ell in self.labels:
                 parts.append(dc.implies(self.at(ell, psi),
-                                        dc.box(ss, self.at(ell, psi))))
+                                        sx.box(ss, self.at(ell, psi))))
                 parts.append(dc.implies(self.at(ell, neg),
-                                        dc.box(ss, self.at(ell, neg))))
+                                        sx.box(ss, self.at(ell, neg))))
         for i in self.agents:
             for ell in self.labels:
                 for ell2 in self.labels:
                     r = self.rel(i, ell, ell2)
-                    parts.append(dc.implies(r, dc.box(ss, r)))
-                    parts.append(dc.implies(dc.lnot(r),
-                                            dc.box(ss, dc.lnot(r))))
+                    parts.append(dc.implies(r, sx.box(ss, r)))
+                    parts.append(dc.implies(sx.lnot(r),
+                                            sx.box(ss, sx.lnot(r))))
         for i in self.agents:
             for ell in self.labels:
                 parts.append(self.rel(i, ell, ell))
@@ -209,11 +209,11 @@ class Translation:
                             dc.land(self.rel(i, ell, ell2),
                                     self.rel(i, ell2, ell3)),
                             self.rel(i, ell, ell3)))
-        succ = [dc.dia(ox.atom(a), dc.top()) for a in self.alphabet]
-        parts.append(dc.box(ss, dc.land(*succ)))
-        dead = [dc.implies(dc.lnot(self.surv(ell)),
-                           dc.dia(ox.atom(a), dc.lnot(self.surv(ell))))
+        succ = [sx.dia(ox.atom(a), sx.top()) for a in self.alphabet]
+        parts.append(sx.box(ss, dc.land(*succ)))
+        dead = [dc.implies(sx.lnot(self.surv(ell)),
+                           sx.dia(ox.atom(a), sx.lnot(self.surv(ell))))
                 for ell in self.labels for a in self.alphabet]
-        parts.append(dc.box(ss, dc.land(*dead)))
+        parts.append(sx.box(ss, dc.land(*dead)))
         return dc.land(*parts)
 

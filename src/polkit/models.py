@@ -61,6 +61,36 @@ def equivalence_blocks(states, pairs):
                  sorted(groups.values(), key=lambda g: sorted(g)[0]))
 
 
+def block_map(states, agent, blocks) -> dict:
+    """Map each of ``states`` to its block in the agent's partition.
+
+    ``blocks`` is an iterable of blocks; states missing from all of them
+    form singleton blocks of their own.
+    """
+    sset = set(states)
+    assigned = {}
+    for block in blocks:
+        fb = frozenset(block)
+        for s in fb:
+            if s not in sset:
+                raise UnknownState(f"state {s!r} in relation of "
+                                   f"agent {agent!r} is not a state")
+            if s in assigned:
+                raise ValueError(
+                    f"state {s!r} occurs in two blocks of {agent!r}")
+            assigned[s] = fb
+    for s in states:
+        assigned.setdefault(s, frozenset({s}))
+    return assigned
+
+
+def ordered_blocks(assigned: dict) -> tuple:
+    """The distinct blocks of a ``block_map``, by their least states."""
+    return tuple(sorted(set(assigned.values()),
+                        key=lambda b: state_sort_key(
+                            min(b, key=state_sort_key))))
+
+
 class _Ctx:
     """A model reached by some sequence of observations.
 
@@ -98,7 +128,6 @@ class Model:
             raise ValueError("a model needs at least one state")
         if len(set(self.states)) != len(self.states):
             raise ValueError("duplicate state ids")
-        sset = set(self.states)
         self.props = {s: frozenset(props.get(s, ())) for s in self.states}
         self.exp = {}
         for s in self.states:
@@ -108,23 +137,9 @@ class Model:
             for sym in ox.atoms(e):
                 alphabet.require(sym)
             self.exp[s] = e
-        self._blocks = {}
-        for agent in self.agents:
-            assigned = {}
-            for block in relations.get(agent, ()):
-                fb = frozenset(block)
-                for s in fb:
-                    if s not in sset:
-                        raise UnknownState(f"state {s!r} in relation of "
-                                           f"agent {agent!r} is not a state")
-                    if s in assigned:
-                        raise ValueError(
-                            f"state {s!r} occurs in two blocks of {agent!r}")
-                    assigned[s] = fb
-            for s in self.states:
-                if s not in assigned:
-                    assigned[s] = frozenset({s})
-            self._blocks[agent] = assigned
+        self._blocks = {agent: block_map(self.states, agent,
+                                         relations.get(agent, ()))
+                        for agent in self.agents}
         self.max_contexts = max_contexts
         self._ctxs = {}
         self._memo = {}
@@ -144,10 +159,7 @@ class Model:
         """The partition of the agent's relation, canonically ordered."""
         if agent not in self._blocks:
             raise UnknownAgent(f"agent {agent!r} not in model")
-        blocks = set(self._blocks[agent].values())
-        return tuple(sorted(blocks,
-                            key=lambda b: state_sort_key(
-                                min(b, key=state_sort_key))))
+        return ordered_blocks(self._blocks[agent])
 
     def is_alive(self, s) -> bool:
         """Does the state expect at least one observation word?"""
@@ -272,10 +284,14 @@ class Model:
             val = f.name in self.props[s]
         elif isinstance(f, sx.Not):
             val = not self._eval(ctx, s, f.arg)
-        elif isinstance(f, sx.Or):
-            val = self._eval(ctx, s, f.left) or self._eval(ctx, s, f.right)
-        elif isinstance(f, sx.And):
-            val = self._eval(ctx, s, f.left) and self._eval(ctx, s, f.right)
+        elif isinstance(f, (sx.Or, sx.And)):
+            # a disjunction stops at a true part, a conjunction at a false
+            stop = isinstance(f, sx.Or)
+            val = not stop
+            for p in f.parts:
+                if self._eval(ctx, s, p) is stop:
+                    val = stop
+                    break
         elif isinstance(f, sx.Hat):
             val = any(self._eval(ctx, t, f.arg)
                       for t in self.block(f.agent, s) & ctx.survivors)
@@ -338,8 +354,8 @@ class Model:
         if isinstance(f, sx.Not):
             self._explain(ctx, s, f.arg, word, depth + 1, lines, max_lines)
         elif isinstance(f, (sx.Or, sx.And)):
-            self._explain(ctx, s, f.left, word, depth + 1, lines, max_lines)
-            self._explain(ctx, s, f.right, word, depth + 1, lines, max_lines)
+            for p in f.parts:
+                self._explain(ctx, s, p, word, depth + 1, lines, max_lines)
         elif isinstance(f, (sx.Hat, sx.Know)):
             for t in sorted(self.block(f.agent, s) & ctx.survivors,
                             key=state_sort_key):

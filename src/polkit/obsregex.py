@@ -34,11 +34,8 @@ _IDENT_REST = _IDENT_FIRST | set("0123456789")
 
 
 def _is_identifier(name: str) -> bool:
-    return (
-        bool(name)
-        and name[0] in _IDENT_FIRST
-        and all(c in _IDENT_REST for c in name[1:])
-    )
+    # an ASCII Python identifier is a letter or _ then letters, digits, _
+    return name.isascii() and name.isidentifier()
 
 
 class Alphabet:

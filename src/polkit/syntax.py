@@ -1,9 +1,11 @@
-"""Formulas of public observation logic.
+"""Formulas of public observation logic and of deterministic dynamic logic.
 
-The language has truth, propositions, negation, disjunction and
-conjunction, the epistemic possibility and knowledge operators of each
-agent, and the observation modalities ``<pi>`` and ``[pi]`` indexed by
-observation expressions.
+Both languages share one set of formula nodes: truth, propositions,
+negation, disjunction, conjunction, and the modalities ``<pi>`` and
+``[pi]`` indexed by observation expressions. Observation logic adds the
+epistemic possibility and knowledge operators of each agent; the
+dynamic logic of ``polkit.dpdl`` reads propositions as atoms and the
+expressions as programs over action letters.
 
 Concrete syntax::
 
@@ -16,28 +18,32 @@ Concrete syntax::
                          such that f holds afterwards
 
 Unary operators bind tightest and chain to the right, so ``K_a ~<b>p | q``
-reads ``(K_a ~<b>p) | q``.
+reads ``(K_a ~<b>p) | q``. The dynamic-logic syntax has no agent
+operators and admits quoted atoms such as ``"surv(1)"``.
 
-``fl_closure`` computes the closure of a formula: the smallest set
-containing it that is closed under subformulas, under unfolding of the
-observation modalities through the regex constructors, and under single
-negations. Its size is linear in the formula's size.
+Disjunction and conjunction nodes hold a tuple of parts. The factories
+here are binary, so observation-logic formulas keep their shape as
+written; ``polkit.dpdl`` adds factories that flatten nested junctions.
+
+``closure`` collects subformulas and modal unfoldings; ``fl_closure``
+adds single negations. Both are linear in the formula's size.
 """
 
 from __future__ import annotations
 
+import weakref
+from _weakref import _remove_dead_weakref
+
 from . import obsregex as ox
-from .errors import ParseError, UnknownSymbol
+from .errors import ParseError
 from .obsregex import Alphabet, ObsExpr
 
 __all__ = [
     "Formula", "Top", "Prop", "Not", "Or", "And", "Hat", "Know", "Dia", "Box",
     "top", "prop", "lnot", "lor", "land", "hat", "know", "dia", "box",
-    "parse_formula", "print_formula", "formula_size",
-    "props", "agents", "letters", "fl_closure",
+    "parse_formula", "print_formula", "formula_size", "formula_key",
+    "props", "agents", "letters", "closure", "fl_closure",
 ]
-
-_RESERVED = {"true", "false"}
 
 
 class Formula:
@@ -47,7 +53,7 @@ class Formula:
     identity comparison and hash inherited from ``object`` serve as is.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "__weakref__")
 
     def __repr__(self):
         return f"Formula({print_formula(self)!r})"
@@ -72,19 +78,17 @@ class Not(Formula):
 
 
 class Or(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = ("parts",)
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
+    def __init__(self, parts):
+        self.parts = parts
 
 
 class And(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = ("parts",)
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
+    def __init__(self, parts):
+        self.parts = parts
 
 
 class Hat(Formula):
@@ -122,13 +126,34 @@ class Box(Formula):
 
 
 _TOP = Top()
+
+# Values are weak references, so formulas are reclaimed once nothing
+# outside the table refers to them; machine-generated encodings run to
+# millions of nodes and would otherwise pin memory for the life of the
+# process. A dead reference removes its own entry, unless the key has
+# been bound to a new node meanwhile. Keys hold the operands themselves,
+# which keeps an entry's operands alive exactly as long as the entry
+# and rules out identity reuse. This is ``weakref.WeakValueDictionary``
+# without its Python-level method calls, which made building and
+# dropping formulas half again as slow.
 _interned: dict = {}
 
 
-def _intern(key, make):
-    node = _interned.get(key)
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    _remove_dead_weakref(_interned, ref.key)
+
+
+def _intern(key, cls, *args):
+    ref = _interned.get(key)
+    node = None if ref is None else ref()
     if node is None:
-        node = _interned[key] = make()
+        node = cls(*args)
+        ref = _interned[key] = _Ref(node, _forget)
+        ref.key = key
     return node
 
 
@@ -137,57 +162,61 @@ def top() -> Formula:
 
 
 def prop(name: str) -> Formula:
-    if name in _RESERVED or name.startswith("K_") or name.startswith("hK_"):
+    if name in ("true", "false") or name.startswith(("K_", "hK_")):
         raise ValueError(f"reserved proposition name {name!r}")
-    return _intern(("p", name), lambda: Prop(name))
+    return _intern(("p", name), Prop, name)
 
 
 def lnot(arg: Formula) -> Formula:
-    return _intern(("~", id(arg)), lambda: Not(arg))
+    return _intern(("~", arg), Not, arg)
 
 
 def lor(left: Formula, right: Formula) -> Formula:
-    return _intern(("|", id(left), id(right)), lambda: Or(left, right))
+    return _intern(("|", left, right), Or, (left, right))
 
 
 def land(left: Formula, right: Formula) -> Formula:
-    return _intern(("&", id(left), id(right)), lambda: And(left, right))
+    return _intern(("&", left, right), And, (left, right))
 
 
 def hat(agent: str, arg: Formula) -> Formula:
-    return _intern(("hK", agent, id(arg)), lambda: Hat(agent, arg))
+    return _intern(("hK", agent, arg), Hat, agent, arg)
 
 
 def know(agent: str, arg: Formula) -> Formula:
-    return _intern(("K", agent, id(arg)), lambda: Know(agent, arg))
+    return _intern(("K", agent, arg), Know, agent, arg)
 
 
 def dia(pi: ObsExpr, arg: Formula) -> Formula:
-    return _intern(("<>", id(pi), id(arg)), lambda: Dia(pi, arg))
+    return _intern(("<>", pi, arg), Dia, pi, arg)
 
 
 def box(pi: ObsExpr, arg: Formula) -> Formula:
-    return _intern(("[]", id(pi), id(arg)), lambda: Box(pi, arg))
+    return _intern(("[]", pi, arg), Box, pi, arg)
+
+
+# --- closure and measures ----------------------------------------------------
 
 
 def formula_size(f: Formula, _memo=None) -> int:
-    """Node count, with nodes of observation expressions included."""
+    """Node count, with observation expression nodes included and
+    junctions counted as their binary equivalents."""
     if _memo is None:
         _memo = {}
-    got = _memo.get(id(f))
-    if got is not None:
-        return got
+    n = _memo.get(f)
+    if n is not None:
+        return n
     if isinstance(f, (Top, Prop)):
         n = 1
     elif isinstance(f, (Not, Hat, Know)):
         n = 1 + formula_size(f.arg, _memo)
     elif isinstance(f, (Or, And)):
-        n = 1 + formula_size(f.left, _memo) + formula_size(f.right, _memo)
+        n = len(f.parts) - 1 + sum(formula_size(p, _memo) for p in f.parts)
     elif isinstance(f, (Dia, Box)):
         n = 1 + ox.expr_size(f.pi) + formula_size(f.arg, _memo)
     else:
         raise TypeError(f"not a Formula: {f!r}")
-    _memo[id(f)] = n
+    _memo[f] = n
     return n
 
 
@@ -196,15 +225,14 @@ def _walk(f: Formula):
     stack = [f]
     while stack:
         g = stack.pop()
-        if id(g) in seen:
+        if g in seen:
             continue
-        seen.add(id(g))
+        seen.add(g)
         yield g
-        if isinstance(g, (Not, Hat, Know, Dia, Box)):
+        if isinstance(g, (Or, And)):
+            stack.extend(g.parts)
+        elif not isinstance(g, (Top, Prop)):
             stack.append(g.arg)
-        elif isinstance(g, (Or, And)):
-            stack.append(g.left)
-            stack.append(g.right)
 
 
 def props(f: Formula) -> frozenset:
@@ -217,11 +245,51 @@ def agents(f: Formula) -> frozenset:
 
 def letters(f: Formula) -> frozenset:
     """All observation symbols occurring in the formula's expressions."""
-    out = set()
-    for g in _walk(f):
-        if isinstance(g, (Dia, Box)):
-            out |= ox.atoms(g.pi)
-    return frozenset(out)
+    pis = {g.pi for g in _walk(f) if isinstance(g, (Dia, Box))}
+    return frozenset().union(*map(ox.atoms, pis))
+
+
+def closure(f: Formula) -> tuple:
+    """Subformulas of ``f`` together with their modal unfoldings.
+
+    A modality over a composite expression unfolds one step toward the
+    expression's head: sequencing peels its first factor, a sum
+    branches, a star either stops or runs its body once and recurs.
+    Every formula produced by an unfolding is itself a member, so a
+    truth assignment to the members determines each member from
+    propositions and modalities over single letters alone. The returned
+    order is deterministic.
+    """
+    seen = []
+    seen_set = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in seen_set:
+            continue
+        seen_set.add(g)
+        seen.append(g)
+        if isinstance(g, (Top, Prop)):
+            pass
+        elif isinstance(g, (Or, And)):
+            stack.extend(reversed(g.parts))
+        elif isinstance(g, (Dia, Box)):
+            make = dia if isinstance(g, Dia) else box
+            stack.append(g.arg)
+            pi = g.pi
+            if isinstance(pi, ox.Concat):
+                rest = ox.seq(*pi.parts[1:])
+                stack.append(make(pi.parts[0], make(rest, g.arg)))
+            elif isinstance(pi, ox.Sum):
+                for p in reversed(pi.parts):
+                    stack.append(make(p, g.arg))
+            elif isinstance(pi, ox.Star):
+                stack.append(make(pi.body, g))
+        elif isinstance(g, (Not, Hat, Know)):
+            stack.append(g.arg)
+        else:
+            raise TypeError(f"not a Formula: {g!r}")
+    return tuple(seen)
 
 
 def fl_closure(f: Formula) -> frozenset:
@@ -231,40 +299,9 @@ def fl_closure(f: Formula) -> frozenset:
     unfoldings are members; every non-negated member has its negation in
     the set; the set's size is at most four times ``formula_size(f)``.
     """
-    members: set = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in members:
-            continue
-        members.add(g)
-        if isinstance(g, (Top, Prop)):
-            pass
-        elif isinstance(g, Not):
-            stack.append(g.arg)
-        elif isinstance(g, (Or, And)):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, (Hat, Know)):
-            stack.append(g.arg)
-        elif isinstance(g, (Dia, Box)):
-            make = dia if isinstance(g, Dia) else box
-            stack.append(g.arg)
-            pi = g.pi
-            if isinstance(pi, ox.Concat):
-                rest = ox.seq(*pi.parts[1:])
-                stack.append(make(pi.parts[0], make(rest, g.arg)))
-            elif isinstance(pi, ox.Sum):
-                for p in pi.parts:
-                    stack.append(make(p, g.arg))
-            elif isinstance(pi, ox.Star):
-                stack.append(make(pi.body, g))
-        else:
-            raise TypeError(f"not a Formula: {g!r}")
-    for g in list(members):
-        if not isinstance(g, Not):
-            members.add(lnot(g))
-    return frozenset(members)
+    members = closure(f)
+    return frozenset(members).union(
+        [lnot(g) for g in members if not isinstance(g, Not)])
 
 
 # --- printing ----------------------------------------------------------------
@@ -272,7 +309,7 @@ def fl_closure(f: Formula) -> frozenset:
 _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3
 
 
-def _fprec(f: Formula) -> int:
+def _prec(f: Formula) -> int:
     if isinstance(f, Or):
         return _PREC_OR
     if isinstance(f, And):
@@ -284,7 +321,14 @@ def _fprec(f: Formula) -> int:
 
 def _wrap(f: Formula, floor: int) -> str:
     s = print_formula(f)
-    return f"({s})" if _fprec(f) < floor else s
+    return f"({s})" if _prec(f) < floor else s
+
+
+def _print_prop(name: str) -> str:
+    if ox._is_identifier(name) and name not in ("true", "false"):
+        return name
+    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
 
 
 def print_formula(f: Formula) -> str:
@@ -295,14 +339,15 @@ def print_formula(f: Formula) -> str:
             return "false"
         return "~" + _wrap(f.arg, _PREC_UNARY)
     if isinstance(f, Prop):
-        return f.name
-    if isinstance(f, Or):
-        # left associative: a|b|c groups as (a|b)|c
-        right = _wrap(f.right, _PREC_OR + 1)
-        return _wrap(f.left, _PREC_OR) + "|" + right
-    if isinstance(f, And):
-        right = _wrap(f.right, _PREC_AND + 1)
-        return _wrap(f.left, _PREC_AND) + "&" + right
+        return _print_prop(f.name)
+    if isinstance(f, (Or, And)):
+        # Junctions group to the left: the first part is printed at the
+        # junction's own level and later parts one level above it, so
+        # binary a|b|c reads (a|b)|c and a|(b|c) keeps its parentheses.
+        prec = _prec(f)
+        first, *rest = f.parts
+        return ("|" if prec == _PREC_OR else "&").join(
+            [_wrap(first, prec)] + [_wrap(p, prec + 1) for p in rest])
     if isinstance(f, Hat):
         return f"hK_{f.agent} " + _wrap(f.arg, _PREC_UNARY)
     if isinstance(f, Know):
@@ -325,8 +370,22 @@ def formula_key(f: Formula) -> str:
 
 # --- parsing -----------------------------------------------------------------
 
+
 class _FormulaTokens(ox._RegexTokens):
+    """Tokens of one formula text, with the factories that build it.
+
+    Dynamic-logic text (``dpdl``) admits quoted atoms and reads ``K_a``
+    as an atom; observation-logic text reads it as an agent operator.
+    """
+
     PUNCT = "()&|~<>[]"
+
+    def __init__(self, text, lor, land, atom, dpdl):
+        super().__init__(text)
+        self.lor = lor
+        self.land = land
+        self.atom = atom
+        self.dpdl = dpdl
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
@@ -336,6 +395,16 @@ class _FormulaTokens(ox._RegexTokens):
         c = self.text[self.pos]
         if c in self.PUNCT:
             return c
+        if c == '"' and self.dpdl:
+            j = self.pos + 1
+            while j < len(self.text):
+                if self.text[j] == "\\":
+                    j += 2
+                    continue
+                if self.text[j] == '"':
+                    return self.text[self.pos:j + 1]
+                j += 1
+            self.error("unterminated quoted atom")
         if c in ox._IDENT_FIRST:
             j = self.pos + 1
             while j < len(self.text) and self.text[j] in ox._IDENT_REST:
@@ -354,24 +423,41 @@ class _FormulaTokens(ox._RegexTokens):
         self._advance(end - start)
         return text, line, col
 
+    def unquote(self, tok: str) -> str:
+        body = tok[1:-1]
+        out = []
+        i = 0
+        while i < len(body):
+            c = body[i]
+            if c == "\\":
+                if i + 1 >= len(body) or body[i + 1] not in ('"', "\\"):
+                    self.error("bad escape in quoted atom")
+                out.append(body[i + 1])
+                i += 2
+            else:
+                out.append(c)
+                i += 1
+        if not out:
+            self.error("quoted atom is empty")
+        return "".join(out)
+
 
 def _parse_guarded_regex(toks, close, alphabet):
     text, line, col = toks.take_regex_until(close)
     try:
         return ox.parse_regex(text, alphabet)
     except ParseError as err:
+        msg = err.args[0].split(" (line")[0]
         if err.line == 1:
-            raise ParseError(err.args[0].split(" (line")[0],
-                             line, col + err.column - 1) from None
-        raise ParseError(err.args[0].split(" (line")[0],
-                         line + err.line - 1, err.column) from None
+            raise ParseError(msg, line, col + err.column - 1) from None
+        raise ParseError(msg, line + err.line - 1, err.column) from None
 
 
 def _parse_or(toks, alphabet):
     f = _parse_and(toks, alphabet)
     while toks.peek() == "|":
         toks.take()
-        f = lor(f, _parse_and(toks, alphabet))
+        f = toks.lor(f, _parse_and(toks, alphabet))
     return f
 
 
@@ -379,7 +465,7 @@ def _parse_and(toks, alphabet):
     f = _parse_unary(toks, alphabet)
     while toks.peek() == "&":
         toks.take()
-        f = land(f, _parse_unary(toks, alphabet))
+        f = toks.land(f, _parse_unary(toks, alphabet))
     return f
 
 
@@ -400,12 +486,13 @@ def _parse_unary(toks, alphabet):
         pi = _parse_guarded_regex(toks, "]", alphabet)
         toks.take()  # ']'
         return box(pi, toks.nested(_parse_unary, alphabet))
-    if tok.startswith("K_") and len(tok) > 2:
-        toks.take()
-        return know(tok[2:], toks.nested(_parse_unary, alphabet))
-    if tok.startswith("hK_") and len(tok) > 3:
-        toks.take()
-        return hat(tok[3:], toks.nested(_parse_unary, alphabet))
+    if not toks.dpdl:
+        if tok.startswith("K_") and len(tok) > 2:
+            toks.take()
+            return know(tok[2:], toks.nested(_parse_unary, alphabet))
+        if tok.startswith("hK_") and len(tok) > 3:
+            toks.take()
+            return hat(tok[3:], toks.nested(_parse_unary, alphabet))
     return _parse_base(toks, alphabet)
 
 
@@ -423,20 +510,25 @@ def _parse_base(toks, alphabet):
     if tok in _FormulaTokens.PUNCT:
         toks.error(f"unexpected {tok!r}")
     toks.take()
+    if tok.startswith('"'):
+        return toks.atom(toks.unquote(tok))
     if tok == "true":
         return top()
     if tok == "false":
         return lnot(top())
-    if tok in ("K_", "hK_"):
+    if tok in ("K_", "hK_") and not toks.dpdl:
         toks.error(f"operator {tok!r} needs an agent name")
-    return prop(tok)
+    return toks.atom(tok)
+
+
+def _parse(toks: _FormulaTokens, alphabet) -> Formula:
+    f = _parse_or(toks, alphabet)
+    if toks.peek() is not None:
+        toks.error(f"trailing input {toks.peek()!r}")
+    return f
 
 
 def parse_formula(text: str, alphabet: Alphabet | None = None) -> Formula:
     """Parse a formula; observation symbols are checked when an alphabet
     is supplied."""
-    toks = _FormulaTokens(text)
-    f = _parse_or(toks, alphabet)
-    if toks.peek() is not None:
-        toks.error(f"trailing input {toks.peek()!r}")
-    return f
+    return _parse(_FormulaTokens(text, lor, land, prop, dpdl=False), alphabet)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polkit import dpdl as dp
+from polkit import syntax as sx
 from polkit.dpdl import solver as dps
 from polkit.errors import ParseError
 
@@ -193,3 +194,44 @@ class TestParsing:
             with pytest.raises(ParseError):
                 dp.parse_dpdl(text)
         assert dp.print_dpdl(dp.parse_dpdl("~" * 50 + "p")) == "~" * 50 + "p"
+
+    @settings(max_examples=300)
+    @given(dpdl_formula_strategy())
+    def test_print_then_parse_is_identity(self, f):
+        assert dp.parse_dpdl(dp.print_dpdl(f)) is f
+
+    def test_quoted_atoms_with_escapes(self):
+        for name in ('surv(1)', 'say "hi"', "back\\slash", "true", "@1.p&q"):
+            f = dp.atom(name)
+            text = dp.print_dpdl(f)
+            assert text.startswith('"')
+            assert dp.parse_dpdl(text) is f
+        assert dp.parse_dpdl(r'"a\"b\\c"') is dp.atom('a"b\\c')
+        for bad in ('"open', '""', r'"bad\escape"'):
+            with pytest.raises(ParseError):
+                dp.parse_dpdl(bad)
+
+    def test_junctions_flatten(self):
+        p, q, r = dp.atom("p"), dp.atom("q"), dp.atom("r")
+        assert dp.parse_dpdl("p&(q&r)") is dp.land(p, q, r)
+        assert dp.parse_dpdl("(p|q)|r") is dp.lor(p, q, r)
+
+    def test_no_agent_operators(self):
+        k = dp.parse_dpdl("K_a")
+        assert isinstance(k, dp.Atom) and k.name == "K_a"
+        with pytest.raises(ParseError):
+            dp.parse_dpdl("K_a p")
+        with pytest.raises(ParseError):
+            sx.parse_formula('"x"')
+
+    @pytest.mark.parametrize("f", [
+        sx.know("a", sx.prop("q")),
+        dp.land(dp.atom("p"), sx.know("a", sx.prop("q"))),
+    ])
+    def test_agent_operators_are_type_errors(self, f):
+        # p holds, so evaluating the conjunction reaches K_a
+        model = dp.DpdlModel([0], {}, {0: {"p"}})
+        with pytest.raises(TypeError):
+            dp.dpdl_sat(f)
+        with pytest.raises(TypeError):
+            dp.dpdl_check(model, 0, f)

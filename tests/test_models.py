@@ -24,11 +24,9 @@ def naive_check(m, s, f, bound):
     if isinstance(f, sx.Not):
         return not naive_check(m, s, f.arg, bound)
     if isinstance(f, sx.Or):
-        return naive_check(m, s, f.left, bound) or \
-            naive_check(m, s, f.right, bound)
+        return any(naive_check(m, s, p, bound) for p in f.parts)
     if isinstance(f, sx.And):
-        return naive_check(m, s, f.left, bound) and \
-            naive_check(m, s, f.right, bound)
+        return all(naive_check(m, s, p, bound) for p in f.parts)
     if isinstance(f, sx.Hat):
         return any(naive_check(m, t, f.arg, bound)
                    for t in m.block(f.agent, s))

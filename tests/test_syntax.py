@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 
+from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.errors import ParseError, UnknownSymbol
@@ -29,8 +32,8 @@ class TestParsing:
     def test_precedence(self):
         f = pf("~p&q|r")
         assert isinstance(f, Or)
-        assert isinstance(f.left, And)
-        assert isinstance(f.left.left, Not)
+        assert isinstance(f.parts[0], And)
+        assert isinstance(f.parts[0].parts[0], Not)
 
     def test_binary_left_associative(self):
         f = pf("p&q&r")
@@ -170,7 +173,7 @@ class TestClosure:
             if not isinstance(g, Not):
                 assert lnot(g) in fl
             if isinstance(g, (Or, And)):
-                assert g.left in fl and g.right in fl
+                assert all(p in fl for p in g.parts)
             if isinstance(g, (Not, Hat, Know, Dia, Box)):
                 assert g.arg in fl
             if isinstance(g, (Dia, Box)):
@@ -183,3 +186,22 @@ class TestClosure:
                 if isinstance(g.pi, ox.Concat):
                     rest = ox.seq(*g.pi.parts[1:])
                     assert make(g.pi.parts[0], make(rest, g.arg)) in fl
+
+
+class TestOneCore:
+    """Observation logic and dynamic logic share one interned node set."""
+
+    def test_props_are_atoms(self):
+        assert sx.prop("p") is dp.atom("p")
+        assert sx.lor(prop("p"), prop("q")) is dp.lor(prop("p"), prop("q"))
+
+    def test_dropped_formulas_are_reclaimed(self):
+        def build():
+            for i in range(5000):
+                land(prop(f"r{i}"), prop(f"s{i}"))
+
+        gc.collect()
+        start = len(sx._interned)
+        build()
+        gc.collect()
+        assert len(sx._interned) == start
