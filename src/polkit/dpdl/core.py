@@ -125,12 +125,21 @@ class DpdlModel:
 def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
     """Truth of ``f`` at state ``s``.
 
-    An agent operator that the evaluation reaches is a TypeError.
+    An agent operator that the evaluation reaches is a TypeError. Each
+    program's automaton reads the model's letters and the program's own.
     """
     if s not in m.val:
         raise UnknownState(f"state {s!r} not in model")
-    alphabet = ox.Alphabet(sorted(set(m.alphabet) | sx.letters(f)) or ["a"])
+    letters = set(m.alphabet)
+    dfas = {}
     memo = {}
+
+    def dfa(pi):
+        found = dfas.get(pi)
+        if found is None:
+            found = dfas[pi] = ox.to_dfa(
+                pi, ox.Alphabet(sorted(letters | ox.atoms(pi)) or ["a"]))
+        return found
 
     def step(st):
         for a in m.alphabet:
@@ -154,10 +163,10 @@ def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
         elif isinstance(g, sx.And):
             v = all(ev(st, p) for p in g.parts)
         elif isinstance(g, sx.Dia):
-            v = ox.search(ox.to_dfa(g.pi, alphabet), st, step,
+            v = ox.search(dfa(g.pi), st, step,
                           lambda t: ev(t, g.arg)) is not None
         elif isinstance(g, sx.Box):
-            v = ox.search(ox.to_dfa(g.pi, alphabet), st, step,
+            v = ox.search(dfa(g.pi), st, step,
                           lambda t: not ev(t, g.arg)) is None
         else:
             raise TypeError(f"not a dynamic-logic formula: {g!r}")

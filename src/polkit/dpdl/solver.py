@@ -14,14 +14,18 @@ steering each step toward the oldest undischarged eventuality.
 
 The lazy regime never enumerates. It runs a propositional search over
 the unfolding equations, builds successor states only for demanded
-letters, and memoizes states by their incoming demand. One incremental
-CDCL solver serves the whole run: each state's demand is a set of
-assumptions, and a refuted demand comes back with a core of them,
-which a deletion loop shrinks to an irreducible one. The modal literals
-of the parent behind that core are learned as a new clause, which is
-valid in every deterministic model, and the search restarts. Decision
-order and polarity are static, so each solve returns the least model
-in that order and the witnesses are deterministic.
+letters, and memoizes states by their incoming demand. The equations
+are compiled into clauses in one pass over the closure: member ``v``
+is variable ``v`` with literals ``2v`` and ``2v+1``, each binary
+clause goes straight onto its two watch lists, and only the long
+clause of a junction is sorted and checked for tautology. One
+incremental CDCL solver serves the whole run: each state's demand is a
+set of assumptions, and a refuted demand comes back with a core of
+them, which a deletion loop shrinks to an irreducible one. The modal
+literals of the parent behind that core are learned as a new clause,
+which is valid in every deterministic model, and the search restarts.
+Decision order and polarity are static, so each solve returns the
+least model in that order and the witnesses are deterministic.
 
 Both regimes validate a found witness with the model checker before
 reporting it. Resource caps turn into an unknown verdict, never into a
@@ -390,11 +394,20 @@ class _Dpll:
         return 2 * var + (0 if positive else 1)
 
     def add_clause(self, lits):
-        """Add a clause; False when it is a tautology and was dropped."""
-        lits = set(lits)
-        if any(l ^ 1 in lits for l in lits):
-            return False
+        """Add a clause; False when it is a tautology and was dropped.
+
+        Sorting puts repeated and complementary literals side by side.
+        """
         lits = sorted(lits)
+        kept = []
+        last = -2
+        for lit in lits:
+            if lit != last:
+                if lit == last ^ 1:
+                    return False
+                kept.append(lit)
+                last = lit
+        lits = kept
         self.stale = True
         if not lits:
             self.empty = True
@@ -403,6 +416,22 @@ class _Dpll:
         else:
             self.watches[lits[0]].append(lits)
             self.watches[lits[1]].append(lits)
+        return True
+
+    def add_binary(self, x, y):
+        """``add_clause([x, y])`` without sorting or sets: one comparison
+        tells a repeated literal (a unit) and a complementary pair
+        (dropped) from a clause that goes straight onto its watch lists.
+        """
+        if x >> 1 != y >> 1:
+            clause = [x, y] if x < y else [y, x]
+            self.watches[clause[0]].append(clause)
+            self.watches[clause[1]].append(clause)
+        elif x == y:
+            self.units.append(x)
+        else:
+            return False
+        self.stale = True
         return True
 
     def _assign(self, lit, reason):
@@ -651,44 +680,58 @@ class _Lazy:
         self.shape = _Shape(members)
         self.index = {g: i for i, g in enumerate(self.members)}
         self.dpll = _Dpll(len(self.members), step_cap)
-        for g in self.members:
-            self._emit(g)
+        self._compile()
+        self.polarity = {}
+        self.retries = 0
+
+    def _compile(self):
+        """Clauses of every member's definition, then one per pair of a
+        diamond and a box over the same letter and argument.
+
+        Literals come straight from member indices, and only the long
+        clause of a junction passes through ``add_clause``. The clauses,
+        and the literals in each, come out in the order that
+        ``add_clause`` on each of them would give. It runs before the
+        first solve, which builds level 0 from the units.
+        """
+        index = self.index
+        units = self.dpll.units
+        add_clause = self.dpll.add_clause
+        binary = self.dpll.add_binary
+        for v, g in enumerate(self.members):
+            d = _definition(g)
+            kind = d[0]
+            pos = 2 * v
+            if kind == "frontier":
+                continue
+            if kind == "true":
+                units.append(pos)
+            elif kind == "false":
+                units.append(pos + 1)
+            elif kind == "not":
+                h = 2 * index[d[1]]
+                binary(pos + 1, h + 1)
+                binary(pos, h)
+            elif kind == "eq":
+                h = 2 * index[d[1]]
+                binary(pos + 1, h)
+                binary(pos, h + 1)
+            elif kind == "or":
+                parts = [2 * index[h] for h in d[1]]
+                add_clause([pos + 1] + parts)
+                for h in parts:
+                    binary(pos, h + 1)
+            else:
+                parts = [2 * index[h] for h in d[1]]
+                add_clause([pos] + [h + 1 for h in parts])
+                for h in parts:
+                    binary(pos + 1, h)
         for a in self.shape.letters:
             boxes = {g.arg: g for g in self.shape.box.get(a, ())}
             for d in self.shape.dia.get(a, ()):
                 b = boxes.get(d.arg)
                 if b is not None:
-                    self.dpll.add_clause([self._lit(d, False),
-                                          self._lit(b, True)])
-        self.polarity = {}
-        self.retries = 0
-
-    def _lit(self, g, positive):
-        return _Dpll.lit(self.index[g], positive)
-
-    def _emit(self, g):
-        d = _definition(g)
-        lit = self._lit
-        if d[0] == "true":
-            self.dpll.add_clause([lit(g, True)])
-        elif d[0] == "false":
-            self.dpll.add_clause([lit(g, False)])
-        elif d[0] == "not":
-            self.dpll.add_clause([lit(g, False), lit(d[1], False)])
-            self.dpll.add_clause([lit(g, True), lit(d[1], True)])
-        elif d[0] == "eq":
-            self.dpll.add_clause([lit(g, False), lit(d[1], True)])
-            self.dpll.add_clause([lit(g, True), lit(d[1], False)])
-        elif d[0] == "or":
-            self.dpll.add_clause([lit(g, False)]
-                                 + [lit(h, True) for h in d[1]])
-            for h in d[1]:
-                self.dpll.add_clause([lit(g, True), lit(h, False)])
-        elif d[0] == "and":
-            self.dpll.add_clause([lit(g, True)]
-                                 + [lit(h, False) for h in d[1]])
-            for h in d[1]:
-                self.dpll.add_clause([lit(g, False), lit(h, True)])
+                    binary(2 * index[d] + 1, 2 * index[b])
 
     def _solve(self, assumptions):
         order = sorted(self.polarity) if self.polarity else None
@@ -740,14 +783,15 @@ class _Lazy:
         for g in list(culprits) + [self._forcer(assign, a)]:
             if g not in seen:
                 seen.add(g)
-                lits.append(self._lit(g, not assign[self.index[g]]))
+                var = self.index[g]
+                lits.append(_Dpll.lit(var, not assign[var]))
         if not self.dpll.add_clause(lits):
             raise _Stuck("a refuting lemma was already known; the "
                          "propositional search is not converging")
 
     def run(self):
         for _ in range(self.restart_cap):
-            status, assign = self._solve([self._lit(self.f, True)])
+            status, assign = self._solve([2 * self.index[self.f]])
             if status == "unsat":
                 return Unsat()
             outcome = self._expand(assign)
@@ -892,7 +936,7 @@ class _Lazy:
             return Unknown("eventualities left undischarged after the "
                            "discharge-steering retries")
         self.polarity.update(hints)
-        status, assign = self._solve([self._lit(self.f, True)])
+        status, assign = self._solve([2 * self.index[self.f]])
         if status == "unsat":
             return Unsat()
         return self._expand(assign)

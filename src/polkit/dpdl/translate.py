@@ -38,8 +38,7 @@ def full_budget(phi: sx.Formula) -> LabelBudget:
     return LabelBudget(2 ** len(sx.fl_closure(phi)), full=True)
 
 
-def _check_budget(phi: sx.Formula, budget: LabelBudget) -> LabelBudget:
-    cap = 2 ** len(sx.fl_closure(phi))
+def _check_budget(budget: LabelBudget, cap: int) -> LabelBudget:
     if not isinstance(budget.labels, int) or budget.labels < 1:
         raise BudgetInvalid("label budget must be a positive integer")
     if budget.labels > cap:
@@ -59,16 +58,22 @@ class Translation:
     source formula, and the invariant schema holds. The schema asserts,
     everywhere reachable: the truth-assignment clauses for every closure
     member, persistence of slot assignments and adjacency bits,
-    per-agent equivalence laws on adjacency, existence of a successor
-    per letter, and that dead slots stay dead.
+    existence of a successor per letter, and that dead slots stay dead.
+    At the root it states the per-agent frame laws, which persistence
+    carries everywhere: reflexivity, symmetry, and transitivity only
+    for slot triples (l, l2, l3) with ``l < l3`` and ``l2`` distinct
+    from both, each as one flat clause. Symmetry turns (l3, l2, l) into
+    the same constraint and reflexivity settles ``l = l3``, so the root
+    keeps the models it would have with every instance.
     """
 
     def __init__(self, source: sx.Formula, budget: LabelBudget | None = None):
-        if budget is None:
-            budget = full_budget(source)
-        self.source = source
-        self.budget = _check_budget(source, budget)
         fl = sx.fl_closure(source)
+        cap = 2 ** len(fl)
+        if budget is None:
+            budget = LabelBudget(cap, full=True)
+        self.source = source
+        self.budget = _check_budget(budget, cap)
         self.fl = tuple(sorted(
             fl, key=lambda g: (sx.formula_size(g), sx.formula_key(g))))
         self.labels = tuple(range(1, self.budget.labels + 1))
@@ -150,9 +155,9 @@ class Translation:
                             for ell2 in self.labels]
                 parts.append(dc.iff(a, dc.lor(*branches)))
             elif isinstance(psi, sx.Know):
-                branches = [dc.implies(dc.land(self.rel(psi.agent, ell, ell2),
-                                               self.surv(ell2)),
-                                       self.at(ell2, psi.arg))
+                branches = [dc.lor(sx.lnot(self.rel(psi.agent, ell, ell2)),
+                                   sx.lnot(self.surv(ell2)),
+                                   self.at(ell2, psi.arg))
                             for ell2 in self.labels]
                 parts.append(dc.iff(a, dc.land(*branches)))
             elif isinstance(psi, sx.Dia):
@@ -167,6 +172,35 @@ class Translation:
             else:
                 raise TypeError(f"not a Formula: {psi!r}")
         return dc.land(*parts)
+
+    def _frame_laws(self) -> list:
+        """Reflexivity, symmetry and the transitivity instances that the
+        class docstring names, for every agent: together they hold
+        exactly when each ``R_i`` is an equivalence relation."""
+        laws = []
+        for i in self.agents:
+            for ell in self.labels:
+                laws.append(self.rel(i, ell, ell))
+        for i in self.agents:
+            for ell in self.labels:
+                for ell2 in self.labels:
+                    if ell == ell2:
+                        continue
+                    laws.append(dc.implies(self.rel(i, ell, ell2),
+                                           self.rel(i, ell2, ell)))
+        for i in self.agents:
+            for ell in self.labels:
+                for ell2 in self.labels:
+                    if ell2 == ell:
+                        continue
+                    for ell3 in self.labels:
+                        if ell3 <= ell or ell3 == ell2:
+                            continue
+                        laws.append(dc.lor(
+                            sx.lnot(self.rel(i, ell, ell2)),
+                            sx.lnot(self.rel(i, ell2, ell3)),
+                            self.rel(i, ell, ell3)))
+        return laws
 
     def _build(self) -> sx.Formula:
         ss = self._sigma_star()
@@ -189,26 +223,9 @@ class Translation:
                     parts.append(dc.implies(r, sx.box(ss, r)))
                     parts.append(dc.implies(sx.lnot(r),
                                             sx.box(ss, sx.lnot(r))))
-        for i in self.agents:
-            for ell in self.labels:
-                parts.append(self.rel(i, ell, ell))
-        for i in self.agents:
-            for ell in self.labels:
-                for ell2 in self.labels:
-                    if ell == ell2:
-                        continue
-                    parts.append(dc.implies(self.rel(i, ell, ell2),
-                                            self.rel(i, ell2, ell)))
-        for i in self.agents:
-            for ell in self.labels:
-                for ell2 in self.labels:
-                    for ell3 in self.labels:
-                        if ell == ell2 or ell2 == ell3:
-                            continue
-                        parts.append(dc.implies(
-                            dc.land(self.rel(i, ell, ell2),
-                                    self.rel(i, ell2, ell3)),
-                            self.rel(i, ell, ell3)))
+        # Persistence carries the adjacency bits to every reachable
+        # bubble, so the frame laws need only hold at the root.
+        parts.extend(self._frame_laws())
         succ = [sx.dia(ox.atom(a), sx.top()) for a in self.alphabet]
         parts.append(sx.box(ss, dc.land(*succ)))
         dead = [dc.implies(sx.lnot(self.surv(ell)),

@@ -1,5 +1,6 @@
 """The deterministic-dynamic-logic solver: its propositional engine,
-core minimisation, and the lazy regime against brute force."""
+clause compilation, core minimisation, and the lazy regime against
+brute force; the model checker and the parser."""
 
 import itertools
 import random
@@ -128,6 +129,24 @@ class TestPropositionalEngine:
         assert s.add_clause([0, 2]) is True
         assert s.solve([1]) == ("sat", [False, True])
 
+    def test_repeated_and_complementary_literals(self):
+        s = dps._Dpll(2, step_cap=10)
+        assert s.add_clause([2, 2]) is True
+        assert s.units == [2]
+        assert s.add_clause([3, 2]) is False
+        assert s.add_clause([2, 0, 2, 1]) is False
+        assert s.add_clause([2, 0, 2]) is True
+        assert s.watches[0] == [[0, 2]] and s.watches[2] == [[0, 2]]
+        assert s.solve([1]) == ("sat", [False, True])
+
+    def test_binary_clauses_as_add_clause(self):
+        pairs = list(itertools.product(range(6), repeat=2))
+        general, direct = dps._Dpll(3, step_cap=10), dps._Dpll(3, step_cap=10)
+        for x, y in pairs:
+            assert general.add_clause([x, y]) == direct.add_binary(x, y)
+        assert general.units == direct.units
+        assert general.watches == direct.watches
+
     def test_step_cap_leaves_the_solver_usable(self):
         s = solver_for(10, [[0, 2]])
         s.step_cap = 5
@@ -144,6 +163,66 @@ def random_lazy(f, rnd):
     chosen = rnd.sample(range(nvars), rnd.randint(1, nvars))
     lits = sorted(2 * v + rnd.randint(0, 1) for v in chosen)
     return lazy, lits
+
+
+def reference_database(members):
+    """The clause database from one ``add_clause`` call per clause, in
+    member order, then the diamond/box pairs."""
+    index = {g: i for i, g in enumerate(members)}
+    s = dps._Dpll(len(members), step_cap=1)
+
+    def lit(g, positive):
+        return dps._Dpll.lit(index[g], positive)
+
+    for g in members:
+        d = dps._definition(g)
+        if d[0] == "true":
+            s.add_clause([lit(g, True)])
+        elif d[0] == "false":
+            s.add_clause([lit(g, False)])
+        elif d[0] == "not":
+            s.add_clause([lit(g, False), lit(d[1], False)])
+            s.add_clause([lit(g, True), lit(d[1], True)])
+        elif d[0] == "eq":
+            s.add_clause([lit(g, False), lit(d[1], True)])
+            s.add_clause([lit(g, True), lit(d[1], False)])
+        elif d[0] == "or":
+            s.add_clause([lit(g, False)] + [lit(h, True) for h in d[1]])
+            for h in d[1]:
+                s.add_clause([lit(g, True), lit(h, False)])
+        elif d[0] == "and":
+            s.add_clause([lit(g, True)] + [lit(h, False) for h in d[1]])
+            for h in d[1]:
+                s.add_clause([lit(g, False), lit(h, True)])
+    shape = dps._Shape(members)
+    for a in shape.letters:
+        boxes = {g.arg: g for g in shape.box.get(a, ())}
+        for d in shape.dia.get(a, ()):
+            b = boxes.get(d.arg)
+            if b is not None:
+                s.add_clause([lit(d, False), lit(b, True)])
+    return s
+
+
+def assert_compiled_as_reference(f):
+    members = dp.closure(f)
+    compiled = dps._Lazy(f, members, node_cap=1, restart_cap=1,
+                         step_cap=1).dpll
+    reference = reference_database(members)
+    assert compiled.empty == reference.empty
+    assert compiled.units == reference.units
+    assert compiled.watches == reference.watches
+
+
+class TestCompilation:
+    @settings(max_examples=200, deadline=None)
+    @given(dpdl_formula_strategy())
+    def test_same_database_as_one_call_per_clause(self, f):
+        assert_compiled_as_reference(f)
+
+    def test_same_database_on_a_full_budget_translation(self):
+        assert_compiled_as_reference(
+            dp.Translation(sx.parse_formula("K_i q")).formula)
 
 
 class TestCoreMinimisation:
@@ -185,6 +264,15 @@ class TestDpdlSat:
                               "nullable body after its own unfolding")
     def test_nullable_star_body_in_exact_regime(self):
         dp.dpdl_sat(dp.parse_dpdl("<(a*;b*)*>p"))
+
+
+class TestDpdlCheck:
+    def test_letters_missing_from_the_model(self):
+        model = dp.DpdlModel([0], {(0, "a"): 0}, {0: {"p"}})
+        for text, truth in (("<b>p", False), ("[b]false", True),
+                            ("<a;b*>p", True), ("[(a+b)*]p", True),
+                            ("<a*;b>true", False)):
+            assert dp.dpdl_check(model, 0, dp.parse_dpdl(text)) is truth
 
 
 class TestParsing:

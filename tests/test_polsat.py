@@ -1,6 +1,8 @@
-"""Satisfiability of observation logic: ``pol_sat`` at the full budget
-against the bounded model search ``pol_bounded_sat``."""
+"""Satisfiability of observation logic: the bubble encoding, and
+``pol_sat`` at the full budget against the bounded model search
+``pol_bounded_sat``."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from polkit import corpus
 from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
+from polkit.errors import BudgetInvalid
 
 POOLS = {
     "with-empty": (ox.empty(), ox.epsilon(), ox.atom("a"),
@@ -49,3 +52,44 @@ class TestFullBudget:
         found = dp.pol_bounded_sat(phi, 1, pool=(ox.empty(), ox.epsilon()))
         assert isinstance(found, dp.Sat)
         assert not isinstance(dp.pol_sat(phi), dp.Unsat)
+
+
+def is_equivalence(rel, labels):
+    return (all((x, x) in rel for x in labels)
+            and all((y, x) in rel for x, y in rel)
+            and all((x, z) in rel
+                    for x, y in rel for y2, z in rel if y == y2))
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("labels, classes", [(3, 5), (4, 15)])
+    def test_frame_laws_define_the_equivalences(self, labels, classes):
+        t = dp.Translation(sx.parse_formula("K_i q"), dp.LabelBudget(labels))
+        laws = dp.land(*t._frame_laws())
+        pairs = list(itertools.product(t.labels, repeat=2))
+        accepted = 0
+        for mask in range(2 ** len(pairs)):
+            rel = {pair for k, pair in enumerate(pairs) if mask >> k & 1}
+            model = dp.DpdlModel(
+                [0], {}, {0: {t.rel("i", x, y).name for x, y in rel}})
+            holds = dp.dpdl_check(model, 0, laws)
+            assert holds == is_equivalence(rel, t.labels), sorted(rel)
+            accepted += holds
+        assert accepted == classes
+
+    def test_full_budget_encoding_size(self):
+        t = dp.Translation(sx.parse_formula("K_i q"))
+        assert t.budget.labels == 16
+        assert len(sx.closure(t.formula)) <= 5100
+        for text in ("K_i q", "~K_i q", "hK_i true"):
+            assert isinstance(dp.pol_sat(sx.parse_formula(text)), dp.Sat)
+
+    @pytest.mark.parametrize("budget, message", [
+        (dp.LabelBudget(0), "must be a positive integer"),
+        (dp.LabelBudget(17), "exceeds the 16 closure subsets"),
+        (dp.LabelBudget(16), "has full=False"),
+        (dp.LabelBudget(4, full=True), "has full=True"),
+    ])
+    def test_invalid_budgets(self, budget, message):
+        with pytest.raises(BudgetInvalid, match=message):
+            dp.Translation(sx.parse_formula("K_i q"), budget)
