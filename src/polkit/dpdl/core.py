@@ -29,7 +29,7 @@ __all__ = [
 def atom(name: str) -> sx.Formula:
     if not isinstance(name, str) or not name:
         raise ValueError("atom names are non-empty strings")
-    return sx._intern(("p", name), sx.Prop, name)
+    return ox._intern(("p", name), sx.Prop, name)
 
 
 def _junction(cls, tag, parts, empty):
@@ -44,7 +44,7 @@ def _junction(cls, tag, parts, empty):
     if len(flat) == 1:
         return flat[0]
     flat = tuple(flat)
-    return sx._intern((tag,) + flat, cls, flat)
+    return ox._intern((tag,) + flat, cls, flat)
 
 
 def lor(*parts) -> sx.Formula:

@@ -3,10 +3,19 @@
 Expressions are built through the factory functions ``empty``, ``epsilon``,
 ``atom``, ``alt``, ``seq`` and ``star``, which normalize on construction:
 sums are flattened, deduplicated and sorted, unit and zero laws for
-concatenation are applied, and nested stars collapse. Normalized
-expressions are interned, so two equal expressions are the same object.
+concatenation are applied, and stars are in star normal form
+(Brueggemann-Klein, TCS 1993): the body of a star never holds the empty
+word, so ``(a*;b*)*`` is ``(a+b)*`` and ``(0*+a)*`` is ``a*``.
 Normalization keeps the set of word derivatives of any expression finite,
 which is what makes the automaton construction below terminate.
+
+Normalized expressions are interned in ``_interned``, the one intern
+table of the package, which the formulas of ``polkit.syntax`` share. Its
+values are weak: an expression equal to a live one is that same object,
+and a dropped expression is reclaimed. Each node's constructor sets its
+``nullable`` and ``empty`` fields from its parts, so ``nullable`` and
+``is_empty_language`` read a field. Derivatives are cached in one
+bounded table, like the automata of ``to_dfa``.
 
 The derivative of an expression by a symbol (and by extension a word)
 follows Brzozowski: the language of ``residuate(pi, w)`` is exactly
@@ -15,6 +24,8 @@ follows Brzozowski: the language of ``residuate(pi, w)`` is exactly
 
 from __future__ import annotations
 
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +35,7 @@ __all__ = [
     "Alphabet", "ObsExpr", "Empty", "Epsilon", "Atom", "Sum", "Concat", "Star",
     "empty", "epsilon", "atom", "alt", "seq", "star",
     "nullable", "derive", "residuate", "is_empty_language", "member",
-    "atoms", "expr_size", "normalize",
+    "atoms", "expr_size",
     "Dfa", "to_dfa", "search", "language_equivalent",
     "parse_regex", "print_regex", "parse_word",
 ]
@@ -85,9 +96,11 @@ class ObsExpr:
 
     Nodes are interned, so identity is structural equality, and the
     identity comparison and hash inherited from ``object`` serve as is.
+    ``nullable`` (the language holds the empty word) and ``empty`` (the
+    language is empty) are set by each constructor from its parts.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "__weakref__", "nullable", "empty")
 
     def __repr__(self):
         return f"ObsExpr({print_regex(self)!r})"
@@ -97,10 +110,16 @@ class Empty(ObsExpr):
     """The empty language."""
     __slots__ = ()
 
+    def __init__(self):
+        self.nullable, self.empty = False, True
+
 
 class Epsilon(ObsExpr):
     """The language containing only the empty word (printed ``0*``)."""
     __slots__ = ()
+
+    def __init__(self):
+        self.nullable, self.empty = True, False
 
 
 class Atom(ObsExpr):
@@ -108,6 +127,7 @@ class Atom(ObsExpr):
 
     def __init__(self, symbol):
         self.symbol = symbol
+        self.nullable, self.empty = False, False
 
 
 class Sum(ObsExpr):
@@ -116,6 +136,8 @@ class Sum(ObsExpr):
 
     def __init__(self, parts):
         self.parts = parts
+        self.nullable = any(p.nullable for p in parts)
+        self.empty = all(p.empty for p in parts)
 
 
 class Concat(ObsExpr):
@@ -124,6 +146,8 @@ class Concat(ObsExpr):
 
     def __init__(self, parts):
         self.parts = parts
+        self.nullable = all(p.nullable for p in parts)
+        self.empty = any(p.empty for p in parts)
 
 
 class Star(ObsExpr):
@@ -131,11 +155,42 @@ class Star(ObsExpr):
 
     def __init__(self, body):
         self.body = body
+        self.nullable, self.empty = True, False
 
 
 _EMPTY = Empty()
 _EPSILON = Epsilon()
+
+# The one intern table of the package: observation expressions and the
+# formulas of ``polkit.syntax`` alike. Values are weak references, so
+# nodes are reclaimed once nothing outside the table refers to them;
+# machine-generated encodings run to millions of nodes and would
+# otherwise pin memory for the life of the process. A dead reference
+# removes its own entry, unless the key has been bound to a new node
+# meanwhile. Keys hold the operands themselves, which keeps an entry's
+# operands alive exactly as long as the entry and rules out identity
+# reuse. This is ``weakref.WeakValueDictionary`` without its
+# Python-level method calls, which made building and dropping formulas
+# half again as slow.
 _interned: dict = {}
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    _remove_dead_weakref(_interned, ref.key)
+
+
+def _intern(key, cls, *args):
+    ref = _interned.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = cls(*args)
+        ref = _interned[key] = _Ref(node, _forget)
+        ref.key = key
+    return node
 
 
 def empty() -> ObsExpr:
@@ -149,11 +204,7 @@ def epsilon() -> ObsExpr:
 def atom(symbol: str) -> ObsExpr:
     if not _is_identifier(symbol):
         raise UnknownSymbol(f"symbol {symbol!r} is not a valid identifier")
-    key = ("a", symbol)
-    node = _interned.get(key)
-    if node is None:
-        node = _interned[key] = Atom(symbol)
-    return node
+    return _intern(("a", symbol), Atom, symbol)
 
 
 def _sort_key(e: ObsExpr) -> str:
@@ -179,11 +230,8 @@ def alt(*parts) -> ObsExpr:
         return _EMPTY
     if len(uniq) == 1:
         return uniq[0]
-    key = ("+",) + tuple(id(p) for p in uniq)
-    node = _interned.get(key)
-    if node is None:
-        node = _interned[key] = Sum(tuple(uniq))
-    return node
+    uniq = tuple(uniq)
+    return _intern(("+",) + uniq, Sum, uniq)
 
 
 def seq(*parts) -> ObsExpr:
@@ -202,57 +250,40 @@ def seq(*parts) -> ObsExpr:
         return _EPSILON
     if len(flat) == 1:
         return flat[0]
-    key = (";",) + tuple(id(p) for p in flat)
-    node = _interned.get(key)
-    if node is None:
-        node = _interned[key] = Concat(tuple(flat))
-    return node
+    flat = tuple(flat)
+    return _intern((";",) + flat, Concat, flat)
+
+
+def _strip(e: ObsExpr) -> ObsExpr:
+    """An expression whose star is the star of ``e`` and whose language
+    lacks the empty word (Brueggemann-Klein's ``e°``)."""
+    if not e.nullable:
+        return e
+    if isinstance(e, Epsilon):
+        return _EMPTY
+    if isinstance(e, Star):
+        return _strip(e.body)
+    # a nullable sum, or a concatenation of nullable parts
+    return alt(*map(_strip, e.parts))
 
 
 def star(body: ObsExpr) -> ObsExpr:
-    if isinstance(body, (Empty, Epsilon)):
+    """The star in star normal form: its body never holds the empty word."""
+    body = _strip(body)
+    if isinstance(body, Empty):
         return _EPSILON
-    if isinstance(body, Star):
-        return body
-    key = ("*", id(body))
-    node = _interned.get(key)
-    if node is None:
-        node = _interned[key] = Star(body)
-    return node
+    return _intern(("*", body), Star, body)
 
 
-def normalize(e: ObsExpr) -> ObsExpr:
-    """Rebuild an expression through the normalizing factories."""
-    if isinstance(e, Empty):
-        return _EMPTY
-    if isinstance(e, Epsilon):
-        return _EPSILON
-    if isinstance(e, Atom):
-        return atom(e.symbol)
-    if isinstance(e, Sum):
-        return alt(*(normalize(p) for p in e.parts))
-    if isinstance(e, Concat):
-        return seq(*(normalize(p) for p in e.parts))
-    if isinstance(e, Star):
-        return star(normalize(e.body))
-    raise TypeError(f"not an ObsExpr: {e!r}")
-
-
-@lru_cache(maxsize=None)
 def nullable(e: ObsExpr) -> bool:
     """Does the language of ``e`` contain the empty word?"""
-    if isinstance(e, (Epsilon, Star)):
-        return True
-    if isinstance(e, (Empty, Atom)):
-        return False
-    if isinstance(e, Sum):
-        return any(nullable(p) for p in e.parts)
-    if isinstance(e, Concat):
-        return all(nullable(p) for p in e.parts)
-    raise TypeError(f"not an ObsExpr: {e!r}")
+    return e.nullable
 
 
-@lru_cache(maxsize=None)
+# Bounded like ``to_dfa``'s cache: the derivative of a star holds the
+# star, so a cache on each node would keep whole chains of derivatives
+# alive through the intern table's keys.
+@lru_cache(maxsize=4096)
 def _derive(e: ObsExpr, sym: str) -> ObsExpr:
     if isinstance(e, (Empty, Epsilon)):
         return _EMPTY
@@ -265,7 +296,7 @@ def _derive(e: ObsExpr, sym: str) -> ObsExpr:
         out = []
         for i, p in enumerate(e.parts):
             out.append(seq(_derive(p, sym), *e.parts[i + 1:]))
-            if not nullable(p):
+            if not p.nullable:
                 break
         return alt(*out)
     if isinstance(e, Star):
@@ -287,22 +318,13 @@ def residuate(e: ObsExpr, word, alphabet: Alphabet | None = None) -> ObsExpr:
     return e
 
 
-@lru_cache(maxsize=None)
 def is_empty_language(e: ObsExpr) -> bool:
-    """Structural emptiness; exact because there is no complement."""
-    if isinstance(e, Empty):
-        return True
-    if isinstance(e, (Epsilon, Atom, Star)):
-        return False
-    if isinstance(e, Sum):
-        return all(is_empty_language(p) for p in e.parts)
-    if isinstance(e, Concat):
-        return any(is_empty_language(p) for p in e.parts)
-    raise TypeError(f"not an ObsExpr: {e!r}")
+    """Emptiness; exact because there is no complement."""
+    return e.empty
 
 
 def member(e: ObsExpr, word, alphabet: Alphabet | None = None) -> bool:
-    return nullable(residuate(e, word, alphabet))
+    return residuate(e, word, alphabet).nullable
 
 
 def atoms(e: ObsExpr) -> frozenset:
@@ -392,9 +414,8 @@ def to_dfa(e: ObsExpr, alphabet: Alphabet, max_states: int = 10 ** 6) -> Dfa:
                     nxt.append(dst)
                 transitions[(src_id, sym)] = dst_id
         frontier = nxt
-    accepting = frozenset(i for i, s in enumerate(states) if nullable(s))
-    live = frozenset(i for i, s in enumerate(states)
-                     if not is_empty_language(s))
+    accepting = frozenset(i for i, s in enumerate(states) if s.nullable)
+    live = frozenset(i for i, s in enumerate(states) if not s.empty)
     return Dfa(alphabet, tuple(states), transitions, accepting, live)
 
 
@@ -441,8 +462,7 @@ def language_equivalent(e1: ObsExpr, e2: ObsExpr,
         syms = sorted(atoms(e1) | atoms(e2))
         if not syms:
             # both languages are subsets of {epsilon}
-            return nullable(e1) == nullable(e2) and \
-                is_empty_language(e1) == is_empty_language(e2)
+            return e1.nullable == e2.nullable and e1.empty == e2.empty
         alphabet = Alphabet(syms)
     d1 = to_dfa(e1, alphabet, max_states)
     d2 = to_dfa(e2, alphabet, max_states)

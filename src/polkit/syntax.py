@@ -31,12 +31,9 @@ adds single negations. Both are linear in the formula's size.
 
 from __future__ import annotations
 
-import weakref
-from _weakref import _remove_dead_weakref
-
 from . import obsregex as ox
 from .errors import ParseError
-from .obsregex import Alphabet, ObsExpr
+from .obsregex import Alphabet, ObsExpr, _intern
 
 __all__ = [
     "Formula", "Top", "Prop", "Not", "Or", "And", "Hat", "Know", "Dia", "Box",
@@ -49,8 +46,9 @@ __all__ = [
 class Formula:
     """Base class of formula nodes. Construct via the factory functions.
 
-    Nodes are interned, so identity is structural equality, and the
-    identity comparison and hash inherited from ``object`` serve as is.
+    Nodes are interned, in the one intern table of ``polkit.obsregex``,
+    so identity is structural equality, and the identity comparison and
+    hash inherited from ``object`` serve as is.
     """
 
     __slots__ = ("_key", "__weakref__")
@@ -126,35 +124,6 @@ class Box(Formula):
 
 
 _TOP = Top()
-
-# Values are weak references, so formulas are reclaimed once nothing
-# outside the table refers to them; machine-generated encodings run to
-# millions of nodes and would otherwise pin memory for the life of the
-# process. A dead reference removes its own entry, unless the key has
-# been bound to a new node meanwhile. Keys hold the operands themselves,
-# which keeps an entry's operands alive exactly as long as the entry
-# and rules out identity reuse. This is ``weakref.WeakValueDictionary``
-# without its Python-level method calls, which made building and
-# dropping formulas half again as slow.
-_interned: dict = {}
-
-
-class _Ref(weakref.ref):
-    __slots__ = ("key",)
-
-
-def _forget(ref):
-    _remove_dead_weakref(_interned, ref.key)
-
-
-def _intern(key, cls, *args):
-    ref = _interned.get(key)
-    node = None if ref is None else ref()
-    if node is None:
-        node = cls(*args)
-        ref = _interned[key] = _Ref(node, _forget)
-        ref.key = key
-    return node
 
 
 def top() -> Formula:

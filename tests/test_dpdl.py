@@ -251,6 +251,14 @@ class TestCoreMinimisation:
         assert lazy._minimize_core(lits, core) == plain
 
 
+def exact_sat(f):
+    """``dpdl_sat`` in the exact regime, which the default cap admits
+    for every formula of ``dpdl_formula_strategy``."""
+    frontier = sum(1 for g in dp.closure(f) if dps._is_frontier(g))
+    assert frontier <= 14
+    return dp.dpdl_sat(f)
+
+
 class TestDpdlSat:
     @settings(max_examples=150, deadline=None)
     @given(dpdl_formula_strategy())
@@ -259,11 +267,25 @@ class TestDpdlSat:
         if isinstance(verdict, dp.Unsat):
             assert not isinstance(dp.brute_dpdl_sat(f, 2), dp.Sat)
 
-    @pytest.mark.xfail(strict=True, raises=KeyError,
-                       reason="the exact regime orders a star with a "
-                              "nullable body after its own unfolding")
+    @settings(max_examples=150, deadline=None)
+    @given(dpdl_formula_strategy())
+    def test_exact_unsat_has_no_small_model(self, f):
+        verdict = exact_sat(f)
+        if isinstance(verdict, dp.Unsat):
+            assert not isinstance(dp.brute_dpdl_sat(f, 2), dp.Sat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dpdl_formula_strategy())
+    def test_lazy_never_contradicts_exact(self, f):
+        lazy = type(dp.dpdl_sat(f, atom_cap=0))
+        exact = type(exact_sat(f))
+        assert {lazy, exact} != {dp.Sat, dp.Unsat}
+
     def test_nullable_star_body_in_exact_regime(self):
-        dp.dpdl_sat(dp.parse_dpdl("<(a*;b*)*>p"))
+        for text, want in (("<(a*;b*)*>p", dp.Sat),
+                           ("<(0*+a)*>p & [b]q", dp.Sat),
+                           ("<(a*;b*)*>p & [(a+b)*]~p", dp.Unsat)):
+            assert isinstance(dp.dpdl_sat(dp.parse_dpdl(text)), want), text
 
 
 class TestDpdlCheck:

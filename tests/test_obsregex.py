@@ -1,8 +1,13 @@
+import gc
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from oracles import language_sample, member_oracle, words_up_to
+from polkit import corpus
 from polkit import obsregex as ox
+from polkit import syntax as sx
 from polkit.errors import ParseError, StateBudgetExceeded, UnknownSymbol
 from polkit.obsregex import (
     Alphabet, alt, atom, empty, epsilon, seq, star,
@@ -17,6 +22,26 @@ AB = Alphabet(["a", "b"])
 
 def re(text):
     return parse_regex(text, AB)
+
+
+def nullable_reference(e):
+    if isinstance(e, (ox.Epsilon, ox.Star)):
+        return True
+    if isinstance(e, (ox.Empty, ox.Atom)):
+        return False
+    if isinstance(e, ox.Sum):
+        return any(nullable_reference(p) for p in e.parts)
+    return all(nullable_reference(p) for p in e.parts)
+
+
+def empty_reference(e):
+    if isinstance(e, ox.Empty):
+        return True
+    if isinstance(e, (ox.Epsilon, ox.Atom, ox.Star)):
+        return False
+    if isinstance(e, ox.Sum):
+        return all(empty_reference(p) for p in e.parts)
+    return any(empty_reference(p) for p in e.parts)
 
 
 class TestNormalization:
@@ -41,14 +66,13 @@ class TestNormalization:
         assert star(star(atom("a"))) is star(atom("a"))
         assert star(empty()) is epsilon()
         assert star(epsilon()) is epsilon()
+        # star normal form: the body loses the empty word
+        assert re("(a*;b*)*") is re("(a+b)*")
+        assert re("(0*+a)*") is re("a*")
 
     def test_sum_sorted_and_deduped(self):
         e = alt(atom("b"), atom("a"), atom("b"))
         assert print_regex(e) == "a+b"
-
-    @given(obs_expr_strategy())
-    def test_normalize_is_identity_on_factory_output(self, e):
-        assert ox.normalize(e) is e
 
 
 class TestPrintParse:
@@ -145,6 +169,47 @@ class TestEmptiness:
             assert any(member(e, w) for w in words_up_to(("a", "b"), min(n, 8)))
         else:
             assert not language_sample(e, ("a", "b"), 4)
+
+    @given(obs_expr_strategy(max_leaves=20))
+    def test_fields_match_recursive_reference(self, e):
+        assert e.nullable is nullable(e) is nullable_reference(e)
+        assert e.empty is is_empty_language(e) is empty_reference(e)
+
+    def test_fields_of_nodes_built_without_factories(self):
+        # factories never put 0 inside a sum or a concatenation
+        a, z = atom("a"), empty()
+        for e in (ox.Concat((a, z)), ox.Concat((z, epsilon())),
+                  ox.Sum((z, z)), ox.Sum((z, epsilon()))):
+            assert e.nullable is nullable_reference(e)
+            assert e.empty is empty_reference(e)
+
+
+class TestOneTable:
+    """Expressions live in the one weak intern table of the package."""
+
+    def test_dropped_expressions_are_reclaimed(self):
+        def build():
+            rng = random.Random(6)
+            for _ in range(5000):
+                e = corpus.random_regex(rng, ("a", "b"), 6)
+                nullable(e)
+                derive(e, "a")
+                to_dfa(e, AB)
+
+        def settle():
+            ox._derive.cache_clear()
+            to_dfa.cache_clear()
+            gc.collect()
+            return len(ox._interned)
+
+        start = settle()
+        build()
+        assert settle() == start
+
+    def test_formulas_share_the_table(self):
+        f = sx.dia(re("a;b"), sx.prop("p"))
+        assert ox._interned[("<>", f.pi, f.arg)]() is f
+        assert ox._interned[(";",) + f.pi.parts]() is f.pi
 
 
 class TestNesting:

@@ -201,7 +201,7 @@ class TestOneCore:
                 land(prop(f"r{i}"), prop(f"s{i}"))
 
         gc.collect()
-        start = len(sx._interned)
+        start = len(ox._interned)
         build()
         gc.collect()
-        assert len(sx._interned) == start
+        assert len(ox._interned) == start
