@@ -55,9 +55,9 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
         v = model.val[w]
         slots = [ell for ell in t.labels
                  if t.surv(ell).name in v
-                 and any(t.at_name(ell, psi) in v for psi in t.fl)]
+                 and any(t.at(ell, psi).name in v for psi in t.fl)]
         labels = {ell: frozenset(psi for psi in t.fl
-                                 if t.at_name(ell, psi) in v)
+                                 if t.at(ell, psi).name in v)
                   for ell in slots}
         relations = {}
         for agent in t.agents:

@@ -10,7 +10,10 @@ then prunes: a survivor needs, per letter it demands, some surviving
 assignment agreeing with it on every one-letter modality over that
 letter, and every star eventuality must be dischargeable through such
 matching edges. A witness is read off by walking demanded letters,
-steering each step toward the oldest undischarged eventuality.
+steering each step toward the oldest undischarged eventuality. An
+eventuality is carried into a successor only when some walk from that
+successor still discharges it, so every eventuality on a node's agenda
+has a walk and the steering never gets stuck.
 
 The lazy regime never enumerates. It runs a propositional search over
 the unfolding equations, builds successor states only for demanded
@@ -20,12 +23,16 @@ is variable ``v`` with literals ``2v`` and ``2v+1``, each binary
 clause goes straight onto its two watch lists, and only the long
 clause of a junction is sorted and checked for tautology. One
 incremental CDCL solver serves the whole run: each state's demand is a
-set of assumptions, and a refuted demand comes back with a core of
-them, which a deletion loop shrinks to an irreducible one. The modal
+set of assumptions, and a refuted demand comes back with the core of
+them that the solver's final conflict analysis rests on. The modal
 literals of the parent behind that core are learned as a new clause,
 which is valid in every deterministic model, and the search restarts.
-Decision order and polarity are static, so each solve returns the
-least model in that order and the witnesses are deterministic.
+A demand graph that leaves star eventualities undischarged is not a
+refutation: one loop then steers the decision polarity toward
+discharging them and rebuilds the graph without spending a restart,
+for a bounded number of steering rounds. Decision order and polarity
+are static within a solve, so each solve returns the least model in
+that order and the witnesses are deterministic.
 
 Both regimes validate a found witness with the model checker before
 reporting it. Resource caps turn into an unknown verdict, never into a
@@ -58,10 +65,6 @@ class Unsat:
 @dataclass(frozen=True)
 class Unknown:
     reason: str
-
-
-class _Stuck(Exception):
-    """Internal: the search cannot proceed; surfaces as Unknown."""
 
 
 class _StepBudget(Exception):
@@ -164,17 +167,17 @@ class _Shape:
                       and isinstance(g.pi, ox.Star)]
 
     def eventualities(self, truth):
-        """Star modalities of ``truth`` that promise a discharge.
+        """Star modalities that promise a discharge where ``truth`` gives
+        each member's truth.
 
-        ``truth`` answers membership queries. A true star diamond must
-        reach its argument and a false star box must reach the
-        argument's failure; everything else is a safety condition that
-        edge matching enforces step by step.
+        A true star diamond must reach its argument and a false star box
+        must reach the argument's failure; everything else is a safety
+        condition that edge matching enforces step by step.
         """
         out = []
         for g in self.stars:
             want = isinstance(g, sx.Dia)
-            if (g in truth) == want:
+            if truth(g) == want:
                 out.append((g.pi, g.arg, want))
         return out
 
@@ -260,7 +263,7 @@ class _Exact:
                         break
                 if ok:
                     for pi, arg, want in self.shape.eventualities(
-                            self.atoms[i]):
+                            self.atoms[i].__contains__):
                         if self._discharge_walk(i, pi, arg, want) is None:
                             ok = False
                             break
@@ -282,7 +285,8 @@ class _Exact:
         def make(i, carried):
             agenda = [entry for entry in carried
                       if not self._discharged(i, *entry)]
-            spawned = sorted(self.shape.eventualities(self.atoms[i]),
+            spawned = sorted(self.shape.eventualities(
+                                 self.atoms[i].__contains__),
                              key=lambda ob: sx.formula_key(ob[1]))
             for entry in spawned:
                 if entry not in agenda and not self._discharged(i, *entry):
@@ -312,9 +316,8 @@ class _Exact:
             if agenda:
                 path = self._discharge_walk(i, *agenda[0])
                 if not path:
-                    raise _Stuck(
-                        "an eventuality became undischargeable during "
-                        "witness construction")
+                    raise AssertionError("an agenda entry has no "
+                                         "discharging walk; this is a bug")
                 plan = path[0]
             for a in self.shape.letters:
                 if not self._needs(i, a):
@@ -325,11 +328,10 @@ class _Exact:
                     j = self._candidates(i, a)[0]
                 carried = []
                 for expr, arg, want in agenda:
-                    e2 = ox.derive(expr, a)
-                    if not ox.is_empty_language(e2):
-                        entry = (e2, arg, want)
-                        if entry not in carried:
-                            carried.append(entry)
+                    entry = (ox.derive(expr, a), arg, want)
+                    if (entry not in carried
+                            and self._discharge_walk(j, *entry) is not None):
+                        carried.append(entry)
                 child = make(j, carried)
                 trans[(nid, a)] = child
                 if child not in done:
@@ -583,9 +585,8 @@ class _Dpll:
     def _assume(self, assumptions):
         """Open level 1 with the assumptions; a core if they fail.
 
-        They are propagated one at a time from the last, so a core
-        favours the later assumptions, which a deletion loop over them
-        in order tries to drop last.
+        They are propagated one at a time from the last. That order
+        decides which core comes back: it favours the later assumptions.
         """
         self.trail_lim.append(len(self.trail))
         for lit in reversed(assumptions):
@@ -776,7 +777,9 @@ class _Lazy:
         The culprits force contradictory facts at the successor, and
         one of them (or the added forcer) forces the successor to
         exist, so no state of any deterministic model satisfies all of
-        them at once.
+        them at once. The literals are over distinct members, so the
+        clause is never a tautology, and the current assignment falsifies
+        it, so it is new.
         """
         lits = []
         seen = set()
@@ -785,22 +788,31 @@ class _Lazy:
                 seen.add(g)
                 var = self.index[g]
                 lits.append(_Dpll.lit(var, not assign[var]))
-        if not self.dpll.add_clause(lits):
-            raise _Stuck("a refuting lemma was already known; the "
-                         "propositional search is not converging")
+        self.dpll.add_clause(lits)
 
     def run(self):
-        for _ in range(self.restart_cap):
+        """Each learned lemma spends a restart; a steering round, which
+        rebuilds the graph after eventualities were left undischarged,
+        spends none."""
+        restarts = 0
+        while restarts < self.restart_cap:
             status, assign = self._solve([2 * self.index[self.f]])
             if status == "unsat":
                 return Unsat()
             outcome = self._expand(assign)
-            if outcome is not None:
+            if outcome is None:
+                restarts += 1
+            elif isinstance(outcome, Sat):
                 return outcome
+            elif not self._retry(outcome):
+                return Unknown("eventualities left undischarged after the "
+                               "discharge-steering retries")
         return Unknown("lemma restarts exhausted without convergence")
 
     def _expand(self, root_assign):
-        """Build the demand graph; None means a lemma was learned."""
+        """Build the demand graph: a ``Sat`` when it discharges every
+        eventuality, None when a lemma was learned, otherwise the
+        eventualities it leaves undischarged."""
         nodes = {}
         assigns = []
         trans = {}
@@ -834,45 +846,24 @@ class _Lazy:
                 if child is None:
                     status, result = self._solve(lits)
                     if status == "unsat":
-                        core = self._minimize_core(lits, result)
-                        culprits = [req[l >> 1][1] for l in core]
-                        self._learn(assign, a, culprits)
+                        self._learn(assign, a,
+                                    [req[l >> 1][1] for l in result])
                         return None
                     child = register(key, result)
                 trans[(nid, a)] = child
-        return self._finish(assigns, trans)
-
-    def _minimize_core(self, lits, core):
-        """Drop each literal of ``lits`` in turn while the rest stay
-        unsatisfiable. ``core`` is a refuted subset of ``lits``; a trial
-        that still contains the latest such core is refuted without a
-        solve."""
-        kept = list(lits)
-        core = set(core)
-        for lit in lits:
-            trial = [l for l in kept if l != lit]
-            if lit not in core:
-                kept = trial
-                continue
-            status, result = self._solve(trial)
-            if status == "unsat":
-                kept = trial
-                core = set(result)
-        return kept
-
-    def _finish(self, assigns, trans):
+        index = self.index
         missing = []
         for nid, assign in enumerate(assigns):
-            view = _AssignView(self.index, assign)
-            for pi, arg, want in self.shape.eventualities(view):
+            for pi, arg, want in self.shape.eventualities(
+                    lambda g: assign[index[g]]):
                 if not self._walk_discharges(assigns, trans, nid,
                                              pi, arg, want):
                     missing.append((pi, arg, want))
         if missing:
-            return self._retry(missing)
+            return missing
         val = {nid: frozenset(g.name for g in self.members
                               if isinstance(g, sx.Prop)
-                              and assign[self.index[g]])
+                              and assign[index[g]])
                for nid, assign in enumerate(assigns)}
         model = dc.DpdlModel(tuple(range(len(assigns))), trans, val,
                              alphabet=self.shape.letters)
@@ -914,7 +905,8 @@ class _Lazy:
         return out
 
     def _retry(self, missing):
-        """Steer decisions toward discharging, then rebuild the graph.
+        """Steer decisions toward discharging ``missing``; False when
+        there is nothing left to steer.
 
         An undischarged obligation usually means the default branch
         deferred it forever: the one-letter unfolding kept renewing the
@@ -933,26 +925,9 @@ class _Lazy:
         self.retries += 1
         if self.retries > 8 or all(self.polarity.get(v) == t
                                    for v, t in hints.items()):
-            return Unknown("eventualities left undischarged after the "
-                           "discharge-steering retries")
+            return False
         self.polarity.update(hints)
-        status, assign = self._solve([2 * self.index[self.f]])
-        if status == "unsat":
-            return Unsat()
-        return self._expand(assign)
-
-
-class _AssignView:
-    """Adapter letting _Shape.eventualities query a DPLL assignment."""
-
-    __slots__ = ("index", "assign")
-
-    def __init__(self, index, assign):
-        self.index = index
-        self.assign = assign
-
-    def __contains__(self, g):
-        return self.assign[self.index[g]]
+        return True
 
 
 # --- entry point ----------------------------------------------------------
@@ -992,8 +967,6 @@ def dpdl_sat(f: sx.Formula, *, atom_cap: int = 2 ** 14,
                 return outcome
             model, state = outcome.model, outcome.state
     except ResourceBudgetExceeded as err:
-        return Unknown(str(err))
-    except _Stuck as err:
         return Unknown(str(err))
     except _StepBudget:
         return Unknown(f"propositional search exceeded {step_cap} steps")

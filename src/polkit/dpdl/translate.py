@@ -82,13 +82,8 @@ class Translation:
         if not letters:
             letters = ["a"]
         self.alphabet = tuple(letters)
-        self._at = {}
-        self._at_name = {}
-        for ell in self.labels:
-            for psi in self.fl:
-                name = f"@{ell}.{sx.print_formula(psi)}"
-                self._at[(ell, psi)] = dc.atom(name)
-                self._at_name[(ell, psi)] = name
+        self._at = {(ell, psi): dc.atom(f"@{ell}.{sx.print_formula(psi)}")
+                    for ell in self.labels for psi in self.fl}
         self._surv = {ell: dc.atom(f"surv({ell})") for ell in self.labels}
         self._rel = {}
         for i in self.agents:
@@ -103,21 +98,11 @@ class Translation:
     def at(self, ell: int, psi: sx.Formula) -> sx.Formula:
         return self._at[(ell, psi)]
 
-    def at_name(self, ell: int, psi: sx.Formula) -> str:
-        return self._at_name[(ell, psi)]
-
     def surv(self, ell: int) -> sx.Formula:
         return self._surv[ell]
 
     def rel(self, agent: str, ell: int, ell2: int) -> sx.Formula:
         return self._rel[(agent, ell, ell2)]
-
-    def atom_names(self) -> frozenset:
-        """Every atom name the encoding may mention."""
-        return frozenset(
-            [a.name for a in self._at.values()]
-            + [a.name for a in self._surv.values()]
-            + [a.name for a in self._rel.values()])
 
     # -- construction ------------------------------------------------------
 

@@ -161,10 +161,6 @@ class Model:
             raise UnknownAgent(f"agent {agent!r} not in model")
         return ordered_blocks(self._blocks[agent])
 
-    def is_alive(self, s) -> bool:
-        """Does the state expect at least one observation word?"""
-        return not ox.is_empty_language(self.exp[s])
-
     # -- update ---------------------------------------------------------------
 
     def update(self, word) -> "Model | None":

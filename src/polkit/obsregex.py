@@ -207,14 +207,6 @@ def atom(symbol: str) -> ObsExpr:
     return _intern(("a", symbol), Atom, symbol)
 
 
-def _sort_key(e: ObsExpr) -> str:
-    key = getattr(e, "_key", None)
-    if key is None:
-        key = print_regex(e)
-        e._key = key
-    return key
-
-
 def alt(*parts) -> ObsExpr:
     """Union with flattening, identity ``0``, deduplication and sorting."""
     flat = []
@@ -225,7 +217,7 @@ def alt(*parts) -> ObsExpr:
             continue
         else:
             flat.append(p)
-    uniq = sorted(set(flat), key=_sort_key)
+    uniq = sorted(set(flat), key=print_regex)
     if not uniq:
         return _EMPTY
     if len(uniq) == 1:
@@ -374,9 +366,6 @@ class Dfa:
     accepting: frozenset
     live: frozenset        # states whose language is not empty
 
-    def step(self, state: int, sym: str) -> int:
-        return self.transitions[(state, sym)]
-
     def accepts(self, word) -> bool:
         state = 0
         for sym in word:
@@ -496,6 +485,16 @@ def _prec(e: ObsExpr) -> int:
 
 
 def print_regex(e: ObsExpr) -> str:
+    """The text of ``e``. Each node keeps its text once printed, so a
+    new node's text joins the kept texts of its parts; ``alt`` sorts by
+    it, which prints the parts of every sum as they are built."""
+    text = getattr(e, "_key", None)
+    if text is None:
+        text = e._key = _print_node(e)
+    return text
+
+
+def _print_node(e: ObsExpr) -> str:
     if isinstance(e, Empty):
         return "0"
     if isinstance(e, Epsilon):

@@ -1,12 +1,12 @@
 """The deterministic-dynamic-logic solver: its propositional engine,
-clause compilation, core minimisation, and the lazy regime against
-brute force; the model checker and the parser."""
+clause compilation, its lemmas and steering loop, and both regimes
+against brute force; the model checker and the parser."""
 
 import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polkit import dpdl as dp
@@ -155,16 +155,6 @@ class TestPropositionalEngine:
         assert s.solve(list(range(0, 20, 2)))[0] == "sat"
 
 
-def random_lazy(f, rnd):
-    members = dp.closure(f)
-    lazy = dps._Lazy(f, members, node_cap=100, restart_cap=10,
-                     step_cap=10 ** 6)
-    nvars = len(members)
-    chosen = rnd.sample(range(nvars), rnd.randint(1, nvars))
-    lits = sorted(2 * v + rnd.randint(0, 1) for v in chosen)
-    return lazy, lits
-
-
 def reference_database(members):
     """The clause database from one ``add_clause`` call per clause, in
     member order, then the diamond/box pairs."""
@@ -225,30 +215,47 @@ class TestCompilation:
             dp.Translation(sx.parse_formula("K_i q")).formula)
 
 
-class TestCoreMinimisation:
-    @settings(max_examples=80, deadline=None)
-    @given(dpdl_formula_strategy(), st.randoms(use_true_random=False))
-    def test_minimized_core_is_irreducible(self, f, rnd):
-        lazy, lits = random_lazy(f, rnd)
-        status, core = lazy._solve(lits)
-        assume(status == "unsat")
-        kept = lazy._minimize_core(lits, core)
-        assert lazy._solve(kept)[0] == "unsat"
-        for lit in kept:
-            assert lazy._solve([l for l in kept if l != lit])[0] == "sat"
+def learned_lemmas(f):
+    """Run the lazy regime on ``f``; the conjunction that each clause
+    it learns refutes."""
+    lazy = dps._Lazy(f, dp.closure(f), node_cap=5000, restart_cap=200,
+                     step_cap=10 ** 6)
+    refuted = []
+    add_clause = lazy.dpll.add_clause
 
-    @settings(max_examples=80, deadline=None)
-    @given(dpdl_formula_strategy(), st.randoms(use_true_random=False))
-    def test_shortcut_keeps_the_deletion_result(self, f, rnd):
-        lazy, lits = random_lazy(f, rnd)
-        status, core = lazy._solve(lits)
-        assume(status == "unsat")
-        plain = list(lits)
-        for lit in lits:
-            trial = [l for l in plain if l != lit]
-            if lazy._solve(trial)[0] == "unsat":
-                plain = trial
-        assert lazy._minimize_core(lits, core) == plain
+    def recording(lits):
+        refuted.append(dp.land(*[
+            dp.lnot(lazy.members[l >> 1]) if l & 1 == 0
+            else lazy.members[l >> 1] for l in lits]))
+        return add_clause(lits)
+
+    lazy.dpll.add_clause = recording
+    lazy.run()
+    return refuted
+
+
+class TestLazyRegime:
+    # random formulas seldom teach a lemma; the examples teach 1 to 14,
+    # and the first one's lemma is valid only with its forcer, <a>q
+    @settings(max_examples=100, deadline=None)
+    @given(dpdl_formula_strategy())
+    @example(dp.parse_dpdl("[a]p&[a]~p&<a>q"))
+    @example(dp.parse_dpdl("[(a+b);a;a][a+a*]true"))
+    @example(dp.parse_dpdl("<0*>~~q&[a]<b>[a;a;a]true"))
+    @example(dp.parse_dpdl("<b>(~[(0*+b);b;b]true|<a>false)"))
+    @example(dp.parse_dpdl("(p|<(a;a)*>p&<a>p)&<a;a;a>p"))
+    def test_every_lemma_is_valid(self, f):
+        for refuted in learned_lemmas(f):
+            assert not isinstance(dp.brute_dpdl_sat(refuted, 2), dp.Sat)
+
+    def test_steering_round_spends_no_restart(self):
+        for text in ("<0*+b*>q", "q&~([a*]p|p)"):
+            f = dp.parse_dpdl(text)
+            assert isinstance(dp.dpdl_sat(f, atom_cap=0, restart_cap=1),
+                              dp.Sat), text
+            lazy = dps._Lazy(f, dp.closure(f), node_cap=5000,
+                             restart_cap=1, step_cap=10 ** 6)
+            assert isinstance(lazy.run(), dp.Sat) and lazy.retries == 1
 
 
 def exact_sat(f):
@@ -280,6 +287,20 @@ class TestDpdlSat:
         lazy = type(dp.dpdl_sat(f, atom_cap=0))
         exact = type(exact_sat(f))
         assert {lazy, exact} != {dp.Sat, dp.Unsat}
+
+    @settings(max_examples=150, deadline=None)
+    @given(dpdl_formula_strategy())
+    def test_exact_unknown_names_the_node_cap(self, f):
+        verdict = exact_sat(f)
+        if isinstance(verdict, dp.Unknown):
+            assert verdict.reason.startswith("witness walk exceeded")
+
+    def test_exact_witness_walk_carries_dischargeable_entries(self):
+        # an eventuality carried into every successor, also into one
+        # from which no walk discharges it, left the walk stuck there
+        for text in ("<(a+b)*>([b]~q&p)", "<(a+b)*>[b;(a+b)]p",
+                     "<b>[(a+b)*]~(q|p)"):
+            assert isinstance(exact_sat(dp.parse_dpdl(text)), dp.Sat), text
 
     def test_nullable_star_body_in_exact_regime(self):
         for text, want in (("<(a*;b*)*>p", dp.Sat),

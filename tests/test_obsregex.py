@@ -218,6 +218,15 @@ class TestNesting:
             parse_regex("(" * 2000 + "a" + ")" * 2000)
         assert parse_regex("(" * 50 + "a" + ")" * 50) is atom("a")
 
+    def test_deep_factory_nesting_builds_and_prints(self):
+        # ``alt`` sorts by the printed text, which each node keeps, so
+        # building a level prints only the new nodes
+        a, b = atom("a"), atom("b")
+        e = a
+        for _ in range(3000):
+            e = seq(star(a), alt(e, b))
+        assert print_regex(e) == "a*;(" * 3000 + "a" + "+b)" * 3000
+
 
 class TestDfaAndEquivalence:
     def test_dfa_accepts_language(self):
