@@ -1,38 +1,44 @@
 """Satisfiability for dynamic logic over deterministic models.
 
-Truth of every closure member is determined by the members that are
-atoms or modalities over a single letter, through the one-step
-unfolding equations of composite programs. The solver therefore works
-with truth assignments to the closure and has two regimes.
+Truth of every closure member is determined by the frontier members,
+which are the atoms and the modalities over a single letter, through
+the one-step unfolding equations of composite programs. The solver
+therefore works with truth assignments to the closure. The equations
+are compiled once per call into the clauses of one incremental CDCL
+solver, in one pass over the closure: member ``v`` is variable ``v``
+with literals ``2v`` and ``2v+1``, each binary clause goes straight
+onto its two watch lists, and only the long clause of a junction is
+sorted and checked for tautology. Both regimes work on that database.
 
-The exact regime enumerates all assignments to the determining members,
-then prunes: a survivor needs, per letter it demands, some surviving
-assignment agreeing with it on every one-letter modality over that
-letter, and every star eventuality must be dischargeable through such
-matching edges. A witness is read off by walking demanded letters,
-steering each step toward the oldest undischarged eventuality. An
-eventuality is carried into a successor only when some walk from that
-successor still discharges it, so every eventuality on a node's agenda
-has a walk and the steering never gets stuck.
+The lazy regime runs first, on every formula, and never enumerates. It
+builds successor states only for demanded letters and memoizes states
+by their incoming demand. Each state's demand is a set of assumptions,
+and a refuted demand comes back with the core of them that the solver's
+final conflict analysis rests on. The modal literals of the parent
+behind that core are learned as a new clause, which is valid in every
+deterministic model, and the search restarts. A demand graph that leaves
+star eventualities undischarged is not a refutation. When the database
+refutes an eventuality's discharge outright, its star modality can never
+promise it, which is learned as a unit clause with a restart. Otherwise
+one loop steers the decision polarity toward discharging them and
+rebuilds the graph without spending a restart, for a bounded number of
+steering rounds. Decision order and polarity are static within a solve,
+so each solve returns the least model in that order and the witnesses
+are deterministic.
 
-The lazy regime never enumerates. It runs a propositional search over
-the unfolding equations, builds successor states only for demanded
-letters, and memoizes states by their incoming demand. The equations
-are compiled into clauses in one pass over the closure: member ``v``
-is variable ``v`` with literals ``2v`` and ``2v+1``, each binary
-clause goes straight onto its two watch lists, and only the long
-clause of a junction is sorted and checked for tautology. One
-incremental CDCL solver serves the whole run: each state's demand is a
-set of assumptions, and a refuted demand comes back with the core of
-them that the solver's final conflict analysis rests on. The modal
-literals of the parent behind that core are learned as a new clause,
-which is valid in every deterministic model, and the search restarts.
-A demand graph that leaves star eventualities undischarged is not a
-refutation: one loop then steers the decision polarity toward
-discharging them and rebuilds the graph without spending a restart,
-for a bounded number of steering rounds. Decision order and polarity
-are static within a solve, so each solve returns the least model in
-that order and the witnesses are deterministic.
+The exact regime backstops a lazy run that ends undecided, when at most
+2^14 frontier assignments exist. Its atoms are the assignments that the
+lazy run's database admits, one solve each with the frontier literals as
+assumptions. The database holds only clauses valid in every model, so
+it drops only assignments that no state has and elimination would drop:
+the survivors and the witness are those of enumerating every assignment.
+Elimination keeps an atom that has, per letter it demands, a surviving
+atom meeting that demand, and that discharges every star eventuality
+through such matching edges. A witness is read off by walking demanded
+letters, steering each step toward the oldest undischarged eventuality.
+An eventuality is carried into a successor only when some walk from
+that successor still discharges it, so every eventuality on a node's
+agenda has a walk and the steering never gets stuck.
 
 Both regimes validate a found witness with the model checker before
 reporting it. Resource caps turn into an unknown verdict, never into a
@@ -49,6 +55,9 @@ from ..errors import ResourceBudgetExceeded
 from . import core as dc
 
 __all__ = ["Sat", "Unsat", "Unknown", "dpdl_sat"]
+
+# The most frontier assignments the exact regime enumerates.
+_ATOM_CAP = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -67,7 +76,7 @@ class Unknown:
     reason: str
 
 
-class _StepBudget(Exception):
+class _StepBudget(ResourceBudgetExceeded):
     pass
 
 
@@ -114,45 +123,21 @@ def _definition(g):
     raise TypeError(f"unsupported program {pi!r}")
 
 
-def _topo_order(members):
-    """Members ordered so each one's determining operands come first."""
-    order = []
-    state = {}
-    for root in members:
-        stack = [root]
-        while stack:
-            g = stack[-1]
-            st = state.get(g)
-            if st == 2:
-                stack.pop()
-                continue
-            if st == 1:
-                state[g] = 2
-                order.append(g)
-                stack.pop()
-                continue
-            state[g] = 1
-            d = _definition(g)
-            if d[0] in ("not", "eq"):
-                deps = (d[1],)
-            elif d[0] in ("or", "and"):
-                deps = d[1]
-            else:
-                deps = ()
-            for h in deps:
-                if state.get(h) is None:
-                    stack.append(h)
-    return order
-
-
 class _Shape:
-    """Letter-indexed view of the one-letter modalities of a closure."""
+    """A closure as solver variables: member ``v`` is variable ``v``.
+
+    A state is an assignment, a list giving each variable's truth. The
+    one-letter modalities are indexed by letter, and the methods below
+    read a state's demands, eventualities and valuation.
+    """
 
     def __init__(self, members):
-        self.members = members
+        self.members = tuple(members)
+        self.index = {g: i for i, g in enumerate(self.members)}
+        self.frontier = [g for g in self.members if _is_frontier(g)]
         self.dia = {}
         self.box = {}
-        for g in members:
+        for g in self.members:
             if isinstance(g, (sx.Dia, sx.Box)) and isinstance(g.pi, ox.Atom):
                 table = self.dia if isinstance(g, sx.Dia) else self.box
                 table.setdefault(g.pi.symbol, []).append(g)
@@ -162,13 +147,95 @@ class _Shape:
         self.alphabet = ox.Alphabet(self.letters or ["a"])
         self.profile = {a: tuple(self.dia.get(a, []) + self.box.get(a, []))
                         for a in self.letters}
-        self.stars = [g for g in members
+        self.stars = [g for g in self.members
                       if isinstance(g, (sx.Dia, sx.Box))
                       and isinstance(g.pi, ox.Star)]
+        self.props = [(v, g.name) for v, g in enumerate(self.members)
+                      if isinstance(g, sx.Prop)]
 
-    def eventualities(self, truth):
-        """Star modalities that promise a discharge where ``truth`` gives
-        each member's truth.
+    def compile(self, step_cap):
+        """A solver over the clauses of every member's definition, then
+        one per pair of a diamond and a box over the same letter and
+        argument.
+
+        Literals come straight from member indices, and only the long
+        clause of a junction passes through ``add_clause``. The clauses,
+        and the literals in each, come out in the order that
+        ``add_clause`` on each of them would give. It runs before the
+        first solve, which builds level 0 from the units.
+        """
+        dpll = _Dpll(len(self.members), step_cap)
+        index = self.index
+        units = dpll.units
+        add_clause = dpll.add_clause
+        binary = dpll.add_binary
+        for v, g in enumerate(self.members):
+            d = _definition(g)
+            kind = d[0]
+            pos = 2 * v
+            if kind == "frontier":
+                continue
+            if kind == "true":
+                units.append(pos)
+            elif kind == "false":
+                units.append(pos + 1)
+            elif kind == "not":
+                h = 2 * index[d[1]]
+                binary(pos + 1, h + 1)
+                binary(pos, h)
+            elif kind == "eq":
+                h = 2 * index[d[1]]
+                binary(pos + 1, h)
+                binary(pos, h + 1)
+            elif kind == "or":
+                parts = [2 * index[h] for h in d[1]]
+                add_clause([pos + 1] + parts)
+                for h in parts:
+                    binary(pos, h + 1)
+            else:
+                parts = [2 * index[h] for h in d[1]]
+                add_clause([pos] + [h + 1 for h in parts])
+                for h in parts:
+                    binary(pos + 1, h)
+        for a in self.letters:
+            boxes = {g.arg: g for g in self.box.get(a, ())}
+            for d in self.dia.get(a, ()):
+                b = boxes.get(d.arg)
+                if b is not None:
+                    binary(2 * index[d] + 1, 2 * index[b])
+        return dpll
+
+    def needs(self, assign, a):
+        """Whether a state must have an ``a``-successor."""
+        index = self.index
+        return (any(assign[index[g]] for g in self.dia.get(a, ()))
+                or any(not assign[index[g]] for g in self.box.get(a, ())))
+
+    def demand(self, assign, a):
+        """The literals an ``a``-successor must satisfy, and who pins them.
+
+        Under an existing ``a``-successor, every one-letter modality
+        over ``a`` pins its argument's truth there to its own truth
+        here. Returns the sorted tuple of those literals with a map from
+        each variable to its truth and the modality that pins it; or None
+        with a pair of modalities that pin one variable both ways.
+        """
+        index = self.index
+        req = {}
+        for g in self.profile[a]:
+            truth = assign[index[g]]
+            var = index[g.arg]
+            if var in req:
+                if req[var][0] != truth:
+                    return None, (req[var][1], g)
+            else:
+                req[var] = (truth, g)
+        lits = tuple(sorted(_Dpll.lit(var, truth)
+                            for var, (truth, _) in req.items()))
+        return lits, req
+
+    def eventualities(self, assign):
+        """Star modalities that promise a discharge in a state.
 
         A true star diamond must reach its argument and a false star box
         must reach the argument's failure; everything else is a safety
@@ -177,79 +244,73 @@ class _Shape:
         out = []
         for g in self.stars:
             want = isinstance(g, sx.Dia)
-            if truth(g) == want:
+            if assign[self.index[g]] == want:
                 out.append((g.pi, g.arg, want))
         return out
+
+    def discharge_walk(self, states, step, start, pi, arg, want):
+        """Shortest walk from state ``start`` along a word of ``pi`` to a
+        state giving ``arg`` the truth ``want``, as (letter, state) steps
+        through the edges ``step`` yields; None when there is none."""
+        var = self.index[arg]
+        return ox.search(ox.to_dfa(pi, self.alphabet), start, step,
+                         lambda j: states[j][var] == want)
+
+    def witness(self, states, trans):
+        """The deterministic model over numbered states and transitions."""
+        val = {nid: frozenset(name for v, name in self.props if assign[v])
+               for nid, assign in enumerate(states)}
+        return dc.DpdlModel(tuple(range(len(states))), trans, val,
+                            alphabet=self.letters)
 
 
 # --- exact regime -------------------------------------------------------------
 
 
 class _Exact:
-    def __init__(self, f, members, node_cap):
+    def __init__(self, f, shape, dpll, node_cap):
         self.f = f
-        self.members = members
+        self.shape = shape
         self.node_cap = node_cap
-        self.shape = _Shape(members)
-        self.frontier = [g for g in members if _is_frontier(g)]
-        defs = [(g, _definition(g)) for g in _topo_order(members)
-                if not _is_frontier(g)]
         self.atoms = []
-        for mask in range(2 ** len(self.frontier)):
-            val = {g: bool(mask >> i & 1)
-                   for i, g in enumerate(self.frontier)}
-            for g, d in defs:
-                if d[0] == "true":
-                    val[g] = True
-                elif d[0] == "false":
-                    val[g] = False
-                elif d[0] == "not":
-                    val[g] = not val[d[1]]
-                elif d[0] == "eq":
-                    val[g] = val[d[1]]
-                elif d[0] == "or":
-                    val[g] = any(val[h] for h in d[1])
-                else:
-                    val[g] = all(val[h] for h in d[1])
-            self.atoms.append(frozenset(g for g in members if val[g]))
+        for mask in range(2 ** len(shape.frontier)):
+            status, assign = dpll.solve([
+                _Dpll.lit(shape.index[g], bool(mask >> i & 1))
+                for i, g in enumerate(shape.frontier)])
+            if status == "sat":
+                self.atoms.append(assign)
         self.alive = set(range(len(self.atoms)))
+        # per atom, each letter it demands with its successor literals,
+        # None where two modalities pin one literal both ways
+        self._demands = [{a: shape.demand(atom, a)[0] for a in shape.letters
+                          if shape.needs(atom, a)}
+                         for atom in self.atoms]
         self._groups = {}
-        for a in self.shape.letters:
+        for a in shape.letters:
+            args = sorted({shape.index[g.arg] for g in shape.profile[a]})
             groups = {}
             for j, atom in enumerate(self.atoms):
-                args = tuple(g.arg in atom for g in self.shape.profile[a])
-                groups.setdefault(args, []).append(j)
+                key = tuple(_Dpll.lit(v, atom[v]) for v in args)
+                groups.setdefault(key, []).append(j)
             self._groups[a] = groups
 
-    def _required(self, i, a):
-        atom = self.atoms[i]
-        return tuple(g in atom for g in self.shape.profile[a])
-
     def _candidates(self, i, a):
-        found = self._groups[a].get(self._required(i, a), ())
+        found = self._groups[a].get(self._demands[i][a], ())
         return [j for j in found if j in self.alive]
 
-    def _needs(self, i, a):
-        atom = self.atoms[i]
-        return (any(g in atom for g in self.shape.dia.get(a, ()))
-                or any(g not in atom for g in self.shape.box.get(a, ())))
-
     def _discharged(self, i, expr, arg, want):
-        return ox.nullable(expr) and (arg in self.atoms[i]) == want
+        return (ox.nullable(expr)
+                and self.atoms[i][self.shape.index[arg]] == want)
 
     def _edges(self, j):
         """The (letter, atom) steps a walk from atom ``j`` may take."""
-        for a in self.shape.letters:
-            if self._needs(j, a):
-                for k in self._candidates(j, a):
-                    yield a, k
+        for a in self._demands[j]:
+            for k in self._candidates(j, a):
+                yield a, k
 
     def _discharge_walk(self, i, pi, arg, want):
-        """Shortest walk from atom ``i`` along a word of ``pi`` to an atom
-        giving ``arg`` the truth ``want``, as (letter, atom) steps; None
-        when there is none."""
-        return ox.search(ox.to_dfa(pi, self.shape.alphabet), i, self._edges,
-                         lambda j: (arg in self.atoms[j]) == want)
+        return self.shape.discharge_walk(self.atoms, self._edges, i,
+                                         pi, arg, want)
 
     def eliminate(self):
         changed = True
@@ -257,13 +318,13 @@ class _Exact:
             changed = False
             for i in sorted(self.alive):
                 ok = True
-                for a in self.shape.letters:
-                    if self._needs(i, a) and not self._candidates(i, a):
+                for a in self._demands[i]:
+                    if not self._candidates(i, a):
                         ok = False
                         break
                 if ok:
                     for pi, arg, want in self.shape.eventualities(
-                            self.atoms[i].__contains__):
+                            self.atoms[i]):
                         if self._discharge_walk(i, pi, arg, want) is None:
                             ok = False
                             break
@@ -272,7 +333,14 @@ class _Exact:
                     changed = True
 
     def roots(self):
-        return [i for i in sorted(self.alive) if self.f in self.atoms[i]]
+        var = self.shape.index[self.f]
+        return [i for i in sorted(self.alive) if self.atoms[i][var]]
+
+    def run(self):
+        self.eliminate()
+        if not self.roots():
+            return Unsat()
+        return Sat(*self.extract())
 
     # -- witness construction ---------------------------------------------
 
@@ -285,8 +353,7 @@ class _Exact:
         def make(i, carried):
             agenda = [entry for entry in carried
                       if not self._discharged(i, *entry)]
-            spawned = sorted(self.shape.eventualities(
-                                 self.atoms[i].__contains__),
+            spawned = sorted(self.shape.eventualities(self.atoms[i]),
                              key=lambda ob: sx.formula_key(ob[1]))
             for entry in spawned:
                 if entry not in agenda and not self._discharged(i, *entry):
@@ -319,9 +386,7 @@ class _Exact:
                     raise AssertionError("an agenda entry has no "
                                          "discharging walk; this is a bug")
                 plan = path[0]
-            for a in self.shape.letters:
-                if not self._needs(i, a):
-                    continue
+            for a in self._demands[i]:
                 if plan is not None and plan[0] == a:
                     j = plan[1]
                 else:
@@ -336,11 +401,7 @@ class _Exact:
                 trans[(nid, a)] = child
                 if child not in done:
                     pending.append(child)
-        val = {nid: frozenset(g.name for g in self.atoms[i]
-                              if isinstance(g, sx.Prop))
-               for nid, i in enumerate(atom_of)}
-        model = dc.DpdlModel(tuple(range(len(atom_of))), trans, val,
-                             alphabet=self.shape.letters)
+        model = self.shape.witness([self.atoms[i] for i in atom_of], trans)
         return model, start
 
 
@@ -660,7 +721,8 @@ class _Dpll:
                     continue
                 steps += 1
                 if steps > self.step_cap:
-                    raise _StepBudget()
+                    raise _StepBudget(
+                        f"propositional search exceeded {self.step_cap} steps")
                 while pos < len(decide) and value[2 * decide[pos]] is not None:
                     pos += 1
                 if pos >= len(decide):
@@ -673,101 +735,26 @@ class _Dpll:
 
 
 class _Lazy:
-    def __init__(self, f, members, node_cap, restart_cap, step_cap):
+    def __init__(self, f, shape, dpll, node_cap, restart_cap):
         self.f = f
-        self.members = tuple(members)
+        self.shape = shape
+        self.dpll = dpll
         self.node_cap = node_cap
         self.restart_cap = restart_cap
-        self.shape = _Shape(members)
-        self.index = {g: i for i, g in enumerate(self.members)}
-        self.dpll = _Dpll(len(self.members), step_cap)
-        self._compile()
         self.polarity = {}
         self.retries = 0
-
-    def _compile(self):
-        """Clauses of every member's definition, then one per pair of a
-        diamond and a box over the same letter and argument.
-
-        Literals come straight from member indices, and only the long
-        clause of a junction passes through ``add_clause``. The clauses,
-        and the literals in each, come out in the order that
-        ``add_clause`` on each of them would give. It runs before the
-        first solve, which builds level 0 from the units.
-        """
-        index = self.index
-        units = self.dpll.units
-        add_clause = self.dpll.add_clause
-        binary = self.dpll.add_binary
-        for v, g in enumerate(self.members):
-            d = _definition(g)
-            kind = d[0]
-            pos = 2 * v
-            if kind == "frontier":
-                continue
-            if kind == "true":
-                units.append(pos)
-            elif kind == "false":
-                units.append(pos + 1)
-            elif kind == "not":
-                h = 2 * index[d[1]]
-                binary(pos + 1, h + 1)
-                binary(pos, h)
-            elif kind == "eq":
-                h = 2 * index[d[1]]
-                binary(pos + 1, h)
-                binary(pos, h + 1)
-            elif kind == "or":
-                parts = [2 * index[h] for h in d[1]]
-                add_clause([pos + 1] + parts)
-                for h in parts:
-                    binary(pos, h + 1)
-            else:
-                parts = [2 * index[h] for h in d[1]]
-                add_clause([pos] + [h + 1 for h in parts])
-                for h in parts:
-                    binary(pos + 1, h)
-        for a in self.shape.letters:
-            boxes = {g.arg: g for g in self.shape.box.get(a, ())}
-            for d in self.shape.dia.get(a, ()):
-                b = boxes.get(d.arg)
-                if b is not None:
-                    binary(2 * index[d] + 1, 2 * index[b])
 
     def _solve(self, assumptions):
         order = sorted(self.polarity) if self.polarity else None
         return self.dpll.solve(assumptions, self.polarity, order)
 
-    def _needs(self, assign, a):
-        return (any(assign[self.index[g]]
-                    for g in self.shape.dia.get(a, ()))
-                or any(not assign[self.index[g]]
-                       for g in self.shape.box.get(a, ())))
-
-    def _demand(self, assign, a):
-        """Signed successor requirements, or a conflicting member pair.
-
-        Under an existing ``a``-successor, every one-letter modality
-        over ``a`` pins its argument's truth there to its own truth
-        here; the demand is that set of signed literals.
-        """
-        req = {}
-        for g in self.shape.profile[a]:
-            truth = assign[self.index[g]]
-            var = self.index[g.arg]
-            if var in req:
-                if req[var][0] != truth:
-                    return None, (req[var][1], g)
-            else:
-                req[var] = (truth, g)
-        return req, None
-
     def _forcer(self, assign, a):
+        index = self.shape.index
         for g in self.shape.dia.get(a, ()):
-            if assign[self.index[g]]:
+            if assign[index[g]]:
                 return g
         for g in self.shape.box.get(a, ()):
-            if not assign[self.index[g]]:
+            if not assign[index[g]]:
                 return g
         raise AssertionError("demanded letter without an existence forcer")
 
@@ -786,7 +773,7 @@ class _Lazy:
         for g in list(culprits) + [self._forcer(assign, a)]:
             if g not in seen:
                 seen.add(g)
-                var = self.index[g]
+                var = self.shape.index[g]
                 lits.append(_Dpll.lit(var, not assign[var]))
         self.dpll.add_clause(lits)
 
@@ -796,7 +783,7 @@ class _Lazy:
         spends none."""
         restarts = 0
         while restarts < self.restart_cap:
-            status, assign = self._solve([2 * self.index[self.f]])
+            status, assign = self._solve([2 * self.shape.index[self.f]])
             if status == "unsat":
                 return Unsat()
             outcome = self._expand(assign)
@@ -804,6 +791,8 @@ class _Lazy:
                 restarts += 1
             elif isinstance(outcome, Sat):
                 return outcome
+            elif self._refute(outcome):
+                restarts += 1
             elif not self._retry(outcome):
                 return Unknown("eventualities left undischarged after the "
                                "discharge-steering retries")
@@ -813,6 +802,7 @@ class _Lazy:
         """Build the demand graph: a ``Sat`` when it discharges every
         eventuality, None when a lemma was learned, otherwise the
         eventualities it leaves undischarged."""
+        shape = self.shape
         nodes = {}
         assigns = []
         trans = {}
@@ -832,54 +822,58 @@ class _Lazy:
         while pending:
             nid = pending.pop()
             assign = assigns[nid]
-            for a in self.shape.letters:
-                if not self._needs(assign, a):
+            for a in shape.letters:
+                if not shape.needs(assign, a):
                     continue
-                req, conflict = self._demand(assign, a)
-                if req is None:
-                    self._learn(assign, a, conflict)
+                lits, pins = shape.demand(assign, a)
+                if lits is None:
+                    self._learn(assign, a, pins)
                     return None
-                lits = sorted(_Dpll.lit(var, truth)
-                              for var, (truth, _) in req.items())
-                key = (a, tuple(lits))
+                key = (a, lits)
                 child = nodes.get(key)
                 if child is None:
                     status, result = self._solve(lits)
                     if status == "unsat":
                         self._learn(assign, a,
-                                    [req[l >> 1][1] for l in result])
+                                    [pins[l >> 1][1] for l in result])
                         return None
                     child = register(key, result)
                 trans[(nid, a)] = child
-        index = self.index
-        missing = []
-        for nid, assign in enumerate(assigns):
-            for pi, arg, want in self.shape.eventualities(
-                    lambda g: assign[index[g]]):
-                if not self._walk_discharges(assigns, trans, nid,
-                                             pi, arg, want):
-                    missing.append((pi, arg, want))
-        if missing:
-            return missing
-        val = {nid: frozenset(g.name for g in self.members
-                              if isinstance(g, sx.Prop)
-                              and assign[index[g]])
-               for nid, assign in enumerate(assigns)}
-        model = dc.DpdlModel(tuple(range(len(assigns))), trans, val,
-                             alphabet=self.shape.letters)
-        return Sat(model, 0)
-
-    def _walk_discharges(self, assigns, trans, nid, pi, arg, want):
-        argvar = self.index[arg]
 
         def step(j):
-            for a in self.shape.letters:
+            for a in shape.letters:
                 child = trans.get((j, a))
                 if child is not None:
                     yield a, child
 
-        return ox.search(ox.to_dfa(pi, self.shape.alphabet), nid, step,
-                         lambda j: assigns[j][argvar] == want) is not None
+        missing = []
+        for nid, assign in enumerate(assigns):
+            for pi, arg, want in shape.eventualities(assign):
+                if shape.discharge_walk(assigns, step, nid,
+                                        pi, arg, want) is None:
+                    missing.append((pi, arg, want))
+        if missing:
+            return missing
+        return Sat(shape.witness(assigns, trans), 0)
+
+    def _refute(self, missing):
+        """Learn that an eventuality whose discharge no state admits is
+        never promised; True when some unit was learned.
+
+        Every state satisfies the clause database, so when the database
+        refutes ``arg`` having truth ``want``, no walk discharges the
+        eventuality, and its star modality never has the truth that
+        promises it, in any deterministic model.
+        """
+        index = self.shape.index
+        learned = False
+        for pi, arg, want in dict.fromkeys(missing):
+            status, _ = self._solve([_Dpll.lit(index[arg], want)])
+            if status == "unsat":
+                g = sx.dia(pi, arg) if want else sx.box(pi, arg)
+                self.dpll.add_clause([_Dpll.lit(index[g], not want)])
+                learned = True
+        return learned
 
     def _unfold_frontier(self, g):
         """One-letter modalities whose truth defers ``g`` to a successor."""
@@ -916,12 +910,13 @@ class _Lazy:
         when propagation forces it. Retrying stops once a failure adds
         no new steering, or after a fixed number of rounds.
         """
+        index = self.shape.index
         hints = {}
         for pi, arg, want in missing:
             g = sx.dia(pi, arg) if want else sx.box(pi, arg)
             for h in self._unfold_frontier(g):
-                hints[self.index[h]] = isinstance(h, sx.Box)
-            hints[self.index[arg]] = want
+                hints[index[h]] = isinstance(h, sx.Box)
+            hints[index[arg]] = want
         self.retries += 1
         if self.retries > 8 or all(self.polarity.get(v) == t
                                    for v, t in hints.items()):
@@ -933,44 +928,42 @@ class _Lazy:
 # --- entry point ----------------------------------------------------------
 
 
-def dpdl_sat(f: sx.Formula, *, atom_cap: int = 2 ** 14,
-             node_cap: int = 5000, restart_cap: int = 200,
+def dpdl_sat(f: sx.Formula, *, node_cap: int = 5000, restart_cap: int = 200,
              step_cap: int = 5_000_000):
     """Decide satisfiability of ``f`` over deterministic models.
 
     Returns ``Sat`` carrying a finite deterministic witness that the
     model checker has validated, ``Unsat``, or ``Unknown`` when a
-    resource cap was hit. ``Unsat`` is only reported after exhaustive
-    pruning (exact regime) or a propositional refutation from valid
-    lemmas (lazy regime), so every definite verdict is sound.
+    resource cap was hit. ``Unsat`` is only reported after a
+    propositional refutation from valid lemmas (lazy regime) or
+    exhaustive pruning (exact regime), so every definite verdict is
+    sound.
 
-    ``atom_cap`` bounds the assignment enumeration of the exact regime;
-    formulas whose determining members would exceed it are handled
-    lazily. The remaining caps bound witness size and search effort.
-    A formula with agent operators is a TypeError.
+    The lazy regime runs first, on every formula. When it ends
+    undecided and the closure has at most 14 frontier members (atoms
+    and one-letter modalities), the exact regime decides instead, on
+    the lazy run's clause database: every clause the lazy run added is
+    valid, so it gives the verdict and witness that a fresh enumeration
+    would. ``node_cap`` bounds witness size, ``restart_cap`` the lemma
+    restarts and ``step_cap`` each propositional search. A formula
+    with agent operators is a TypeError.
     """
     members = sx.closure(f)
     if any(isinstance(g, (sx.Hat, sx.Know)) for g in members):
         raise TypeError("dynamic logic has no agent operators")
-    frontier_bits = sum(1 for g in members if _is_frontier(g))
+    shape = _Shape(members)
+    dpll = shape.compile(step_cap)
     try:
-        if 2 ** frontier_bits <= atom_cap:
-            exact = _Exact(f, members, node_cap)
-            exact.eliminate()
-            if not exact.roots():
-                return Unsat()
-            model, state = exact.extract()
-        else:
-            outcome = _Lazy(f, members, node_cap, restart_cap,
-                            step_cap).run()
-            if not isinstance(outcome, Sat):
-                return outcome
-            model, state = outcome.model, outcome.state
+        outcome = _Lazy(f, shape, dpll, node_cap, restart_cap).run()
     except ResourceBudgetExceeded as err:
-        return Unknown(str(err))
-    except _StepBudget:
-        return Unknown(f"propositional search exceeded {step_cap} steps")
-    if not dc.dpdl_check(model, state, f):
+        outcome = Unknown(str(err))
+    if isinstance(outcome, Unknown) and 2 ** len(shape.frontier) <= _ATOM_CAP:
+        try:
+            outcome = _Exact(f, shape, dpll, node_cap).run()
+        except ResourceBudgetExceeded as err:
+            outcome = Unknown(str(err))
+    if (isinstance(outcome, Sat)
+            and not dc.dpdl_check(outcome.model, outcome.state, f)):
         raise AssertionError("solver produced a witness the model checker "
                              "rejects; this is a bug")
-    return Sat(model, state)
+    return outcome

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from polkit import dpdl as dp
 from polkit import syntax as sx
 from polkit.dpdl import solver as dps
-from polkit.errors import ParseError
+from polkit.errors import ParseError, ResourceBudgetExceeded
 
 from conftest import dpdl_formula_strategy
 
@@ -196,8 +196,7 @@ def reference_database(members):
 
 def assert_compiled_as_reference(f):
     members = dp.closure(f)
-    compiled = dps._Lazy(f, members, node_cap=1, restart_cap=1,
-                         step_cap=1).dpll
+    compiled = dps._Shape(members).compile(step_cap=1)
     reference = reference_database(members)
     assert compiled.empty == reference.empty
     assert compiled.units == reference.units
@@ -215,18 +214,30 @@ class TestCompilation:
             dp.Translation(sx.parse_formula("K_i q")).formula)
 
 
+def lazy_sat(f):
+    """The lazy regime alone, with ``dpdl_sat``'s default caps."""
+    shape = dps._Shape(dp.closure(f))
+    lazy = dps._Lazy(f, shape, shape.compile(step_cap=5_000_000),
+                     node_cap=5000, restart_cap=200)
+    try:
+        return lazy.run()
+    except ResourceBudgetExceeded as err:
+        return dp.Unknown(str(err))
+
+
 def learned_lemmas(f):
     """Run the lazy regime on ``f``; the conjunction that each clause
     it learns refutes."""
-    lazy = dps._Lazy(f, dp.closure(f), node_cap=5000, restart_cap=200,
-                     step_cap=10 ** 6)
+    shape = dps._Shape(dp.closure(f))
+    lazy = dps._Lazy(f, shape, shape.compile(step_cap=10 ** 6),
+                     node_cap=5000, restart_cap=200)
     refuted = []
     add_clause = lazy.dpll.add_clause
 
     def recording(lits):
         refuted.append(dp.land(*[
-            dp.lnot(lazy.members[l >> 1]) if l & 1 == 0
-            else lazy.members[l >> 1] for l in lits]))
+            dp.lnot(shape.members[l >> 1]) if l & 1 == 0
+            else shape.members[l >> 1] for l in lits]))
         return add_clause(lits)
 
     lazy.dpll.add_clause = recording
@@ -244,33 +255,53 @@ class TestLazyRegime:
     @example(dp.parse_dpdl("<0*>~~q&[a]<b>[a;a;a]true"))
     @example(dp.parse_dpdl("<b>(~[(0*+b);b;b]true|<a>false)"))
     @example(dp.parse_dpdl("(p|<(a;a)*>p&<a>p)&<a;a;a>p"))
+    @example(dp.parse_dpdl("[(b;b)*]true"))
+    @example(dp.parse_dpdl("[(a;b)*]true"))
+    @example(dp.parse_dpdl("<a*>~~false"))
     def test_every_lemma_is_valid(self, f):
         for refuted in learned_lemmas(f):
             assert not isinstance(dp.brute_dpdl_sat(refuted, 2), dp.Sat)
 
+    def test_undischargeable_eventuality_is_refuted(self):
+        # each leaves an eventuality whose argument no state can give
+        # the promised truth; steering alone never settled them
+        for text, want in (("[(b;b)*]true", dp.Sat),
+                           ("[(a;b)*]true", dp.Sat),
+                           ("<a*>~~false", dp.Unsat)):
+            assert isinstance(lazy_sat(dp.parse_dpdl(text)), want), text
+
     def test_steering_round_spends_no_restart(self):
         for text in ("<0*+b*>q", "q&~([a*]p|p)"):
             f = dp.parse_dpdl(text)
-            assert isinstance(dp.dpdl_sat(f, atom_cap=0, restart_cap=1),
-                              dp.Sat), text
-            lazy = dps._Lazy(f, dp.closure(f), node_cap=5000,
-                             restart_cap=1, step_cap=10 ** 6)
+            assert isinstance(dp.dpdl_sat(f, restart_cap=1), dp.Sat), text
+            shape = dps._Shape(dp.closure(f))
+            lazy = dps._Lazy(f, shape, shape.compile(step_cap=10 ** 6),
+                             node_cap=5000, restart_cap=1)
             assert isinstance(lazy.run(), dp.Sat) and lazy.retries == 1
 
 
 def exact_sat(f):
-    """``dpdl_sat`` in the exact regime, which the default cap admits
-    for every formula of ``dpdl_formula_strategy``."""
-    frontier = sum(1 for g in dp.closure(f) if dps._is_frontier(g))
-    assert frontier <= 14
-    return dp.dpdl_sat(f)
+    """The exact regime alone, on the closure's fresh clause database,
+    which the cap admits for every formula of ``dpdl_formula_strategy``;
+    a witness is checked."""
+    shape = dps._Shape(dp.closure(f))
+    assert 2 ** len(shape.frontier) <= dps._ATOM_CAP
+    exact = dps._Exact(f, shape, shape.compile(step_cap=5_000_000),
+                       node_cap=5000)
+    try:
+        verdict = exact.run()
+    except ResourceBudgetExceeded as err:
+        return dp.Unknown(str(err))
+    if isinstance(verdict, dp.Sat):
+        assert dp.dpdl_check(verdict.model, verdict.state, f)
+    return verdict
 
 
 class TestDpdlSat:
     @settings(max_examples=150, deadline=None)
     @given(dpdl_formula_strategy())
     def test_lazy_unsat_has_no_small_model(self, f):
-        verdict = dp.dpdl_sat(f, atom_cap=1)
+        verdict = lazy_sat(f)
         if isinstance(verdict, dp.Unsat):
             assert not isinstance(dp.brute_dpdl_sat(f, 2), dp.Sat)
 
@@ -284,7 +315,7 @@ class TestDpdlSat:
     @settings(max_examples=150, deadline=None)
     @given(dpdl_formula_strategy())
     def test_lazy_never_contradicts_exact(self, f):
-        lazy = type(dp.dpdl_sat(f, atom_cap=0))
+        lazy = type(lazy_sat(f))
         exact = type(exact_sat(f))
         assert {lazy, exact} != {dp.Sat, dp.Unsat}
 
@@ -306,7 +337,19 @@ class TestDpdlSat:
         for text, want in (("<(a*;b*)*>p", dp.Sat),
                            ("<(0*+a)*>p & [b]q", dp.Sat),
                            ("<(a*;b*)*>p & [(a+b)*]~p", dp.Unsat)):
-            assert isinstance(dp.dpdl_sat(dp.parse_dpdl(text)), want), text
+            assert isinstance(exact_sat(dp.parse_dpdl(text)), want), text
+
+    @settings(max_examples=150, deadline=None)
+    @given(dpdl_formula_strategy())
+    def test_verdict_kind_is_the_exact_regimes(self, f):
+        assert type(dp.dpdl_sat(f)) is type(exact_sat(f))
+
+    def test_exact_regime_backstops_an_undecided_lazy_run(self):
+        for text, want in (("<a*>~(p&p)&[a*+b](p|p)&~q", dp.Unsat),
+                           ("[(a;a)*][a*](p&p|<a>p)", dp.Sat)):
+            f = dp.parse_dpdl(text)
+            assert isinstance(lazy_sat(f), dp.Unknown), text
+            assert isinstance(dp.dpdl_sat(f), want), text
 
 
 class TestDpdlCheck:

@@ -11,6 +11,7 @@ from polkit import corpus
 from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
+from polkit.dpdl import solver as dps
 from polkit.errors import BudgetInvalid
 
 POOLS = {
@@ -83,6 +84,17 @@ class TestEncoding:
         assert len(sx.closure(t.formula)) <= 5100
         for text in ("K_i q", "~K_i q", "hK_i true"):
             assert isinstance(dp.pol_sat(sx.parse_formula(text)), dp.Sat)
+
+    @pytest.mark.parametrize("text, labels", [("true", 2), ("p", 1)])
+    def test_small_translations_stay_lazy(self, monkeypatch, text, labels):
+        # their closures have 13 and 11 frontier members, few enough
+        # that enumerating every assignment once decided them
+        def refuse(*args):
+            raise AssertionError("the exact regime ran")
+
+        monkeypatch.setattr(dps, "_Exact", refuse)
+        verdict = dp.pol_sat(sx.parse_formula(text), dp.LabelBudget(labels))
+        assert isinstance(verdict, dp.Sat)
 
     @pytest.mark.parametrize("budget, message", [
         (dp.LabelBudget(0), "must be a positive integer"),
