@@ -53,16 +53,14 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
     bubbles = []
     for w in order:
         v = model.val[w]
-        slots = [ell for ell in t.labels
-                 if t.surv(ell).name in v
-                 and any(t.at(ell, psi).name in v for psi in t.fl)]
+        slots = [ell for ell in t.labels if t.surv(ell).name in v]
         labels = {ell: frozenset(psi for psi in t.fl
                                  if t.at(ell, psi).name in v)
                   for ell in slots}
         relations = {}
         for agent in t.agents:
             pairs = [(x, y) for x in slots for y in slots
-                     if t.rel(agent, x, y).name in v]
+                     if x < y and t.rel(agent, x, y).name in v]
             relations[agent] = md.equivalence_blocks(slots, pairs)
         bubbles.append(bts.Bubble(tuple(slots), labels, relations))
     delta = {}

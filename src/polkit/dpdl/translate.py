@@ -3,9 +3,10 @@
 A state of the target model stands for a whole bubble: a set of at most
 ``labels`` slots, each slot ``l`` carrying a truth assignment to the
 closure of the source formula through atoms ``@l.psi``, an aliveness
-bit ``surv(l)``, and per-agent adjacency bits ``R_i(l,l')``. Action
-letters move between bubbles, so survival of a slot under an
-observation word is plain reachability in the target model.
+bit ``surv(l)``, and per-agent adjacency bits ``R_i(l,m)``, one per
+unordered pair of distinct slots ``l < m``. Action letters move between
+bubbles, so survival of a slot under an observation word is plain
+reachability in the target model.
 
 The budget decides how many slots are available. Only the exhaustive
 budget, one slot per subset of the closure, makes unsatisfiability of
@@ -16,6 +17,7 @@ only confirm satisfiability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .. import obsregex as ox
 from .. import syntax as sx
@@ -54,17 +56,26 @@ def _check_budget(budget: LabelBudget, cap: int) -> LabelBudget:
 class Translation:
     """The encoded formula together with its atom bookkeeping.
 
-    ``formula`` is a conjunction: slot 1 is alive, slot 1 satisfies the
-    source formula, and the invariant schema holds. The schema asserts,
-    everywhere reachable: the truth-assignment clauses for every closure
-    member, persistence of slot assignments and adjacency bits,
-    existence of a successor per letter, and that dead slots stay dead.
-    At the root it states the per-agent frame laws, which persistence
-    carries everywhere: reflexivity, symmetry, and transitivity only
-    for slot triples (l, l2, l3) with ``l < l3`` and ``l2`` distinct
-    from both, each as one flat clause. Symmetry turns (l3, l2, l) into
-    the same constraint and reflexivity settles ``l = l3``, so the root
-    keeps the models it would have with every instance.
+    ``formula`` is a set of root facts and one invariant under
+    ``[Σ*]``. The root facts: slot 1 is alive, slot 1 satisfies the
+    source formula, and the per-agent transitivity instances. The
+    invariant holds everywhere reachable: the truth-assignment clauses
+    for every closure member, one-step persistence ``x -> [a]x`` for
+    every letter ``a`` and every slot literal ``@l.p``, ``@l.~p``,
+    ``R_i(l,m)`` and ``~R_i(l,m)``, existence of a successor per
+    letter, and that dead slots stay dead.
+
+    One-step persistence inside ``[Σ*]`` says as much as a root
+    ``x -> [Σ*]x``: by induction along every path from the root, ``x``
+    holds at each state on it. So the adjacency bits are the same in
+    every reachable bubble, and the frame laws need only hold at the
+    root. Reflexivity and symmetry need no clause: ``rel`` reads the
+    diagonal as ``true`` and both orders of a pair as one atom.
+    Transitivity is stated only for slot triples (l, l2, l3) with
+    ``l < l3`` and ``l2`` distinct from both, each as one flat clause;
+    by symmetry (l3, l2, l) is the same constraint, and ``l = l3`` is
+    the diagonal, so these instances keep exactly the equivalence
+    relations.
     """
 
     def __init__(self, source: sx.Formula, budget: LabelBudget | None = None):
@@ -85,12 +96,10 @@ class Translation:
         self._at = {(ell, psi): dc.atom(f"@{ell}.{sx.print_formula(psi)}")
                     for ell in self.labels for psi in self.fl}
         self._surv = {ell: dc.atom(f"surv({ell})") for ell in self.labels}
-        self._rel = {}
-        for i in self.agents:
-            for ell in self.labels:
-                for ell2 in self.labels:
-                    self._rel[(i, ell, ell2)] = dc.atom(
-                        f"R_{i}({ell},{ell2})")
+        self._rel = {(i, ell, ell2): dc.atom(f"R_{i}({ell},{ell2})")
+                     for i in self.agents
+                     for ell in self.labels for ell2 in self.labels
+                     if ell < ell2}
         self.formula = self._build()
 
     # -- atoms ------------------------------------------------------------
@@ -102,12 +111,13 @@ class Translation:
         return self._surv[ell]
 
     def rel(self, agent: str, ell: int, ell2: int) -> sx.Formula:
-        return self._rel[(agent, ell, ell2)]
+        """Adjacency of two slots: ``true`` on the diagonal, and the one
+        atom of the unordered pair otherwise."""
+        if ell == ell2:
+            return sx.top()
+        return self._rel[(agent, min(ell, ell2), max(ell, ell2))]
 
     # -- construction ------------------------------------------------------
-
-    def _sigma_star(self) -> ox.ObsExpr:
-        return ox.star(ox.alt(*[ox.atom(a) for a in self.alphabet]))
 
     def _sem(self, psi: sx.Formula) -> sx.Formula:
         """Truth-assignment clause for one closure member, all slots.
@@ -123,99 +133,60 @@ class Translation:
             a = self.at(ell, psi)
             if isinstance(psi, sx.Top):
                 parts.append(a)
-            elif isinstance(psi, sx.Prop):
-                parts.append(dc.iff(a, sx.lnot(self.at(ell, sx.lnot(psi)))))
+                continue
+            if isinstance(psi, sx.Prop):
+                pinned = sx.lnot(self.at(ell, sx.lnot(psi)))
             elif isinstance(psi, sx.Not):
-                parts.append(dc.iff(a, sx.lnot(self.at(ell, psi.arg))))
+                pinned = sx.lnot(self.at(ell, psi.arg))
             elif isinstance(psi, sx.Or):
-                parts.append(dc.iff(a, dc.lor(*[self.at(ell, p)
-                                                for p in psi.parts])))
+                pinned = dc.lor(*[self.at(ell, p) for p in psi.parts])
             elif isinstance(psi, sx.And):
-                parts.append(dc.iff(a, dc.land(*[self.at(ell, p)
-                                                 for p in psi.parts])))
+                pinned = dc.land(*[self.at(ell, p) for p in psi.parts])
             elif isinstance(psi, sx.Hat):
-                branches = [dc.land(self.rel(psi.agent, ell, ell2),
-                                    self.surv(ell2),
-                                    self.at(ell2, psi.arg))
-                            for ell2 in self.labels]
-                parts.append(dc.iff(a, dc.lor(*branches)))
+                pinned = dc.lor(*[dc.land(self.rel(psi.agent, ell, m),
+                                          self.surv(m), self.at(m, psi.arg))
+                                  for m in self.labels])
             elif isinstance(psi, sx.Know):
-                branches = [dc.lor(sx.lnot(self.rel(psi.agent, ell, ell2)),
-                                   sx.lnot(self.surv(ell2)),
-                                   self.at(ell2, psi.arg))
-                            for ell2 in self.labels]
-                parts.append(dc.iff(a, dc.land(*branches)))
+                pinned = dc.land(*[dc.lor(sx.lnot(self.rel(psi.agent, ell, m)),
+                                          sx.lnot(self.surv(m)),
+                                          self.at(m, psi.arg))
+                                   for m in self.labels])
             elif isinstance(psi, sx.Dia):
-                parts.append(dc.iff(a, sx.dia(psi.pi,
-                                              dc.land(self.at(ell, psi.arg),
-                                                      self.surv(ell)))))
+                pinned = sx.dia(psi.pi, dc.land(self.at(ell, psi.arg),
+                                                self.surv(ell)))
             elif isinstance(psi, sx.Box):
-                parts.append(dc.iff(a, sx.box(psi.pi,
-                                              dc.implies(self.surv(ell),
-                                                         self.at(ell,
-                                                                 psi.arg)))))
+                pinned = sx.box(psi.pi, dc.implies(self.surv(ell),
+                                                   self.at(ell, psi.arg)))
             else:
                 raise TypeError(f"not a Formula: {psi!r}")
+            parts.append(dc.iff(a, pinned))
         return dc.land(*parts)
 
     def _frame_laws(self) -> list:
-        """Reflexivity, symmetry and the transitivity instances that the
-        class docstring names, for every agent: together they hold
-        exactly when each ``R_i`` is an equivalence relation."""
-        laws = []
-        for i in self.agents:
-            for ell in self.labels:
-                laws.append(self.rel(i, ell, ell))
-        for i in self.agents:
-            for ell in self.labels:
-                for ell2 in self.labels:
-                    if ell == ell2:
-                        continue
-                    laws.append(dc.implies(self.rel(i, ell, ell2),
-                                           self.rel(i, ell2, ell)))
-        for i in self.agents:
-            for ell in self.labels:
-                for ell2 in self.labels:
-                    if ell2 == ell:
-                        continue
-                    for ell3 in self.labels:
-                        if ell3 <= ell or ell3 == ell2:
-                            continue
-                        laws.append(dc.lor(
-                            sx.lnot(self.rel(i, ell, ell2)),
-                            sx.lnot(self.rel(i, ell2, ell3)),
-                            self.rel(i, ell, ell3)))
-        return laws
+        """The transitivity instances that the class docstring names,
+        for every agent: with reflexivity and symmetry built into
+        ``rel``, they hold exactly when each ``R_i`` is an equivalence
+        relation."""
+        return [dc.lor(sx.lnot(self.rel(i, ell, ell2)),
+                       sx.lnot(self.rel(i, ell2, ell3)),
+                       self.rel(i, ell, ell3))
+                for i in self.agents
+                for ell, ell3 in combinations(self.labels, 2)
+                for ell2 in self.labels if ell2 not in (ell, ell3)]
 
     def _build(self) -> sx.Formula:
-        ss = self._sigma_star()
-        parts = [self.surv(1), self.at(1, self.source)]
-        for psi in self.fl:
-            parts.append(sx.box(ss, self._sem(psi)))
-        for psi in self.fl:
-            if not isinstance(psi, sx.Prop):
-                continue
-            neg = sx.lnot(psi)
-            for ell in self.labels:
-                parts.append(dc.implies(self.at(ell, psi),
-                                        sx.box(ss, self.at(ell, psi))))
-                parts.append(dc.implies(self.at(ell, neg),
-                                        sx.box(ss, self.at(ell, neg))))
-        for i in self.agents:
-            for ell in self.labels:
-                for ell2 in self.labels:
-                    r = self.rel(i, ell, ell2)
-                    parts.append(dc.implies(r, sx.box(ss, r)))
-                    parts.append(dc.implies(sx.lnot(r),
-                                            sx.box(ss, sx.lnot(r))))
-        # Persistence carries the adjacency bits to every reachable
-        # bubble, so the frame laws need only hold at the root.
-        parts.extend(self._frame_laws())
-        succ = [sx.dia(ox.atom(a), sx.top()) for a in self.alphabet]
-        parts.append(sx.box(ss, dc.land(*succ)))
-        dead = [dc.implies(sx.lnot(self.surv(ell)),
-                           sx.dia(ox.atom(a), sx.lnot(self.surv(ell))))
-                for ell in self.labels for a in self.alphabet]
-        parts.append(sx.box(ss, dc.land(*dead)))
-        return dc.land(*parts)
-
+        letters = [ox.atom(a) for a in self.alphabet]
+        invariant = [self._sem(psi) for psi in self.fl]
+        kept = [self.at(ell, g) for psi in self.fl
+                if isinstance(psi, sx.Prop)
+                for ell in self.labels for g in (psi, sx.lnot(psi))]
+        kept += [x for r in self._rel.values() for x in (r, sx.lnot(r))]
+        invariant += [dc.implies(x, sx.box(a, x))
+                      for x in kept for a in letters]
+        invariant += [sx.dia(a, sx.top()) for a in letters]
+        invariant += [dc.implies(sx.lnot(self.surv(ell)),
+                                 sx.dia(a, sx.lnot(self.surv(ell))))
+                      for ell in self.labels for a in letters]
+        return dc.land(self.surv(1), self.at(1, self.source),
+                       *self._frame_laws(),
+                       sx.box(ox.star(ox.alt(*letters)), dc.land(*invariant)))

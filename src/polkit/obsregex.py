@@ -321,39 +321,74 @@ def member(e: ObsExpr, word, alphabet: Alphabet | None = None) -> bool:
 
 def atoms(e: ObsExpr) -> frozenset:
     """The set of symbols occurring in the expression."""
-    out = set()
-    stack = [e]
+    return frozenset(n.symbol for n in _nodes(e, _children)
+                     if isinstance(n, Atom))
+
+
+def _postorder(root, children, done):
+    """The nodes at and below ``root`` that ``done`` rejects, each after
+    its children. The caller makes each yielded node ``done`` before
+    asking for the next. An explicit stack stands in for recursion, so
+    no nesting depth reaches the interpreter's recursion limit."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if done(node):
+            stack.pop()
+            continue
+        todo = [c for c in children(node) if not done(c)]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            yield node
+
+
+def _nodes(root, children) -> set:
+    """The distinct nodes at and below ``root``."""
     seen = set()
+    stack = [root]
     while stack:
         n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if isinstance(n, Atom):
-            out.add(n.symbol)
-        elif isinstance(n, (Sum, Concat)):
-            stack.extend(n.parts)
-        elif isinstance(n, Star):
-            stack.append(n.body)
-    return frozenset(out)
+        if n not in seen:
+            seen.add(n)
+            stack.extend(children(n))
+    return seen
 
 
-def expr_size(e: ObsExpr, _memo=None) -> int:
-    """Node count of the expression tree (shared subtrees count each time)."""
-    if _memo is None:
-        _memo = {}
-    got = _memo.get(id(e))
-    if got is not None:
-        return got
+def _kept_text(node, children, render) -> str:
+    """The text ``node`` keeps in ``_key``. Nodes at and below it that
+    keep none get theirs from ``render`` first, children before parents,
+    so ``render`` reads each child's text from its ``_key``."""
+    text = getattr(node, "_key", None)
+    if text is None:
+        for n in _postorder(node, children,
+                            lambda m: getattr(m, "_key", None) is not None):
+            n._key = render(n)
+        text = node._key
+    return text
+
+
+def _children(e: ObsExpr) -> tuple:
     if isinstance(e, (Sum, Concat)):
-        # n-ary nodes stand for a chain of n-1 binary applications
-        n = (len(e.parts) - 1) + sum(expr_size(p, _memo) for p in e.parts)
-    elif isinstance(e, Star):
-        n = 1 + expr_size(e.body, _memo)
-    else:
-        n = 1
-    _memo[id(e)] = n
-    return n
+        return e.parts
+    if isinstance(e, Star):
+        return (e.body,)
+    return ()
+
+
+def expr_size(e: ObsExpr) -> int:
+    """Node count of the expression tree (shared subtrees count each time)."""
+    size = {}
+    for n in _postorder(e, _children, size.__contains__):
+        if isinstance(n, (Sum, Concat)):
+            # n-ary nodes stand for a chain of n-1 binary applications
+            size[n] = (len(n.parts) - 1) + sum(size[p] for p in n.parts)
+        elif isinstance(n, Star):
+            size[n] = 1 + size[n.body]
+        else:
+            size[n] = 1
+    return size[e]
 
 
 @dataclass(frozen=True)
@@ -487,11 +522,9 @@ def _prec(e: ObsExpr) -> int:
 def print_regex(e: ObsExpr) -> str:
     """The text of ``e``. Each node keeps its text once printed, so a
     new node's text joins the kept texts of its parts; ``alt`` sorts by
-    it, which prints the parts of every sum as they are built."""
-    text = getattr(e, "_key", None)
-    if text is None:
-        text = e._key = _print_node(e)
-    return text
+    it, which prints the parts of every sum as they are built. Parts
+    without a text are printed first, on an explicit stack."""
+    return _kept_text(e, _children, _print_node)
 
 
 def _print_node(e: ObsExpr) -> str:

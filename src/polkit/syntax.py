@@ -167,54 +167,46 @@ def box(pi: ObsExpr, arg: Formula) -> Formula:
 # --- closure and measures ----------------------------------------------------
 
 
+def _children(f: Formula) -> tuple:
+    if isinstance(f, (Or, And)):
+        return f.parts
+    if isinstance(f, (Not, Hat, Know, Dia, Box)):
+        return (f.arg,)
+    return ()
+
+
 def formula_size(f: Formula, _memo=None) -> int:
     """Node count, with observation expression nodes included and
     junctions counted as their binary equivalents."""
     if _memo is None:
         _memo = {}
-    n = _memo.get(f)
-    if n is not None:
-        return n
-    if isinstance(f, (Top, Prop)):
-        n = 1
-    elif isinstance(f, (Not, Hat, Know)):
-        n = 1 + formula_size(f.arg, _memo)
-    elif isinstance(f, (Or, And)):
-        n = len(f.parts) - 1 + sum(formula_size(p, _memo) for p in f.parts)
-    elif isinstance(f, (Dia, Box)):
-        n = 1 + ox.expr_size(f.pi) + formula_size(f.arg, _memo)
-    else:
-        raise TypeError(f"not a Formula: {f!r}")
-    _memo[f] = n
-    return n
-
-
-def _walk(f: Formula):
-    seen = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        yield g
-        if isinstance(g, (Or, And)):
-            stack.extend(g.parts)
-        elif not isinstance(g, (Top, Prop)):
-            stack.append(g.arg)
+    for g in ox._postorder(f, _children, _memo.__contains__):
+        if isinstance(g, (Top, Prop)):
+            _memo[g] = 1
+        elif isinstance(g, (Not, Hat, Know)):
+            _memo[g] = 1 + _memo[g.arg]
+        elif isinstance(g, (Or, And)):
+            _memo[g] = len(g.parts) - 1 + sum(_memo[p] for p in g.parts)
+        elif isinstance(g, (Dia, Box)):
+            _memo[g] = 1 + ox.expr_size(g.pi) + _memo[g.arg]
+        else:
+            raise TypeError(f"not a Formula: {g!r}")
+    return _memo[f]
 
 
 def props(f: Formula) -> frozenset:
-    return frozenset(g.name for g in _walk(f) if isinstance(g, Prop))
+    return frozenset(g.name for g in ox._nodes(f, _children)
+                     if isinstance(g, Prop))
 
 
 def agents(f: Formula) -> frozenset:
-    return frozenset(g.agent for g in _walk(f) if isinstance(g, (Hat, Know)))
+    return frozenset(g.agent for g in ox._nodes(f, _children)
+                     if isinstance(g, (Hat, Know)))
 
 
 def letters(f: Formula) -> frozenset:
     """All observation symbols occurring in the formula's expressions."""
-    pis = {g.pi for g in _walk(f) if isinstance(g, (Dia, Box))}
+    pis = {g.pi for g in ox._nodes(f, _children) if isinstance(g, (Dia, Box))}
     return frozenset().union(*map(ox.atoms, pis))
 
 
@@ -301,6 +293,12 @@ def _print_prop(name: str) -> str:
 
 
 def print_formula(f: Formula) -> str:
+    """The text of ``f``. Each node keeps its text once printed, and
+    parts without a text are printed first, on an explicit stack."""
+    return ox._kept_text(f, _children, _print_node)
+
+
+def _print_node(f: Formula) -> str:
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Not):
@@ -329,12 +327,9 @@ def print_formula(f: Formula) -> str:
 
 
 def formula_key(f: Formula) -> str:
-    """Stable string for deterministic ordering of formula sets."""
-    key = getattr(f, "_key", None)
-    if key is None:
-        key = print_formula(f)
-        f._key = key
-    return key
+    """Stable string for deterministic ordering of formula sets: the
+    text ``print_formula`` keeps on each node."""
+    return print_formula(f)
 
 
 # --- parsing -----------------------------------------------------------------

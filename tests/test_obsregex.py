@@ -227,6 +227,26 @@ class TestNesting:
             e = seq(star(a), alt(e, b))
         assert print_regex(e) == "a*;(" * 3000 + "a" + "+b)" * 3000
 
+    @staticmethod
+    def starred(leaf):
+        # each test starts from its own leaf, so none finds the texts
+        # another kept
+        e, b = atom(leaf), atom("b")
+        for _ in range(3000):
+            e = star(seq(b, e))
+        return e
+
+    def test_deep_factory_nesting_has_a_str(self):
+        text = "(b;" * 3000 + "c" + ")*" * 3000
+        assert str(self.starred("c")) == f"ObsExpr({text!r})"
+
+    def test_deep_factory_nesting_prints(self):
+        assert (print_regex(self.starred("d"))
+                == "(b;" * 3000 + "d" + ")*" * 3000)
+
+    def test_deep_factory_nesting_has_a_size(self):
+        assert ox.expr_size(self.starred("e")) == 1 + 3 * 3000
+
 
 class TestDfaAndEquivalence:
     def test_dfa_accepts_language(self):

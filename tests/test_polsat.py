@@ -67,21 +67,42 @@ class TestEncoding:
     def test_frame_laws_define_the_equivalences(self, labels, classes):
         t = dp.Translation(sx.parse_formula("K_i q"), dp.LabelBudget(labels))
         laws = dp.land(*t._frame_laws())
-        pairs = list(itertools.product(t.labels, repeat=2))
+        pairs = list(itertools.combinations(t.labels, 2))
         accepted = 0
         for mask in range(2 ** len(pairs)):
-            rel = {pair for k, pair in enumerate(pairs) if mask >> k & 1}
-            model = dp.DpdlModel(
-                [0], {}, {0: {t.rel("i", x, y).name for x, y in rel}})
+            model = dp.DpdlModel([0], {}, {0: {
+                t.rel("i", x, y).name
+                for k, (x, y) in enumerate(pairs) if mask >> k & 1}})
+            rel = {(x, y) for x in t.labels for y in t.labels
+                   if dp.dpdl_check(model, 0, t.rel("i", x, y))}
             holds = dp.dpdl_check(model, 0, laws)
             assert holds == is_equivalence(rel, t.labels), sorted(rel)
             accepted += holds
         assert accepted == classes
 
+    def test_adjacency_has_one_atom_per_unordered_pair(self):
+        t = dp.Translation(sx.parse_formula("K_i q & hK_j p"),
+                           dp.LabelBudget(4))
+        names = {g.name for g in sx.closure(t.formula)
+                 if isinstance(g, dp.Atom)}
+        for i in t.agents:
+            for x in t.labels:
+                assert t.rel(i, x, x) is dp.top()
+                assert f"R_{i}({x},{x})" not in names
+                for y in t.labels:
+                    assert t.rel(i, x, y) is t.rel(i, y, x)
+            pairs = {n for n in names if n.startswith(f"R_{i}(")}
+            assert pairs == {t.rel(i, x, y).name for x, y in
+                             itertools.combinations(t.labels, 2)}
+            assert len(pairs) == 4 * 3 // 2
+
     def test_full_budget_encoding_size(self):
         t = dp.Translation(sx.parse_formula("K_i q"))
         assert t.budget.labels == 16
-        assert len(sx.closure(t.formula)) <= 5100
+        assert len(sx.closure(t.formula)) <= 3300
+        t = dp.Translation(sx.parse_formula("hK_i p & K_j q"),
+                           dp.LabelBudget(2))
+        assert len(sx.closure(t.formula)) <= 170
         for text in ("K_i q", "~K_i q", "hK_i true"):
             assert isinstance(dp.pol_sat(sx.parse_formula(text)), dp.Sat)
 

@@ -120,6 +120,36 @@ class TestPrinting:
         assert parse_formula(print_formula(f)) is f
 
 
+def nested(wrap, leaf, depth=3000):
+    f = leaf
+    for _ in range(depth):
+        f = wrap(f)
+    return f
+
+
+class TestDeepFactoryNesting:
+    # built with the factories, which have no depth limit; each test
+    # builds its own formulas, so none finds the texts another kept
+
+    def test_formula_size(self):
+        assert formula_size(nested(lnot, prop("size"))) == 3001
+        a = ox.atom("a")
+        assert formula_size(nested(lambda f: dia(a, f), prop("size"))) == 6001
+
+    def test_formula_key(self):
+        assert sx.formula_key(nested(lnot, prop("key"))) == "~" * 3000 + "key"
+        a = ox.atom("a")
+        assert (sx.formula_key(nested(lambda f: dia(a, f), prop("key")))
+                == "<a>" * 3000 + "key")
+
+    def test_print_formula(self):
+        assert (print_formula(nested(lnot, prop("shown")))
+                == "~" * 3000 + "shown")
+        a = ox.atom("a")
+        assert (print_formula(nested(lambda f: dia(a, f), prop("shown")))
+                == "<a>" * 3000 + "shown")
+
+
 class TestInspection:
     def test_vocabulary(self):
         f = pf("K_d (T1 | <a;b>hK_e p)")
