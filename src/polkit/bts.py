@@ -48,9 +48,7 @@ class Violation:
 
 
 def _ordered(formulas):
-    memo = {}
-    return sorted(formulas,
-                  key=lambda f: (sx.formula_size(f, memo), sx.formula_key(f)))
+    return sorted(formulas, key=sx.closure_order)
 
 
 def _pp(f):

@@ -130,6 +130,7 @@ def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
     """
     if s not in m.val:
         raise UnknownState(f"state {s!r} not in model")
+    sx._check_depth(f)
     letters = set(m.alphabet)
     dfas = {}
     memo = {}

@@ -80,6 +80,7 @@ def pol_sat(phi: sx.Formula, budget: LabelBudget | None = None, **caps):
     too small, which is reported as ``Unknown``. Solver resource caps
     are passed through in ``caps``.
     """
+    sx._check_depth(phi)
     t = Translation(phi, budget)
     outcome = dpdl_sat(t.formula, **caps)
     if isinstance(outcome, Unknown):
@@ -119,6 +120,7 @@ def pol_bounded_sat(phi: sx.Formula, max_states: int = 2, pool=None):
     fixed deterministic order, else ``Unknown``: the bound and pool
     are restrictions, so exhausting them proves nothing.
     """
+    sx._check_depth(phi)
     if pool is None:
         pool = (ox.epsilon(),)
     pool = tuple(pool)

@@ -948,6 +948,7 @@ def dpdl_sat(f: sx.Formula, *, node_cap: int = 5000, restart_cap: int = 200,
     restarts and ``step_cap`` each propositional search. A formula
     with agent operators is a TypeError.
     """
+    sx._check_depth(f)
     members = sx.closure(f)
     if any(isinstance(g, (sx.Hat, sx.Know)) for g in members):
         raise TypeError("dynamic logic has no agent operators")

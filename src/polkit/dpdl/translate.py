@@ -85,8 +85,7 @@ class Translation:
             budget = LabelBudget(cap, full=True)
         self.source = source
         self.budget = _check_budget(budget, cap)
-        self.fl = tuple(sorted(
-            fl, key=lambda g: (sx.formula_size(g), sx.formula_key(g))))
+        self.fl = tuple(sorted(fl, key=sx.closure_order))
         self.labels = tuple(range(1, self.budget.labels + 1))
         self.agents = tuple(sorted(sx.agents(source)))
         letters = sorted(sx.letters(source))

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the toolkit.
 
 Every error the library raises deliberately derives from PolError, so
-callers (and the CLI) can tell malformed input and exhausted budgets
-apart from genuine bugs.
+callers can tell malformed input and exhausted budgets apart from
+genuine bugs.
 """
 
 
@@ -17,6 +17,10 @@ class ParseError(PolError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+
+class FormulaTooDeep(PolError):
+    """A formula nesting deeper than the evaluators' stated limit."""
 
 
 class UnknownSymbol(PolError):

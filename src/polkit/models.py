@@ -267,6 +267,7 @@ class Model:
         """Is the formula true at state ``s``?"""
         if s not in self.props:
             raise UnknownState(f"state {s!r} not in model")
+        sx._check_depth(f)
         return self._eval(self._top, s, f)
 
     def _eval(self, ctx: _Ctx, s, f: sx.Formula) -> bool:
@@ -332,6 +333,7 @@ class Model:
 
     def explain(self, s, f: sx.Formula, max_lines: int = 200):
         """Evaluate and return human-readable lines showing why."""
+        sx._check_depth(f)
         lines = []
         self._explain(self._top, s, f, (), 0, lines, max_lines)
         if len(lines) > max_lines:

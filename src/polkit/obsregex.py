@@ -13,9 +13,10 @@ Normalized expressions are interned in ``_interned``, the one intern
 table of the package, which the formulas of ``polkit.syntax`` share. Its
 values are weak: an expression equal to a live one is that same object,
 and a dropped expression is reclaimed. Each node's constructor sets its
-``nullable`` and ``empty`` fields from its parts, so ``nullable`` and
-``is_empty_language`` read a field. Derivatives are cached in one
-bounded table, like the automata of ``to_dfa``.
+``nullable``, ``empty`` and ``size`` fields from its parts, so
+``nullable``, ``is_empty_language`` and ``expr_size`` read a field.
+Derivatives are cached in one bounded table, like the automata of
+``to_dfa``.
 
 The derivative of an expression by a symbol (and by extension a word)
 follows Brzozowski: the language of ``residuate(pi, w)`` is exactly
@@ -96,11 +97,13 @@ class ObsExpr:
 
     Nodes are interned, so identity is structural equality, and the
     identity comparison and hash inherited from ``object`` serve as is.
-    ``nullable`` (the language holds the empty word) and ``empty`` (the
-    language is empty) are set by each constructor from its parts.
+    ``nullable`` (the language holds the empty word), ``empty`` (the
+    language is empty) and ``size`` (the node count, n-ary nodes counted
+    as their binary equivalents) are set by each constructor from its
+    parts.
     """
 
-    __slots__ = ("_key", "__weakref__", "nullable", "empty")
+    __slots__ = ("_key", "__weakref__", "nullable", "empty", "size")
 
     def __repr__(self):
         return f"ObsExpr({print_regex(self)!r})"
@@ -111,7 +114,7 @@ class Empty(ObsExpr):
     __slots__ = ()
 
     def __init__(self):
-        self.nullable, self.empty = False, True
+        self.nullable, self.empty, self.size = False, True, 1
 
 
 class Epsilon(ObsExpr):
@@ -119,7 +122,7 @@ class Epsilon(ObsExpr):
     __slots__ = ()
 
     def __init__(self):
-        self.nullable, self.empty = True, False
+        self.nullable, self.empty, self.size = True, False, 1
 
 
 class Atom(ObsExpr):
@@ -127,7 +130,7 @@ class Atom(ObsExpr):
 
     def __init__(self, symbol):
         self.symbol = symbol
-        self.nullable, self.empty = False, False
+        self.nullable, self.empty, self.size = False, False, 1
 
 
 class Sum(ObsExpr):
@@ -138,6 +141,7 @@ class Sum(ObsExpr):
         self.parts = parts
         self.nullable = any(p.nullable for p in parts)
         self.empty = all(p.empty for p in parts)
+        self.size = len(parts) - 1 + sum(p.size for p in parts)
 
 
 class Concat(ObsExpr):
@@ -148,6 +152,7 @@ class Concat(ObsExpr):
         self.parts = parts
         self.nullable = all(p.nullable for p in parts)
         self.empty = any(p.empty for p in parts)
+        self.size = len(parts) - 1 + sum(p.size for p in parts)
 
 
 class Star(ObsExpr):
@@ -156,6 +161,7 @@ class Star(ObsExpr):
     def __init__(self, body):
         self.body = body
         self.nullable, self.empty = True, False
+        self.size = 1 + body.size
 
 
 _EMPTY = Empty()
@@ -325,25 +331,6 @@ def atoms(e: ObsExpr) -> frozenset:
                      if isinstance(n, Atom))
 
 
-def _postorder(root, children, done):
-    """The nodes at and below ``root`` that ``done`` rejects, each after
-    its children. The caller makes each yielded node ``done`` before
-    asking for the next. An explicit stack stands in for recursion, so
-    no nesting depth reaches the interpreter's recursion limit."""
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if done(node):
-            stack.pop()
-            continue
-        todo = [c for c in children(node) if not done(c)]
-        if todo:
-            stack.extend(todo)
-        else:
-            stack.pop()
-            yield node
-
-
 def _nodes(root, children) -> set:
     """The distinct nodes at and below ``root``."""
     seen = set()
@@ -359,14 +346,24 @@ def _nodes(root, children) -> set:
 def _kept_text(node, children, render) -> str:
     """The text ``node`` keeps in ``_key``. Nodes at and below it that
     keep none get theirs from ``render`` first, children before parents,
-    so ``render`` reads each child's text from its ``_key``."""
+    so ``render`` reads each child's text from its ``_key``. An explicit
+    stack stands in for recursion, so no nesting depth reaches the
+    interpreter's recursion limit."""
     text = getattr(node, "_key", None)
-    if text is None:
-        for n in _postorder(node, children,
-                            lambda m: getattr(m, "_key", None) is not None):
-            n._key = render(n)
-        text = node._key
-    return text
+    if text is not None:
+        return text
+    stack = [node]
+    while stack:
+        n = stack[-1]
+        if getattr(n, "_key", None) is not None:
+            stack.pop()
+            continue
+        todo = [c for c in children(n) if getattr(c, "_key", None) is None]
+        if todo:
+            stack.extend(todo)
+        else:
+            n._key = render(stack.pop())
+    return node._key
 
 
 def _children(e: ObsExpr) -> tuple:
@@ -378,17 +375,12 @@ def _children(e: ObsExpr) -> tuple:
 
 
 def expr_size(e: ObsExpr) -> int:
-    """Node count of the expression tree (shared subtrees count each time)."""
-    size = {}
-    for n in _postorder(e, _children, size.__contains__):
-        if isinstance(n, (Sum, Concat)):
-            # n-ary nodes stand for a chain of n-1 binary applications
-            size[n] = (len(n.parts) - 1) + sum(size[p] for p in n.parts)
-        elif isinstance(n, Star):
-            size[n] = 1 + size[n.body]
-        else:
-            size[n] = 1
-    return size[e]
+    """Node count of the expression tree (shared subtrees count each
+    time, n-ary nodes as their binary equivalents): the ``size`` field
+    that each node's constructor keeps."""
+    if not isinstance(e, ObsExpr):
+        raise TypeError(f"not an ObsExpr: {e!r}")
+    return e.size
 
 
 @dataclass(frozen=True)

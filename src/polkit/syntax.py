@@ -32,13 +32,14 @@ adds single negations. Both are linear in the formula's size.
 from __future__ import annotations
 
 from . import obsregex as ox
-from .errors import ParseError
+from .errors import FormulaTooDeep, ParseError
 from .obsregex import Alphabet, ObsExpr, _intern
 
 __all__ = [
     "Formula", "Top", "Prop", "Not", "Or", "And", "Hat", "Know", "Dia", "Box",
     "top", "prop", "lnot", "lor", "land", "hat", "know", "dia", "box",
     "parse_formula", "print_formula", "formula_size", "formula_key",
+    "closure_order",
     "props", "agents", "letters", "closure", "fl_closure",
 ]
 
@@ -48,10 +49,14 @@ class Formula:
 
     Nodes are interned, in the one intern table of ``polkit.obsregex``,
     so identity is structural equality, and the identity comparison and
-    hash inherited from ``object`` serve as is.
+    hash inherited from ``object`` serve as is. Each constructor sets
+    two fields from the node's parts: ``size``, the node count with
+    observation expression nodes included and junctions counted as
+    their binary equivalents, and ``depth``, the number of formula
+    nodes on the longest path from this node down to a leaf.
     """
 
-    __slots__ = ("_key", "__weakref__")
+    __slots__ = ("_key", "__weakref__", "size", "depth")
 
     def __repr__(self):
         return f"Formula({print_formula(self)!r})"
@@ -60,12 +65,16 @@ class Formula:
 class Top(Formula):
     __slots__ = ()
 
+    def __init__(self):
+        self.size = self.depth = 1
+
 
 class Prop(Formula):
     __slots__ = ("name",)
 
     def __init__(self, name):
         self.name = name
+        self.size = self.depth = 1
 
 
 class Not(Formula):
@@ -73,6 +82,7 @@ class Not(Formula):
 
     def __init__(self, arg):
         self.arg = arg
+        self.size, self.depth = 1 + arg.size, 1 + arg.depth
 
 
 class Or(Formula):
@@ -80,6 +90,8 @@ class Or(Formula):
 
     def __init__(self, parts):
         self.parts = parts
+        self.size = len(parts) - 1 + sum(p.size for p in parts)
+        self.depth = 1 + max(p.depth for p in parts)
 
 
 class And(Formula):
@@ -87,6 +99,8 @@ class And(Formula):
 
     def __init__(self, parts):
         self.parts = parts
+        self.size = len(parts) - 1 + sum(p.size for p in parts)
+        self.depth = 1 + max(p.depth for p in parts)
 
 
 class Hat(Formula):
@@ -96,6 +110,7 @@ class Hat(Formula):
     def __init__(self, agent, arg):
         self.agent = agent
         self.arg = arg
+        self.size, self.depth = 1 + arg.size, 1 + arg.depth
 
 
 class Know(Formula):
@@ -104,6 +119,7 @@ class Know(Formula):
     def __init__(self, agent, arg):
         self.agent = agent
         self.arg = arg
+        self.size, self.depth = 1 + arg.size, 1 + arg.depth
 
 
 class Dia(Formula):
@@ -113,6 +129,7 @@ class Dia(Formula):
     def __init__(self, pi, arg):
         self.pi = pi
         self.arg = arg
+        self.size, self.depth = 1 + pi.size + arg.size, 1 + arg.depth
 
 
 class Box(Formula):
@@ -121,6 +138,7 @@ class Box(Formula):
     def __init__(self, pi, arg):
         self.pi = pi
         self.arg = arg
+        self.size, self.depth = 1 + pi.size + arg.size, 1 + arg.depth
 
 
 _TOP = Top()
@@ -175,23 +193,30 @@ def _children(f: Formula) -> tuple:
     return ()
 
 
-def formula_size(f: Formula, _memo=None) -> int:
+def formula_size(f: Formula) -> int:
     """Node count, with observation expression nodes included and
-    junctions counted as their binary equivalents."""
-    if _memo is None:
-        _memo = {}
-    for g in ox._postorder(f, _children, _memo.__contains__):
-        if isinstance(g, (Top, Prop)):
-            _memo[g] = 1
-        elif isinstance(g, (Not, Hat, Know)):
-            _memo[g] = 1 + _memo[g.arg]
-        elif isinstance(g, (Or, And)):
-            _memo[g] = len(g.parts) - 1 + sum(_memo[p] for p in g.parts)
-        elif isinstance(g, (Dia, Box)):
-            _memo[g] = 1 + ox.expr_size(g.pi) + _memo[g.arg]
-        else:
-            raise TypeError(f"not a Formula: {g!r}")
-    return _memo[f]
+    junctions counted as their binary equivalents: the ``size`` field
+    that each node's constructor keeps."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a Formula: {f!r}")
+    return f.size
+
+
+# The evaluators recurse once per formula level. ``Model.check`` spends
+# four frames on a modal level (``_eval``, ``_search``, ``ox.search``
+# and the goal lambda) and at most three on any other, ``dpdl_check`` at
+# most three on any level. So 200 levels take at most 800 frames, and
+# 200 of the interpreter's default recursion limit of 1,000 are left to
+# the caller and to the automata built at the leaves.
+_MAX_DEPTH = 200
+
+
+def _check_depth(f: Formula) -> None:
+    """FormulaTooDeep when ``f`` nests deeper than ``_MAX_DEPTH``. A
+    non-formula passes, and the evaluator's own TypeError reports it."""
+    if isinstance(f, Formula) and f.depth > _MAX_DEPTH:
+        raise FormulaTooDeep(f"formula nests {f.depth} levels deep; the "
+                             f"limit is {_MAX_DEPTH}")
 
 
 def props(f: Formula) -> frozenset:
@@ -330,6 +355,12 @@ def formula_key(f: Formula) -> str:
     """Stable string for deterministic ordering of formula sets: the
     text ``print_formula`` keeps on each node."""
     return print_formula(f)
+
+
+def closure_order(f: Formula) -> tuple:
+    """Sort key of the closure order, in which bubble validation checks
+    labels and the encoding lists members: by size, then by text."""
+    return (f.size, print_formula(f))
 
 
 # --- parsing -----------------------------------------------------------------

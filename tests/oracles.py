@@ -8,7 +8,25 @@ from __future__ import annotations
 
 import itertools
 
+from polkit import syntax as sx
 from polkit.obsregex import Atom, Concat, Empty, Epsilon, ObsExpr, Star, Sum
+
+
+def node_count(node) -> int:
+    """Nodes of a formula or expression tree, by plain recursion: a
+    shared subtree counts each time it occurs, an n-ary node counts as
+    its n - 1 binary equivalents, and a modality counts its expression."""
+    if isinstance(node, (sx.Or, sx.And, Sum, Concat)):
+        return len(node.parts) - 1 + sum(map(node_count, node.parts))
+    if isinstance(node, (sx.Dia, sx.Box)):
+        return 1 + node_count(node.pi) + node_count(node.arg)
+    if isinstance(node, (sx.Not, sx.Hat, sx.Know)):
+        return 1 + node_count(node.arg)
+    if isinstance(node, Star):
+        return 1 + node_count(node.body)
+    if isinstance(node, (sx.Top, sx.Prop, Empty, Epsilon, Atom)):
+        return 1
+    raise TypeError(f"not a formula or expression: {node!r}")
 
 
 def match_positions(e: ObsExpr, word: tuple, i: int, memo=None) -> frozenset:

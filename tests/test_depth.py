@@ -1,0 +1,61 @@
+"""Every entry point that evaluates a formula recursively refuses one
+that nests deeper than the stated limit, and accepts one at the limit."""
+
+import pytest
+
+from polkit import dpdl as dp
+from polkit import obsregex as ox
+from polkit import syntax as sx
+from polkit.errors import FormulaTooDeep
+from polkit.models import Model
+
+
+def one_state_model():
+    return Model(["a"], [], [0], {0: {"p"}}, {0: ox.star(ox.atom("a"))}, {})
+
+
+ENTRY_POINTS = {
+    "Model.check": lambda f: one_state_model().check(0, f),
+    "Model.explain": lambda f: one_state_model().explain(0, f),
+    "dpdl_check": lambda f: dp.dpdl_check(
+        dp.DpdlModel([0], {(0, "a"): 0}, {0: {"p"}}), 0, f),
+    "brute_dpdl_sat": lambda f: dp.brute_dpdl_sat(f, 1),
+    "dpdl_sat": lambda f: dp.dpdl_sat(f),
+    "pol_sat": lambda f: dp.pol_sat(f, dp.LabelBudget(1)),
+    "pol_bounded_sat": lambda f: dp.pol_bounded_sat(f, 1),
+}
+
+
+def nested(make, depth):
+    f = sx.prop("p")
+    for _ in range(depth - 1):
+        f = make(f)
+    return f
+
+
+DEEP = {
+    "factories": lambda: nested(sx.lnot, 3000),
+    # the parser caps nesting at 64 levels, but a junction chain is
+    # one level of the grammar however long it is
+    "text": lambda: sx.parse_formula("|".join(["p"] * 3000)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("source", sorted(DEEP))
+def test_too_deep_is_refused(entry, source):
+    f = DEEP[source]()
+    assert f.depth == 3000
+    with pytest.raises(FormulaTooDeep):
+        ENTRY_POINTS[entry](f)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_at_the_limit_passes(entry):
+    # an empty-word diamond costs Model.check its four frames per level
+    # without any observation, so every entry point decides it quickly
+    f = nested(lambda g: sx.dia(ox.epsilon(), g), sx._MAX_DEPTH)
+    assert f.depth == sx._MAX_DEPTH
+    ENTRY_POINTS[entry](f)
+    with pytest.raises(FormulaTooDeep):
+        ENTRY_POINTS[entry](sx.dia(ox.epsilon(), f))

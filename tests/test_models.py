@@ -164,6 +164,24 @@ class TestPerfectRecall:
         assert not m.check(s, f)
 
 
+class TestClosureQuotient:
+    def test_merging_by_closure_truth_loses_survival(self):
+        # states 0 and 2 agree on every member of the closure of K_j p,
+        # but 0 dies after one observation and 2 lives on; the quotient
+        # by closure truth keeps 0's expectation for the merged state,
+        # so after aa it loses 2, the state that refutes K_j p
+        ab = Alphabet(["a", "b"])
+        once, ever = parse_regex("a+b", ab), parse_regex("(a+b)*", ab)
+        m = Model(ab, ["j"], [0, 1, 2],
+                  {0: set(), 1: {"p", "q"}, 2: {"q"}},
+                  {0: once, 1: ever, 2: ever}, {"j": [{0, 1, 2}]})
+        quotient = Model(ab, ["j"], [0, 1], {0: set(), 1: {"p"}},
+                         {0: once, 1: ever}, {"j": [{0, 1}]})
+        f = parse_formula("<a;a>K_j p", ab)
+        assert m.check(1, f) is False
+        assert quotient.check(1, f) is True
+
+
 class TestResiduationGraph:
     def test_graph_matches_updates(self):
         m = drone_model()

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
+from polkit.corpus import random_formula, random_regex
 from polkit.errors import ParseError, UnknownSymbol
 from polkit.obsregex import Alphabet
 from polkit.syntax import (
@@ -15,6 +17,7 @@ from polkit.syntax import (
 )
 
 from conftest import formula_strategy
+from oracles import node_count
 
 AB = Alphabet(["a", "b"])
 
@@ -161,6 +164,34 @@ class TestInspection:
         assert formula_size(pf("p")) == 1
         assert formula_size(pf("<a*>p")) == 4
         assert formula_size(pf("p&q")) == 3
+
+
+class TestSizeField:
+    """The size each constructor keeps equals a recursive count."""
+
+    def test_random_formulas(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            f = random_formula(rng, agents=("i", "j"), depth=4)
+            assert formula_size(f) == f.size == node_count(f)
+
+    def test_random_regexes(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            e = random_regex(rng, ("a", "b"), depth=5)
+            assert ox.expr_size(e) == e.size == node_count(e)
+
+    def test_translation_with_flattened_junctions(self):
+        t = dp.Translation(pf("hK_i p & K_j <a>q"), dp.LabelBudget(2))
+        assert any(isinstance(g, And) and len(g.parts) > 2
+                   for g in dp.closure(t.formula))
+        assert formula_size(t.formula) == node_count(t.formula)
+
+    def test_non_nodes_are_type_errors(self):
+        with pytest.raises(TypeError):
+            formula_size("p")
+        with pytest.raises(TypeError):
+            ox.expr_size("a")
 
 
 class TestClosure:
