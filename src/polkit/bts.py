@@ -7,6 +7,17 @@ what each state expects to observe. A bubble transition structure
 (``Bts``) links bubbles with deterministic letter transitions that mimic
 public observation: states disappear, labels evolve, relations restrict.
 
+Validation checks every condition in both directions. A label holds a
+member exactly when the member's ``syntax.definition`` holds in it, so
+only the free members (propositions, one-letter modalities and agent
+operators) are chosen; ``K_a psi`` needs ``psi`` and ``psi`` needs
+``hK_a psi``. In a bubble a present ``hK_a psi`` needs a related state
+with ``psi`` and an absent ``K_a psi`` one without it, and related
+states agree on their ``K_a`` and ``hK_a`` members. Along the
+transitions a one-letter modality agrees with its argument after the
+letter, and a present diamond or an absent box is realized by a word of
+its expression.
+
 A structure that validates certifies its target formula satisfiable.
 ``extract_model`` rebuilds a concrete witness: the observation
 expression of each state is read off the transition graph as the
@@ -55,75 +66,53 @@ def _pp(f):
     return sx.print_formula(f)
 
 
+class _Closure:
+    """A closure as the validators read it, built once per check: its
+    members in closure order, each defined member with its
+    ``syntax.definition``, and the agent operators."""
+
+    __slots__ = ("fl", "ordered", "defined", "knowledge")
+
+    def __init__(self, fl):
+        self.fl = frozenset(fl)
+        self.ordered = _ordered(self.fl)
+        self.defined = []
+        for f in self.ordered:
+            kind, operands = sx.definition(f)
+            if kind != "free":
+                self.defined.append((f, kind, operands))
+        self.knowledge = [f for f in self.ordered
+                          if isinstance(f, (sx.Hat, sx.Know))]
+
+
+def _holds(kind, operands, h) -> bool:
+    """Does a definition hold in the label ``h``?"""
+    if kind == "not":
+        return operands[0] not in h
+    if kind == "or":
+        return any(g in h for g in operands)
+    if kind == "false":
+        return False
+    return all(g in h for g in operands)  # "true", "eq" and "and"
+
+
 # --- Hintikka sets -------------------------------------------------------
 
 
-def _hintikka_violation(h, fl, ordered=None):
-    if ordered is None:
-        ordered = _ordered(fl)
-    for f in _ordered(h):
-        if f not in fl:
-            return Violation("membership",
-                             f"{_pp(f)} is not a closure member")
-    if sx.top() in fl and sx.top() not in h:
-        return Violation("top", "the label omits true")
-    for f in ordered:
-        if isinstance(f, sx.Not) and (f in h) == (f.arg in h):
-            state = "both present" if f in h else "neither present"
-            return Violation("1", f"{_pp(f.arg)} and its negation: {state}")
-    for f in ordered:
-        if isinstance(f, sx.And) and (f in h) != all(p in h
-                                                     for p in f.parts):
-            return Violation("2", f"{_pp(f)} disagrees with its conjuncts")
-    for f in ordered:
-        if isinstance(f, sx.Or) and (f in h) != any(p in h
-                                                    for p in f.parts):
-            return Violation("3", f"{_pp(f)} disagrees with its disjuncts")
-    for f in ordered:
+def _hintikka_violation(h, c: _Closure):
+    if not h <= c.fl:
+        f = min(h - c.fl, key=sx.closure_order)
+        return Violation("membership", f"{_pp(f)} is not a closure member")
+    for f, kind, operands in c.defined:
+        if (f in h) != _holds(kind, operands, h):
+            state = ("present but its definition fails" if f in h
+                     else "absent but its definition holds")
+            return Violation("1", f"{_pp(f)} is {state}")
+    for f in c.knowledge:
         if isinstance(f, sx.Know) and f in h and f.arg not in h:
-            return Violation("4", f"{_pp(f)} without {_pp(f.arg)}")
-    for f in ordered:
-        if isinstance(f, sx.Dia) and f in h and isinstance(f.pi, ox.Sum):
-            needed = [g for p in f.pi.parts
-                      if (g := sx.dia(p, f.arg)) in fl]
-            if needed and not any(g in h for g in needed):
-                return Violation("5", f"{_pp(f)} without any branch diamond")
-    for f in ordered:
-        if isinstance(f, sx.Dia) and f in h and isinstance(f.pi, ox.Concat):
-            g = sx.dia(f.pi.parts[0],
-                       sx.dia(ox.seq(*f.pi.parts[1:]), f.arg))
-            if g in fl and g not in h:
-                return Violation("6", f"{_pp(f)} without {_pp(g)}")
-    for f in ordered:
-        if isinstance(f, sx.Dia) and f in h and isinstance(f.pi, ox.Star):
-            needed = [g for g in (f.arg, sx.dia(f.pi.body, f)) if g in fl]
-            if needed and not any(g in h for g in needed):
-                return Violation("7", f"{_pp(f)} neither stops nor unrolls")
-    for f in ordered:
-        if isinstance(f, sx.Box) and f in h and isinstance(f.pi, ox.Sum):
-            for p in f.pi.parts:
-                g = sx.box(p, f.arg)
-                if g in fl and g not in h:
-                    return Violation("8", f"{_pp(f)} without {_pp(g)}")
-    for f in ordered:
-        if isinstance(f, sx.Box) and f in h and isinstance(f.pi, ox.Concat):
-            g = sx.box(f.pi.parts[0],
-                       sx.box(ox.seq(*f.pi.parts[1:]), f.arg))
-            if g in fl and g not in h:
-                return Violation("9", f"{_pp(f)} without {_pp(g)}")
-    for f in ordered:
-        if isinstance(f, sx.Box) and f in h and isinstance(f.pi, ox.Star):
-            for g in (f.arg, sx.box(f.pi.body, f)):
-                if g in fl and g not in h:
-                    return Violation("10", f"{_pp(f)} without {_pp(g)}")
-    for f in ordered:
-        if isinstance(f, sx.Dia) and f in h and isinstance(f.pi, ox.Epsilon) \
-                and f.arg in fl and f.arg not in h:
-            return Violation("eps-dia", f"{_pp(f)} without {_pp(f.arg)}")
-    for f in ordered:
-        if isinstance(f, sx.Box) and f in h and isinstance(f.pi, ox.Epsilon) \
-                and f.arg in fl and f.arg not in h:
-            return Violation("eps-box", f"{_pp(f)} without {_pp(f.arg)}")
+            return Violation("2", f"{_pp(f)} without {_pp(f.arg)}")
+        if isinstance(f, sx.Hat) and f not in h and f.arg in h:
+            return Violation("2", f"{_pp(f.arg)} without {_pp(f)}")
     return None
 
 
@@ -131,28 +120,20 @@ def is_hintikka(h, fl):
     """Check the label conditions for a set of closure members.
 
     ``fl`` is a closure as produced by ``syntax.fl_closure`` and ``h`` a
-    candidate label. The conditions, each applying only when the
-    formulas it asks for are closure members:
+    candidate label, every element of which must be a closure member.
 
-       1. for each negation ~psi in the closure, exactly one of psi and
-          ~psi is in h (so every member is decided)
-       2. psi&chi is in h iff both conjuncts are
-       3. psi|chi is in h iff some disjunct is
-       4. K_a psi in h requires psi in h
-       5. <p1+..+pn>psi in h requires some <pk>psi in h
-       6. <p1;rest>psi in h requires <p1><rest>psi in h
-       7. <p*>psi in h requires psi in h or <p><p*>psi in h
-       8. [p1+..+pn]psi in h requires every [pk]psi in h
-       9. [p1;rest]psi in h requires [p1][rest]psi in h
-      10. [p*]psi in h requires both psi and [p][p*]psi in h
-
-    In addition, a label contains true whenever it is a closure member,
-    and the empty-word modalities <0*> and [0*] require their argument
-    directly (their unrollings collapse under expression normalization).
+       1. every member that ``syntax.definition`` does not leave free
+          is in h exactly when its definition holds in h: true is in h,
+          ~psi is in h iff psi is not, a junction iff its parts are,
+          and a modality over a composite expression iff its one-step
+          unfolding is (so every member is decided by the free ones:
+          propositions, one-letter modalities and agent operators)
+       2. K_a psi in h requires psi in h, and psi in h requires
+          hK_a psi in h when hK_a psi is a member
 
     Returns True, or a falsy Violation naming the first failed condition.
     """
-    v = _hintikka_violation(frozenset(h), frozenset(fl))
+    v = _hintikka_violation(frozenset(h), _Closure(fl))
     return True if v is None else v
 
 
@@ -168,8 +149,8 @@ def enumerate_hintikka(fl, cap: int = 22):
     if len(fl) > cap:
         raise ClosureTooLarge(
             f"{len(fl)} closure members exceed the cap of {cap}")
-    ordered = _ordered(fl)
-    cores = [f for f in ordered if not isinstance(f, sx.Not)]
+    c = _Closure(fl)
+    cores = [f for f in c.ordered if not isinstance(f, sx.Not)]
 
     def member(f, present):
         neg = False
@@ -181,8 +162,8 @@ def enumerate_hintikka(fl, cap: int = 22):
     def gen():
         for mask in range(1 << len(cores)):
             present = {f for i, f in enumerate(cores) if mask >> i & 1}
-            h = frozenset(f for f in fl if member(f, present))
-            if _hintikka_violation(h, fl, ordered) is None:
+            h = frozenset(f for f in c.fl if member(f, present))
+            if _hintikka_violation(h, c) is None:
                 yield h
 
     return gen()
@@ -254,46 +235,57 @@ class Bubble:
         return f"Bubble(states={self.states!r})"
 
 
+def _bubble_violation(b: Bubble, c: _Closure):
+    n = len(c.fl)
+    if n < 64 and len(b.states) > 1 << n:
+        return Violation("1", f"{len(b.states)} states exceed the "
+                              f"2^{n} label space")
+    for s in b.states:
+        v = _hintikka_violation(b.labels[s], c)
+        if v is not None:
+            return Violation("2", f"label of {s!r} fails {v}")
+    for s in b.states:
+        for f in c.knowledge:
+            # a present hK_a psi needs psi at a related state, an absent
+            # K_a psi needs psi missing at one
+            want = isinstance(f, sx.Hat)
+            if (f in b.labels[s]) == want and not any(
+                    (f.arg in b.labels[t]) == want
+                    for t in b.block(f.agent, s)):
+                return Violation(
+                    "3a", f"{'' if want else '~'}{_pp(f)} at {s!r} has no "
+                          f"related state {'with' if want else 'without'} "
+                          f"{_pp(f.arg)}")
+    for agent in b.agents:
+        for block in b.relation_blocks(agent):
+            views = {s: frozenset(f for f in b.labels[s]
+                                  if isinstance(f, (sx.Hat, sx.Know))
+                                  and f.agent == agent)
+                     for s in block}
+            states = sorted(block, key=state_sort_key)
+            for s in states[1:]:
+                if views[s] != views[states[0]]:
+                    return Violation(
+                        "3b", f"{s!r} and {states[0]!r} are related for "
+                              f"{agent!r} but disagree on K_{agent} or "
+                              f"hK_{agent} members")
+    return None
+
+
 def is_bubble(b: Bubble, fl):
     """Validate a bubble against a closure.
 
        1. at most 2^|closure| states
        2. every label is a Hintikka set over the closure
-      3a. hK_a psi in a label has a related state labelled psi
-      3b. states related for an agent carry the same K_a members
+      3a. hK_a psi in a label has a related state labelled psi, and an
+          absent K_a psi member has a related state not labelled psi
+      3b. states related for an agent carry the same K_a and hK_a
+          members
 
     Returns True or a falsy Violation.
     """
-    fl = frozenset(fl)
-    if len(fl) < 64 and len(b.states) > 1 << len(fl):
-        return Violation("1", f"{len(b.states)} states exceed the "
-                              f"2^{len(fl)} label space")
-    ordered = _ordered(fl)
-    for s in b.states:
-        v = _hintikka_violation(b.labels[s], fl, ordered)
-        if v is not None:
-            return Violation("2", f"label of {s!r} fails {v}")
-    for s in b.states:
-        for f in _ordered(b.labels[s]):
-            if isinstance(f, sx.Hat):
-                block = b.block(f.agent, s)
-                if not any(f.arg in b.labels[s2] for s2 in block):
-                    return Violation(
-                        "3a", f"{_pp(f)} at {s!r} has no related state "
-                              f"labelled {_pp(f.arg)}")
-    for agent in b.agents:
-        for block in b.relation_blocks(agent):
-            know = {s: frozenset(f for f in b.labels[s]
-                                 if isinstance(f, sx.Know)
-                                 and f.agent == agent)
-                    for s in block}
-            states = sorted(block, key=state_sort_key)
-            for s in states[1:]:
-                if know[s] != know[states[0]]:
-                    return Violation(
-                        "3b", f"{s!r} and {states[0]!r} are related for "
-                              f"{agent!r} but disagree on K_{agent} members")
-    return True
+    v = _bubble_violation(b, _Closure(fl))
+    return True if v is None else v
 
 
 def is_a_successor(b: Bubble, b2: Bubble, a: str, fl):
@@ -355,7 +347,7 @@ class Bts:
     ``delta`` maps (bubble index, symbol) pairs to bubble indices; a
     missing or None entry means the observation kills the structure.
     The alphabet is inferred from the formula and the transitions when
-    not given.
+    not given, and is ``a`` alone when neither has a letter.
     """
 
     def __init__(self, formula, bubbles, delta, initial: int = 0,
@@ -374,7 +366,7 @@ class Bts:
             syms.add(a)
             clean[(i, a)] = j
         if alphabet is None:
-            alphabet = Alphabet(sorted(syms))
+            alphabet = Alphabet(sorted(syms) or ["a"])
         elif not isinstance(alphabet, Alphabet):
             alphabet = Alphabet(alphabet)
         for a in sorted(syms):
@@ -391,9 +383,9 @@ class Bts:
                 f"{len(self.bubbles)} bubbles)")
 
 
-def _fulfilled(t: Bts, start: int, s, f) -> bool:
+def _fulfilled(t: Bts, start: int, s, f, want: bool) -> bool:
     """Does some word of f.pi keep ``s`` alive from bubble ``start`` to a
-    bubble labelling it with f.arg?"""
+    bubble whose label of ``s`` has f.arg exactly when ``want``?"""
 
     def step(bi):
         for a in t.alphabet:
@@ -401,8 +393,9 @@ def _fulfilled(t: Bts, start: int, s, f) -> bool:
             if j is not None and s in t.bubbles[j].labels:
                 yield a, j
 
-    return ox.search(ox.to_dfa(f.pi, t.alphabet), start, step,
-                     lambda bi: f.arg in t.bubbles[bi].labels[s]) is not None
+    return ox.search(
+        ox.to_dfa(f.pi, t.alphabet), start, step,
+        lambda bi: (f.arg in t.bubbles[bi].labels[s]) == want) is not None
 
 
 def is_bts(t: Bts):
@@ -411,8 +404,10 @@ def is_bts(t: Bts):
       1. some state of the initial bubble is labelled with the formula
          (and every bubble validates against the formula's closure)
       2. every transition leads to an observation successor
-      3. every diamond in every label is realized by a word of its
-         expression along the transitions, with the state surviving
+      3. every diamond in a label, and every box absent from one, is
+         realized by a word of its expression along the transitions,
+         with the state surviving to a label that has the diamond's
+         argument, or lacks the box's
 
     Returns True or a falsy Violation.
     """
@@ -421,21 +416,25 @@ def is_bts(t: Bts):
     init = t.bubbles[t.initial]
     if not any(t.formula in init.labels[s] for s in init.states):
         return Violation("1", "no initial state carries the target formula")
+    c = _Closure(t.fl)
     for i, b in enumerate(t.bubbles):
-        v = is_bubble(b, t.fl)
-        if v is not True:
+        v = _bubble_violation(b, c)
+        if v is not None:
             return Violation("1", f"bubble {i} is malformed: {v}")
     for (i, a), j in sorted(t.delta.items()):
         v = is_a_successor(t.bubbles[i], t.bubbles[j], a, t.fl)
         if v is not True:
             return Violation("2", f"delta({i},{a!r})={j}: {v}")
+    modal = [f for f in c.ordered if isinstance(f, (sx.Dia, sx.Box))]
     for i, b in enumerate(t.bubbles):
         for s in b.states:
-            for f in _ordered(b.labels[s]):
-                if isinstance(f, sx.Dia) and not _fulfilled(t, i, s, f):
+            for f in modal:
+                want = isinstance(f, sx.Dia)
+                if (f in b.labels[s]) == want and not _fulfilled(
+                        t, i, s, f, want):
                     return Violation(
-                        "3", f"{_pp(f)} at state {s!r} of bubble {i} is "
-                             f"never realized")
+                        "3", f"{'' if want else '~'}{_pp(f)} at state {s!r} "
+                             f"of bubble {i} is never realized")
     return True
 
 

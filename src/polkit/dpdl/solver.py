@@ -2,7 +2,7 @@
 
 Truth of every closure member is determined by the frontier members,
 which are the atoms and the modalities over a single letter, through
-the one-step unfolding equations of composite programs. The solver
+the one-step equations that ``syntax.definition`` states. The solver
 therefore works with truth assignments to the closure. The equations
 are compiled once per call into the clauses of one incremental CDCL
 solver, in one pass over the closure: member ``v`` is variable ``v``
@@ -80,53 +80,12 @@ class _StepBudget(ResourceBudgetExceeded):
     pass
 
 
-def _is_frontier(g) -> bool:
-    if isinstance(g, sx.Prop):
-        return True
-    return (isinstance(g, (sx.Dia, sx.Box))
-            and isinstance(g.pi, ox.Atom))
-
-
-def _definition(g):
-    """How the truth of ``g`` is determined by other closure members.
-
-    One of ("true",), ("false",), ("frontier",), ("not", h),
-    ("eq", h), ("or", parts), ("and", parts). Every operand is itself
-    a closure member whenever ``g`` is.
-    """
-    if isinstance(g, sx.Top):
-        return ("true",)
-    if isinstance(g, sx.Prop):
-        return ("frontier",)
-    if isinstance(g, sx.Not):
-        return ("not", g.arg)
-    if isinstance(g, sx.Or):
-        return ("or", g.parts)
-    if isinstance(g, sx.And):
-        return ("and", g.parts)
-    make = sx.dia if isinstance(g, sx.Dia) else sx.box
-    junction = "or" if isinstance(g, sx.Dia) else "and"
-    pi = g.pi
-    if isinstance(pi, ox.Atom):
-        return ("frontier",)
-    if isinstance(pi, ox.Epsilon):
-        return ("eq", g.arg)
-    if isinstance(pi, ox.Empty):
-        return ("false",) if isinstance(g, sx.Dia) else ("true",)
-    if isinstance(pi, ox.Sum):
-        return (junction, tuple(make(p, g.arg) for p in pi.parts))
-    if isinstance(pi, ox.Concat):
-        rest = ox.seq(*pi.parts[1:])
-        return ("eq", make(pi.parts[0], make(rest, g.arg)))
-    if isinstance(pi, ox.Star):
-        return (junction, (g.arg, make(pi.body, g)))
-    raise TypeError(f"unsupported program {pi!r}")
-
-
 class _Shape:
     """A closure as solver variables: member ``v`` is variable ``v``.
 
-    A state is an assignment, a list giving each variable's truth. The
+    A state is an assignment, a list giving each variable's truth. Each
+    member's ``syntax.definition`` is kept by index, and the free
+    members (atoms and one-letter modalities) form the frontier. The
     one-letter modalities are indexed by letter, and the methods below
     read a state's demands, eventualities and valuation.
     """
@@ -134,7 +93,10 @@ class _Shape:
     def __init__(self, members):
         self.members = tuple(members)
         self.index = {g: i for i, g in enumerate(self.members)}
-        self.frontier = [g for g in self.members if _is_frontier(g)]
+        self.definitions = tuple(map(sx.definition, self.members))
+        self.frontier = [g for g, (kind, _) in zip(self.members,
+                                                    self.definitions)
+                         if kind == "free"]
         self.dia = {}
         self.box = {}
         for g in self.members:
@@ -169,31 +131,26 @@ class _Shape:
         units = dpll.units
         add_clause = dpll.add_clause
         binary = dpll.add_binary
-        for v, g in enumerate(self.members):
-            d = _definition(g)
-            kind = d[0]
+        for v, (kind, operands) in enumerate(self.definitions):
             pos = 2 * v
-            if kind == "frontier":
+            if kind == "free":
                 continue
+            parts = [2 * index[h] for h in operands]
             if kind == "true":
                 units.append(pos)
             elif kind == "false":
                 units.append(pos + 1)
             elif kind == "not":
-                h = 2 * index[d[1]]
-                binary(pos + 1, h + 1)
-                binary(pos, h)
+                binary(pos + 1, parts[0] + 1)
+                binary(pos, parts[0])
             elif kind == "eq":
-                h = 2 * index[d[1]]
-                binary(pos + 1, h)
-                binary(pos, h + 1)
+                binary(pos + 1, parts[0])
+                binary(pos, parts[0] + 1)
             elif kind == "or":
-                parts = [2 * index[h] for h in d[1]]
                 add_clause([pos + 1] + parts)
                 for h in parts:
                     binary(pos, h + 1)
             else:
-                parts = [2 * index[h] for h in d[1]]
                 add_clause([pos] + [h + 1 for h in parts])
                 for h in parts:
                     binary(pos + 1, h)
@@ -877,22 +834,16 @@ class _Lazy:
 
     def _unfold_frontier(self, g):
         """One-letter modalities whose truth defers ``g`` to a successor."""
+        definitions, index = self.shape.definitions, self.shape.index
         out = []
         seen = {g}
         stack = [g]
         while stack:
-            d = _definition(stack.pop())
-            if d[0] == "eq":
-                parts = (d[1],)
-            elif d[0] in ("or", "and"):
-                parts = d[1]
-            else:
-                continue
-            for h in parts:
+            for h in definitions[index[stack.pop()]][1]:
                 if h in seen or not isinstance(h, (sx.Dia, sx.Box)):
                     continue
                 seen.add(h)
-                if _is_frontier(h):
+                if definitions[index[h]][0] == "free":
                     out.append(h)
                 else:
                     stack.append(h)

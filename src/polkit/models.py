@@ -333,6 +333,8 @@ class Model:
 
     def explain(self, s, f: sx.Formula, max_lines: int = 200):
         """Evaluate and return human-readable lines showing why."""
+        if s not in self.props:
+            raise UnknownState(f"state {s!r} not in model")
         sx._check_depth(f)
         lines = []
         self._explain(self._top, s, f, (), 0, lines, max_lines)

@@ -25,8 +25,11 @@ Disjunction and conjunction nodes hold a tuple of parts. The factories
 here are binary, so observation-logic formulas keep their shape as
 written; ``polkit.dpdl`` adds factories that flatten nested junctions.
 
-``closure`` collects subformulas and modal unfoldings; ``fl_closure``
-adds single negations. Both are linear in the formula's size.
+``definition`` states how a formula's truth follows from others in one
+step, unfolding modalities over composite expressions. ``closure``
+collects subformulas and the operands of those definitions;
+``fl_closure`` adds single negations. Both are linear in the formula's
+size.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ __all__ = [
     "top", "prop", "lnot", "lor", "land", "hat", "know", "dia", "box",
     "parse_formula", "print_formula", "formula_size", "formula_key",
     "closure_order",
-    "props", "agents", "letters", "closure", "fl_closure",
+    "props", "agents", "letters", "definition", "closure", "fl_closure",
 ]
 
 
@@ -235,16 +238,56 @@ def letters(f: Formula) -> frozenset:
     return frozenset().union(*map(ox.atoms, pis))
 
 
+def definition(g: Formula) -> tuple:
+    """How the truth of ``g`` follows from other formulas, in one step.
+
+    Returns ``(kind, operands)``: ``true`` and ``false`` with no
+    operands, ``not`` and ``eq`` with one (``g`` holds exactly when
+    the operand fails, or holds), ``or`` and ``and`` with several, or
+    ``free`` with none. Propositions, modalities over a single letter
+    and the agent operators are free: their truth is not fixed by other
+    formulas at the same state. A modality over a composite expression
+    unfolds one step toward the expression's head: sequencing peels its
+    first factor, a sum branches, a star either stops or runs its body
+    once and recurs, the empty word defers to the argument, and the
+    empty language makes a diamond false and a box true.
+    """
+    if isinstance(g, (Dia, Box)):
+        pi = g.pi
+        if isinstance(pi, ox.Atom):
+            return ("free", ())
+        make, junction = (dia, "or") if isinstance(g, Dia) else (box, "and")
+        if isinstance(pi, ox.Star):
+            return (junction, (g.arg, make(pi.body, g)))
+        if isinstance(pi, ox.Concat):
+            rest = ox.seq(*pi.parts[1:])
+            return ("eq", (make(pi.parts[0], make(rest, g.arg)),))
+        if isinstance(pi, ox.Sum):
+            return (junction, tuple(make(p, g.arg) for p in pi.parts))
+        if isinstance(pi, ox.Epsilon):
+            return ("eq", (g.arg,))
+        if isinstance(pi, ox.Empty):
+            return ("false" if isinstance(g, Dia) else "true", ())
+        raise TypeError(f"unsupported expression {pi!r}")
+    if isinstance(g, Not):
+        return ("not", (g.arg,))
+    if isinstance(g, Or):
+        return ("or", g.parts)
+    if isinstance(g, And):
+        return ("and", g.parts)
+    if isinstance(g, Top):
+        return ("true", ())
+    if isinstance(g, (Prop, Hat, Know)):
+        return ("free", ())
+    raise TypeError(f"not a Formula: {g!r}")
+
+
 def closure(f: Formula) -> tuple:
     """Subformulas of ``f`` together with their modal unfoldings.
 
-    A modality over a composite expression unfolds one step toward the
-    expression's head: sequencing peels its first factor, a sum
-    branches, a star either stops or runs its body once and recurs.
-    Every formula produced by an unfolding is itself a member, so a
-    truth assignment to the members determines each member from
-    propositions and modalities over single letters alone. The returned
-    order is deterministic.
+    Every operand of a member's ``definition`` is itself a member, so a
+    truth assignment to the members determines each member from the
+    free ones alone. The returned order is deterministic.
     """
     seen = []
     seen_set = set()
@@ -255,25 +298,18 @@ def closure(f: Formula) -> tuple:
             continue
         seen_set.add(g)
         seen.append(g)
-        if isinstance(g, (Top, Prop)):
-            pass
+        if isinstance(g, (Dia, Box)):
+            stack.append(g.arg)
+            # a one-letter modality does not unfold
+            if not isinstance(g.pi, ox.Atom):
+                for h in reversed(definition(g)[1]):
+                    if h is not g.arg:
+                        stack.append(h)
         elif isinstance(g, (Or, And)):
             stack.extend(reversed(g.parts))
-        elif isinstance(g, (Dia, Box)):
-            make = dia if isinstance(g, Dia) else box
-            stack.append(g.arg)
-            pi = g.pi
-            if isinstance(pi, ox.Concat):
-                rest = ox.seq(*pi.parts[1:])
-                stack.append(make(pi.parts[0], make(rest, g.arg)))
-            elif isinstance(pi, ox.Sum):
-                for p in reversed(pi.parts):
-                    stack.append(make(p, g.arg))
-            elif isinstance(pi, ox.Star):
-                stack.append(make(pi.body, g))
         elif isinstance(g, (Not, Hat, Know)):
             stack.append(g.arg)
-        else:
+        elif not isinstance(g, (Top, Prop)):
             raise TypeError(f"not a Formula: {g!r}")
     return tuple(seen)
 

@@ -92,3 +92,34 @@ def language_sample(e: ObsExpr, symbols, max_len: int) -> frozenset:
     """The finite slice of L(e) up to the given length, by the oracle."""
     return frozenset(w for w in words_up_to(symbols, max_len)
                      if member_oracle(e, w))
+
+
+def label_mismatches(t, model, max_len: int = 3):
+    """Where a structure's labels disagree with its extracted model.
+
+    For every word of at most ``max_len`` letters that the transitions
+    of the bubble structure ``t`` follow from the initial bubble, each
+    state of the bubble reached must survive the word in ``model``, and
+    every formula of its label must hold there. Returns the failures as
+    (word, state, formula text) triples, and the number of checks."""
+    failures = []
+    checked = 0
+    for w in words_up_to(tuple(t.alphabet), max_len):
+        cur = t.initial
+        for a in w:
+            cur = t.delta.get((cur, a))
+            if cur is None:
+                break
+        if cur is None:
+            continue
+        mw = model.update(w)
+        bubble = t.bubbles[cur]
+        for s in bubble.states:
+            if mw is None or s not in mw.states:
+                failures.append((w, s, "the state does not survive"))
+                continue
+            for f in bubble.labels[s]:
+                checked += 1
+                if not mw.check(s, f):
+                    failures.append((w, s, sx.print_formula(f)))
+    return failures, checked

@@ -14,6 +14,7 @@ import polkit.syntax as sx
 from polkit.errors import ClosureTooLarge, NotABts, UnknownSymbol
 
 from conftest import formula_strategy
+from oracles import label_mismatches
 
 
 def closure(text):
@@ -65,24 +66,34 @@ class TestHintikka:
         p, q = sx.prop("p"), sx.prop("q")
         c = sx.land(p, q)
         v = bt.is_hintikka({c, p, sx.lnot(q)}, fl)
-        assert v.condition == "2"
+        assert v.condition == "1"
         v = bt.is_hintikka({sx.lnot(c), p, q}, fl)
-        assert v.condition == "2"
+        assert v.condition == "1"
 
     def test_disjunction_both_ways(self):
         fl = closure("p|q")
         p, q = sx.prop("p"), sx.prop("q")
         c = sx.lor(p, q)
         v = bt.is_hintikka({c, sx.lnot(p), sx.lnot(q)}, fl)
-        assert v.condition == "3"
+        assert v.condition == "1"
         v = bt.is_hintikka({sx.lnot(c), p, sx.lnot(q)}, fl)
-        assert v.condition == "3"
+        assert v.condition == "1"
 
     def test_knowledge_needs_truth(self):
         fl = closure("K_i p")
         v = bt.is_hintikka({sx.know("i", sx.prop("p")),
                             sx.lnot(sx.prop("p"))}, fl)
-        assert v.condition == "4"
+        assert v.condition == "2"
+
+    def test_truth_needs_possibility(self):
+        fl = closure("~hK_i p & p")
+        hp, p = sx.parse_formula("hK_i p"), sx.prop("p")
+        v = bt.is_hintikka({sx.parse_formula("~hK_i p & p"),
+                            sx.lnot(hp), p}, fl)
+        assert v.condition == "2"
+        v = bt.is_hintikka({sx.lnot(sx.parse_formula("~hK_i p & p")),
+                            hp, p}, fl)
+        assert v is True
 
     def test_sum_diamond_needs_branch(self):
         fl = closure("<a+b>p")
@@ -91,7 +102,11 @@ class TestHintikka:
         h = {f, sx.lnot(sx.parse_formula("<a>p")),
              sx.lnot(sx.parse_formula("<b>p")), p}
         v = bt.is_hintikka(h, fl)
-        assert v.condition == "5"
+        assert v.condition == "1"
+        converse = {sx.lnot(f), sx.parse_formula("<a>p"),
+                    sx.lnot(sx.parse_formula("<b>p")), p}
+        v = bt.is_hintikka(converse, fl)
+        assert v.condition == "1"
 
     def test_concat_diamond_unrolls(self):
         fl = closure("<a;b>p")
@@ -99,7 +114,12 @@ class TestHintikka:
              sx.lnot(sx.parse_formula("<a><b>p")),
              sx.parse_formula("<b>p"), sx.prop("p")}
         v = bt.is_hintikka(h, fl)
-        assert v.condition == "6"
+        assert v.condition == "1"
+        converse = {sx.lnot(sx.parse_formula("<a;b>p")),
+                    sx.parse_formula("<a><b>p"),
+                    sx.parse_formula("<b>p"), sx.prop("p")}
+        v = bt.is_hintikka(converse, fl)
+        assert v.condition == "1"
 
     def test_star_diamond_stops_or_unrolls(self):
         fl = closure("<a*>p")
@@ -109,14 +129,21 @@ class TestHintikka:
         assert bt.is_hintikka({star, sx.lnot(p), unroll}, fl) is True
         assert bt.is_hintikka({star, p, sx.lnot(unroll)}, fl) is True
         v = bt.is_hintikka({star, sx.lnot(p), sx.lnot(unroll)}, fl)
-        assert v.condition == "7"
+        assert v.condition == "1"
+        v = bt.is_hintikka({sx.lnot(star), p, sx.lnot(unroll)}, fl)
+        assert v.condition == "1"
 
     def test_sum_box_needs_all(self):
         fl = closure("[a+b]p")
         h = {sx.parse_formula("[a+b]p"), sx.parse_formula("[a]p"),
              sx.lnot(sx.parse_formula("[b]p")), sx.prop("p")}
         v = bt.is_hintikka(h, fl)
-        assert v.condition == "8"
+        assert v.condition == "1"
+        converse = {sx.lnot(sx.parse_formula("[a+b]p")),
+                    sx.parse_formula("[a]p"), sx.parse_formula("[b]p"),
+                    sx.prop("p")}
+        v = bt.is_hintikka(converse, fl)
+        assert v.condition == "1"
 
     def test_concat_box_unrolls(self):
         fl = closure("[a;b]p")
@@ -124,29 +151,44 @@ class TestHintikka:
              sx.lnot(sx.parse_formula("[a][b]p")),
              sx.parse_formula("[b]p"), sx.prop("p")}
         v = bt.is_hintikka(h, fl)
-        assert v.condition == "9"
+        assert v.condition == "1"
+        converse = {sx.lnot(sx.parse_formula("[a;b]p")),
+                    sx.parse_formula("[a][b]p"),
+                    sx.parse_formula("[b]p"), sx.prop("p")}
+        v = bt.is_hintikka(converse, fl)
+        assert v.condition == "1"
 
     def test_star_box_needs_argument(self):
         fl = closure("[a*]p")
         h = {sx.parse_formula("[a*]p"), sx.lnot(sx.prop("p")),
              sx.parse_formula("[a][a*]p")}
         v = bt.is_hintikka(h, fl)
-        assert v.condition == "10"
+        assert v.condition == "1"
+        converse = {sx.lnot(sx.parse_formula("[a*]p")), sx.prop("p"),
+                    sx.parse_formula("[a][a*]p")}
+        v = bt.is_hintikka(converse, fl)
+        assert v.condition == "1"
 
     def test_empty_word_modalities(self):
         fl = closure("<0*>p")
         v = bt.is_hintikka({sx.parse_formula("<0*>p"),
                             sx.lnot(sx.prop("p"))}, fl)
-        assert v.condition == "eps-dia"
+        assert v.condition == "1"
+        v = bt.is_hintikka({sx.lnot(sx.parse_formula("<0*>p")),
+                            sx.prop("p")}, fl)
+        assert v.condition == "1"
         fl = closure("[0*]p")
         v = bt.is_hintikka({sx.parse_formula("[0*]p"),
                             sx.lnot(sx.prop("p"))}, fl)
-        assert v.condition == "eps-box"
+        assert v.condition == "1"
+        v = bt.is_hintikka({sx.lnot(sx.parse_formula("[0*]p")),
+                            sx.prop("p")}, fl)
+        assert v.condition == "1"
 
     def test_truth_constant_required(self):
         fl = closure("false")
         v = bt.is_hintikka({sx.lnot(sx.top())}, fl)
-        assert v.condition == "top"
+        assert v.condition == "1"
         assert bt.is_hintikka({sx.top()}, fl) is True
 
     def test_foreign_formula(self):
@@ -221,9 +263,25 @@ class TestBubble:
         b = bt.Bubble((0, 1), {0: {kp, p}, 1: {sx.lnot(kp), p}},
                       {"i": [(0, 1)]})
         v = bt.is_bubble(b, fl)
-        assert v is not True and v.condition == "3b"
+        assert v is not True and v.condition == "3a"
+        # alone in its class, state 1 knows p
         split = bt.Bubble((0, 1), {0: {kp, p}, 1: {sx.lnot(kp), p}})
+        v = bt.is_bubble(split, fl)
+        assert v is not True and v.condition == "3a"
+        split = bt.Bubble((0, 1), {0: {kp, p},
+                                   1: {sx.lnot(kp), sx.lnot(p)}})
         assert bt.is_bubble(split, fl) is True
+        joined = bt.Bubble(split.states, split.labels, {"i": [(0, 1)]})
+        v = bt.is_bubble(joined, fl)
+        assert v is not True and v.condition == "3b"
+
+    def test_possibility_uniform_in_class(self):
+        fl = closure("hK_i p")
+        hp, p = sx.parse_formula("hK_i p"), sx.prop("p")
+        labels = {0: {hp, p}, 1: {sx.lnot(hp), sx.lnot(p)}}
+        assert bt.is_bubble(bt.Bubble((0, 1), labels), fl) is True
+        v = bt.is_bubble(bt.Bubble((0, 1), labels, {"i": [(0, 1)]}), fl)
+        assert v is not True and v.condition == "3b"
 
     def test_state_bound(self):
         p = sx.prop("p")
@@ -345,6 +403,12 @@ class TestBts:
         with pytest.raises(ValueError):
             bt.Bts(t.formula, t.bubbles, {}, initial=9)
 
+    def test_alphabet_without_letters(self):
+        phi = sx.parse_formula("p")
+        t = bt.Bts(phi, (bt.Bubble((0,), {0: {phi}}),), {})
+        assert tuple(t.alphabet) == ("a",)
+        assert bt.is_bts(t) is True
+
     def test_alphabet_checked(self):
         t = cx.two_bubble_bts()
         with pytest.raises(UnknownSymbol):
@@ -359,7 +423,7 @@ def star_free(rng, depth):
     return op(star_free(rng, depth - 1), star_free(rng, depth - 1))
 
 
-def brute_fulfilled(t, start, s, f, bound=4):
+def brute_fulfilled(t, start, s, f, want, bound=4):
     for n in range(bound + 1):
         for w in itertools.product(tuple(t.alphabet), repeat=n):
             if not ox.member(f.pi, w):
@@ -370,7 +434,7 @@ def brute_fulfilled(t, start, s, f, bound=4):
                 if cur is None or s not in t.bubbles[cur].labels:
                     alive = False
                     break
-            if alive and f.arg in t.bubbles[cur].labels[s]:
+            if alive and (f.arg in t.bubbles[cur].labels[s]) == want:
                 return True
     return False
 
@@ -399,9 +463,10 @@ class TestFulfillment:
             t = bt.Bts(sx.lor(p, q), bubbles, delta, alphabet=("a", "b"))
             for i, b in enumerate(t.bubbles):
                 for s in b.states:
-                    got = bt._fulfilled(t, i, s, f)
-                    assert got == brute_fulfilled(t, i, s, f)
-                    checked += 1
+                    for want in (True, False):
+                        got = bt._fulfilled(t, i, s, f, want)
+                        assert got == brute_fulfilled(t, i, s, f, want)
+                        checked += 1
         assert checked > 100
 
 
@@ -440,19 +505,89 @@ class TestExtraction:
     def test_labels_hold_along_observations(self):
         t = cx.two_bubble_bts()
         m, _ = bt.extract_model(t)
-        for w in itertools.chain.from_iterable(
-                itertools.product(tuple(t.alphabet), repeat=n)
-                for n in range(4)):
-            cur = t.initial
-            for a in w:
-                cur = t.delta.get((cur, a))
-                if cur is None:
-                    break
-            if cur is None:
+        failures, checked = label_mismatches(t, m)
+        assert not failures and checked > 0
+
+
+def decided(fl, present):
+    """The label over ``fl`` holding exactly the unnegated members in
+    ``present``, given as text, and the negations of the others."""
+    present = {sx.parse_formula(text) for text in present}
+
+    def holds(f):
+        return not holds(f.arg) if isinstance(f, sx.Not) else f in present
+
+    return frozenset(f for f in fl if holds(f))
+
+
+# Single-bubble structures for unsatisfiable formulas, each with its
+# unnegated members and the letters that loop on the bubble. Every one
+# of them reads a definition, a box or a knowledge operator one way only.
+UNSOUND = [
+    ("~<a+b>p & <a>p", ["~<a+b>p & <a>p", "<a>p", "p"], "a"),
+    ("[a]p & [b]p & ~[a+b]p",
+     ["[a]p & [b]p & ~[a+b]p", "[a]p & [b]p", "[a]p", "[b]p"], ""),
+    ("~[a*]p & p", ["~[a*]p & p", "p"], "a"),
+    ("~[a]p", [], ""),
+    ("~hK_i p & p", ["~hK_i p & p", "p"], ""),
+    ("~hK_i true", ["true"], ""),
+]
+
+
+class TestSoundness:
+    @pytest.mark.parametrize("text, present, loops", UNSOUND)
+    def test_one_sided_structures_are_refused(self, text, present, loops):
+        phi = sx.parse_formula(text)
+        fl = sx.fl_closure(phi)
+        label = decided(fl, present)
+        assert phi in label
+        t = bt.Bts(phi, (bt.Bubble((0,), {0: label}),),
+                   {(0, a): 0 for a in loops}, alphabet=("a", "b"))
+        assert not bt.is_bts(t)
+        with pytest.raises(NotABts):
+            bt.extract_model(t)
+
+    def test_random_structures(self):
+        # labels from enumerate_hintikka, random bubbles, relations and
+        # transitions: every accepted structure is a certificate
+        rng = random.Random(5)
+        labels = {}
+        accepted = 0
+        for _ in range(3000):
+            phi = cx.random_formula(rng, depth=rng.randint(1, 3),
+                                    regex_depth=rng.randint(0, 2))
+            fl = sx.fl_closure(phi)
+            if len(fl) > 12:
                 continue
-            mw = m.update(w)
-            bubble = t.bubbles[cur]
-            for s in bubble.states:
-                assert mw is not None and s in mw.states
-                for f in bubble.labels[s]:
-                    assert mw.check(s, f), (w, s, sx.print_formula(f))
+            if fl not in labels:
+                labels[fl] = list(bt.enumerate_hintikka(fl))
+            hs = labels[fl]
+            initial = [h for h in hs if phi in h]
+            if not initial:
+                continue
+            n = rng.randint(1, 3)
+            bubbles = []
+            for k in range(n):
+                states = [s for s in range(3) if rng.random() < 0.6]
+                if k == 0 and 0 not in states:
+                    states.insert(0, 0)
+                label = {s: rng.choice(hs) for s in states}
+                if k == 0:
+                    label[0] = rng.choice(initial)
+                bubbles.append(bt.Bubble(
+                    states, label, {"i": cx.random_partition(rng, states)}))
+            delta = {}
+            for i in range(n):
+                for a in ("a", "b"):
+                    j = rng.randrange(n + 1)
+                    if j < n:
+                        delta[(i, a)] = j
+            t = bt.Bts(phi, bubbles, delta, alphabet=("a", "b"))
+            if bt.is_bts(t) is not True:
+                continue
+            accepted += 1
+            m, s0 = bt.extract_model(t)
+            assert m.check(s0, phi), sx.print_formula(phi)
+            failures, _ = label_mismatches(t, m)
+            assert not failures, (sx.print_formula(phi), failures[:3])
+        assert accepted > 500

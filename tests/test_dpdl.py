@@ -165,24 +165,24 @@ def reference_database(members):
         return dps._Dpll.lit(index[g], positive)
 
     for g in members:
-        d = dps._definition(g)
-        if d[0] == "true":
+        kind, operands = sx.definition(g)
+        if kind == "true":
             s.add_clause([lit(g, True)])
-        elif d[0] == "false":
+        elif kind == "false":
             s.add_clause([lit(g, False)])
-        elif d[0] == "not":
-            s.add_clause([lit(g, False), lit(d[1], False)])
-            s.add_clause([lit(g, True), lit(d[1], True)])
-        elif d[0] == "eq":
-            s.add_clause([lit(g, False), lit(d[1], True)])
-            s.add_clause([lit(g, True), lit(d[1], False)])
-        elif d[0] == "or":
-            s.add_clause([lit(g, False)] + [lit(h, True) for h in d[1]])
-            for h in d[1]:
+        elif kind == "not":
+            s.add_clause([lit(g, False), lit(operands[0], False)])
+            s.add_clause([lit(g, True), lit(operands[0], True)])
+        elif kind == "eq":
+            s.add_clause([lit(g, False), lit(operands[0], True)])
+            s.add_clause([lit(g, True), lit(operands[0], False)])
+        elif kind == "or":
+            s.add_clause([lit(g, False)] + [lit(h, True) for h in operands])
+            for h in operands:
                 s.add_clause([lit(g, True), lit(h, False)])
-        elif d[0] == "and":
-            s.add_clause([lit(g, True)] + [lit(h, False) for h in d[1]])
-            for h in d[1]:
+        elif kind == "and":
+            s.add_clause([lit(g, True)] + [lit(h, False) for h in operands])
+            for h in operands:
                 s.add_clause([lit(g, False), lit(h, True)])
     shape = dps._Shape(members)
     for a in shape.letters:

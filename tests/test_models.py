@@ -240,6 +240,12 @@ class TestErrors:
         with pytest.raises(UnknownState):
             drone_model().check("w", parse_formula("true"))
 
+    @pytest.mark.parametrize("text", ["T1", "<s>T1"])
+    def test_explain_unknown_state(self, text):
+        m = drone_model()
+        with pytest.raises(UnknownState):
+            m.explain("w", parse_formula(text, m.alphabet))
+
     def test_unknown_agent(self):
         with pytest.raises(UnknownAgent):
             drone_model().check("u", parse_formula("K_e T1"))

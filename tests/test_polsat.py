@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from oracles import label_mismatches
+from polkit import bts as bt
 from polkit import corpus
 from polkit import dpdl as dp
 from polkit import obsregex as ox
@@ -60,6 +62,31 @@ def is_equivalence(rel, labels):
             and all((y, x) in rel for x, y in rel)
             and all((x, z) in rel
                     for x, y in rel for y2, z in rel if y == y2))
+
+
+class TestDecodedStructures:
+    def test_labels_hold_at_two_labels(self):
+        # the route of pol_sat, with the labels of the decoded structure
+        # checked against the extracted model along its transitions
+        rng = random.Random(3)
+        structures = checked = 0
+        for _ in range(150):
+            phi = corpus.random_formula(rng, ("a", "b"), ("i", "j"),
+                                        ("p", "q"), depth=3)
+            if len(sx.fl_closure(phi)) > 10:
+                continue
+            t = dp.Translation(phi, dp.LabelBudget(2))
+            outcome = dp.dpdl_sat(t.formula)
+            if not isinstance(outcome, dp.Sat):
+                continue
+            structure = dp.decode_bts(t, outcome.model, outcome.state)
+            model, s0 = bt.extract_model(structure)
+            assert model.check(s0, phi)
+            failures, n = label_mismatches(structure, model)
+            assert not failures, (sx.print_formula(phi), failures[:3])
+            structures += 1
+            checked += n
+        assert structures >= 50 and checked > 500
 
 
 class TestEncoding:

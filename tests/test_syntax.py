@@ -218,6 +218,26 @@ class TestClosure:
         positive = {pf("<a*>p"), pf("<a><a*>p"), pf("p")}
         assert fl == positive | {lnot(g) for g in positive}
 
+    @pytest.mark.parametrize("text, kind, operands", [
+        ("true", "true", []),
+        ("p", "free", []),
+        ("<a>p", "free", []),
+        ("K_i p", "free", []),
+        ("hK_i p", "free", []),
+        ("~p", "not", ["p"]),
+        ("p|q", "or", ["p", "q"]),
+        ("<a+b>p", "or", ["<a>p", "<b>p"]),
+        ("[a+b]p", "and", ["[a]p", "[b]p"]),
+        ("<a;b>p", "eq", ["<a><b>p"]),
+        ("<a*>p", "or", ["p", "<a><a*>p"]),
+        ("[a*]p", "and", ["p", "[a][a*]p"]),
+        ("<0*>p", "eq", ["p"]),
+        ("<0>p", "false", []),
+        ("[0]p", "true", []),
+    ])
+    def test_definition(self, text, kind, operands):
+        assert sx.definition(pf(text)) == (kind, tuple(map(pf, operands)))
+
     def test_negation_pairing(self):
         fl = fl_closure(pf("~~p"))
         assert pf("~p") in fl
