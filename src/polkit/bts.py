@@ -302,7 +302,6 @@ def is_a_successor(b: Bubble, b2: Bubble, a: str, fl):
 
     Returns True or a falsy Violation.
     """
-    fl = frozenset(fl)
     s2set = set(b2.states)
     for s in b2.states:
         if s not in b.labels:
@@ -312,8 +311,10 @@ def is_a_successor(b: Bubble, b2: Bubble, a: str, fl):
         if p1 != p2:
             return Violation("1", f"propositions at {s!r} change")
     sym = ox.atom(a)
-    for f in _ordered(fl):
-        if isinstance(f, sx.Dia) and f.pi is sym:
+    steps = [f for f in _ordered(frozenset(fl))
+             if isinstance(f, (sx.Dia, sx.Box)) and f.pi is sym]
+    for f in steps:
+        if isinstance(f, sx.Dia):
             for s in b.states:
                 holds = f in b.labels[s]
                 will = s in s2set and f.arg in b2.labels[s]
@@ -321,8 +322,8 @@ def is_a_successor(b: Bubble, b2: Bubble, a: str, fl):
                     return Violation(
                         "2", f"{_pp(f)} at {s!r} is "
                              f"{'promised' if holds else 'unexpected'}")
-    for f in _ordered(fl):
-        if isinstance(f, sx.Box) and f.pi is sym:
+    for f in steps:
+        if isinstance(f, sx.Box):
             for s in b2.states:
                 if (f in b.labels[s]) != (f.arg in b2.labels[s]):
                     return Violation(

@@ -5,12 +5,22 @@ expression: the words that state expects to observe. Observing a word w
 removes every state whose expected language contains no continuation of w
 and residuates the expectations of the others.
 
-``Model.check`` implements the truth definition directly. The observation
-modalities quantify over words from a regular language, so the checker
-explores the product of the word automaton with the model's residuation
-graph: the (finite, by normalization of derivatives) set of models
-reachable from this one by observations. Truth values are memoized per
-(reached model, state, formula).
+``Model.check`` implements the truth definition set at a time. The
+observation modalities quantify over words from a regular language, so
+the checker explores the product of the word automaton with the model's
+residuation graph: the (finite, by normalization of derivatives) set of
+models reachable from this one by observations. For each reached model
+and subformula it computes the set of states where the subformula
+holds, once, as a bit mask over ``Model.states``, and memoizes it per
+(reached model, formula); ``check`` reads one bit of it.
+
+Survival is carried by survivor masks. A state survives a word only if
+it survived every prefix, so the survivors of a reached model shrink
+along each walk through the product, and a state among them at the end
+of a walk survived all of it. A diamond thus holds at exactly the
+states that some reachable accepting pair keeps alive with a true body:
+one sweep of the product ORs those sets together, for every state at
+once, where a per-state search would walk the product once per state.
 
 A state whose expectation has an empty language expects nothing, so it
 does not survive any observation, including the empty one. Such states
@@ -96,13 +106,16 @@ class _Ctx:
 
     Identified by its surviving states and their residuated expectations;
     propositions and relations are those of the base model, restricted.
+    ``mask`` holds the survivors as a bit mask over the base model's
+    states.
     """
 
-    __slots__ = ("cid", "survivors", "exp", "steps", "eps")
+    __slots__ = ("cid", "survivors", "mask", "exp", "steps", "eps")
 
-    def __init__(self, cid, survivors, exp):
+    def __init__(self, cid, survivors, mask, exp):
         self.cid = cid
         self.survivors = survivors
+        self.mask = mask
         self.exp = exp
         self.steps = {}
         self.eps = None
@@ -140,12 +153,25 @@ class Model:
         self._blocks = {agent: block_map(self.states, agent,
                                          relations.get(agent, ()))
                         for agent in self.agents}
+        # bit i of a mask stands for self.states[i]
+        self._bit = {s: 1 << i for i, s in enumerate(self.states)}
+        self._prop_masks = {}
+        for s in self.states:
+            for p in self.props[s]:
+                self._prop_masks[p] = self._prop_masks.get(p, 0) | self._bit[s]
+        self._block_masks = {agent: [self._mask(b)
+                                     for b in set(assigned.values())]
+                             for agent, assigned in self._blocks.items()}
         self.max_contexts = max_contexts
         self._ctxs = {}
         self._memo = {}
         self._top = self._ctx_for(frozenset(self.states), self.exp)
 
     # -- structure ------------------------------------------------------------
+
+    def _mask(self, states) -> int:
+        bit = self._bit
+        return sum(bit[s] for s in states)
 
     def block(self, agent: str, s):
         """The equivalence class of ``s`` under the agent's relation."""
@@ -189,14 +215,16 @@ class Model:
     # -- residuation graph ------------------------------------------------
 
     def _ctx_for(self, survivors, exp):
-        key = (survivors,
-               tuple(exp[s] for s in sorted(survivors, key=state_sort_key)))
+        mask = self._mask(survivors)
+        # sorting by bit sorts in state order
+        key = (mask, tuple(exp[s] for s in sorted(survivors,
+                                                  key=self._bit.__getitem__)))
         ctx = self._ctxs.get(key)
         if ctx is None:
             if len(self._ctxs) >= self.max_contexts:
                 raise ResourceBudgetExceeded(
                     f"residuation graph exceeds {self.max_contexts} contexts")
-            ctx = _Ctx(len(self._ctxs), survivors,
+            ctx = _Ctx(len(self._ctxs), survivors, mask,
                        {s: exp[s] for s in survivors})
             self._ctxs[key] = ctx
         return ctx
@@ -268,46 +296,99 @@ class Model:
         if s not in self.props:
             raise UnknownState(f"state {s!r} not in model")
         sx._check_depth(f)
-        return self._eval(self._top, s, f)
+        return bool(self._eval(self._top, f) & self._bit[s])
 
-    def _eval(self, ctx: _Ctx, s, f: sx.Formula) -> bool:
-        key = (ctx.cid, s, f)
-        got = self._memo.get(key, _MISSING)
-        if got is not _MISSING:
+    def _holds(self, ctx: _Ctx, s, f: sx.Formula) -> bool:
+        return bool(self._eval(ctx, f) & self._bit[s])
+
+    def _eval(self, ctx: _Ctx, f: sx.Formula) -> int:
+        """The mask of the survivors of ``ctx`` where ``f`` holds."""
+        key = (ctx.cid, f)
+        got = self._memo.get(key)
+        if got is not None:
             return got
         if isinstance(f, sx.Top):
-            val = True
+            val = ctx.mask
         elif isinstance(f, sx.Prop):
-            val = f.name in self.props[s]
+            val = self._prop_masks.get(f.name, 0) & ctx.mask
         elif isinstance(f, sx.Not):
-            val = not self._eval(ctx, s, f.arg)
-        elif isinstance(f, (sx.Or, sx.And)):
-            # a disjunction stops at a true part, a conjunction at a false
-            stop = isinstance(f, sx.Or)
-            val = not stop
+            val = ctx.mask & ~self._eval(ctx, f.arg)
+        elif isinstance(f, sx.Or):
+            val = 0
             for p in f.parts:
-                if self._eval(ctx, s, p) is stop:
-                    val = stop
+                val |= self._eval(ctx, p)
+                if val == ctx.mask:
                     break
-        elif isinstance(f, sx.Hat):
-            val = any(self._eval(ctx, t, f.arg)
-                      for t in self.block(f.agent, s) & ctx.survivors)
-        elif isinstance(f, sx.Know):
-            val = all(self._eval(ctx, t, f.arg)
-                      for t in self.block(f.agent, s) & ctx.survivors)
+        elif isinstance(f, sx.And):
+            val = ctx.mask
+            for p in f.parts:
+                val &= self._eval(ctx, p)
+                if not val:
+                    break
+        elif isinstance(f, (sx.Hat, sx.Know)):
+            if f.agent not in self._block_masks:
+                raise UnknownAgent(f"agent {f.agent!r} not in model")
+            blocks = [b & ctx.mask for b in self._block_masks[f.agent]]
+            arg = self._eval(ctx, f.arg)
+            # the blocks are disjoint, so their sum is their union
+            if isinstance(f, sx.Hat):  # the blocks that meet the body
+                val = sum(b for b in blocks if b & arg)
+            else:  # the blocks that stay inside it
+                val = sum(b for b in blocks if not b & ~arg)
         elif isinstance(f, sx.Dia):
-            val = self._search(ctx, s, f.pi, f.arg, True)[0]
+            val = self._reach(ctx, f.pi, f.arg, True)
         elif isinstance(f, sx.Box):
-            val = not self._search(ctx, s, f.pi, f.arg, False)[0]
+            val = ctx.mask & ~self._reach(ctx, f.pi, f.arg, False)
         else:
             raise TypeError(f"not a Formula: {f!r}")
         self._memo[key] = val
         return val
 
+    def _reach(self, ctx: _Ctx, pi: ObsExpr, body: sx.Formula,
+               want: bool) -> int:
+        """The mask of the states s for which some word w matching pi
+        has s surviving it and the body evaluating to ``want`` at s
+        afterwards.
+
+        Survivors only shrink along a word, so a state among the
+        survivors at the end of a walk survived every step of it. The
+        answer is therefore the union, over the live pairs of the
+        product that the empty-word context reaches, of the survivors
+        at accepting pairs where the body evaluates to ``want``: the
+        least fixpoint of propagating those sets backwards through the
+        product, read at its start. A pair whose survivors are all in
+        the union already adds nothing, and is not expanded.
+        """
+        start = self._eps(ctx)
+        if start is None:
+            return 0
+        dfa = ox.to_dfa(pi, self.alphabet)
+        found = 0
+        queue = [(start, 0)] if 0 in dfa.live else []
+        seen = {(start.cid, 0)}
+        for c, q in queue:  # the queue grows while it is read
+            if not c.mask & ~found:
+                continue
+            if q in dfa.accepting:
+                got = self._eval(c, body)
+                found |= got if want else c.mask & ~got
+                if found == start.mask:
+                    break
+            for sym in self.alphabet:
+                nc = self._step(c, sym)
+                if nc is None:
+                    continue
+                q2 = dfa.transitions[(q, sym)]
+                if q2 in dfa.live and (nc.cid, q2) not in seen:
+                    seen.add((nc.cid, q2))
+                    queue.append((nc, q2))
+        return found
+
     def _search(self, ctx: _Ctx, s, pi: ObsExpr, body: sx.Formula,
                 want: bool):
-        """Find a word w matching pi with s surviving it and the body
-        evaluating to ``want`` afterwards. Returns (found, word, context).
+        """Find a shortest word w matching pi with s surviving it and the
+        body evaluating to ``want`` afterwards. Returns (found, word,
+        context).
 
         Branches where s has already died are skipped: a state that does
         not survive w survives no extension of w either.
@@ -323,7 +404,7 @@ class Model:
                     yield sym, nc
 
         path = ox.search(ox.to_dfa(pi, self.alphabet), start, step,
-                         lambda c: self._eval(c, s, body) is want)
+                         lambda c: self._holds(c, s, body) is want)
         if path is None:
             return False, None, None
         end = path[-1][1] if path else start
@@ -346,7 +427,7 @@ class Model:
     def _explain(self, ctx, s, f, word, depth, lines, max_lines):
         if len(lines) > max_lines:
             return
-        val = self._eval(ctx, s, f)
+        val = self._holds(ctx, s, f)
         where = f" after {'-'.join(word)}" if word else ""
         lines.append("  " * depth +
                      f"{sx.print_formula(f)} @ {s}{where}: {val}")

@@ -206,11 +206,11 @@ def formula_size(f: Formula) -> int:
 
 
 # The evaluators recurse once per formula level. ``Model.check`` spends
-# four frames on a modal level (``_eval``, ``_search``, ``ox.search``
-# and the goal lambda) and at most three on any other, ``dpdl_check`` at
-# most three on any level. So 200 levels take at most 800 frames, and
-# 200 of the interpreter's default recursion limit of 1,000 are left to
-# the caller and to the automata built at the leaves.
+# two frames on a modal level (``_eval`` and ``_reach``) and one on any
+# other, ``Model.explain`` one more in all, and ``dpdl_check`` at most
+# three on any level. So 200 levels take at most 600 frames, and 400 of
+# the interpreter's default recursion limit of 1,000 are left to the
+# caller and to the automata built at the leaves.
 _MAX_DEPTH = 200
 
 
@@ -556,6 +556,11 @@ def _parse(toks: _FormulaTokens, alphabet) -> Formula:
     f = _parse_or(toks, alphabet)
     if toks.peek() is not None:
         toks.error(f"trailing input {toks.peek()!r}")
+    # the grammar's nesting cap does not count junction chains, so the
+    # parsed formula meets the evaluators' depth limit here
+    if f.depth > _MAX_DEPTH:
+        raise ParseError(f"formula nests {f.depth} levels deep; the limit "
+                         f"is {_MAX_DEPTH}")
     return f
 
 

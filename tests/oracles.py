@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 
+from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.obsregex import Atom, Concat, Empty, Epsilon, ObsExpr, Star, Sum
 
@@ -123,3 +124,66 @@ def label_mismatches(t, model, max_len: int = 3):
                 if not mw.check(s, f):
                     failures.append((w, s, sx.print_formula(f)))
     return failures, checked
+
+
+def _model_key(m):
+    return m.states, tuple(m.exp[s] for s in m.states)
+
+
+def stepwise_check(m, s, f, memo=None) -> bool:
+    """Truth of ``f`` at state ``s`` of ``m``, one state at a time.
+
+    Uses the public API only. An observation modality walks words
+    breadth first over pairs of an updated model (``Model.update``) and
+    a state of the automaton of its expression, keeps the models that
+    ``s`` survives, and evaluates the body at ``s`` in the models met at
+    accepting automaton states. ``memo`` caches truth per (model states
+    and expectations, state, formula) within one base model."""
+    if memo is None:
+        memo = {}
+    key = (_model_key(m), s, f)
+    if key in memo:
+        return memo[key]
+    if isinstance(f, sx.Top):
+        val = True
+    elif isinstance(f, sx.Prop):
+        val = f.name in m.props[s]
+    elif isinstance(f, sx.Not):
+        val = not stepwise_check(m, s, f.arg, memo)
+    elif isinstance(f, sx.Or):
+        val = any(stepwise_check(m, s, p, memo) for p in f.parts)
+    elif isinstance(f, sx.And):
+        val = all(stepwise_check(m, s, p, memo) for p in f.parts)
+    elif isinstance(f, sx.Hat):
+        val = any(stepwise_check(m, t, f.arg, memo)
+                  for t in m.block(f.agent, s))
+    elif isinstance(f, sx.Know):
+        val = all(stepwise_check(m, t, f.arg, memo)
+                  for t in m.block(f.agent, s))
+    elif isinstance(f, (sx.Dia, sx.Box)):
+        want = isinstance(f, sx.Dia)
+        found = False
+        start = m.update(())
+        dfa = ox.to_dfa(f.pi, m.alphabet)
+        if start is not None and s in start.states and 0 in dfa.live:
+            queue = [(start, 0)]
+            seen = {(_model_key(start), 0)}
+            for mw, q in queue:  # the queue grows while it is read
+                if (q in dfa.accepting
+                        and stepwise_check(mw, s, f.arg, memo) is want):
+                    found = True
+                    break
+                for sym in m.alphabet:
+                    nxt = mw.update((sym,))
+                    q2 = dfa.transitions[(q, sym)]
+                    if nxt is None or s not in nxt.states or q2 not in dfa.live:
+                        continue
+                    pair = (_model_key(nxt), q2)
+                    if pair not in seen:
+                        seen.add(pair)
+                        queue.append((nxt, q2))
+        val = found is want
+    else:
+        raise TypeError(f"not a Formula: {f!r}")
+    memo[key] = val
+    return val

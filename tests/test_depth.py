@@ -1,12 +1,14 @@
 """Every entry point that evaluates a formula recursively refuses one
 that nests deeper than the stated limit, and accepts one at the limit."""
 
+import functools
+
 import pytest
 
 from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
-from polkit.errors import FormulaTooDeep
+from polkit.errors import FormulaTooDeep, ParseError
 from polkit.models import Model
 
 
@@ -33,11 +35,16 @@ def nested(make, depth):
     return f
 
 
+def junction_chain(parts):
+    """``p|p|...|p`` as the parser builds it: one level per part."""
+    return functools.reduce(sx.lor, [sx.prop("p")] * parts)
+
+
 DEEP = {
     "factories": lambda: nested(sx.lnot, 3000),
-    # the parser caps nesting at 64 levels, but a junction chain is
-    # one level of the grammar however long it is
-    "text": lambda: sx.parse_formula("|".join(["p"] * 3000)),
+    # the formula that the text "p|p|...|p" of 3,000 parts denotes; the
+    # parser refuses that text (see test_parser_refuses_a_deep_chain)
+    "text": lambda: junction_chain(3000),
 }
 
 
@@ -52,10 +59,20 @@ def test_too_deep_is_refused(entry, source):
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_at_the_limit_passes(entry):
-    # an empty-word diamond costs Model.check its four frames per level
+    # an empty-word diamond costs Model.check its two frames per level
     # without any observation, so every entry point decides it quickly
     f = nested(lambda g: sx.dia(ox.epsilon(), g), sx._MAX_DEPTH)
     assert f.depth == sx._MAX_DEPTH
     ENTRY_POINTS[entry](f)
     with pytest.raises(FormulaTooDeep):
         ENTRY_POINTS[entry](sx.dia(ox.epsilon(), f))
+
+
+def test_parser_refuses_a_deep_chain():
+    # the grammar's nesting cap does not count a junction chain, so the
+    # parser checks the depth of what it built
+    with pytest.raises(ParseError, match=f"limit is {sx._MAX_DEPTH}"):
+        sx.parse_formula("|".join(["p"] * 3000))
+    f = sx.parse_formula("|".join(["p"] * sx._MAX_DEPTH))
+    assert f is junction_chain(sx._MAX_DEPTH)
+    assert one_state_model().check(0, f)

@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from oracles import member_oracle, words_up_to
+from oracles import member_oracle, stepwise_check, words_up_to
 from polkit import obsregex as ox
-from polkit.corpus import drone_model, random_model, recall_counterexample_model
+from polkit import syntax as sx
+from polkit.corpus import (drone_model, random_formula, random_model,
+                           recall_counterexample_model)
 from polkit.errors import ResourceBudgetExceeded, UnknownAgent, UnknownState
 from polkit.models import Model, validity_sample
 from polkit.obsregex import Alphabet, parse_regex, print_regex
@@ -15,8 +17,6 @@ from polkit.syntax import parse_formula
 def naive_check(m, s, f, bound):
     """Reference checker built on the public update API; observation
     modalities quantify over words up to the given length only."""
-    from polkit import syntax as sx
-
     if isinstance(f, sx.Top):
         return True
     if isinstance(f, sx.Prop):
@@ -218,8 +218,6 @@ class TestCheckerAgainstNaive:
     @settings(max_examples=60, deadline=None)
     @given(st_seed=__import__("hypothesis").strategies.integers(0, 10 ** 6))
     def test_star_free_formulas_agree_exactly(self, st_seed):
-        from polkit.corpus import random_formula
-
         rng = random.Random(st_seed)
         m = random_model(rng, max_states=3, regex_depth=2)
         f = random_formula(rng, depth=3, regex_depth=1)
@@ -233,6 +231,73 @@ class TestCheckerAgainstNaive:
         f = parse_formula("<a*>(p & [a]false)")
         assert m.check(0, f)
         assert not naive_check(m, 0, f, bound=2)
+
+
+def assert_agrees_everywhere(m, f):
+    memo = {}
+    for s in m.states:
+        assert m.check(s, f) == stepwise_check(m, s, f, memo), (s, f)
+
+
+class TestCheckerAgainstStepwise:
+    """The set-at-a-time checker against the per-state reference."""
+
+    def test_random_models_and_their_updates(self):
+        rng = random.Random(2024)
+        agents = ("i", "j")
+        dead = starred = 0
+        for k in range(150):
+            m = random_model(rng, agents=agents, max_states=5,
+                             regex_depth=3, live=k % 2 == 0)
+            dead += sum(ox.is_empty_language(e) for e in m.exp.values())
+            word = tuple(rng.choice("ab") for _ in range(rng.randint(1, 2)))
+            updated = m.update(word)
+            for _ in range(6):
+                f = random_formula(rng, agents=agents, depth=3,
+                                   regex_depth=2)
+                starred += "*" in sx.print_formula(f)
+                assert_agrees_everywhere(m, f)
+                if updated is not None:
+                    assert_agrees_everywhere(updated, f)
+        # the sample covers dead states and starred formulas
+        assert dead and starred
+
+    def test_witness_goes_round_a_cycle_of_contexts(self):
+        # the expectation a;(a;a;a)*;b cycles through three contexts
+        # under a, and b is possible only after 1, 4, 7, ... letters, so
+        # the shortest word of length at least 3 with b next is aaaa
+        ab = Alphabet(["a", "b"])
+        m = Model(ab, ["i"], [0, 1], {0: {"p"}},
+                  {0: parse_regex("a;(a;a;a)*;b", ab),
+                   1: parse_regex("(a+b)*", ab)}, {"i": [{0, 1}]})
+        dia = parse_formula("<a;a;a;a*><b>true", ab)
+        box = parse_formula("[a;a;a;a*][b]false", ab)
+        assert m.check(0, dia) and not m.check(0, box)
+        assert m.explain(0, dia)[1].strip() == "witness observation: a-a-a-a"
+        assert m.explain(0, box)[1].strip() == "failing observation: a-a-a-a"
+        for f in (dia, box, parse_formula("<a*>K_i <b>true", ab),
+                  parse_formula("[a;a*]hK_i [b]false", ab)):
+            assert_agrees_everywhere(m, f)
+
+    def test_dead_state_under_stars(self):
+        m = Model(Alphabet(["a"]), ["i"], ["u", "d"], {"d": {"p"}},
+                  {"u": ox.star(ox.atom("a")), "d": ox.empty()},
+                  {"i": [{"u", "d"}]})
+        dia, box = parse_formula("<0*>true"), parse_formula("[0*]false")
+        assert not m.check("d", dia) and m.check("d", box)
+        assert m.check("u", dia) and not m.check("u", box)
+        for f in (dia, box, parse_formula("hK_i p & <0*>~hK_i p")):
+            assert_agrees_everywhere(m, f)
+
+    @pytest.mark.parametrize("text", [
+        "K_d T1", "<s*;p*;c>K_d T1", "[s*;p*]~(K_d T1|K_d ~T1)",
+        "[s;(s+p)*;c]T2", "hK_d <(s+p)*;l>T2",
+    ])
+    def test_explain_agrees_with_check(self, text):
+        m = drone_model()
+        f = parse_formula(text, m.alphabet)
+        for s in m.states:
+            assert m.explain(s, f)[0].endswith(f": {m.check(s, f)}")
 
 
 class TestErrors:
