@@ -140,31 +140,49 @@ def is_hintikka(h, fl):
 def enumerate_hintikka(fl, cap: int = 22):
     """All sets passing ``is_hintikka`` over ``fl``, in a fixed order.
 
-    Every label decides each unnegated closure member, so the candidates
-    are enumerated as bit patterns over those members, smallest first.
-    Refuses closures with more than ``cap`` members, since the candidate
-    space doubles with each one.
+    A label is fixed by its free members (``syntax.definition``): every
+    other member is in it exactly when its definition holds. So each
+    assignment to the free members is completed, operands first, into
+    the one candidate it allows, and the candidates that pass condition
+    2 are yielded ordered as bit patterns over the unnegated members in
+    closure order, smallest first. Refuses closures with more than
+    ``cap`` members, since the candidate space can double with each one.
     """
     fl = frozenset(fl)
     if len(fl) > cap:
         raise ClosureTooLarge(
             f"{len(fl)} closure members exceed the cap of {cap}")
     c = _Closure(fl)
+    defs = {f: (kind, operands) for f, kind, operands in c.defined}
+    free = [f for f in c.ordered if f not in defs]
     cores = [f for f in c.ordered if not isinstance(f, sx.Not)]
+    derived = []
 
-    def member(f, present):
-        neg = False
-        while isinstance(f, sx.Not):
-            neg = not neg
-            f = f.arg
-        return (f in present) != neg
+    def place(f):  # the definitions form a DAG over at most cap members
+        if f in defs and f not in placed:
+            placed.add(f)
+            for g in defs[f][1]:
+                place(g)
+            derived.append((f,) + defs[f])
+
+    placed = set()
+    for f in c.ordered:
+        place(f)
+
+    def key(h):
+        return sum(1 << i for i, f in enumerate(cores) if f in h)
 
     def gen():
-        for mask in range(1 << len(cores)):
-            present = {f for i, f in enumerate(cores) if mask >> i & 1}
-            h = frozenset(f for f in c.fl if member(f, present))
+        labels = []
+        for mask in range(1 << len(free)):
+            h = {f for i, f in enumerate(free) if mask >> i & 1}
+            for f, kind, operands in derived:
+                if _holds(kind, operands, h):
+                    h.add(f)
+            h = frozenset(h)
             if _hintikka_violation(h, c) is None:
-                yield h
+                labels.append(h)
+        yield from sorted(labels, key=key)
 
     return gen()
 

@@ -160,9 +160,17 @@ def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
         elif isinstance(g, sx.Not):
             v = not ev(st, g.arg)
         elif isinstance(g, sx.Or):
-            v = any(ev(st, p) for p in g.parts)
+            v = False
+            for p in g.parts:
+                if ev(st, p):
+                    v = True
+                    break
         elif isinstance(g, sx.And):
-            v = all(ev(st, p) for p in g.parts)
+            v = True
+            for p in g.parts:
+                if not ev(st, p):
+                    v = False
+                    break
         elif isinstance(g, sx.Dia):
             v = ox.search(dfa(g.pi), st, step,
                           lambda t: ev(t, g.arg)) is not None

@@ -47,16 +47,42 @@ def _reachable(model: dc.DpdlModel, start):
     return order, index
 
 
+def _label(t: Translation, ell: int, v) -> frozenset:
+    """The members true at slot ``ell`` under the atoms ``v``. A member
+    with an atom reads it; the others follow from their parts, which
+    come first in ``t.fl``."""
+    label = set()
+    for psi in t.fl:
+        a = t.at(ell, psi)
+        if isinstance(a, sx.Prop):
+            holds = a.name in v
+        elif isinstance(psi, sx.Top):
+            holds = True
+        elif isinstance(psi, sx.Not):
+            holds = psi.arg not in label
+        elif isinstance(psi, sx.Or):
+            holds = any(p in label for p in psi.parts)
+        else:
+            holds = all(p in label for p in psi.parts)
+        if holds:
+            label.add(psi)
+    return frozenset(label)
+
+
 def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
-    """Read the bubble transition structure out of a witness model."""
+    """Read the bubble transition structure out of a witness model.
+
+    Each witness state is a bubble whose live slots carry labels: a
+    slot's proposition, negated-proposition, modal and agent members
+    are read from their atoms, and its other members are completed in
+    ``t.fl`` order, parts before the members they make up.
+    """
     order, index = _reachable(model, state)
     bubbles = []
     for w in order:
         v = model.val[w]
         slots = [ell for ell in t.labels if t.surv(ell).name in v]
-        labels = {ell: frozenset(psi for psi in t.fl
-                                 if t.at(ell, psi).name in v)
-                  for ell in slots}
+        labels = {ell: _label(t, ell, v) for ell in slots}
         relations = {}
         for agent in t.agents:
             pairs = [(x, y) for x in slots for y in slots

@@ -683,7 +683,7 @@ class _Dpll:
                 while pos < len(decide) and value[2 * decide[pos]] is not None:
                     pos += 1
                 if pos >= len(decide):
-                    return "sat", [value[2 * v] for v in range(self.nvars)]
+                    return "sat", value[0::2]
                 var = decide[pos]
                 self.decisions += 1
                 self.trail_lim.append(len(self.trail))

@@ -2,11 +2,17 @@
 
 A state of the target model stands for a whole bubble: a set of at most
 ``labels`` slots, each slot ``l`` carrying a truth assignment to the
-closure of the source formula through atoms ``@l.psi``, an aliveness
-bit ``surv(l)``, and per-agent adjacency bits ``R_i(l,m)``, one per
-unordered pair of distinct slots ``l < m``. Action letters move between
-bubbles, so survival of a slot under an observation word is plain
-reachability in the target model.
+closure of the source formula, an aliveness bit ``surv(l)``, and
+per-agent adjacency bits ``R_i(l,m)``, one per unordered pair of
+distinct slots ``l < m``. Action letters move between bubbles, so
+survival of a slot under an observation word is plain reachability in
+the target model.
+
+The truth assignment has an atom ``@l.psi`` only where ``psi`` is a
+proposition, a negated proposition, or a modal or agent member. The
+truth of ``true``, of a junction and of any other negation is fixed by
+its parts, so it is written as that formula over the parts' atoms (the
+structure-preserving clause form of Plaisted and Greenbaum, JSC 1986).
 
 The budget decides how many slots are available. Only the exhaustive
 budget, one slot per subset of the closure, makes unsatisfiability of
@@ -56,14 +62,27 @@ def _check_budget(budget: LabelBudget, cap: int) -> LabelBudget:
 class Translation:
     """The encoded formula together with its atom bookkeeping.
 
+    ``at(l, psi)`` is the truth of the closure member ``psi`` at slot
+    ``l``. Propositions, negated propositions and the ``Dia``, ``Box``,
+    ``Know`` and ``Hat`` members have atoms ``@l.psi``. The others are
+    derived from their parts: ``at(l, true)`` is ``true``, ``at(l, ~psi)``
+    is ``~at(l, psi)`` and a junction is the junction of its parts'
+    ``at``. The negated proposition keeps its atom, tied to the
+    proposition's by ``@l.p <-> ~@l.~p``. With ``~@l.p`` in its place,
+    the solver's default polarity (an undecided atom is false) makes
+    ``p`` false at every root slot, and the discharge steering, which
+    hints only an eventuality's own members, then leaves
+    ``<b;b*>hK_i p`` and ``<b;a><(b;a)*>hK_j q`` undischarged at two
+    labels.
+
     ``formula`` is a set of root facts and one invariant under
     ``[Σ*]``. The root facts: slot 1 is alive, slot 1 satisfies the
     source formula, and the per-agent transitivity instances. The
     invariant holds everywhere reachable: the truth-assignment clauses
-    for every closure member, one-step persistence ``x -> [a]x`` for
-    every letter ``a`` and every slot literal ``@l.p``, ``@l.~p``,
-    ``R_i(l,m)`` and ``~R_i(l,m)``, existence of a successor per
-    letter, and that dead slots stay dead.
+    for every proposition, modal and agent member, one-step persistence
+    ``x -> [a]x`` for every letter ``a`` and every slot literal
+    ``@l.p``, ``@l.~p``, ``R_i(l,m)`` and ``~R_i(l,m)``, existence of a
+    successor per letter, and that dead slots stay dead.
 
     One-step persistence inside ``[Σ*]`` says as much as a root
     ``x -> [Σ*]x``: by induction along every path from the root, ``x``
@@ -92,8 +111,10 @@ class Translation:
         if not letters:
             letters = ["a"]
         self.alphabet = tuple(letters)
-        self._at = {(ell, psi): dc.atom(f"@{ell}.{sx.print_formula(psi)}")
-                    for ell in self.labels for psi in self.fl}
+        self._at = {}
+        for psi in self.fl:  # parts first, so each derivation finds them
+            for ell in self.labels:
+                self._at[(ell, psi)] = self._label_formula(ell, psi)
         self._surv = {ell: dc.atom(f"surv({ell})") for ell in self.labels}
         self._rel = {(i, ell, ell2): dc.atom(f"R_{i}({ell},{ell2})")
                      for i in self.agents
@@ -104,7 +125,20 @@ class Translation:
     # -- atoms ------------------------------------------------------------
 
     def at(self, ell: int, psi: sx.Formula) -> sx.Formula:
+        """Truth of the member ``psi`` at slot ``ell``: its atom, or the
+        formula over its parts' atoms that fixes it."""
         return self._at[(ell, psi)]
+
+    def _label_formula(self, ell: int, psi: sx.Formula) -> sx.Formula:
+        if isinstance(psi, sx.Top):
+            return sx.top()
+        if isinstance(psi, sx.Not) and not isinstance(psi.arg, sx.Prop):
+            return sx.lnot(self.at(ell, psi.arg))
+        if isinstance(psi, sx.Or):
+            return dc.lor(*[self.at(ell, p) for p in psi.parts])
+        if isinstance(psi, sx.And):
+            return dc.land(*[self.at(ell, p) for p in psi.parts])
+        return dc.atom(f"@{ell}.{sx.print_formula(psi)}")
 
     def surv(self, ell: int) -> sx.Formula:
         return self._surv[ell]
@@ -119,28 +153,17 @@ class Translation:
     # -- construction ------------------------------------------------------
 
     def _sem(self, psi: sx.Formula) -> sx.Formula:
-        """Truth-assignment clause for one closure member, all slots.
+        """Truth-assignment clause for one proposition, modal or agent
+        member, all slots.
 
-        Each member kind pins its atom to the atoms of its immediate
-        parts. Both polarities of every connective get a clause; with
-        only one polarity the encoding of, say, a conjunction inside a
-        knowledge operator would be free to drift from its parts and
-        satisfiability would not transfer back to the source formula.
+        A proposition's atom is the negation of its negation's atom.
+        A modal or agent member's atom is pinned, both ways, to the
+        truth of its argument at the slots it reads.
         """
         parts = []
         for ell in self.labels:
-            a = self.at(ell, psi)
-            if isinstance(psi, sx.Top):
-                parts.append(a)
-                continue
             if isinstance(psi, sx.Prop):
                 pinned = sx.lnot(self.at(ell, sx.lnot(psi)))
-            elif isinstance(psi, sx.Not):
-                pinned = sx.lnot(self.at(ell, psi.arg))
-            elif isinstance(psi, sx.Or):
-                pinned = dc.lor(*[self.at(ell, p) for p in psi.parts])
-            elif isinstance(psi, sx.And):
-                pinned = dc.land(*[self.at(ell, p) for p in psi.parts])
             elif isinstance(psi, sx.Hat):
                 pinned = dc.lor(*[dc.land(self.rel(psi.agent, ell, m),
                                           self.surv(m), self.at(m, psi.arg))
@@ -157,8 +180,8 @@ class Translation:
                 pinned = sx.box(psi.pi, dc.implies(self.surv(ell),
                                                    self.at(ell, psi.arg)))
             else:
-                raise TypeError(f"not a Formula: {psi!r}")
-            parts.append(dc.iff(a, pinned))
+                raise TypeError(f"no clause for {psi!r}")
+            parts.append(dc.iff(self.at(ell, psi), pinned))
         return dc.land(*parts)
 
     def _frame_laws(self) -> list:
@@ -175,7 +198,8 @@ class Translation:
 
     def _build(self) -> sx.Formula:
         letters = [ox.atom(a) for a in self.alphabet]
-        invariant = [self._sem(psi) for psi in self.fl]
+        invariant = [self._sem(psi) for psi in self.fl if isinstance(
+            psi, (sx.Prop, sx.Hat, sx.Know, sx.Dia, sx.Box))]
         kept = [self.at(ell, g) for psi in self.fl
                 if isinstance(psi, sx.Prop)
                 for ell in self.labels for g in (psi, sx.lnot(psi))]

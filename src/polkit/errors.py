@@ -23,6 +23,10 @@ class FormulaTooDeep(PolError):
     """A formula nesting deeper than the evaluators' stated limit."""
 
 
+class ExpressionTooDeep(PolError):
+    """An observation expression nesting deeper than the stated limit."""
+
+
 class UnknownSymbol(PolError):
     """An observation symbol that is not part of the ambient alphabet."""
 

@@ -12,7 +12,8 @@ residuation graph: the (finite, by normalization of derivatives) set of
 models reachable from this one by observations. For each reached model
 and subformula it computes the set of states where the subformula
 holds, once, as a bit mask over ``Model.states``, and memoizes it per
-(reached model, formula); ``check`` reads one bit of it.
+(reached model, formula), up to a fixed number of entries; ``check``
+reads one bit of it.
 
 Survival is carried by survivor masks. A state survives a word only if
 it survived every prefix, so the survivors of a reached model shrink
@@ -39,6 +40,11 @@ from .obsregex import Alphabet, ObsExpr
 __all__ = ["Model", "state_sort_key", "validity_sample"]
 
 _MISSING = object()
+
+# Entries of ``Model._memo``, one per (reached model, formula) pair: far
+# above what checking a few dozen formulas on a model needs, while a
+# model checked against an endless stream of formulas starts over.
+_MEMO_ENTRIES = 4096
 
 
 def state_sort_key(s):
@@ -341,6 +347,8 @@ class Model:
             val = ctx.mask & ~self._reach(ctx, f.pi, f.arg, False)
         else:
             raise TypeError(f"not a Formula: {f!r}")
+        if len(self._memo) >= _MEMO_ENTRIES:
+            self._memo.clear()
         self._memo[key] = val
         return val
 

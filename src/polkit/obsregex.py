@@ -30,7 +30,8 @@ from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParseError, StateBudgetExceeded, UnknownSymbol
+from .errors import (ExpressionTooDeep, ParseError, StateBudgetExceeded,
+                     UnknownSymbol)
 
 __all__ = [
     "Alphabet", "ObsExpr", "Empty", "Epsilon", "Atom", "Sum", "Concat", "Star",
@@ -98,12 +99,12 @@ class ObsExpr:
     Nodes are interned, so identity is structural equality, and the
     identity comparison and hash inherited from ``object`` serve as is.
     ``nullable`` (the language holds the empty word), ``empty`` (the
-    language is empty) and ``size`` (the node count, n-ary nodes counted
-    as their binary equivalents) are set by each constructor from its
-    parts.
+    language is empty), ``size`` (the node count, n-ary nodes counted
+    as their binary equivalents) and ``depth`` (the nodes on the longest
+    path down to a leaf) are set by each constructor from its parts.
     """
 
-    __slots__ = ("_key", "__weakref__", "nullable", "empty", "size")
+    __slots__ = ("_key", "__weakref__", "nullable", "empty", "size", "depth")
 
     def __repr__(self):
         return f"ObsExpr({print_regex(self)!r})"
@@ -114,7 +115,7 @@ class Empty(ObsExpr):
     __slots__ = ()
 
     def __init__(self):
-        self.nullable, self.empty, self.size = False, True, 1
+        self.nullable, self.empty, self.size, self.depth = False, True, 1, 1
 
 
 class Epsilon(ObsExpr):
@@ -122,7 +123,7 @@ class Epsilon(ObsExpr):
     __slots__ = ()
 
     def __init__(self):
-        self.nullable, self.empty, self.size = True, False, 1
+        self.nullable, self.empty, self.size, self.depth = True, False, 1, 1
 
 
 class Atom(ObsExpr):
@@ -130,7 +131,7 @@ class Atom(ObsExpr):
 
     def __init__(self, symbol):
         self.symbol = symbol
-        self.nullable, self.empty, self.size = False, False, 1
+        self.nullable, self.empty, self.size, self.depth = False, False, 1, 1
 
 
 class Sum(ObsExpr):
@@ -142,6 +143,7 @@ class Sum(ObsExpr):
         self.nullable = any(p.nullable for p in parts)
         self.empty = all(p.empty for p in parts)
         self.size = len(parts) - 1 + sum(p.size for p in parts)
+        self.depth = 1 + max(p.depth for p in parts)
 
 
 class Concat(ObsExpr):
@@ -153,6 +155,7 @@ class Concat(ObsExpr):
         self.nullable = all(p.nullable for p in parts)
         self.empty = any(p.empty for p in parts)
         self.size = len(parts) - 1 + sum(p.size for p in parts)
+        self.depth = 1 + max(p.depth for p in parts)
 
 
 class Star(ObsExpr):
@@ -161,7 +164,7 @@ class Star(ObsExpr):
     def __init__(self, body):
         self.body = body
         self.nullable, self.empty = True, False
-        self.size = 1 + body.size
+        self.size, self.depth = 1 + body.size, 1 + body.depth
 
 
 _EMPTY = Empty()
@@ -252,6 +255,19 @@ def seq(*parts) -> ObsExpr:
     return _intern((";",) + flat, Concat, flat)
 
 
+# ``_derive`` and ``_strip`` recurse once per expression level, ``_derive``
+# with two frames on a sum, so ``derive``, ``to_dfa`` and ``star`` refuse
+# an expression deeper than this. The formulas of ``polkit.syntax`` share
+# the limit, and a modality's depth counts its expression's.
+_MAX_DEPTH = 200
+
+
+def _check_depth(e: ObsExpr) -> None:
+    if e.depth > _MAX_DEPTH:
+        raise ExpressionTooDeep(f"expression nests {e.depth} levels deep; "
+                                f"the limit is {_MAX_DEPTH}")
+
+
 def _strip(e: ObsExpr) -> ObsExpr:
     """An expression whose star is the star of ``e`` and whose language
     lacks the empty word (Brueggemann-Klein's ``e°``)."""
@@ -267,7 +283,9 @@ def _strip(e: ObsExpr) -> ObsExpr:
 
 def star(body: ObsExpr) -> ObsExpr:
     """The star in star normal form: its body never holds the empty word."""
-    body = _strip(body)
+    if body.nullable:
+        _check_depth(body)
+        body = _strip(body)
     if isinstance(body, Empty):
         return _EPSILON
     return _intern(("*", body), Star, body)
@@ -306,6 +324,7 @@ def derive(e: ObsExpr, sym: str, alphabet: Alphabet | None = None) -> ObsExpr:
     """Brzozowski derivative of ``e`` by one symbol."""
     if alphabet is not None:
         alphabet.require(sym)
+    _check_depth(e)
     return _derive(e, sym)
 
 
@@ -404,9 +423,11 @@ class Dfa:
 def to_dfa(e: ObsExpr, alphabet: Alphabet, max_states: int = 10 ** 6) -> Dfa:
     """Derivative automaton of ``e``; all states reachable from the initial.
 
-    Results are cached, so equal arguments give the same automaton,
-    which callers must not mutate. The cache is the only automaton cache
-    of the package and holds a bounded number of automata.
+    Raises ExpressionTooDeep when ``e`` or one of its derivatives nests
+    deeper than ``_MAX_DEPTH``. Results are cached, so equal arguments
+    give the same automaton, which callers must not mutate. The cache
+    is the only automaton cache of the package and holds a bounded
+    number of automata.
     """
     for sym in atoms(e):
         alphabet.require(sym)
@@ -417,6 +438,7 @@ def to_dfa(e: ObsExpr, alphabet: Alphabet, max_states: int = 10 ** 6) -> Dfa:
     while frontier:
         nxt = []
         for src in frontier:
+            _check_depth(src)
             src_id = index[src]
             for sym in alphabet:
                 dst = _derive(src, sym)

@@ -55,8 +55,9 @@ class Formula:
     hash inherited from ``object`` serve as is. Each constructor sets
     two fields from the node's parts: ``size``, the node count with
     observation expression nodes included and junctions counted as
-    their binary equivalents, and ``depth``, the number of formula
-    nodes on the longest path from this node down to a leaf.
+    their binary equivalents, and ``depth``, the number of nodes on the
+    longest path from this node down to a leaf, where a modality's
+    paths run into its expression as well as its argument.
     """
 
     __slots__ = ("_key", "__weakref__", "size", "depth")
@@ -132,7 +133,8 @@ class Dia(Formula):
     def __init__(self, pi, arg):
         self.pi = pi
         self.arg = arg
-        self.size, self.depth = 1 + pi.size + arg.size, 1 + arg.depth
+        self.size = 1 + pi.size + arg.size
+        self.depth = 1 + max(pi.depth, arg.depth)
 
 
 class Box(Formula):
@@ -141,7 +143,8 @@ class Box(Formula):
     def __init__(self, pi, arg):
         self.pi = pi
         self.arg = arg
-        self.size, self.depth = 1 + pi.size + arg.size, 1 + arg.depth
+        self.size = 1 + pi.size + arg.size
+        self.depth = 1 + max(pi.depth, arg.depth)
 
 
 _TOP = Top()
@@ -208,10 +211,12 @@ def formula_size(f: Formula) -> int:
 # The evaluators recurse once per formula level. ``Model.check`` spends
 # two frames on a modal level (``_eval`` and ``_reach``) and one on any
 # other, ``Model.explain`` one more in all, and ``dpdl_check`` at most
-# three on any level. So 200 levels take at most 600 frames, and 400 of
-# the interpreter's default recursion limit of 1,000 are left to the
-# caller and to the automata built at the leaves.
-_MAX_DEPTH = 200
+# three on any level. A modality's depth counts its program's depth too:
+# the program's automaton is built, at most two frames per expression
+# level, before the body is evaluated. So 200 levels (``ox._MAX_DEPTH``)
+# take at most 600 frames, and 400 of the interpreter's default
+# recursion limit of 1,000 are left to the caller.
+_MAX_DEPTH = ox._MAX_DEPTH
 
 
 def _check_depth(f: Formula) -> None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 
+from polkit import bts as bt
 from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.obsregex import Atom, Concat, Empty, Epsilon, ObsExpr, Star, Sum
@@ -93,6 +94,30 @@ def language_sample(e: ObsExpr, symbols, max_len: int) -> frozenset:
     """The finite slice of L(e) up to the given length, by the oracle."""
     return frozenset(w for w in words_up_to(symbols, max_len)
                      if member_oracle(e, w))
+
+
+def hintikka_by_masks(fl):
+    """The Hintikka sets over ``fl`` by trying every assignment to its
+    unnegated members, as bit patterns in closure order, smallest first,
+    each negation decided by its argument."""
+    fl = frozenset(fl)
+    cores = sorted((f for f in fl if not isinstance(f, sx.Not)),
+                   key=sx.closure_order)
+
+    def member(f, present):
+        neg = False
+        while isinstance(f, sx.Not):
+            neg = not neg
+            f = f.arg
+        return (f in present) != neg
+
+    out = []
+    for mask in range(1 << len(cores)):
+        present = {f for i, f in enumerate(cores) if mask >> i & 1}
+        h = frozenset(f for f in fl if member(f, present))
+        if bt.is_hintikka(h, fl) is True:
+            out.append(h)
+    return out
 
 
 def label_mismatches(t, model, max_len: int = 3):

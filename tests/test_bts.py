@@ -14,7 +14,7 @@ import polkit.syntax as sx
 from polkit.errors import ClosureTooLarge, NotABts, UnknownSymbol
 
 from conftest import formula_strategy
-from oracles import label_mismatches
+from oracles import hintikka_by_masks, label_mismatches
 
 
 def closure(text):
@@ -220,6 +220,18 @@ class TestHintikka:
         got = list(bt.enumerate_hintikka(fl))
         assert len(set(got)) == len(got)
         assert set(got) == brute_hintikka(fl)
+        assert got == hintikka_by_masks(fl)
+
+    @pytest.mark.parametrize("text, labels", [
+        ("<a+b>p & [a;b]q", 64), ("<(a;b)*>p", 8),
+        ("hK_i <a*;b>p & K_i q", 30),
+    ])
+    def test_enumerate_matches_masks(self, text, labels):
+        # beyond brute force: up to 18 members, and one unfolding
+        # (<a;b><(a;b)*>p) that comes after its member in closure order
+        got = list(bt.enumerate_hintikka(closure(text)))
+        assert got == hintikka_by_masks(closure(text))
+        assert len(got) == labels
 
     @settings(max_examples=40, deadline=None)
     @given(formula_strategy(max_leaves=3, regex_leaves=2))
@@ -227,7 +239,9 @@ class TestHintikka:
         fl = sx.fl_closure(f)
         if len(fl) > 16:
             return
-        for h in bt.enumerate_hintikka(fl):
+        got = list(bt.enumerate_hintikka(fl))
+        assert got == hintikka_by_masks(fl)
+        for h in got:
             assert bt.is_hintikka(h, fl) is True
 
     def test_closure_cap(self):

@@ -8,7 +8,7 @@ import pytest
 from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
-from polkit.errors import FormulaTooDeep, ParseError
+from polkit.errors import ExpressionTooDeep, FormulaTooDeep, ParseError
 from polkit.models import Model
 
 
@@ -76,3 +76,46 @@ def test_parser_refuses_a_deep_chain():
     f = sx.parse_formula("|".join(["p"] * sx._MAX_DEPTH))
     assert f is junction_chain(sx._MAX_DEPTH)
     assert one_state_model().check(0, f)
+
+
+def deep_program(depth, b="b"):
+    """``a*;(b+a*;(b+...;(b+a)))``, one sum and one concatenation per
+    round, nesting ``depth`` expression levels (an odd number)."""
+    a, b = ox.atom("a"), ox.atom(b)
+    e = a
+    while e.depth < depth:
+        e = ox.seq(ox.star(a), ox.alt(b, e))
+    return e
+
+
+def test_deep_expression_is_refused():
+    e = deep_program(3001)
+    assert e.depth == 3001
+    alphabet = ox.Alphabet(["a", "b"])
+    for refuse in (lambda: ox.to_dfa(e, alphabet),
+                   lambda: ox.derive(e, "a"),
+                   lambda: ox.star(ox.alt(ox.epsilon(), e)),
+                   lambda: Model(alphabet, [], [0], {0: set()}, {0: e},
+                                 {}).update(("a",))):
+        with pytest.raises(ExpressionTooDeep, match="limit is 200"):
+            refuse()
+    # a modality's depth counts its program's
+    f = sx.dia(e, sx.prop("p"))
+    assert f.depth == 3002
+    m = Model(alphabet, [], [0], {0: set()}, {0: ox.star(ox.atom("a"))}, {})
+    with pytest.raises(FormulaTooDeep, match="limit is 200"):
+        m.check(0, f)
+    for entry in sorted(ENTRY_POINTS):
+        with pytest.raises(FormulaTooDeep):
+            ENTRY_POINTS[entry](f)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_program_at_the_limit_passes(entry):
+    # half the levels are formulas above the modality, half its program;
+    # the program has only the letter of the entry points' models
+    f = sx.dia(deep_program(sx._MAX_DEPTH // 2 - 1, b="a"), sx.prop("p"))
+    while f.depth < sx._MAX_DEPTH:
+        f = sx.dia(ox.epsilon(), f)
+    assert f.depth == sx._MAX_DEPTH
+    ENTRY_POINTS[entry](f)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import member_oracle, stepwise_check, words_up_to
+from polkit import models
 from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.corpus import (drone_model, random_formula, random_model,
@@ -298,6 +299,24 @@ class TestCheckerAgainstStepwise:
         f = parse_formula(text, m.alphabet)
         for s in m.states:
             assert m.explain(s, f)[0].endswith(f": {m.check(s, f)}")
+
+
+class TestMemo:
+    def test_memo_stays_bounded(self):
+        # a long-lived model checked against a stream of formulas: the
+        # memo starts over at its bound, and answers stay those of a
+        # fresh model
+        m = drone_model()
+        rng = random.Random(1)
+        peak = 0
+        for k in range(5000):
+            f = random_formula(rng, tuple(m.alphabet), ("d",),
+                               ("T1", "T2"), depth=3)
+            got = m.check("u", f)
+            peak = max(peak, len(m._memo))
+            if k % 250 == 0:
+                assert got == drone_model().check("u", f)
+        assert 1000 < peak <= models._MEMO_ENTRIES
 
 
 class TestErrors:

@@ -126,12 +126,52 @@ class TestEncoding:
     def test_full_budget_encoding_size(self):
         t = dp.Translation(sx.parse_formula("K_i q"))
         assert t.budget.labels == 16
-        assert len(sx.closure(t.formula)) <= 3300
+        assert len(sx.closure(t.formula)) <= 3150
         t = dp.Translation(sx.parse_formula("hK_i p & K_j q"),
                            dp.LabelBudget(2))
-        assert len(sx.closure(t.formula)) <= 170
+        assert len(sx.closure(t.formula)) <= 110
+        t = dp.Translation(sx.parse_formula("<a>~q"))
+        assert len(sx.closure(t.formula)) <= 380
         for text in ("K_i q", "~K_i q", "hK_i true"):
             assert isinstance(dp.pol_sat(sx.parse_formula(text)), dp.Sat)
+
+    def test_atoms_only_for_propositions_and_modal_members(self):
+        phi = sx.parse_formula("~(hK_i p | <a>~q) & [a*](K_j true | ~q)")
+        t = dp.Translation(phi, dp.LabelBudget(2))
+        names = {g.name for g in sx.closure(t.formula)
+                 if isinstance(g, dp.Atom)}
+        owned = set()
+        for psi in t.fl:
+            kept = (isinstance(psi, (sx.Prop, sx.Dia, sx.Box, sx.Hat,
+                                     sx.Know))
+                    or isinstance(psi, sx.Not)
+                    and isinstance(psi.arg, sx.Prop))
+            for ell in t.labels:
+                a = t.at(ell, psi)
+                assert isinstance(a, dp.Atom) == kept, sx.print_formula(psi)
+                if kept:
+                    assert a.name == f"@{ell}.{sx.print_formula(psi)}"
+                    owned.add(a.name)
+        assert {n for n in names if n.startswith("@")} == owned
+        a_not_q = sx.parse_formula("<a>~q")
+        for ell in t.labels:
+            assert t.at(ell, sx.top()) is sx.top()
+            assert t.at(ell, sx.lnot(a_not_q)) is sx.lnot(t.at(ell, a_not_q))
+            assert t.at(ell, sx.parse_formula("K_j true | ~q")) is dp.lor(
+                t.at(ell, sx.parse_formula("K_j true")),
+                t.at(ell, sx.parse_formula("~q")))
+
+    @pytest.mark.parametrize("text", [
+        # Sat through the kept @l.~p atoms: with one atom per
+        # proposition, steering left their eventualities undischarged
+        "<b;b*>hK_i p", "<b;a><(b;a)*>hK_j q",
+        # Unknown ("eventualities left undischarged") while true,
+        # junctions and negations had atoms of their own
+        "[(a;b)*]true", "hK_j <b*>[a*]true", "[b]~[(a;b)*]true",
+    ])
+    def test_sat_at_two_labels(self, text):
+        verdict = dp.pol_sat(sx.parse_formula(text), dp.LabelBudget(2))
+        assert isinstance(verdict, dp.Sat), verdict
 
     @pytest.mark.parametrize("text, labels", [("true", 2), ("p", 1)])
     def test_small_translations_stay_lazy(self, monkeypatch, text, labels):
