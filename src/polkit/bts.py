@@ -320,6 +320,12 @@ def is_a_successor(b: Bubble, b2: Bubble, a: str, fl):
 
     Returns True or a falsy Violation.
     """
+    v = _successor_violation(b, b2, a, _ordered(frozenset(fl)))
+    return True if v is None else v
+
+
+def _successor_violation(b: Bubble, b2: Bubble, a: str, ordered):
+    """``is_a_successor`` over the closure members in closure order."""
     s2set = set(b2.states)
     for s in b2.states:
         if s not in b.labels:
@@ -329,7 +335,7 @@ def is_a_successor(b: Bubble, b2: Bubble, a: str, fl):
         if p1 != p2:
             return Violation("1", f"propositions at {s!r} change")
     sym = ox.atom(a)
-    steps = [f for f in _ordered(frozenset(fl))
+    steps = [f for f in ordered
              if isinstance(f, (sx.Dia, sx.Box)) and f.pi is sym]
     for f in steps:
         if isinstance(f, sx.Dia):
@@ -354,7 +360,7 @@ def is_a_successor(b: Bubble, b2: Bubble, a: str, fl):
                 return Violation(
                     "4", f"relation of {agent!r} at {s!r} is not the "
                          f"restriction to the survivors")
-    return True
+    return None
 
 
 # --- transition structures -----------------------------------------------
@@ -441,8 +447,8 @@ def is_bts(t: Bts):
         if v is not None:
             return Violation("1", f"bubble {i} is malformed: {v}")
     for (i, a), j in sorted(t.delta.items()):
-        v = is_a_successor(t.bubbles[i], t.bubbles[j], a, t.fl)
-        if v is not True:
+        v = _successor_violation(t.bubbles[i], t.bubbles[j], a, c.ordered)
+        if v is not None:
             return Violation("2", f"delta({i},{a!r})={j}: {v}")
     modal = [f for f in c.ordered if isinstance(f, (sx.Dia, sx.Box))]
     for i, b in enumerate(t.bubbles):

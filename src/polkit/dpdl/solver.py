@@ -7,8 +7,9 @@ therefore works with truth assignments to the closure. The equations
 are compiled once per call into the clauses of one incremental CDCL
 solver, in one pass over the closure: member ``v`` is variable ``v``
 with literals ``2v`` and ``2v+1``, each binary clause goes straight
-onto its two watch lists, and only the long clause of a junction is
-sorted and checked for tautology. Both regimes work on that database.
+onto the implication lists of its two literals, and only the long
+clause of a junction is sorted, checked for tautology and watched. Both
+regimes work on that database.
 
 The lazy regime runs first, on every formula, and never enumerates. It
 builds successor states only for demanded letters and memoizes states
@@ -24,7 +25,8 @@ one loop steers the decision polarity toward discharging them and
 rebuilds the graph without spending a restart, for a bounded number of
 steering rounds. Decision order and polarity are static within a solve,
 so each solve returns the least model in that order and the witnesses
-are deterministic.
+are deterministic. That also lets a rebuilt graph reuse the models its
+predecessor was given, as long as they satisfy the lemmas learned since.
 
 The exact regime backstops a lazy run that ends undecided, when at most
 2^14 frontier assignments exist. Its atoms are the assignments that the
@@ -368,9 +370,15 @@ class _Exact:
 class _Dpll:
     """Incremental CDCL under assumptions, with failed-assumption cores.
 
-    One instance serves every solve of a lazy run. Clauses keep their
-    two watched literals in positions 0 and 1, and a propagated literal
-    sits in position 0 of its reason clause. Level 0 holds the
+    One instance serves every solve of a lazy run. A binary clause
+    ``x | y`` lives in the implication lists ``bins``, as ``y`` in
+    ``bins[x]`` and ``x`` in ``bins[y]``: the literals that become true
+    when the list's literal becomes false. Longer clauses keep their
+    two watched literals in positions 0 and 1. Propagation walks a
+    falsified literal's implication list before its watches. A
+    propagated literal sits in position 0 of its reason, which for a
+    binary implication is the pair ``(implied, falsified)``; a binary
+    conflict is the pair of its two false literals. Level 0 holds the
     consequences of the unit clauses; it persists between solves and
     is rebuilt only after ``add_clause``. Each solve puts all of its
     assumptions on level 1 and decides above it. A conflict above
@@ -392,6 +400,7 @@ class _Dpll:
         self.nvars = nvars
         self.step_cap = step_cap
         self.units = []
+        self.bins = [[] for _ in range(2 * nvars)]
         self.watches = [[] for _ in range(2 * nvars)]
         self.empty = False
         self.value = [None] * (2 * nvars)
@@ -402,7 +411,7 @@ class _Dpll:
         self.qhead = 0
         self.stale = True
         self._decide_key = None
-        self._decide = None
+        self._decide = list(range(0, 2 * nvars, 2))
         self.solves = 0
         self.decisions = 0
         self.conflicts = 0
@@ -433,6 +442,9 @@ class _Dpll:
             self.empty = True
         elif len(lits) == 1:
             self.units.append(lits[0])
+        elif len(lits) == 2:
+            self.bins[lits[0]].append(lits[1])
+            self.bins[lits[1]].append(lits[0])
         else:
             self.watches[lits[0]].append(lits)
             self.watches[lits[1]].append(lits)
@@ -441,12 +453,11 @@ class _Dpll:
     def add_binary(self, x, y):
         """``add_clause([x, y])`` without sorting or sets: one comparison
         tells a repeated literal (a unit) and a complementary pair
-        (dropped) from a clause that goes straight onto its watch lists.
+        (dropped) from a clause that goes onto its implication lists.
         """
         if x >> 1 != y >> 1:
-            clause = [x, y] if x < y else [y, x]
-            self.watches[clause[0]].append(clause)
-            self.watches[clause[1]].append(clause)
+            self.bins[x].append(y)
+            self.bins[y].append(x)
         elif x == y:
             self.units.append(x)
         else:
@@ -494,6 +505,7 @@ class _Dpll:
         """Propagate the trail; the conflicting clause, or None."""
         value = self.value
         trail = self.trail
+        bins = self.bins
         watches = self.watches
         level = self.level
         reason = self.reason
@@ -503,7 +515,23 @@ class _Dpll:
         while head < len(trail):
             fal = trail[head] ^ 1
             head += 1
+            for other in bins[fal]:
+                truth = value[other]
+                if truth is None:
+                    value[other] = True
+                    value[other ^ 1] = False
+                    var = other >> 1
+                    level[var] = lv
+                    reason[var] = (other, fal)
+                    trail.append(other)
+                elif truth is False:
+                    conflict = (other, fal)
+                    break
+            if conflict is not None:
+                break
             watchlist = watches[fal]
+            if not watchlist:
+                continue
             kept = []
             pos = 0
             end = len(watchlist)
@@ -619,12 +647,16 @@ class _Dpll:
         return None
 
     def _decide_order(self, order):
-        key = tuple(order) if order else ()
-        if key != self._decide_key:
-            chosen = set(key)
-            self._decide_key = key
-            self._decide = list(key) + [v for v in range(self.nvars)
-                                        if v not in chosen]
+        """The positive literals of ``order``, then of the other
+        variables by index. The list is rebuilt only when ``order`` is
+        another object than the last solve's, so a caller that keeps one
+        tuple builds it once."""
+        if order is not self._decide_key:
+            self._decide_key = order
+            first = list(order or ())
+            chosen = set(first)
+            self._decide = [2 * v for v in first] + [
+                2 * v for v in range(self.nvars) if v not in chosen]
         return self._decide
 
     def solve(self, assumptions, polarity=None, order=None):
@@ -670,8 +702,12 @@ class _Dpll:
                             self.empty = True
                             return "unsat", []
                         break
-                    self.watches[learnt[0]].append(learnt)
-                    self.watches[learnt[1]].append(learnt)
+                    if len(learnt) == 2:
+                        self.bins[learnt[0]].append(learnt[1])
+                        self.bins[learnt[1]].append(learnt[0])
+                    else:
+                        self.watches[learnt[0]].append(learnt)
+                        self.watches[learnt[1]].append(learnt)
                     self._assign(learnt[0], learnt)
                     pos = decided_at[back + 1]
                     del decided_at[back + 1:]
@@ -680,18 +716,35 @@ class _Dpll:
                 if steps > self.step_cap:
                     raise _StepBudget(
                         f"propositional search exceeded {self.step_cap} steps")
-                while pos < len(decide) and value[2 * decide[pos]] is not None:
+                while pos < len(decide) and value[decide[pos]] is not None:
                     pos += 1
                 if pos >= len(decide):
                     return "sat", value[0::2]
-                var = decide[pos]
+                lit = decide[pos]
                 self.decisions += 1
                 self.trail_lim.append(len(self.trail))
                 decided_at.append(pos)
-                self._assign(self.lit(var, polarity.get(var, False)), None)
+                self._assign(lit if polarity.get(lit >> 1) else lit | 1, None)
 
 
 class _Lazy:
+    """The lazy regime: one demand graph per round of ``run``.
+
+    A round that ends in a lemma restarts, and its successor asks many
+    of the same demands again. So ``_solve`` keeps each ``sat`` answer
+    by its assumptions and answers a repeat from the current or the
+    previous round's table, when that assignment satisfies every lemma
+    learned since it was given. That is what a fresh solve returns: a
+    solve gives the least model in the fixed decision order and
+    polarity, lemmas only remove models, and learned clauses follow
+    from the database. An ``unsat`` answer is not kept, since its core
+    depends on the database. A steering round changes the polarity and
+    order, so it drops both tables. Each answer a round keeps belongs to
+    one of its states or refutation checks, so a table holds at most
+    ``node_cap`` states' answers besides those checks, and only two
+    rounds are kept.
+    """
+
     def __init__(self, f, shape, dpll, node_cap, restart_cap):
         self.f = f
         self.shape = shape
@@ -699,11 +752,34 @@ class _Lazy:
         self.node_cap = node_cap
         self.restart_cap = restart_cap
         self.polarity = {}
+        self.order = None
         self.retries = 0
+        self.lemmas = []
+        # assumptions -> (assignment, lemmas it was checked against)
+        self.models = {}
+        self.previous = {}
+
+    def _next_round(self):
+        self.previous, self.models = self.models, {}
 
     def _solve(self, assumptions):
-        order = sorted(self.polarity) if self.polarity else None
-        return self.dpll.solve(assumptions, self.polarity, order)
+        key = tuple(assumptions)
+        kept = self.models.get(key) or self.previous.get(key)
+        if kept is not None:
+            assign, checked = kept
+            if all(any(assign[l >> 1] == (l & 1 == 0) for l in lemma)
+                   for lemma in self.lemmas[checked:]):
+                self.models[key] = (assign, len(self.lemmas))
+                return "sat", assign
+        status, result = self.dpll.solve(assumptions, self.polarity,
+                                         self.order)
+        if status == "sat":
+            self.models[key] = (result, len(self.lemmas))
+        return status, result
+
+    def _add_lemma(self, lits):
+        self.lemmas.append(lits)
+        self.dpll.add_clause(lits)
 
     def _forcer(self, assign, a):
         index = self.shape.index
@@ -732,7 +808,7 @@ class _Lazy:
                 seen.add(g)
                 var = self.shape.index[g]
                 lits.append(_Dpll.lit(var, not assign[var]))
-        self.dpll.add_clause(lits)
+        self._add_lemma(lits)
 
     def run(self):
         """Each learned lemma spends a restart; a steering round, which
@@ -740,6 +816,7 @@ class _Lazy:
         spends none."""
         restarts = 0
         while restarts < self.restart_cap:
+            self._next_round()
             status, assign = self._solve([2 * self.shape.index[self.f]])
             if status == "unsat":
                 return Unsat()
@@ -828,7 +905,7 @@ class _Lazy:
             status, _ = self._solve([_Dpll.lit(index[arg], want)])
             if status == "unsat":
                 g = sx.dia(pi, arg) if want else sx.box(pi, arg)
-                self.dpll.add_clause([_Dpll.lit(index[g], not want)])
+                self._add_lemma([_Dpll.lit(index[g], not want)])
                 learned = True
         return learned
 
@@ -873,6 +950,9 @@ class _Lazy:
                                    for v, t in hints.items()):
             return False
         self.polarity.update(hints)
+        self.order = tuple(sorted(self.polarity))
+        self.models = {}
+        self.previous = {}
         return True
 
 

@@ -136,7 +136,8 @@ class TestPropositionalEngine:
         assert s.add_clause([3, 2]) is False
         assert s.add_clause([2, 0, 2, 1]) is False
         assert s.add_clause([2, 0, 2]) is True
-        assert s.watches[0] == [[0, 2]] and s.watches[2] == [[0, 2]]
+        assert s.bins[0] == [2] and s.bins[2] == [0]
+        assert s.watches == [[], [], [], []]
         assert s.solve([1]) == ("sat", [False, True])
 
     def test_binary_clauses_as_add_clause(self):
@@ -145,7 +146,20 @@ class TestPropositionalEngine:
         for x, y in pairs:
             assert general.add_clause([x, y]) == direct.add_binary(x, y)
         assert general.units == direct.units
+        assert general.bins == direct.bins
         assert general.watches == direct.watches
+
+    def test_learned_binary_clause_is_an_implication(self):
+        # deciding x0 then x1 false conflicts, and the search learns
+        # x0 | x1; a later solve assuming ~x0 gets x1 from that clause
+        s = solver_for(3, [[0, 2, 4], [0, 2, 5]])
+        assert s.solve([]) == ("sat", [False, True, False])
+        assert (s.conflicts, s.learned) == (1, 1)
+        assert s.bins[0] == [2] and s.bins[2] == [0]
+        assert all(len(c) == 3 for w in s.watches for c in w)
+        assert s.solve([1]) == ("sat", [False, True, False])
+        assert s.conflicts == 1
+        assert s.reason[1] == (2, 0)
 
     def test_step_cap_leaves_the_solver_usable(self):
         s = solver_for(10, [[0, 2]])
@@ -200,6 +214,7 @@ def assert_compiled_as_reference(f):
     reference = reference_database(members)
     assert compiled.empty == reference.empty
     assert compiled.units == reference.units
+    assert compiled.bins == reference.bins
     assert compiled.watches == reference.watches
 
 
@@ -214,15 +229,50 @@ class TestCompilation:
             dp.Translation(sx.parse_formula("K_i q")).formula)
 
 
+def lazy_run(f):
+    """A lazy regime for ``f`` with ``dpdl_sat``'s default caps."""
+    shape = dps._Shape(dp.closure(f))
+    return dps._Lazy(f, shape, shape.compile(step_cap=5_000_000),
+                     node_cap=5000, restart_cap=200)
+
+
 def lazy_sat(f):
     """The lazy regime alone, with ``dpdl_sat``'s default caps."""
-    shape = dps._Shape(dp.closure(f))
-    lazy = dps._Lazy(f, shape, shape.compile(step_cap=5_000_000),
-                     node_cap=5000, restart_cap=200)
     try:
-        return lazy.run()
+        return lazy_run(f).run()
     except ResourceBudgetExceeded as err:
         return dp.Unknown(str(err))
+
+
+def fresh_solve(lazy, assumptions):
+    """A solve of ``assumptions`` by a new solver that got the compiled
+    clauses and the lemmas ``lazy`` learned, in its polarity."""
+    fresh = lazy.shape.compile(step_cap=5_000_000)
+    for lemma in lazy.lemmas:
+        fresh.add_clause(lemma)
+    return fresh.solve(list(assumptions), lazy.polarity, lazy.order)
+
+
+def reused_answers(f):
+    """Run the lazy regime on ``f``; each answer that ``_solve`` gave
+    from its tables, paired with a fresh solve of its assumptions."""
+    lazy = lazy_run(f)
+    pairs = []
+    solve = lazy._solve
+
+    def checking(assumptions):
+        before = lazy.dpll.solves
+        answer = solve(assumptions)
+        if lazy.dpll.solves == before:
+            pairs.append((answer, fresh_solve(lazy, assumptions)))
+        return answer
+
+    lazy._solve = checking
+    try:
+        lazy.run()
+    except ResourceBudgetExceeded:
+        pass
+    return pairs
 
 
 def learned_lemmas(f):
@@ -269,6 +319,78 @@ class TestLazyRegime:
                            ("[(a;b)*]true", dp.Sat),
                            ("<a*>~~false", dp.Unsat)):
             assert isinstance(lazy_sat(dp.parse_dpdl(text)), want), text
+
+    # the examples learn 2 to 14 lemmas and reuse 1 to 18 answers
+    @settings(max_examples=100, deadline=None)
+    @given(dpdl_formula_strategy())
+    @example(dp.parse_dpdl("[(a+b);a;a][a+a*]true"))
+    @example(dp.parse_dpdl("<0*>~~q&[a]<b>[a;a;a]true"))
+    @example(dp.parse_dpdl("<b>(~[(0*+b);b;b]true|<a>false)"))
+    @example(dp.parse_dpdl("(p|<(a;a)*>p&<a>p)&<a;a;a>p"))
+    @example(dp.parse_dpdl("[(a;b)*]true"))
+    def test_reused_answer_equals_a_fresh_solve(self, f):
+        for reused, fresh in reused_answers(f):
+            assert reused == fresh
+
+    def test_answers_are_reused_across_restarts(self):
+        for text in ("[(a+b);a;a][a+a*]true",
+                     "<b>(~[(0*+b);b;b]true|<a>false)"):
+            assert reused_answers(dp.parse_dpdl(text)), text
+
+    def test_lemma_against_a_kept_model_forces_a_solve(self):
+        f = dp.parse_dpdl("<a>p|<b>q")
+        lazy = lazy_run(f)
+        index = lazy.shape.index
+        root = (2 * index[f],)
+        lazy._next_round()
+        status, assign = lazy._solve(root)
+        assert status == "sat"
+        solves = lazy.dpll.solves
+        # a lemma the kept model satisfies keeps it
+        lazy._add_lemma([dps._Dpll.lit(v, assign[v]) for v in (0, 1)])
+        assert lazy._solve(root) == ("sat", assign)
+        assert lazy.dpll.solves == solves
+        # one it falsifies forces a solve, also from the previous round's
+        # table
+        told = next(g for g in map(dp.parse_dpdl, ("<a>p", "<b>q"))
+                    if assign[index[g]])
+        lazy._next_round()
+        lazy._add_lemma([2 * index[told] + 1])
+        answer = lazy._solve(root)
+        assert lazy.dpll.solves == solves + 1
+        assert answer[0] == "sat" and not answer[1][index[told]]
+        assert answer == fresh_solve(lazy, root)
+
+    def test_tables_hold_two_rounds(self):
+        for text in ("[(a+b);a;a][a+a*]true", "(p|<(a;a)*>p&<a>p)&<a;a;a>p",
+                     "[(a;a)*][a*](p&p|<a>p)", "<0*+b*>q"):
+            lazy = lazy_run(dp.parse_dpdl(text))
+            asked = [set()]
+            next_round, solve, retry = (lazy._next_round, lazy._solve,
+                                        lazy._retry)
+
+            def new_round():
+                asked.append(set())
+                next_round()
+
+            def recording(assumptions):
+                asked[-1].add(tuple(assumptions))
+                answer = solve(assumptions)
+                assert set(lazy.models) <= asked[-1]
+                assert set(lazy.previous) <= asked[-2]
+                return answer
+
+            def steering(missing):
+                steered = retry(missing)
+                if steered:
+                    assert not lazy.models and not lazy.previous
+                return steered
+
+            lazy._next_round = new_round
+            lazy._solve = recording
+            lazy._retry = steering
+            lazy.run()
+            assert len(asked) > 2, text
 
     def test_steering_round_spends_no_restart(self):
         for text in ("<0*+b*>q", "q&~([a*]p|p)"):
