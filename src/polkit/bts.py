@@ -499,18 +499,6 @@ def _graph_regex(n: int, delta, initial: int, finals) -> ox.ObsExpr:
     return edges.get((start, accept), ox.empty())
 
 
-def _strip_epsilon(e: ox.ObsExpr, alphabet: Alphabet) -> ox.ObsExpr:
-    """The language of ``e`` without the empty word."""
-    if not ox.nullable(e):
-        return e
-    dfa = ox.to_dfa(e, alphabet)
-    n = len(dfa.states)
-    delta = dict(dfa.transitions)
-    for a in alphabet:
-        delta[(n, a)] = dfa.transitions[(0, a)]
-    return _graph_regex(n + 1, delta, n, frozenset(dfa.accepting))
-
-
 def _absorbing(t: Bts, finals) -> bool:
     """No path from a reachable non-final node back into the finals."""
     adj = {}
@@ -534,15 +522,17 @@ def _absorbing(t: Bts, finals) -> bool:
     return all(i in finals for i in good)
 
 
-def extract_model(t: Bts, max_contexts: int = 10 ** 5):
+def extract_model(t: Bts):
     """Build a pointed model over the initial bubble from a valid
     structure.
 
-    Each state's observation expression is the language of words whose
-    transition path visits only bubbles containing the state. The empty
-    word is dropped from that language when other words remain; this
-    preserves every survival question (prefixes are unchanged) and keeps
-    the trivial expectation out of live expressions.
+    Each state's observation expression is the language of nonempty
+    words whose transition path visits only bubbles containing the
+    state, or the empty word when there is no such word. Dropping the
+    empty word beside other words preserves every survival question
+    (prefixes are unchanged) and keeps the trivial expectation out of
+    live expressions. The nonempty words are read from a fresh start
+    node that copies the initial bubble's out-edges.
 
     Returns (model, state labelled with the target formula). Raises
     NotABts when the structure does not validate.
@@ -551,25 +541,25 @@ def extract_model(t: Bts, max_contexts: int = 10 ** 5):
     if v is not True:
         raise NotABts(str(v))
     init = t.bubbles[t.initial]
+    n = len(t.bubbles)
+    delta = dict(t.delta)
+    for (i, a), j in t.delta.items():
+        if i == t.initial:
+            delta[(n, a)] = j
     exp = {}
     for s in init.states:
         finals = frozenset(i for i, b in enumerate(t.bubbles)
                            if s in b.labels)
         if not _absorbing(t, finals):
             raise AssertionError(f"state {s!r} resurrects")
-        e = _graph_regex(len(t.bubbles), t.delta, t.initial, finals)
-        if not ox.nullable(e):
-            raise AssertionError(
-                f"expectation of state {s!r} misses the empty word")
-        stripped = _strip_epsilon(e, t.alphabet)
-        exp[s] = ox.epsilon() if ox.is_empty_language(stripped) else stripped
+        e = _graph_regex(n + 1, delta, n, finals)
+        exp[s] = ox.epsilon() if ox.is_empty_language(e) else e
     agents = tuple(sorted(set(init.agents) | set(sx.agents(t.formula))))
     props = {s: frozenset(f.name for f in init.labels[s]
                           if isinstance(f, sx.Prop))
              for s in init.states}
     relations = {agent: init.relation_blocks(agent) for agent in init.agents}
-    model = Model(t.alphabet, agents, init.states, props, exp, relations,
-                  max_contexts)
+    model = Model(t.alphabet, agents, init.states, props, exp, relations)
     s0 = min((s for s in init.states if t.formula in init.labels[s]),
              key=state_sort_key)
     return model, s0

@@ -97,18 +97,18 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
                    alphabet=t.alphabet)
 
 
-def pol_sat(phi: sx.Formula, budget: LabelBudget | None = None, **caps):
+def pol_sat(phi: sx.Formula, budget: LabelBudget | None = None):
     """Decide ``phi`` against the models of observation logic.
 
     A ``Sat`` verdict carries a checked model and state, and is sound
     at every budget. ``Unsat`` is only reported at the full budget;
     with fewer labels a failed search means the budget may simply be
-    too small, which is reported as ``Unknown``. Solver resource caps
-    are passed through in ``caps``.
+    too small, which is reported as ``Unknown``. The solver runs with
+    ``dpdl_sat``'s default caps.
     """
     sx._check_depth(phi)
     t = Translation(phi, budget)
-    outcome = dpdl_sat(t.formula, **caps)
+    outcome = dpdl_sat(t.formula)
     if isinstance(outcome, Unknown):
         return outcome
     if isinstance(outcome, Unsat):

@@ -20,13 +20,14 @@ behind that core are learned as a new clause, which is valid in every
 deterministic model, and the search restarts. A demand graph that leaves
 star eventualities undischarged is not a refutation. When the database
 refutes an eventuality's discharge outright, its star modality can never
-promise it, which is learned as a unit clause with a restart. Otherwise
-one loop steers the decision polarity toward discharging them and
-rebuilds the graph without spending a restart, for a bounded number of
-steering rounds. Decision order and polarity are static within a solve,
-so each solve returns the least model in that order and the witnesses
-are deterministic. That also lets a rebuilt graph reuse the models its
-predecessor was given, as long as they satisfy the lemmas learned since.
+promise it, which is learned as a unit clause with a restart; otherwise
+the run ends undecided. Every solve decides along one static list of
+literals, computed once per closure, that settles each star eventuality
+as early as the clauses allow, as tableaux fulfil eventualities (Goré
+and Widmann, CADE 2009). So each solve returns the least model in that
+list and the witnesses are deterministic. That also lets a rebuilt
+graph reuse the models its predecessor was given, as long as they
+satisfy the lemmas learned since.
 
 The exact regime backstops a lazy run that ends undecided, when at most
 2^14 frontier assignments exist. Its atoms are the assignments that the
@@ -90,6 +91,19 @@ class _Shape:
     members (atoms and one-letter modalities) form the frontier. The
     one-letter modalities are indexed by letter, and the methods below
     read a state's demands, eventualities and valuation.
+
+    ``decide`` is the solver's decision list: one literal per variable,
+    each decided in turn when propagation has left it open. It settles
+    every star eventuality as early as possible. Each one-letter
+    modality that a star member's unfolding defers to is hinted not to
+    defer: a box true, a diamond false. That hint depends only on the
+    modality, so stars never disagree on it. Then each star's argument
+    is hinted the truth that discharges it, true under a diamond and
+    false under a box. An argument hint overrides an unfolding hint,
+    and where two stars hint one argument both ways, the later star in
+    member order wins. The hinted variables come first, in index order,
+    with their hinted literals; the others follow in index order,
+    negative.
     """
 
     def __init__(self, members):
@@ -116,6 +130,29 @@ class _Shape:
                       and isinstance(g.pi, ox.Star)]
         self.props = [(v, g.name) for v, g in enumerate(self.members)
                       if isinstance(g, sx.Prop)]
+        hints = {self.index[h]: isinstance(h, sx.Box)
+                 for h in self._unfold_frontier()}
+        hints.update((self.index[g.arg], isinstance(g, sx.Dia))
+                     for g in self.stars)
+        self.decide = [_Dpll.lit(v, hints[v]) for v in sorted(hints)] + [
+            2 * v + 1 for v in range(len(self.members)) if v not in hints]
+
+    def _unfold_frontier(self):
+        """The one-letter modalities whose truth defers a star member to
+        a successor, star by star."""
+        definitions, index = self.definitions, self.index
+        for g in self.stars:
+            seen = {g}
+            stack = [g]
+            while stack:
+                for h in definitions[index[stack.pop()]][1]:
+                    if h in seen or not isinstance(h, (sx.Dia, sx.Box)):
+                        continue
+                    seen.add(h)
+                    if definitions[index[h]][0] == "free":
+                        yield h
+                    else:
+                        stack.append(h)
 
     def compile(self, step_cap):
         """A solver over the clauses of every member's definition, then
@@ -126,9 +163,11 @@ class _Shape:
         clause of a junction passes through ``add_clause``. The clauses,
         and the literals in each, come out in the order that
         ``add_clause`` on each of them would give. It runs before the
-        first solve, which builds level 0 from the units.
+        first solve, which builds level 0 from the units. The solver
+        decides along ``decide``.
         """
         dpll = _Dpll(len(self.members), step_cap)
+        dpll.decide = self.decide
         index = self.index
         units = dpll.units
         add_clause = dpll.add_clause
@@ -388,12 +427,14 @@ class _Dpll:
     asserts. A conflict on level 1 refutes the assumptions: walking its
     reasons back to them yields the core returned with ``unsat``.
 
-    Decision order and polarity are static (no activity heuristic,
-    phase saving or restarts), so every answer is the least model in
-    that order and polarity, the same model a chronological search
-    finds, and witnesses stay deterministic. ``solves``, ``decisions``,
-    ``conflicts`` (those above level 1, each teaching one clause),
-    ``propagations`` and ``learned`` count the work done.
+    Decisions are static (no activity heuristic, phase saving or
+    restarts): the search sets the first open literal of ``decide``,
+    by default every variable's negative literal in index order, and
+    ``_Shape.compile`` hands over its closure's list. So every answer
+    is the least model in that list, the same model a chronological
+    search finds, and witnesses stay deterministic. ``solves``,
+    ``decisions``, ``conflicts`` (those above level 1, each teaching
+    one clause), ``propagations`` and ``learned`` count the work done.
     """
 
     def __init__(self, nvars, step_cap):
@@ -410,8 +451,7 @@ class _Dpll:
         self.trail_lim = []
         self.qhead = 0
         self.stale = True
-        self._decide_key = None
-        self._decide = list(range(0, 2 * nvars, 2))
+        self.decide = list(range(1, 2 * nvars, 2))
         self.solves = 0
         self.decisions = 0
         self.conflicts = 0
@@ -646,20 +686,7 @@ class _Dpll:
                     return self._final([q >> 1 for q in conflict], [])
         return None
 
-    def _decide_order(self, order):
-        """The positive literals of ``order``, then of the other
-        variables by index. The list is rebuilt only when ``order`` is
-        another object than the last solve's, so a caller that keeps one
-        tuple builds it once."""
-        if order is not self._decide_key:
-            self._decide_key = order
-            first = list(order or ())
-            chosen = set(first)
-            self._decide = [2 * v for v in first] + [
-                2 * v for v in range(self.nvars) if v not in chosen]
-        return self._decide
-
-    def solve(self, assumptions, polarity=None, order=None):
+    def solve(self, assumptions):
         """("sat", assign) or ("unsat", core). Raises on step budget.
 
         ``assign`` gives every variable's truth; ``core`` is a subset
@@ -671,13 +698,13 @@ class _Dpll:
         if self.empty:
             return "unsat", []
         try:
-            return self._search(assumptions, polarity or {},
-                                self._decide_order(order))
+            return self._search(assumptions)
         finally:
             self._cancel(0)
 
-    def _search(self, assumptions, polarity, decide):
+    def _search(self, assumptions):
         value = self.value
+        decide = self.decide
         steps = 0
         while True:
             core = self._assume(assumptions)
@@ -724,22 +751,23 @@ class _Dpll:
                 self.decisions += 1
                 self.trail_lim.append(len(self.trail))
                 decided_at.append(pos)
-                self._assign(lit if polarity.get(lit >> 1) else lit | 1, None)
+                self._assign(lit, None)
 
 
 class _Lazy:
     """The lazy regime: one demand graph per round of ``run``.
 
-    A round that ends in a lemma restarts, and its successor asks many
-    of the same demands again. So ``_solve`` keeps each ``sat`` answer
-    by its assumptions and answers a repeat from the current or the
-    previous round's table, when that assignment satisfies every lemma
-    learned since it was given. That is what a fresh solve returns: a
-    solve gives the least model in the fixed decision order and
-    polarity, lemmas only remove models, and learned clauses follow
-    from the database. An ``unsat`` answer is not kept, since its core
-    depends on the database. A steering round changes the polarity and
-    order, so it drops both tables. Each answer a round keeps belongs to
+    A round returns a ``Sat``, or restarts after ``_learn`` or
+    ``_refute`` adds a lemma, or ends the run undecided when its graph
+    leaves eventualities undischarged that ``_refute`` cannot refute.
+    A restarted round asks many of the same demands again. So
+    ``_solve`` keeps each ``sat`` answer by its assumptions and answers
+    a repeat from the current or the previous round's table, when that
+    assignment satisfies every lemma learned since it was given. That
+    is what a fresh solve returns: a solve gives the least model in the
+    static decision list, lemmas only remove models, and learned clauses
+    follow from the database. An ``unsat`` answer is not kept, since its
+    core depends on the database. Each answer a round keeps belongs to
     one of its states or refutation checks, so a table holds at most
     ``node_cap`` states' answers besides those checks, and only two
     rounds are kept.
@@ -751,9 +779,6 @@ class _Lazy:
         self.dpll = dpll
         self.node_cap = node_cap
         self.restart_cap = restart_cap
-        self.polarity = {}
-        self.order = None
-        self.retries = 0
         self.lemmas = []
         # assumptions -> (assignment, lemmas it was checked against)
         self.models = {}
@@ -771,8 +796,7 @@ class _Lazy:
                    for lemma in self.lemmas[checked:]):
                 self.models[key] = (assign, len(self.lemmas))
                 return "sat", assign
-        status, result = self.dpll.solve(assumptions, self.polarity,
-                                         self.order)
+        status, result = self.dpll.solve(assumptions)
         if status == "sat":
             self.models[key] = (result, len(self.lemmas))
         return status, result
@@ -811,9 +835,9 @@ class _Lazy:
         self._add_lemma(lits)
 
     def run(self):
-        """Each learned lemma spends a restart; a steering round, which
-        rebuilds the graph after eventualities were left undischarged,
-        spends none."""
+        """Each round ends in a ``Sat``, or restarts after a lemma or a
+        unit that ``_refute`` learned; a graph that leaves eventualities
+        undischarged with nothing to refute ends the run undecided."""
         restarts = 0
         while restarts < self.restart_cap:
             self._next_round()
@@ -821,15 +845,11 @@ class _Lazy:
             if status == "unsat":
                 return Unsat()
             outcome = self._expand(assign)
-            if outcome is None:
-                restarts += 1
-            elif isinstance(outcome, Sat):
+            if isinstance(outcome, Sat):
                 return outcome
-            elif self._refute(outcome):
-                restarts += 1
-            elif not self._retry(outcome):
-                return Unknown("eventualities left undischarged after the "
-                               "discharge-steering retries")
+            if outcome is not None and not self._refute(outcome):
+                return Unknown("eventualities left undischarged")
+            restarts += 1
         return Unknown("lemma restarts exhausted without convergence")
 
     def _expand(self, root_assign):
@@ -909,52 +929,6 @@ class _Lazy:
                 learned = True
         return learned
 
-    def _unfold_frontier(self, g):
-        """One-letter modalities whose truth defers ``g`` to a successor."""
-        definitions, index = self.shape.definitions, self.shape.index
-        out = []
-        seen = {g}
-        stack = [g]
-        while stack:
-            for h in definitions[index[stack.pop()]][1]:
-                if h in seen or not isinstance(h, (sx.Dia, sx.Box)):
-                    continue
-                seen.add(h)
-                if definitions[index[h]][0] == "free":
-                    out.append(h)
-                else:
-                    stack.append(h)
-        return out
-
-    def _retry(self, missing):
-        """Steer decisions toward discharging ``missing``; False when
-        there is nothing left to steer.
-
-        An undischarged obligation usually means the default branch
-        deferred it forever: the one-letter unfolding kept renewing the
-        promise at every successor while the argument never came true.
-        The retry inverts the relevant defaults so each obligation is
-        settled as early as the clauses allow, and deferral only happens
-        when propagation forces it. Retrying stops once a failure adds
-        no new steering, or after a fixed number of rounds.
-        """
-        index = self.shape.index
-        hints = {}
-        for pi, arg, want in missing:
-            g = sx.dia(pi, arg) if want else sx.box(pi, arg)
-            for h in self._unfold_frontier(g):
-                hints[index[h]] = isinstance(h, sx.Box)
-            hints[index[arg]] = want
-        self.retries += 1
-        if self.retries > 8 or all(self.polarity.get(v) == t
-                                   for v, t in hints.items()):
-            return False
-        self.polarity.update(hints)
-        self.order = tuple(sorted(self.polarity))
-        self.models = {}
-        self.previous = {}
-        return True
-
 
 # --- entry point ----------------------------------------------------------
 
@@ -965,19 +939,23 @@ def dpdl_sat(f: sx.Formula, *, node_cap: int = 5000, restart_cap: int = 200,
 
     Returns ``Sat`` carrying a finite deterministic witness that the
     model checker has validated, ``Unsat``, or ``Unknown`` when a
-    resource cap was hit. ``Unsat`` is only reported after a
-    propositional refutation from valid lemmas (lazy regime) or
-    exhaustive pruning (exact regime), so every definite verdict is
-    sound.
+    resource cap was hit or the lazy regime left eventualities
+    undischarged where the exact regime does not run. ``Unsat`` is only
+    reported after a propositional refutation from valid lemmas (lazy
+    regime) or exhaustive pruning (exact regime), so every definite
+    verdict is sound.
 
-    The lazy regime runs first, on every formula. When it ends
-    undecided and the closure has at most 14 frontier members (atoms
-    and one-letter modalities), the exact regime decides instead, on
-    the lazy run's clause database: every clause the lazy run added is
-    valid, so it gives the verdict and witness that a fresh enumeration
-    would. ``node_cap`` bounds witness size, ``restart_cap`` the lemma
-    restarts and ``step_cap`` each propositional search. A formula
-    with agent operators is a TypeError.
+    The lazy regime runs first, on every formula, and decides along the
+    closure's one static decision list (``_Shape.decide``), which
+    discharges star eventualities as early as the clauses allow. When
+    it ends undecided and the closure has at most 14 frontier members
+    (atoms and one-letter modalities), the exact regime decides
+    instead, on the lazy run's clause database: every clause the lazy
+    run added is valid, so it gives the verdict and witness that a
+    fresh enumeration would. ``node_cap`` bounds witness size,
+    ``restart_cap`` the lemma restarts and ``step_cap`` each
+    propositional search. A formula with agent operators is a
+    TypeError.
     """
     sx._check_depth(f)
     members = sx.closure(f)

@@ -69,11 +69,11 @@ class Translation:
     is ``~at(l, psi)`` and a junction is the junction of its parts'
     ``at``. The negated proposition keeps its atom, tied to the
     proposition's by ``@l.p <-> ~@l.~p``. With ``~@l.p`` in its place,
-    the solver's default polarity (an undecided atom is false) makes
-    ``p`` false at every root slot, and the discharge steering, which
-    hints only an eventuality's own members, then leaves
-    ``<b;b*>hK_i p`` and ``<b;a><(b;a)*>hK_j q`` undischarged at two
-    labels.
+    the solver's decision list, which decides every atom outside a star
+    member's unfolding and argument false, makes ``p`` false at every
+    root slot. The lazy regime then leaves ``<b;b*>hK_i p`` and
+    ``<b;a><(b;a)*>hK_j q`` undischarged at two labels, and the exact
+    regime does not run on closures that large.
 
     ``formula`` is a set of root facts and one invariant under
     ``[Σ*]``. The root facts: slot 1 is alive, slot 1 satisfies the

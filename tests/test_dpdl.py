@@ -1,6 +1,7 @@
 """The deterministic-dynamic-logic solver: its propositional engine,
-clause compilation, its lemmas and steering loop, and both regimes
-against brute force; the model checker and the parser."""
+clause compilation and decision list, the lazy regime's lemmas and
+answer reuse, and both regimes against brute force; the model checker
+and the parser."""
 
 import itertools
 import random
@@ -22,14 +23,14 @@ def satisfies(assign, clauses):
                for c in clauses)
 
 
-def least_model(nvars, clauses, assumptions, order, polarity):
-    """The first model in the solver's decision order and polarity."""
-    decide = list(order) + [v for v in range(nvars) if v not in order]
+def least_model(nvars, clauses, assumptions, decide):
+    """The first model in the decision list ``decide``, which gives one
+    literal per variable."""
     units = [[l] for l in assumptions]
     for flips in itertools.product((False, True), repeat=nvars):
         assign = [None] * nvars
-        for v, flip in zip(decide, flips):
-            assign[v] = polarity.get(v, False) != flip
+        for lit, flip in zip(decide, flips):
+            assign[lit >> 1] = (lit & 1 == 0) != flip
         if satisfies(assign, clauses + units):
             return assign
     return None
@@ -44,10 +45,10 @@ def cnf_problems(draw, max_vars=10):
     assumptions = draw(st.lists(lit, max_size=nvars,
                                 unique_by=lambda l: l >> 1))
     perm = draw(st.permutations(range(nvars)))
-    order = perm[:draw(st.integers(0, nvars))]
-    polarity = draw(st.dictionaries(st.integers(0, nvars - 1),
-                                    st.booleans()))
-    return nvars, clauses, assumptions, order, polarity
+    signs = draw(st.lists(st.integers(0, 1), min_size=nvars,
+                          max_size=nvars))
+    decide = [2 * v + signs[v] for v in perm]
+    return nvars, clauses, assumptions, decide
 
 
 def random_3cnf(rng, nvars, nclauses):
@@ -66,16 +67,17 @@ class TestPropositionalEngine:
     @settings(max_examples=300, deadline=None)
     @given(cnf_problems())
     def test_least_model_or_refuting_core(self, problem):
-        nvars, clauses, assumptions, order, polarity = problem
+        nvars, clauses, assumptions, decide = problem
         s = solver_for(nvars, clauses)
-        status, result = s.solve(assumptions, polarity, order)
-        expected = least_model(nvars, clauses, assumptions, order, polarity)
+        s.decide = decide
+        status, result = s.solve(assumptions)
+        expected = least_model(nvars, clauses, assumptions, decide)
         if status == "sat":
             assert result == expected
         else:
             assert expected is None
             assert set(result) <= set(assumptions)
-            assert least_model(nvars, clauses, result, (), {}) is None
+            assert least_model(nvars, clauses, result, decide) is None
 
     def test_answers_hold_across_solves_and_added_clauses(self):
         rng = random.Random(11)
@@ -83,6 +85,8 @@ class TestPropositionalEngine:
             nvars = 10
             clauses = random_3cnf(rng, nvars, rng.randint(25, 45))
             s = solver_for(nvars, clauses)
+            s.decide = [2 * v + rng.randint(0, 1)
+                        for v in rng.sample(range(nvars), nvars)]
             for _ in range(6):
                 if rng.random() < 0.3:
                     extra = random_3cnf(rng, nvars, 1)[0][:rng.randint(1, 3)]
@@ -90,11 +94,9 @@ class TestPropositionalEngine:
                     s.add_clause(extra)
                 assumptions = [2 * v + rng.randint(0, 1)
                                for v in rng.sample(range(nvars), 3)]
-                order = rng.sample(range(nvars), rng.randint(0, nvars))
-                polarity = {v: rng.random() < 0.5 for v in order}
-                status, result = s.solve(assumptions, polarity, order)
-                expected = least_model(nvars, clauses, assumptions, order,
-                                       polarity)
+                status, result = s.solve(assumptions)
+                expected = least_model(nvars, clauses, assumptions,
+                                       s.decide)
                 assert (result if status == "sat" else None) == expected
 
     def test_learned_clauses_persist(self):
@@ -228,6 +230,32 @@ class TestCompilation:
         assert_compiled_as_reference(
             dp.Translation(sx.parse_formula("K_i q")).formula)
 
+    def test_decision_list_settles_stars_first(self):
+        f = dp.parse_dpdl("<a*><b>p & [b*]q & ~[(a;b)*]<b>p")
+        shape = dps._Shape(dp.closure(f))
+
+        def lit(text, truth):
+            return dps._Dpll.lit(shape.index[dp.parse_dpdl(text)], truth)
+
+        # unfoldings do not defer (diamonds false, boxes true), and each
+        # argument takes its discharging truth; <b>p is both an
+        # unfolding and an argument, and the later star, the box, wins
+        hinted = [lit("<a><a*><b>p", False), lit("[b][b*]q", True),
+                  lit("[a][b][(a;b)*]<b>p", True), lit("q", False),
+                  lit("<b>p", False)]
+        assert shape.stars[-1] == dp.parse_dpdl("[(a;b)*]<b>p")
+        head = shape.decide[:len(hinted)]
+        assert sorted(head) == sorted(hinted)
+        assert head == sorted(head, key=lambda l: l >> 1)
+        assert shape.decide[len(hinted):] == [
+            2 * v + 1 for v in range(len(shape.members))
+            if v not in {l >> 1 for l in hinted}]
+        assert shape.compile(step_cap=1).decide == shape.decide
+        assert dps._Dpll(3, step_cap=1).decide == [1, 3, 5]
+        # alone, the diamond's argument hint overrides its unfolding's
+        alone = dps._Shape(dp.closure(dp.parse_dpdl("<a*><b>p")))
+        assert 2 * alone.index[dp.parse_dpdl("<b>p")] in alone.decide
+
 
 def lazy_run(f):
     """A lazy regime for ``f`` with ``dpdl_sat``'s default caps."""
@@ -246,11 +274,11 @@ def lazy_sat(f):
 
 def fresh_solve(lazy, assumptions):
     """A solve of ``assumptions`` by a new solver that got the compiled
-    clauses and the lemmas ``lazy`` learned, in its polarity."""
+    clauses, with their decision list, and the lemmas ``lazy`` learned."""
     fresh = lazy.shape.compile(step_cap=5_000_000)
     for lemma in lazy.lemmas:
         fresh.add_clause(lemma)
-    return fresh.solve(list(assumptions), lazy.polarity, lazy.order)
+    return fresh.solve(list(assumptions))
 
 
 def reused_answers(f):
@@ -296,7 +324,7 @@ def learned_lemmas(f):
 
 
 class TestLazyRegime:
-    # random formulas seldom teach a lemma; the examples teach 1 to 14,
+    # random formulas seldom teach a lemma; the examples teach 1 to 9,
     # and the first one's lemma is valid only with its forcer, <a>q
     @settings(max_examples=100, deadline=None)
     @given(dpdl_formula_strategy())
@@ -314,13 +342,13 @@ class TestLazyRegime:
 
     def test_undischargeable_eventuality_is_refuted(self):
         # each leaves an eventuality whose argument no state can give
-        # the promised truth; steering alone never settled them
+        # the promised truth, which no decision list settles
         for text, want in (("[(b;b)*]true", dp.Sat),
                            ("[(a;b)*]true", dp.Sat),
                            ("<a*>~~false", dp.Unsat)):
             assert isinstance(lazy_sat(dp.parse_dpdl(text)), want), text
 
-    # the examples learn 2 to 14 lemmas and reuse 1 to 18 answers
+    # the examples learn 2 to 9 lemmas and reuse 1 to 9 answers
     @settings(max_examples=100, deadline=None)
     @given(dpdl_formula_strategy())
     @example(dp.parse_dpdl("[(a+b);a;a][a+a*]true"))
@@ -362,12 +390,10 @@ class TestLazyRegime:
         assert answer == fresh_solve(lazy, root)
 
     def test_tables_hold_two_rounds(self):
-        for text in ("[(a+b);a;a][a+a*]true", "(p|<(a;a)*>p&<a>p)&<a;a;a>p",
-                     "[(a;a)*][a*](p&p|<a>p)", "<0*+b*>q"):
+        for text in ("[(a+b);a;a][a+a*]true", "(p|<(a;a)*>p&<a>p)&<a;a;a>p"):
             lazy = lazy_run(dp.parse_dpdl(text))
             asked = [set()]
-            next_round, solve, retry = (lazy._next_round, lazy._solve,
-                                        lazy._retry)
+            next_round, solve = lazy._next_round, lazy._solve
 
             def new_round():
                 asked.append(set())
@@ -380,26 +406,33 @@ class TestLazyRegime:
                 assert set(lazy.previous) <= asked[-2]
                 return answer
 
-            def steering(missing):
-                steered = retry(missing)
-                if steered:
-                    assert not lazy.models and not lazy.previous
-                return steered
-
             lazy._next_round = new_round
             lazy._solve = recording
-            lazy._retry = steering
             lazy.run()
             assert len(asked) > 2, text
 
-    def test_steering_round_spends_no_restart(self):
+    def test_first_graph_discharges_under_the_decision_list(self):
+        # negative decisions by index defer these eventualities forever;
+        # the closure's decision list discharges them in the first graph
         for text in ("<0*+b*>q", "q&~([a*]p|p)"):
             f = dp.parse_dpdl(text)
             assert isinstance(dp.dpdl_sat(f, restart_cap=1), dp.Sat), text
-            shape = dps._Shape(dp.closure(f))
-            lazy = dps._Lazy(f, shape, shape.compile(step_cap=10 ** 6),
-                             node_cap=5000, restart_cap=1)
-            assert isinstance(lazy.run(), dp.Sat) and lazy.retries == 1
+            for default, want in ((False, dp.Sat), (True, dp.Unknown)):
+                shape = dps._Shape(dp.closure(f))
+                lazy = dps._Lazy(f, shape, shape.compile(step_cap=10 ** 6),
+                                 node_cap=5000, restart_cap=1)
+                if default:
+                    lazy.dpll.decide = dps._Dpll(lazy.dpll.nvars, 1).decide
+                graphs = []
+                expand = lazy._expand
+
+                def counting(assign):
+                    graphs.append(assign)
+                    return expand(assign)
+
+                lazy._expand = counting
+                assert isinstance(lazy.run(), want), (text, default)
+                assert len(graphs) == 1, (text, default)
 
 
 def exact_sat(f):

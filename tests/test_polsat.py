@@ -163,7 +163,8 @@ class TestEncoding:
 
     @pytest.mark.parametrize("text", [
         # Sat through the kept @l.~p atoms: with one atom per
-        # proposition, steering left their eventualities undischarged
+        # proposition, the lazy regime leaves their eventualities
+        # undischarged
         "<b;b*>hK_i p", "<b;a><(b;a)*>hK_j q",
         # Unknown ("eventualities left undischarged") while true,
         # junctions and negations had atoms of their own
