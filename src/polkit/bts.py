@@ -372,14 +372,21 @@ class Bts:
     ``delta`` maps (bubble index, symbol) pairs to bubble indices; a
     missing or None entry means the observation kills the structure.
     The alphabet is inferred from the formula and the transitions when
-    not given, and is ``a`` alone when neither has a letter.
+    not given, and is ``a`` alone when neither has a letter. ``fl`` is
+    the formula's ``syntax.fl_closure``, for a caller that already holds
+    it. The formula's letters are those that head its closure's
+    one-letter modalities, since every letter of a program is peeled
+    into one by the unfoldings.
     """
 
     def __init__(self, formula, bubbles, delta, initial: int = 0,
-                 alphabet=None):
+                 alphabet=None, *, fl=None):
         self.formula = formula
         self.bubbles = tuple(bubbles)
-        syms = set(sx.letters(formula))
+        self.fl = sx.fl_closure(formula) if fl is None else frozenset(fl)
+        syms = {g.pi.symbol for g in self.fl
+                if isinstance(g, (sx.Dia, sx.Box))
+                and isinstance(g.pi, ox.Atom)}
         clean = {}
         for (i, a), j in dict(delta).items():
             if not isinstance(i, int) or not 0 <= i < len(self.bubbles):
@@ -401,7 +408,6 @@ class Bts:
         if self.bubbles and not 0 <= initial < len(self.bubbles):
             raise ValueError(f"initial bubble {initial!r} does not exist")
         self.initial = initial
-        self.fl = sx.fl_closure(formula)
 
     def __repr__(self):
         return (f"Bts({sx.print_formula(self.formula)!r}, "

@@ -69,13 +69,22 @@ def _label(t: Translation, ell: int, v) -> frozenset:
     return frozenset(label)
 
 
+def _related(r, v) -> bool:
+    """Whether the atoms ``v`` make the adjacency formula ``r`` true:
+    ``r`` is one atom, or a conjunction of links that a dead slot
+    between two live ones does not break."""
+    parts = r.parts if isinstance(r, sx.And) else (r,)
+    return all(g.name in v for g in parts)
+
+
 def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
     """Read the bubble transition structure out of a witness model.
 
     Each witness state is a bubble whose live slots carry labels: a
     slot's proposition, negated-proposition, modal and agent members
     are read from their atoms, and its other members are completed in
-    ``t.fl`` order, parts before the members they make up.
+    ``t.fl`` order, parts before the members they make up. Two live
+    slots are related when every atom of their ``t.rel`` is true.
     """
     order, index = _reachable(model, state)
     bubbles = []
@@ -86,7 +95,7 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
         relations = {}
         for agent in t.agents:
             pairs = [(x, y) for x in slots for y in slots
-                     if x < y and t.rel(agent, x, y).name in v]
+                     if x < y and _related(t.rel(agent, x, y), v)]
             relations[agent] = md.equivalence_blocks(slots, pairs)
         bubbles.append(bts.Bubble(tuple(slots), labels, relations))
     delta = {}
@@ -94,7 +103,7 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
         if w in index and target in index:
             delta[(index[w], a)] = index[target]
     return bts.Bts(t.source, tuple(bubbles), delta, initial=index[state],
-                   alphabet=t.alphabet)
+                   alphabet=t.alphabet, fl=t.fl)
 
 
 def pol_sat(phi: sx.Formula, budget: LabelBudget | None = None):

@@ -818,21 +818,21 @@ class _Lazy:
     def _learn(self, assign, a, culprits):
         """Refute this combination of modal truths as a new validity.
 
-        The culprits force contradictory facts at the successor, and
-        one of them (or the added forcer) forces the successor to
-        exist, so no state of any deterministic model satisfies all of
+        The culprits force contradictory facts at the successor. When
+        none of them is a true diamond or a false box, which force the
+        successor to exist, a modality that does is added as the
+        forcer. So no state of any deterministic model satisfies all of
         them at once. The literals are over distinct members, so the
         clause is never a tautology, and the current assignment falsifies
         it, so it is new.
         """
-        lits = []
-        seen = set()
-        for g in list(culprits) + [self._forcer(assign, a)]:
-            if g not in seen:
-                seen.add(g)
-                var = self.shape.index[g]
-                lits.append(_Dpll.lit(var, not assign[var]))
-        self._add_lemma(lits)
+        index = self.shape.index
+        culprits = list(culprits)
+        if not any(assign[index[g]] == isinstance(g, sx.Dia)
+                   for g in culprits):
+            culprits.append(self._forcer(assign, a))
+        self._add_lemma([_Dpll.lit(index[g], not assign[index[g]])
+                         for g in culprits])
 
     def run(self):
         """Each round ends in a ``Sat``, or restarts after a lemma or a

@@ -3,7 +3,9 @@
 A state of the target model stands for a whole bubble: a set of at most
 ``labels`` slots, each slot ``l`` carrying a truth assignment to the
 closure of the source formula, an aliveness bit ``surv(l)``, and
-per-agent adjacency bits ``R_i(l,m)``, one per unordered pair of
+per-agent adjacency bits. The first agent has one bit ``R_i(l,l+1)``
+per pair of neighbouring slots, so its classes are intervals of slots;
+every other agent has one bit ``R_i(l,m)`` per unordered pair of
 distinct slots ``l < m``. Action letters move between bubbles, so
 survival of a slot under an observation word is plain reachability in
 the target model.
@@ -77,24 +79,50 @@ class Translation:
 
     ``formula`` is a set of root facts and one invariant under
     ``[Σ*]``. The root facts: slot 1 is alive, slot 1 satisfies the
-    source formula, and the per-agent transitivity instances. The
-    invariant holds everywhere reachable: the truth-assignment clauses
-    for every proposition, modal and agent member, one-step persistence
-    ``x -> [a]x`` for every letter ``a`` and every slot literal
-    ``@l.p``, ``@l.~p``, ``R_i(l,m)`` and ``~R_i(l,m)``, existence of a
-    successor per letter, and that dead slots stay dead.
+    source formula, and the transitivity instances of every agent but
+    the first. The invariant holds everywhere reachable: the
+    truth-assignment clauses for every proposition, modal and agent
+    member, one-step persistence ``x -> [a]x`` for every letter ``a``
+    and every slot literal ``@l.p``, ``@l.~p``, adjacency atom and
+    negated adjacency atom, existence of a successor per letter, and
+    that dead slots stay dead.
 
     One-step persistence inside ``[Σ*]`` says as much as a root
     ``x -> [Σ*]x``: by induction along every path from the root, ``x``
     holds at each state on it. So the adjacency bits are the same in
     every reachable bubble, and the frame laws need only hold at the
     root. Reflexivity and symmetry need no clause: ``rel`` reads the
-    diagonal as ``true`` and both orders of a pair as one atom.
-    Transitivity is stated only for slot triples (l, l2, l3) with
+    diagonal as ``true`` and both orders of a pair as one formula.
+
+    For the first agent, ``rel(i, l, m)`` with ``l < m`` is the
+    conjunction of the links ``R_i(k,k+1)`` for ``l <= k < m``: two
+    slots are related when no link between them is missing. Its classes
+    are the runs of linked neighbours, an interval partition, so its
+    relation is an equivalence by construction. For every other agent,
+    transitivity is stated only for slot triples (l, l2, l3) with
     ``l < l3`` and ``l2`` distinct from both, each as one flat clause;
     by symmetry (l3, l2, l) is the same constraint, and ``l = l3`` is
     the diagonal, so these instances keep exactly the equivalence
     relations.
+
+    Interval classes lose no model, so an ``Unsat`` at the full budget
+    means what it means with a pair atom per slot pair for every agent.
+    Only slot 1 carries root facts of its own, ``surv(1)`` and
+    ``@1.source``; every other conjunct is unchanged by a permutation
+    of slots 2..L applied to every slot's atoms at once. Take a model
+    of the all-pairs encoding. The first agent's relation is an
+    equivalence, and it is the same at every reachable state because
+    ``R`` persists along every path. Number the slots class by class,
+    slot 1's class first, slot 1 first in it. That permutation fixes
+    slot 1, so renaming the slot atoms of every state by it gives
+    another model of the all-pairs encoding, in which each of the
+    first agent's classes is an interval. Setting each link to whether
+    its two slots are related then satisfies this encoding. Conversely,
+    an interval partition is an equivalence, so every model of this
+    encoding is one of the all-pairs encoding. This is lex-leader
+    symmetry breaking (Crawford, Ginsberg, Luks and Roy, KR 1996) on
+    one agent: a single permutation cannot make the classes of two
+    agents intervals in general.
     """
 
     def __init__(self, source: sx.Formula, budget: LabelBudget | None = None):
@@ -116,10 +144,7 @@ class Translation:
             for ell in self.labels:
                 self._at[(ell, psi)] = self._label_formula(ell, psi)
         self._surv = {ell: dc.atom(f"surv({ell})") for ell in self.labels}
-        self._rel = {(i, ell, ell2): dc.atom(f"R_{i}({ell},{ell2})")
-                     for i in self.agents
-                     for ell in self.labels for ell2 in self.labels
-                     if ell < ell2}
+        self._rel = self._adjacency()
         self.formula = self._build()
 
     # -- atoms ------------------------------------------------------------
@@ -144,11 +169,24 @@ class Translation:
         return self._surv[ell]
 
     def rel(self, agent: str, ell: int, ell2: int) -> sx.Formula:
-        """Adjacency of two slots: ``true`` on the diagonal, and the one
-        atom of the unordered pair otherwise."""
+        """Adjacency of two slots: ``true`` on the diagonal, and the
+        formula of the unordered pair otherwise."""
         if ell == ell2:
             return sx.top()
         return self._rel[(agent, min(ell, ell2), max(ell, ell2))]
+
+    def _adjacency(self) -> dict:
+        """The formula of every agent and slot pair ``l < m``: the
+        conjunction of the links from ``l`` to ``m`` for the first
+        agent, one atom per pair for the others."""
+        def pair(i, ell, ell2):
+            return dc.atom(f"R_{i}({ell},{ell2})")
+
+        return {(i, ell, ell2): dc.land(*[pair(i, k, k + 1)
+                                          for k in range(ell, ell2)])
+                if i == self.agents[0] else pair(i, ell, ell2)
+                for i in self.agents
+                for ell, ell2 in combinations(self.labels, 2)}
 
     # -- construction ------------------------------------------------------
 
@@ -186,13 +224,13 @@ class Translation:
 
     def _frame_laws(self) -> list:
         """The transitivity instances that the class docstring names,
-        for every agent: with reflexivity and symmetry built into
-        ``rel``, they hold exactly when each ``R_i`` is an equivalence
-        relation."""
+        for every agent but the first: with reflexivity and symmetry
+        built into ``rel``, they hold exactly when each such ``R_i`` is
+        an equivalence relation."""
         return [dc.lor(sx.lnot(self.rel(i, ell, ell2)),
                        sx.lnot(self.rel(i, ell2, ell3)),
                        self.rel(i, ell, ell3))
-                for i in self.agents
+                for i in self.agents[1:]
                 for ell, ell3 in combinations(self.labels, 2)
                 for ell2 in self.labels if ell2 not in (ell, ell3)]
 
@@ -203,7 +241,8 @@ class Translation:
         kept = [self.at(ell, g) for psi in self.fl
                 if isinstance(psi, sx.Prop)
                 for ell in self.labels for g in (psi, sx.lnot(psi))]
-        kept += [x for r in self._rel.values() for x in (r, sx.lnot(r))]
+        kept += [x for r in self._rel.values() if isinstance(r, sx.Prop)
+                 for x in (r, sx.lnot(r))]
         invariant += [dc.implies(x, sx.box(a, x))
                       for x in kept for a in letters]
         invariant += [sx.dia(a, sx.top()) for a in letters]

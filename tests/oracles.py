@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 
 from polkit import bts as bt
+from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.obsregex import Atom, Concat, Empty, Epsilon, ObsExpr, Star, Sum
@@ -212,3 +213,20 @@ def stepwise_check(m, s, f, memo=None) -> bool:
         raise TypeError(f"not a Formula: {f!r}")
     memo[key] = val
     return val
+
+
+class AllPairsTranslation(dp.Translation):
+    """The bubble encoding with one adjacency atom per slot pair and the
+    transitivity laws for every agent, the first one included, so no
+    agent's classes are restricted to intervals of slots."""
+
+    def _adjacency(self):
+        return {(i, x, y): dp.atom(f"R_{i}({x},{y})") for i in self.agents
+                for x, y in itertools.combinations(self.labels, 2)}
+
+    def _frame_laws(self):
+        return [dp.lor(sx.lnot(self.rel(i, x, y)), sx.lnot(self.rel(i, y, z)),
+                       self.rel(i, x, z))
+                for i in self.agents
+                for x, z in itertools.combinations(self.labels, 2)
+                for y in self.labels if y not in (x, z)]

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from oracles import label_mismatches
+from oracles import AllPairsTranslation, label_mismatches
 from polkit import bts as bt
 from polkit import corpus
 from polkit import dpdl as dp
@@ -89,27 +89,88 @@ class TestDecodedStructures:
         assert structures >= 50 and checked > 500
 
 
+class TestIntervalClasses:
+    def test_same_verdicts_as_all_pairs(self):
+        # interval classes for the first agent lose no model, so the
+        # verdict kind matches the encoding with a pair atom per slot
+        # pair and transitivity for every agent; the first formula needs
+        # a class of three slots
+        formulas = [sx.parse_formula(text) for text in (
+            "hK_i (p&~q) & hK_i (q&~p) & ~p & ~q",
+            "K_i ~p & hK_j (p & hK_i q) & ~q")]
+        rng = random.Random(9)
+        while len(formulas) < 110:
+            phi = corpus.random_formula(rng, ("a", "b"), ("i", "j"),
+                                        ("p", "q"), depth=3)
+            if sx.agents(phi) and len(sx.fl_closure(phi)) <= 8:
+                formulas.append(phi)
+        for phi in formulas:
+            cap = 2 ** len(sx.fl_closure(phi))
+            for labels in (3, 4):
+                budget = dp.LabelBudget(labels, full=labels == cap)
+                reference = dp.dpdl_sat(AllPairsTranslation(phi, budget)
+                                        .formula)
+                if isinstance(reference, dp.Unsat) and not budget.full:
+                    reference = dp.Unknown("no model within the budget")
+                verdict = dp.pol_sat(phi, budget)
+                assert type(verdict) is type(reference), (
+                    sx.print_formula(phi), labels, verdict, reference)
+        assert sum(len(sx.agents(phi)) == 2 for phi in formulas) >= 10
+
+    def test_dead_slot_between_linked_slots(self):
+        t = dp.Translation(sx.parse_formula("K_i q & hK_j p"),
+                           dp.LabelBudget(3))
+        v = {"surv(1)", "surv(3)", "R_i(1,2)", "R_i(2,3)"}
+        structure = dp.decode_bts(t, dp.DpdlModel([0], {}, {0: v}), 0)
+        bubble = structure.bubbles[0]
+        assert bubble.states == (1, 3)
+        assert bubble.block("i", 1) == frozenset({1, 3})
+        assert bubble.block("j", 1) == frozenset({1})
+
+
 class TestEncoding:
+    @pytest.mark.parametrize("labels", [3, 4])
+    def test_links_give_interval_classes(self, labels):
+        # the first agent: every valuation of its links is an
+        # equivalence whose classes are runs of linked neighbours
+        t = dp.Translation(sx.parse_formula("K_i q & hK_j p"),
+                           dp.LabelBudget(labels))
+        links = [t.rel("i", x, x + 1) for x in t.labels[:-1]]
+        for mask in range(2 ** len(links)):
+            model = dp.DpdlModel([0], {}, {0: {
+                g.name for k, g in enumerate(links) if mask >> k & 1}})
+            rel = {(x, y) for x in t.labels for y in t.labels
+                   if dp.dpdl_check(model, 0, t.rel("i", x, y))}
+            assert is_equivalence(rel, t.labels), sorted(rel)
+            assert rel == {(x, y) for x in t.labels for y in t.labels
+                           if all(mask >> (k - 1) & 1
+                                  for k in range(min(x, y), max(x, y)))}
+
     @pytest.mark.parametrize("labels, classes", [(3, 5), (4, 15)])
     def test_frame_laws_define_the_equivalences(self, labels, classes):
-        t = dp.Translation(sx.parse_formula("K_i q"), dp.LabelBudget(labels))
+        # the second agent: the laws hold exactly on its equivalences
+        t = dp.Translation(sx.parse_formula("K_i q & hK_j p"),
+                           dp.LabelBudget(labels))
         laws = dp.land(*t._frame_laws())
+        assert not any(isinstance(g, dp.Atom) and g.name.startswith("R_i(")
+                       for g in sx.closure(laws))
         pairs = list(itertools.combinations(t.labels, 2))
         accepted = 0
         for mask in range(2 ** len(pairs)):
             model = dp.DpdlModel([0], {}, {0: {
-                t.rel("i", x, y).name
+                t.rel("j", x, y).name
                 for k, (x, y) in enumerate(pairs) if mask >> k & 1}})
             rel = {(x, y) for x in t.labels for y in t.labels
-                   if dp.dpdl_check(model, 0, t.rel("i", x, y))}
+                   if dp.dpdl_check(model, 0, t.rel("j", x, y))}
             holds = dp.dpdl_check(model, 0, laws)
             assert holds == is_equivalence(rel, t.labels), sorted(rel)
             accepted += holds
         assert accepted == classes
 
-    def test_adjacency_has_one_atom_per_unordered_pair(self):
+    @pytest.mark.parametrize("labels", [3, 4])
+    def test_adjacency_atoms_per_agent(self, labels):
         t = dp.Translation(sx.parse_formula("K_i q & hK_j p"),
-                           dp.LabelBudget(4))
+                           dp.LabelBudget(labels))
         names = {g.name for g in sx.closure(t.formula)
                  if isinstance(g, dp.Atom)}
         for i in t.agents:
@@ -118,15 +179,20 @@ class TestEncoding:
                 assert f"R_{i}({x},{x})" not in names
                 for y in t.labels:
                     assert t.rel(i, x, y) is t.rel(i, y, x)
-            pairs = {n for n in names if n.startswith(f"R_{i}(")}
-            assert pairs == {t.rel(i, x, y).name for x, y in
-                             itertools.combinations(t.labels, 2)}
-            assert len(pairs) == 4 * 3 // 2
+        assert {n for n in names if n.startswith("R_i(")} == {
+            f"R_i({x},{x + 1})" for x in t.labels[:-1]}
+        assert {n for n in names if n.startswith("R_j(")} == {
+            t.rel("j", x, y).name
+            for x, y in itertools.combinations(t.labels, 2)}
+        assert len([n for n in names if n.startswith("R_j(")]) == (
+            labels * (labels - 1) // 2)
 
     def test_full_budget_encoding_size(self):
         t = dp.Translation(sx.parse_formula("K_i q"))
         assert t.budget.labels == 16
-        assert len(sx.closure(t.formula)) <= 3150
+        assert len(sx.closure(t.formula)) <= 950
+        t = dp.Translation(sx.parse_formula("hK_i true"))
+        assert len(sx.closure(t.formula)) <= 560
         t = dp.Translation(sx.parse_formula("hK_i p & K_j q"),
                            dp.LabelBudget(2))
         assert len(sx.closure(t.formula)) <= 110
