@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from . import obsregex as ox
 from . import syntax as sx
-from .errors import ClosureTooLarge, NotABts, UnknownState
+from .errors import ClosureTooLarge, InvalidInput, NotABts, UnknownState
 from .models import Model, block_map, ordered_blocks, state_sort_key
 from .obsregex import Alphabet
 
@@ -390,11 +390,11 @@ class Bts:
         clean = {}
         for (i, a), j in dict(delta).items():
             if not isinstance(i, int) or not 0 <= i < len(self.bubbles):
-                raise ValueError(f"transition from unknown bubble {i!r}")
+                raise InvalidInput(f"transition from unknown bubble {i!r}")
             if j is None:
                 continue
             if not isinstance(j, int) or not 0 <= j < len(self.bubbles):
-                raise ValueError(f"transition to unknown bubble {j!r}")
+                raise InvalidInput(f"transition to unknown bubble {j!r}")
             syms.add(a)
             clean[(i, a)] = j
         if alphabet is None:
@@ -406,7 +406,7 @@ class Bts:
         self.alphabet = alphabet
         self.delta = clean
         if self.bubbles and not 0 <= initial < len(self.bubbles):
-            raise ValueError(f"initial bubble {initial!r} does not exist")
+            raise InvalidInput(f"initial bubble {initial!r} does not exist")
         self.initial = initial
 
     def __repr__(self):

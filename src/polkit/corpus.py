@@ -12,6 +12,7 @@ import random
 from . import bts as bt
 from . import obsregex as ox
 from . import syntax as sx
+from .errors import InvalidInput
 from .models import Model
 
 __all__ = [
@@ -61,35 +62,28 @@ def random_partition(rng: random.Random, items):
     return blocks
 
 
-def standard_pool(symbols=("a", "b")):
-    """Eight stock expectations over two symbols, all with non-empty
-    languages and varied survival behaviour."""
-    a, b = symbols[0], symbols[1]
-    return tuple(ox.parse_regex(t) for t in (
-        a, b, f"{a}*", f"{b}*", f"({a}+{b})*", f"{a};{b}", f"{a}+{b}",
-        f"({a};{b})*"))
-
-
 def random_model(rng: random.Random, symbols=("a", "b"), agents=("i",),
                  prop_names=("p", "q"), min_states: int = 1,
                  max_states: int = 4, regex_depth: int = 3,
-                 live: bool = False, pool=None,
-                 max_contexts: int = 10 ** 5) -> Model:
-    """A random model. With ``live=True`` every expectation has a
-    non-empty language, so no state is dead on arrival. When ``pool`` is
+                 live: bool = True, pool=None) -> Model:
+    """A random model. Every expectation has a non-empty language, as
+    ``Model`` requires, so ``live=False`` is refused. When ``pool`` is
     given, expectations are drawn from it instead of being generated."""
+    if not live:
+        raise InvalidInput("every expectation of a model has a non-empty "
+                           "language")
     n = rng.randint(min_states, max_states)
     states = list(range(n))
-    gen = random_live_regex if live else random_regex
     props = {s: frozenset(p for p in prop_names if rng.random() < 0.5)
              for s in states}
     if pool is not None:
         exp = {s: rng.choice(pool) for s in states}
     else:
-        exp = {s: gen(rng, symbols, regex_depth) for s in states}
+        exp = {s: random_live_regex(rng, symbols, regex_depth)
+               for s in states}
     relations = {a: random_partition(rng, states) for a in agents}
     return Model(ox.Alphabet(symbols), agents, states, props, exp,
-                 relations, max_contexts)
+                 relations)
 
 
 def random_formula(rng: random.Random, symbols=("a", "b"), agents=("i",),

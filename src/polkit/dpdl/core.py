@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .. import obsregex as ox
 from .. import syntax as sx
-from ..errors import UnknownState, UnknownSymbol
+from ..errors import InvalidInput, UnknownState, UnknownSymbol
 
 __all__ = [
     "atom", "lor", "land", "implies", "iff", "parse_dpdl",
@@ -28,7 +28,7 @@ __all__ = [
 
 def atom(name: str) -> sx.Formula:
     if not isinstance(name, str) or not name:
-        raise ValueError("atom names are non-empty strings")
+        raise InvalidInput("atom names are non-empty strings")
     return ox._intern(("p", name), sx.Prop, name)
 
 
@@ -88,9 +88,9 @@ class DpdlModel:
     def __init__(self, states, trans, val, alphabet=None):
         self.states = tuple(states)
         if not self.states:
-            raise ValueError("a model needs at least one state")
+            raise InvalidInput("a model needs at least one state")
         if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate state ids")
+            raise InvalidInput("duplicate state ids")
         sset = set(self.states)
         syms = set()
         self.trans = {}

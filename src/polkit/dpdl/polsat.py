@@ -151,14 +151,15 @@ def pol_bounded_sat(phi: sx.Formula, max_states: int = 2, pool=None):
     """Exhaustive search over models of at most ``max_states`` states.
 
     Expected observations are drawn from ``pool`` (default: just the
-    empty word). Returns the first satisfying model and state in a
-    fixed deterministic order, else ``Unknown``: the bound and pool
+    empty word); expressions with an empty language are skipped, since
+    ``Model`` refuses them. Returns the first satisfying model and state
+    in a fixed deterministic order, else ``Unknown``: the bound and pool
     are restrictions, so exhausting them proves nothing.
     """
     sx._check_depth(phi)
     if pool is None:
         pool = (ox.epsilon(),)
-    pool = tuple(pool)
+    pool = tuple(e for e in pool if not ox.is_empty_language(e))
     letters = set(sx.letters(phi))
     for e in pool:
         letters |= ox.atoms(e)

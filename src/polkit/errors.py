@@ -19,6 +19,10 @@ class ParseError(PolError):
         self.column = column
 
 
+class InvalidInput(PolError, ValueError):
+    """A constructor argument that violates its stated contract."""
+
+
 class FormulaTooDeep(PolError):
     """A formula nesting deeper than the evaluators' stated limit."""
 

@@ -23,18 +23,24 @@ states that some reachable accepting pair keeps alive with a true body:
 one sweep of the product ORs those sets together, for every state at
 once, where a per-state search would walk the product once per state.
 
-A state whose expectation has an empty language expects nothing, so it
-does not survive any observation, including the empty one. Such states
-can exist in a freshly built model and they still evaluate propositions
-and knowledge normally; only observation diamonds are false (and boxes
-true) there.
+Every state expects some word: ``Model`` refuses an expectation whose
+language is empty. Such a state would survive no observation, not even
+the empty one, so ``<0*>true`` would fail there while ``true`` holds.
+The decision procedure reads ``<0*>psi`` as ``psi`` and a star diamond
+as true wherever its argument is (``syntax.definition``), which is
+exact only at states that survive the empty word. Refusing dead states
+makes that reading exact; keeping them would need a liveness condition
+in every layer of the procedure. An observation keeps exactly the
+states with a non-empty residual, so every reached model is live as
+well, and observing the empty word changes nothing.
 """
 
 from __future__ import annotations
 
 from . import obsregex as ox
 from . import syntax as sx
-from .errors import ResourceBudgetExceeded, UnknownAgent, UnknownState
+from .errors import (InvalidInput, ResourceBudgetExceeded, UnknownAgent,
+                     UnknownState)
 from .obsregex import Alphabet, ObsExpr
 
 __all__ = ["Model", "state_sort_key", "validity_sample"]
@@ -45,6 +51,10 @@ _MISSING = object()
 # above what checking a few dozen formulas on a model needs, while a
 # model checked against an endless stream of formulas starts over.
 _MEMO_ENTRIES = 4096
+
+# Contexts of one residuation graph, over all the walks a model's
+# checks take; past it ``ResourceBudgetExceeded`` is raised.
+_MAX_CONTEXTS = 10 ** 5
 
 
 def state_sort_key(s):
@@ -92,7 +102,7 @@ def block_map(states, agent, blocks) -> dict:
                 raise UnknownState(f"state {s!r} in relation of "
                                    f"agent {agent!r} is not a state")
             if s in assigned:
-                raise ValueError(
+                raise InvalidInput(
                     f"state {s!r} occurs in two blocks of {agent!r}")
             assigned[s] = fb
     for s in states:
@@ -116,7 +126,7 @@ class _Ctx:
     states.
     """
 
-    __slots__ = ("cid", "survivors", "mask", "exp", "steps", "eps")
+    __slots__ = ("cid", "survivors", "mask", "exp", "steps")
 
     def __init__(self, cid, survivors, mask, exp):
         self.cid = cid
@@ -124,7 +134,6 @@ class _Ctx:
         self.mask = mask
         self.exp = exp
         self.steps = {}
-        self.eps = None
 
 
 class Model:
@@ -133,28 +142,31 @@ class Model:
     ``relations`` maps each agent to a partition of the states, given as
     an iterable of blocks; states missing from all blocks form singleton
     blocks of their own. ``exp`` maps each state to its observation
-    expression and ``props`` to the set of propositions true there.
+    expression, whose language must not be empty, and ``props`` to the
+    set of propositions true there.
     """
 
-    def __init__(self, alphabet, agents, states, props, exp, relations,
-                 max_contexts: int = 10 ** 5):
+    def __init__(self, alphabet, agents, states, props, exp, relations):
         if not isinstance(alphabet, Alphabet):
             alphabet = Alphabet(alphabet)
         self.alphabet = alphabet
         self.agents = tuple(agents)
         self.states = tuple(sorted(states, key=state_sort_key))
         if not self.states:
-            raise ValueError("a model needs at least one state")
+            raise InvalidInput("a model needs at least one state")
         if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate state ids")
+            raise InvalidInput("duplicate state ids")
         self.props = {s: frozenset(props.get(s, ())) for s in self.states}
         self.exp = {}
         for s in self.states:
             if s not in exp:
-                raise ValueError(f"state {s!r} has no observation expression")
+                raise InvalidInput(
+                    f"state {s!r} has no observation expression")
             e = exp[s]
             for sym in ox.atoms(e):
                 alphabet.require(sym)
+            if ox.is_empty_language(e):
+                raise InvalidInput(f"state {s!r} expects no word")
             self.exp[s] = e
         self._blocks = {agent: block_map(self.states, agent,
                                          relations.get(agent, ()))
@@ -168,7 +180,6 @@ class Model:
         self._block_masks = {agent: [self._mask(b)
                                      for b in set(assigned.values())]
                              for agent, assigned in self._blocks.items()}
-        self.max_contexts = max_contexts
         self._ctxs = {}
         self._memo = {}
         self._top = self._ctx_for(frozenset(self.states), self.exp)
@@ -197,8 +208,7 @@ class Model:
 
     def update(self, word) -> "Model | None":
         """The model after publicly observing ``word``, or None if no
-        state survives. Observing the empty word removes the states that
-        expect nothing."""
+        state survives. Every state survives the empty word."""
         survivors = []
         new_exp = {}
         for s in self.states:
@@ -216,7 +226,7 @@ class Model:
         }
         return Model(self.alphabet, self.agents, survivors,
                      {s: self.props[s] for s in survivors},
-                     new_exp, relations, self.max_contexts)
+                     new_exp, relations)
 
     # -- residuation graph ------------------------------------------------
 
@@ -227,27 +237,13 @@ class Model:
                                                   key=self._bit.__getitem__)))
         ctx = self._ctxs.get(key)
         if ctx is None:
-            if len(self._ctxs) >= self.max_contexts:
+            if len(self._ctxs) >= _MAX_CONTEXTS:
                 raise ResourceBudgetExceeded(
-                    f"residuation graph exceeds {self.max_contexts} contexts")
+                    f"residuation graph exceeds {_MAX_CONTEXTS} contexts")
             ctx = _Ctx(len(self._ctxs), survivors, mask,
                        {s: exp[s] for s in survivors})
             self._ctxs[key] = ctx
         return ctx
-
-    def _eps(self, ctx: _Ctx) -> "_Ctx | None":
-        """The context after observing the empty word (prunes states
-        that expect nothing); None when nothing survives."""
-        if ctx.eps is None:
-            alive = frozenset(s for s in ctx.survivors
-                              if not ox.is_empty_language(ctx.exp[s]))
-            if alive == ctx.survivors:
-                ctx.eps = ctx
-            elif not alive:
-                ctx.eps = False
-            else:
-                ctx.eps = self._ctx_for(alive, ctx.exp)
-        return ctx.eps or None
 
     def _step(self, ctx: _Ctx, sym: str) -> "_Ctx | None":
         got = ctx.steps.get(sym, _MISSING)
@@ -269,15 +265,9 @@ class Model:
         model. Returns (contexts, edges) where contexts maps context id
         to its surviving states with expectations and edges maps
         (context id, symbol) to the successor context id or None."""
-        root = self._eps(self._top)
         edges = {}
-        seen = set()
-        frontier = [c for c in (self._top, root) if c is not None]
-        order = []
-        for c in frontier:
-            if c.cid not in seen:
-                seen.add(c.cid)
-                order.append(c)
+        seen = {self._top.cid}
+        order = [self._top]
         i = 0
         while i < len(order):
             ctx = order[i]
@@ -361,26 +351,23 @@ class Model:
         Survivors only shrink along a word, so a state among the
         survivors at the end of a walk survived every step of it. The
         answer is therefore the union, over the live pairs of the
-        product that the empty-word context reaches, of the survivors
-        at accepting pairs where the body evaluates to ``want``: the
+        product that ``ctx`` reaches, of the survivors at accepting
+        pairs where the body evaluates to ``want``: the
         least fixpoint of propagating those sets backwards through the
         product, read at its start. A pair whose survivors are all in
         the union already adds nothing, and is not expanded.
         """
-        start = self._eps(ctx)
-        if start is None:
-            return 0
         dfa = ox.to_dfa(pi, self.alphabet)
         found = 0
-        queue = [(start, 0)] if 0 in dfa.live else []
-        seen = {(start.cid, 0)}
+        queue = [(ctx, 0)] if 0 in dfa.live else []
+        seen = {(ctx.cid, 0)}
         for c, q in queue:  # the queue grows while it is read
             if not c.mask & ~found:
                 continue
             if q in dfa.accepting:
                 got = self._eval(c, body)
                 found |= got if want else c.mask & ~got
-                if found == start.mask:
+                if found == ctx.mask:
                     break
             for sym in self.alphabet:
                 nc = self._step(c, sym)
@@ -401,21 +388,17 @@ class Model:
         Branches where s has already died are skipped: a state that does
         not survive w survives no extension of w either.
         """
-        start = self._eps(ctx)
-        if start is None or s not in start.survivors:
-            return False, None, None
-
         def step(c):
             for sym in self.alphabet:
                 nc = self._step(c, sym)
                 if nc is not None and s in nc.survivors:
                     yield sym, nc
 
-        path = ox.search(ox.to_dfa(pi, self.alphabet), start, step,
+        path = ox.search(ox.to_dfa(pi, self.alphabet), ctx, step,
                          lambda c: self._holds(c, s, body) is want)
         if path is None:
             return False, None, None
-        end = path[-1][1] if path else start
+        end = path[-1][1] if path else ctx
         return True, tuple(sym for sym, _ in path), end
 
     # -- explanation --------------------------------------------------------

@@ -30,8 +30,8 @@ from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (ExpressionTooDeep, ParseError, StateBudgetExceeded,
-                     UnknownSymbol)
+from .errors import (ExpressionTooDeep, InvalidInput, ParseError,
+                     StateBudgetExceeded, UnknownSymbol)
 
 __all__ = [
     "Alphabet", "ObsExpr", "Empty", "Epsilon", "Atom", "Sum", "Concat", "Star",
@@ -59,13 +59,13 @@ class Alphabet:
     def __init__(self, symbols):
         syms = tuple(symbols)
         if not syms:
-            raise ValueError("alphabet must be non-empty")
+            raise InvalidInput("alphabet must be non-empty")
         seen = set()
         for s in syms:
             if not _is_identifier(s):
-                raise ValueError(f"symbol {s!r} is not a valid identifier")
+                raise InvalidInput(f"symbol {s!r} is not a valid identifier")
             if s in seen:
-                raise ValueError(f"duplicate symbol {s!r}")
+                raise InvalidInput(f"duplicate symbol {s!r}")
             seen.add(s)
         self.symbols = syms
         self._index = {s: i for i, s in enumerate(syms)}

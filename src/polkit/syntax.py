@@ -35,7 +35,7 @@ size.
 from __future__ import annotations
 
 from . import obsregex as ox
-from .errors import FormulaTooDeep, ParseError
+from .errors import FormulaTooDeep, InvalidInput, ParseError
 from .obsregex import Alphabet, ObsExpr, _intern
 
 __all__ = [
@@ -156,7 +156,7 @@ def top() -> Formula:
 
 def prop(name: str) -> Formula:
     if name in ("true", "false") or name.startswith(("K_", "hK_")):
-        raise ValueError(f"reserved proposition name {name!r}")
+        raise InvalidInput(f"reserved proposition name {name!r}")
     return _intern(("p", name), Prop, name)
 
 
@@ -255,7 +255,9 @@ def definition(g: Formula) -> tuple:
     unfolds one step toward the expression's head: sequencing peels its
     first factor, a sum branches, a star either stops or runs its body
     once and recurs, the empty word defers to the argument, and the
-    empty language makes a diamond false and a box true.
+    empty language makes a diamond false and a box true. The empty-word
+    and star rules are exact because every state of a model survives
+    the empty word (see ``models``).
     """
     if isinstance(g, (Dia, Box)):
         pi = g.pi

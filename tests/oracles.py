@@ -189,11 +189,10 @@ def stepwise_check(m, s, f, memo=None) -> bool:
     elif isinstance(f, (sx.Dia, sx.Box)):
         want = isinstance(f, sx.Dia)
         found = False
-        start = m.update(())
         dfa = ox.to_dfa(f.pi, m.alphabet)
-        if start is not None and s in start.states and 0 in dfa.live:
-            queue = [(start, 0)]
-            seen = {(_model_key(start), 0)}
+        if 0 in dfa.live:
+            queue = [(m, 0)]
+            seen = {(_model_key(m), 0)}
             for mw, q in queue:  # the queue grows while it is read
                 if (q in dfa.accepting
                         and stepwise_check(mw, s, f.arg, memo) is want):

@@ -9,7 +9,8 @@ from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.corpus import (drone_model, random_formula, random_model,
                            recall_counterexample_model)
-from polkit.errors import ResourceBudgetExceeded, UnknownAgent, UnknownState
+from polkit.errors import (InvalidInput, ResourceBudgetExceeded,
+                           UnknownAgent, UnknownState)
 from polkit.models import Model, validity_sample
 from polkit.obsregex import Alphabet, parse_regex, print_regex
 from polkit.syntax import parse_formula
@@ -63,13 +64,6 @@ class TestUpdate:
     def test_update_none_when_nothing_survives(self):
         m = drone_model()
         assert m.update(("f",)) is None
-
-    def test_empty_word_update_prunes_dead_states(self):
-        m = Model(Alphabet(["a"]), ["i"], [0, 1],
-                  {1: {"p"}}, {0: ox.atom("a"), 1: ox.empty()},
-                  {"i": [{0, 1}]})
-        me = m.update(())
-        assert me.states == (0,)
 
     def test_word_update_composes(self):
         rng = random.Random(7)
@@ -126,24 +120,20 @@ class TestDroneTruths:
         assert lines[1].strip() == shown
 
 
-class TestDeadStates:
-    def setup_method(self):
-        self.m = Model(Alphabet(["a"]), ["i"], ["u", "d"],
-                       {"u": {"q"}, "d": {"p"}},
-                       {"u": ox.star(ox.atom("a")), "d": ox.empty()},
-                       {"i": [{"u", "d"}]})
+class TestLiveExpectations:
+    """Every state expects some word, so none is dead on arrival."""
 
-    def test_dead_state_fails_every_diamond(self):
-        assert not self.m.check("d", parse_formula("<0*>true"))
-        assert self.m.check("d", parse_formula("[a*]false"))
-        assert self.m.check("d", parse_formula("p"))
+    @pytest.mark.parametrize("text", ["0", "0;a"])
+    def test_model_refuses_an_empty_expectation(self, text):
+        ab = Alphabet(["a"])
+        with pytest.raises(InvalidInput, match="expects no word"):
+            Model(ab, ["i"], ["u", "d"], {"d": {"p"}},
+                  {"u": ox.star(ox.atom("a")), "d": parse_regex(text, ab)},
+                  {"i": [{"u", "d"}]})
 
-    def test_dead_neighbours_visible_before_any_observation(self):
-        assert self.m.check("u", parse_formula("hK_i p"))
-
-    def test_empty_observation_removes_dead_neighbours(self):
-        assert not self.m.check("u", parse_formula("<0*>hK_i p"))
-        assert self.m.check("u", parse_formula("<0*>hK_i q"))
+    def test_random_model_refuses_dead_expectations(self):
+        with pytest.raises(InvalidInput):
+            random_model(random.Random(0), live=False)
 
 
 class TestPerfectRecall:
@@ -194,7 +184,7 @@ class TestResiduationGraph:
                 cid = edges.get((cid, sym))
                 if cid is None:
                     break
-            mw = m.update(w) if w else m.update(())
+            mw = m.update(w)
             if cid is None:
                 assert mw is None
             else:
@@ -207,10 +197,10 @@ class TestResiduationGraph:
             contexts, edges = m.residuation_graph()
             assert len(contexts) <= 10 ** 5
 
-    def test_context_budget_enforced(self):
+    def test_context_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(models, "_MAX_CONTEXTS", 2)
         m = Model(Alphabet(["a", "b"]), [], [0],
-                  {}, {0: parse_regex("(a+b)*;a;(a+b);(a+b)")},
-                  {}, max_contexts=2)
+                  {}, {0: parse_regex("(a+b)*;a;(a+b);(a+b)")}, {})
         with pytest.raises(ResourceBudgetExceeded):
             m.residuation_graph()
 
@@ -246,11 +236,10 @@ class TestCheckerAgainstStepwise:
     def test_random_models_and_their_updates(self):
         rng = random.Random(2024)
         agents = ("i", "j")
-        dead = starred = 0
-        for k in range(150):
+        starred = 0
+        for _ in range(150):
             m = random_model(rng, agents=agents, max_states=5,
-                             regex_depth=3, live=k % 2 == 0)
-            dead += sum(ox.is_empty_language(e) for e in m.exp.values())
+                             regex_depth=3)
             word = tuple(rng.choice("ab") for _ in range(rng.randint(1, 2)))
             updated = m.update(word)
             for _ in range(6):
@@ -260,8 +249,8 @@ class TestCheckerAgainstStepwise:
                 assert_agrees_everywhere(m, f)
                 if updated is not None:
                     assert_agrees_everywhere(updated, f)
-        # the sample covers dead states and starred formulas
-        assert dead and starred
+        # the sample covers starred formulas
+        assert starred
 
     def test_witness_goes_round_a_cycle_of_contexts(self):
         # the expectation a;(a;a;a)*;b cycles through three contexts
@@ -278,16 +267,6 @@ class TestCheckerAgainstStepwise:
         assert m.explain(0, box)[1].strip() == "failing observation: a-a-a-a"
         for f in (dia, box, parse_formula("<a*>K_i <b>true", ab),
                   parse_formula("[a;a*]hK_i [b]false", ab)):
-            assert_agrees_everywhere(m, f)
-
-    def test_dead_state_under_stars(self):
-        m = Model(Alphabet(["a"]), ["i"], ["u", "d"], {"d": {"p"}},
-                  {"u": ox.star(ox.atom("a")), "d": ox.empty()},
-                  {"i": [{"u", "d"}]})
-        dia, box = parse_formula("<0*>true"), parse_formula("[0*]false")
-        assert not m.check("d", dia) and m.check("d", box)
-        assert m.check("u", dia) and not m.check("u", box)
-        for f in (dia, box, parse_formula("hK_i p & <0*>~hK_i p")):
             assert_agrees_everywhere(m, f)
 
     @pytest.mark.parametrize("text", [

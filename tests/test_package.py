@@ -3,7 +3,15 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import polkit
+from polkit import bts as bt
+from polkit import dpdl as dp
+from polkit import obsregex as ox
+from polkit import syntax as sx
+from polkit.errors import PolError
+from polkit.models import Model, block_map
 
 SOURCE = Path(polkit.__file__).resolve().parent
 
@@ -18,3 +26,25 @@ def test_no_assert_statements():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ox.Alphabet([]),
+    lambda: ox.Alphabet(["a", "a"]),
+    lambda: sx.prop("true"),
+    lambda: dp.atom(""),
+    lambda: dp.DpdlModel([], {}, {}),
+    lambda: Model(["a"], [], [0, 0], {}, {0: ox.epsilon()}, {}),
+    lambda: Model(["a"], [], [0], {}, {0: ox.empty()}, {}),
+    lambda: block_map([0], "i", [{0}, {0}]),
+    lambda: bt.Bts(sx.prop("p"), (bt.Bubble((0,), {0: {sx.prop("p")}}),),
+                   {}, initial=1),
+], ids=["empty-alphabet", "duplicate-symbol", "reserved-prop", "empty-atom",
+        "stateless-dpdl-model", "duplicate-state", "empty-expectation",
+        "overlapping-blocks", "missing-initial-bubble"])
+def test_construction_errors_are_pol_errors(build):
+    # errors.py promises that every deliberate error is a PolError; a
+    # bad constructor argument is also a ValueError
+    with pytest.raises(PolError) as raised:
+        build()
+    assert isinstance(raised.value, ValueError)

@@ -47,14 +47,14 @@ class TestFullBudget:
                 assert not isinstance(found, dp.Sat), (
                     f"{sx.print_formula(f)} with the {name} pool")
 
-    @pytest.mark.xfail(strict=True,
-                       reason="the encoding requires the root to survive, "
-                              "but a state may expect nothing")
-    def test_state_expecting_nothing(self):
-        phi = sx.parse_formula("~<0*>true")
-        found = dp.pol_bounded_sat(phi, 1, pool=(ox.empty(), ox.epsilon()))
-        assert isinstance(found, dp.Sat)
-        assert not isinstance(dp.pol_sat(phi), dp.Unsat)
+    @pytest.mark.parametrize("text", ["~<0*>true", "[0*]false"])
+    def test_state_expecting_nothing(self, text):
+        # every state survives the empty word, so both are unsatisfiable
+        phi = sx.parse_formula(text)
+        assert isinstance(dp.pol_sat(phi), dp.Unsat)
+        pool = (ox.empty(), ox.epsilon(), ox.atom("a"))
+        found = dp.pol_bounded_sat(phi, 2, pool=pool)
+        assert not isinstance(found, dp.Sat)
 
 
 def is_equivalence(rel, labels):
