@@ -38,6 +38,9 @@ __all__ = [
     "is_bubble", "is_a_successor", "is_bts", "extract_model",
 ]
 
+# The most closure members ``enumerate_hintikka`` enumerates labels over.
+_HINTIKKA_CAP = 22
+
 
 class Violation:
     """Falsy diagnostic naming the first failed validation condition."""
@@ -137,7 +140,7 @@ def is_hintikka(h, fl):
     return True if v is None else v
 
 
-def enumerate_hintikka(fl, cap: int = 22):
+def enumerate_hintikka(fl):
     """All sets passing ``is_hintikka`` over ``fl``, in a fixed order.
 
     A label is fixed by its free members (``syntax.definition``): every
@@ -146,19 +149,20 @@ def enumerate_hintikka(fl, cap: int = 22):
     the one candidate it allows, and the candidates that pass condition
     2 are yielded ordered as bit patterns over the unnegated members in
     closure order, smallest first. Refuses closures with more than
-    ``cap`` members, since the candidate space can double with each one.
+    ``_HINTIKKA_CAP`` members, since the candidate space can double with
+    each one.
     """
     fl = frozenset(fl)
-    if len(fl) > cap:
+    if len(fl) > _HINTIKKA_CAP:
         raise ClosureTooLarge(
-            f"{len(fl)} closure members exceed the cap of {cap}")
+            f"{len(fl)} closure members exceed the cap of {_HINTIKKA_CAP}")
     c = _Closure(fl)
     defs = {f: (kind, operands) for f, kind, operands in c.defined}
     free = [f for f in c.ordered if f not in defs]
     cores = [f for f in c.ordered if not isinstance(f, sx.Not)]
     derived = []
 
-    def place(f):  # the definitions form a DAG over at most cap members
+    def place(f):  # the definitions form a DAG over the capped members
         if f in defs and f not in placed:
             placed.add(f)
             for g in defs[f][1]:
@@ -505,40 +509,20 @@ def _graph_regex(n: int, delta, initial: int, finals) -> ox.ObsExpr:
     return edges.get((start, accept), ox.empty())
 
 
-def _absorbing(t: Bts, finals) -> bool:
-    """No path from a reachable non-final node back into the finals."""
-    adj = {}
-    for (i, _), j in t.delta.items():
-        adj.setdefault(i, set()).add(j)
-    reach = {t.initial}
-    stack = [t.initial]
-    while stack:
-        for j in adj.get(stack.pop(), ()):
-            if j not in reach:
-                reach.add(j)
-                stack.append(j)
-    good = {f for f in finals if f in reach}
-    changed = True
-    while changed:
-        changed = False
-        for i in reach:
-            if i not in good and any(j in good for j in adj.get(i, ())):
-                good.add(i)
-                changed = True
-    return all(i in finals for i in good)
-
-
 def extract_model(t: Bts):
     """Build a pointed model over the initial bubble from a valid
     structure.
 
     Each state's observation expression is the language of nonempty
     words whose transition path visits only bubbles containing the
-    state, or the empty word when there is no such word. Dropping the
-    empty word beside other words preserves every survival question
-    (prefixes are unchanged) and keeps the trivial expectation out of
-    live expressions. The nonempty words are read from a fresh start
-    node that copies the initial bubble's out-edges.
+    state, or the empty word when there is no such word. It is read as
+    the words whose path ends in such a bubble: ``is_bts`` condition 2
+    lets no state appear from nowhere, so every earlier bubble on the
+    path contains the state too. Dropping the empty word beside other
+    words preserves every survival question (prefixes are unchanged)
+    and keeps the trivial expectation out of live expressions. The
+    nonempty words are read from a fresh start node that copies the
+    initial bubble's out-edges.
 
     Returns (model, state labelled with the target formula). Raises
     NotABts when the structure does not validate.
@@ -556,8 +540,6 @@ def extract_model(t: Bts):
     for s in init.states:
         finals = frozenset(i for i, b in enumerate(t.bubbles)
                            if s in b.labels)
-        if not _absorbing(t, finals):
-            raise AssertionError(f"state {s!r} resurrects")
         e = _graph_regex(n + 1, delta, n, finals)
         exp[s] = ox.epsilon() if ox.is_empty_language(e) else e
     agents = tuple(sorted(set(init.agents) | set(sx.agents(t.formula))))

@@ -1,8 +1,9 @@
 """Dynamic logic over deterministic models, and the route into it.
 
-The formulas are those of ``polkit.syntax``; the names below give them
-their dynamic-logic reading (``Atom`` is ``syntax.Prop``, ``print_dpdl``
-is ``syntax.print_formula``, and so on). ``core`` has the flattening
+The formulas are those of ``polkit.syntax``; three names give them
+their dynamic-logic reading: ``Atom`` is ``syntax.Prop``, ``dpdl_size``
+is ``syntax.formula_size`` and ``print_dpdl`` is
+``syntax.print_formula``. ``core`` has the flattening
 construction rules, the parser entry point, models and the checker;
 ``translate`` the bubble encoding of observation logic; ``solver`` the
 two-regime satisfiability procedure; ``oracle`` the brute-force
@@ -12,9 +13,7 @@ observation logic.
 
 from ..syntax import (
     And, Box, Dia, Not, Or, Top, box, closure, dia, lnot, top,
-    Formula as DpdlFormula, Prop as Atom,
-    formula_key as dpdl_key, formula_size as dpdl_size,
-    letters as dpdl_letters, print_formula as print_dpdl,
+    Prop as Atom, formula_size as dpdl_size, print_formula as print_dpdl,
 )
 from .core import (
     DpdlModel, atom, dpdl_check, iff, implies, land, lor, parse_dpdl,
@@ -25,10 +24,9 @@ from .solver import Sat, Unknown, Unsat, dpdl_sat
 from .translate import LabelBudget, Translation, full_budget
 
 __all__ = [
-    "DpdlFormula", "Top", "Atom", "Not", "Or", "And", "Dia", "Box",
+    "Top", "Atom", "Not", "Or", "And", "Dia", "Box",
     "top", "atom", "lnot", "lor", "land", "dia", "box", "implies", "iff",
-    "closure", "dpdl_size", "dpdl_letters",
-    "print_dpdl", "parse_dpdl", "dpdl_key",
+    "closure", "dpdl_size", "print_dpdl", "parse_dpdl",
     "DpdlModel", "dpdl_check",
     "LabelBudget", "Translation", "full_budget",
     "Sat", "Unsat", "Unknown", "dpdl_sat",

@@ -114,9 +114,6 @@ class DpdlModel:
                 raise UnknownState(f"state {s!r} has no valuation")
         self.val = {s: frozenset(val[s]) for s in self.states}
 
-    def successor(self, s, a):
-        return self.trans.get((s, a))
-
     def __repr__(self):
         return (f"DpdlModel(states={len(self.states)}, "
                 f"alphabet={list(self.alphabet)!r})")

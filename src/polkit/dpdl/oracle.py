@@ -22,19 +22,15 @@ def _subsets(pool):
         yield frozenset(p for i, p in enumerate(pool) if mask >> i & 1)
 
 
-def brute_dpdl_sat(f: sx.Formula, max_states: int = 3,
-                   atom_pool=None):
+def brute_dpdl_sat(f: sx.Formula, max_states: int = 3):
     """Try every deterministic model up to ``max_states`` states.
 
-    Valuations draw on ``atom_pool`` (default: the atoms of ``f``);
-    transitions range over all partial successor functions. Returns
-    ``Sat`` with the first witness in a fixed deterministic order, or
-    ``Unknown``: exhausting the bound proves nothing beyond it.
+    Valuations draw on the atoms of ``f``; transitions range over all
+    partial successor functions. Returns ``Sat`` with the first witness
+    in a fixed deterministic order, or ``Unknown``: exhausting the bound
+    proves nothing beyond it.
     """
-    if atom_pool is None:
-        atom_pool = sorted(sx.props(f))
-    else:
-        atom_pool = sorted(atom_pool)
+    atoms = sorted(sx.props(f))
     letters = sorted(sx.letters(f))
     for k in range(1, max_states + 1):
         states = tuple(range(k))
@@ -44,7 +40,7 @@ def brute_dpdl_sat(f: sx.Formula, max_states: int = 3,
             trans = {pair: t
                      for pair, t in zip(pairs, trans_choice)
                      if t is not None}
-            for val_choice in product(list(_subsets(atom_pool)), repeat=k):
+            for val_choice in product(list(_subsets(atoms)), repeat=k):
                 val = dict(zip(states, val_choice))
                 model = dc.DpdlModel(states, trans, val, alphabet=letters)
                 for s in states:

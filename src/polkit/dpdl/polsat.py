@@ -25,8 +25,9 @@ from .. import models as md
 from .. import obsregex as ox
 from .. import syntax as sx
 from . import core as dc
+from . import translate
 from .solver import Sat, Unknown, Unsat, dpdl_sat
-from .translate import LabelBudget, Translation
+from .translate import LabelBudget, Translation, full_budget
 
 __all__ = ["pol_sat", "pol_bounded_sat", "decode_bts"]
 
@@ -83,8 +84,13 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
     Each witness state is a bubble whose live slots carry labels: a
     slot's proposition, negated-proposition, modal and agent members
     are read from their atoms, and its other members are completed in
-    ``t.fl`` order, parts before the members they make up. Two live
-    slots are related when every atom of their ``t.rel`` is true.
+    ``t.fl`` order, parts before the members they make up. Each live
+    slot's class, per agent, is itself and the live slots whose
+    ``t.rel`` with it has every atom true. The encoding makes every
+    relation an equivalence (interval links for the first agent, the
+    frame laws for the others), so the classes are read, not closed; a
+    valuation that breaks transitivity gives overlapping classes, which
+    ``bts.Bubble`` refuses with ``InvalidInput``.
     """
     order, index = _reachable(model, state)
     bubbles = []
@@ -92,11 +98,10 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
         v = model.val[w]
         slots = [ell for ell in t.labels if t.surv(ell).name in v]
         labels = {ell: _label(t, ell, v) for ell in slots}
-        relations = {}
-        for agent in t.agents:
-            pairs = [(x, y) for x in slots for y in slots
-                     if x < y and _related(t.rel(agent, x, y), v)]
-            relations[agent] = md.equivalence_blocks(slots, pairs)
+        relations = {agent: {frozenset(y for y in slots if x == y or
+                                       _related(t.rel(agent, x, y), v))
+                             for x in slots}
+                     for agent in t.agents}
         bubbles.append(bts.Bubble(tuple(slots), labels, relations))
     delta = {}
     for (w, a), target in model.trans.items():
@@ -112,10 +117,18 @@ def pol_sat(phi: sx.Formula, budget: LabelBudget | None = None):
     A ``Sat`` verdict carries a checked model and state, and is sound
     at every budget. ``Unsat`` is only reported at the full budget;
     with fewer labels a failed search means the budget may simply be
-    too small, which is reported as ``Unknown``. The solver runs with
-    ``dpdl_sat``'s default caps.
+    too small, which is reported as ``Unknown``. With no budget, the
+    full one is used when it has at most ``translate._SLOT_CAP`` slots;
+    a larger one gives ``Unknown`` naming the cap and the exhaustive
+    count, and a larger explicit budget raises ``BudgetInvalid``. The
+    solver runs under ``dpdl_sat``'s caps.
     """
     sx._check_depth(phi)
+    if budget is None:
+        budget = full_budget(phi)
+        if budget.labels > translate._SLOT_CAP:
+            return Unknown(f"the exhaustive budget of {budget.labels} labels "
+                           f"exceeds the slot cap {translate._SLOT_CAP}")
     t = Translation(phi, budget)
     outcome = dpdl_sat(t.formula)
     if isinstance(outcome, Unknown):

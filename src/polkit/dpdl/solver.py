@@ -62,6 +62,16 @@ __all__ = ["Sat", "Unsat", "Unknown", "dpdl_sat"]
 # The most frontier assignments the exact regime enumerates.
 _ATOM_CAP = 2 ** 14
 
+# The most states of a demand graph or a witness walk.
+_NODE_CAP = 5000
+
+# The most lemma restarts of one lazy run.
+_RESTART_CAP = 200
+
+# The most steps of one propositional search, each a propagation that
+# ends without a conflict.
+_STEP_CAP = 5_000_000
+
 
 @dataclass(frozen=True)
 class Sat:
@@ -154,7 +164,7 @@ class _Shape:
                     else:
                         stack.append(h)
 
-    def compile(self, step_cap):
+    def compile(self):
         """A solver over the clauses of every member's definition, then
         one per pair of a diamond and a box over the same letter and
         argument.
@@ -166,7 +176,7 @@ class _Shape:
         first solve, which builds level 0 from the units. The solver
         decides along ``decide``.
         """
-        dpll = _Dpll(len(self.members), step_cap)
+        dpll = _Dpll(len(self.members))
         dpll.decide = self.decide
         index = self.index
         units = dpll.units
@@ -266,10 +276,9 @@ class _Shape:
 
 
 class _Exact:
-    def __init__(self, f, shape, dpll, node_cap):
+    def __init__(self, f, shape, dpll):
         self.f = f
         self.shape = shape
-        self.node_cap = node_cap
         self.atoms = []
         for mask in range(2 ** len(shape.frontier)):
             status, assign = dpll.solve([
@@ -359,9 +368,9 @@ class _Exact:
             key = (i, tuple(agenda))
             nid = nodes.get(key)
             if nid is None:
-                if len(atom_of) >= self.node_cap:
+                if len(atom_of) >= _NODE_CAP:
                     raise ResourceBudgetExceeded(
-                        f"witness walk exceeded {self.node_cap} nodes")
+                        f"witness walk exceeded {_NODE_CAP} nodes")
                 nid = nodes[key] = len(atom_of)
                 atom_of.append(i)
                 agenda_of.append(tuple(agenda))
@@ -437,9 +446,8 @@ class _Dpll:
     one clause), ``propagations`` and ``learned`` count the work done.
     """
 
-    def __init__(self, nvars, step_cap):
+    def __init__(self, nvars):
         self.nvars = nvars
-        self.step_cap = step_cap
         self.units = []
         self.bins = [[] for _ in range(2 * nvars)]
         self.watches = [[] for _ in range(2 * nvars)]
@@ -705,6 +713,7 @@ class _Dpll:
     def _search(self, assumptions):
         value = self.value
         decide = self.decide
+        step_cap = _STEP_CAP
         steps = 0
         while True:
             core = self._assume(assumptions)
@@ -740,9 +749,9 @@ class _Dpll:
                     del decided_at[back + 1:]
                     continue
                 steps += 1
-                if steps > self.step_cap:
+                if steps > step_cap:
                     raise _StepBudget(
-                        f"propositional search exceeded {self.step_cap} steps")
+                        f"propositional search exceeded {step_cap} steps")
                 while pos < len(decide) and value[decide[pos]] is not None:
                     pos += 1
                 if pos >= len(decide):
@@ -769,16 +778,14 @@ class _Lazy:
     follow from the database. An ``unsat`` answer is not kept, since its
     core depends on the database. Each answer a round keeps belongs to
     one of its states or refutation checks, so a table holds at most
-    ``node_cap`` states' answers besides those checks, and only two
+    ``_NODE_CAP`` states' answers besides those checks, and only two
     rounds are kept.
     """
 
-    def __init__(self, f, shape, dpll, node_cap, restart_cap):
+    def __init__(self, f, shape, dpll):
         self.f = f
         self.shape = shape
         self.dpll = dpll
-        self.node_cap = node_cap
-        self.restart_cap = restart_cap
         self.lemmas = []
         # assumptions -> (assignment, lemmas it was checked against)
         self.models = {}
@@ -839,7 +846,7 @@ class _Lazy:
         unit that ``_refute`` learned; a graph that leaves eventualities
         undischarged with nothing to refute ends the run undecided."""
         restarts = 0
-        while restarts < self.restart_cap:
+        while restarts < _RESTART_CAP:
             self._next_round()
             status, assign = self._solve([2 * self.shape.index[self.f]])
             if status == "unsat":
@@ -863,9 +870,9 @@ class _Lazy:
         pending = []
 
         def register(key, assign):
-            if len(assigns) >= self.node_cap:
+            if len(assigns) >= _NODE_CAP:
                 raise ResourceBudgetExceeded(
-                    f"demand graph exceeded {self.node_cap} states")
+                    f"demand graph exceeded {_NODE_CAP} states")
             nid = len(assigns)
             nodes[key] = nid
             assigns.append(assign)
@@ -933,8 +940,7 @@ class _Lazy:
 # --- entry point ----------------------------------------------------------
 
 
-def dpdl_sat(f: sx.Formula, *, node_cap: int = 5000, restart_cap: int = 200,
-             step_cap: int = 5_000_000):
+def dpdl_sat(f: sx.Formula):
     """Decide satisfiability of ``f`` over deterministic models.
 
     Returns ``Sat`` carrying a finite deterministic witness that the
@@ -952,9 +958,10 @@ def dpdl_sat(f: sx.Formula, *, node_cap: int = 5000, restart_cap: int = 200,
     (atoms and one-letter modalities), the exact regime decides
     instead, on the lazy run's clause database: every clause the lazy
     run added is valid, so it gives the verdict and witness that a
-    fresh enumeration would. ``node_cap`` bounds witness size,
-    ``restart_cap`` the lemma restarts and ``step_cap`` each
-    propositional search. A formula with agent operators is a
+    fresh enumeration would. Module constants bound the work:
+    ``_NODE_CAP`` the states of a demand graph or witness walk,
+    ``_RESTART_CAP`` the lemma restarts and ``_STEP_CAP`` the steps of
+    each propositional search. A formula with agent operators is a
     TypeError.
     """
     sx._check_depth(f)
@@ -962,14 +969,14 @@ def dpdl_sat(f: sx.Formula, *, node_cap: int = 5000, restart_cap: int = 200,
     if any(isinstance(g, (sx.Hat, sx.Know)) for g in members):
         raise TypeError("dynamic logic has no agent operators")
     shape = _Shape(members)
-    dpll = shape.compile(step_cap)
+    dpll = shape.compile()
     try:
-        outcome = _Lazy(f, shape, dpll, node_cap, restart_cap).run()
+        outcome = _Lazy(f, shape, dpll).run()
     except ResourceBudgetExceeded as err:
         outcome = Unknown(str(err))
     if isinstance(outcome, Unknown) and 2 ** len(shape.frontier) <= _ATOM_CAP:
         try:
-            outcome = _Exact(f, shape, dpll, node_cap).run()
+            outcome = _Exact(f, shape, dpll).run()
         except ResourceBudgetExceeded as err:
             outcome = Unknown(str(err))
     if (isinstance(outcome, Sat)

@@ -34,6 +34,11 @@ from . import core as dc
 
 __all__ = ["LabelBudget", "full_budget", "Translation"]
 
+# The most slots of one encoding: the largest exhaustive budget known to
+# give a verdict (``[a]p & [b]p & ~[a+b]p``, 12 closure members). A
+# budget above it is refused before any slot is built.
+_SLOT_CAP = 2 ** 12
+
 
 @dataclass(frozen=True)
 class LabelBudget:
@@ -54,6 +59,9 @@ def _check_budget(budget: LabelBudget, cap: int) -> LabelBudget:
     if budget.labels > cap:
         raise BudgetInvalid(
             f"label budget {budget.labels} exceeds the {cap} closure subsets")
+    if budget.labels > _SLOT_CAP:
+        raise BudgetInvalid(
+            f"label budget {budget.labels} exceeds the slot cap {_SLOT_CAP}")
     if budget.full != (budget.labels == cap):
         raise BudgetInvalid(
             f"budget of {budget.labels} labels has full={budget.full}, "

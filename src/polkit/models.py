@@ -52,6 +52,9 @@ _MISSING = object()
 # model checked against an endless stream of formulas starts over.
 _MEMO_ENTRIES = 4096
 
+# Lines of one ``Model.explain``; past it the explanation is cut short.
+_EXPLAIN_LINES = 200
+
 # Contexts of one residuation graph, over all the walks a model's
 # checks take; past it ``ResourceBudgetExceeded`` is raised.
 _MAX_CONTEXTS = 10 ** 5
@@ -60,31 +63,6 @@ _MAX_CONTEXTS = 10 ** 5
 def state_sort_key(s):
     """Deterministic order for mixed int and string state ids."""
     return (isinstance(s, str), s)
-
-
-def equivalence_blocks(states, pairs):
-    """Partition ``states`` into the classes generated by ``pairs``.
-
-    The blocks are sorted tuples, listed in the order of their least
-    members.
-    """
-    parent = {s: s for s in states}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-    groups = {}
-    for s in states:
-        groups.setdefault(find(s), []).append(s)
-    return tuple(tuple(sorted(g)) for g in
-                 sorted(groups.values(), key=lambda g: sorted(g)[0]))
 
 
 def block_map(states, agent, blocks) -> dict:
@@ -143,7 +121,9 @@ class Model:
     an iterable of blocks; states missing from all blocks form singleton
     blocks of their own. ``exp`` maps each state to its observation
     expression, whose language must not be empty, and ``props`` to the
-    set of propositions true there.
+    set of propositions true there. A key of ``props`` or ``exp`` that
+    is not a state raises ``UnknownState``, and a key of ``relations``
+    that is not an agent ``UnknownAgent``.
     """
 
     def __init__(self, alphabet, agents, states, props, exp, relations):
@@ -154,8 +134,17 @@ class Model:
         self.states = tuple(sorted(states, key=state_sort_key))
         if not self.states:
             raise InvalidInput("a model needs at least one state")
-        if len(set(self.states)) != len(self.states):
+        known = set(self.states)
+        if len(known) != len(self.states):
             raise InvalidInput("duplicate state ids")
+        for s in (*props, *exp):
+            if s not in known:
+                raise UnknownState(f"{s!r} has propositions or an "
+                                   f"expectation but is not a state")
+        for agent in relations:
+            if agent not in self.agents:
+                raise UnknownAgent(f"relation given for {agent!r}, which "
+                                   f"is not an agent")
         self.props = {s: frozenset(props.get(s, ())) for s in self.states}
         self.exp = {}
         for s in self.states:
@@ -403,20 +392,21 @@ class Model:
 
     # -- explanation --------------------------------------------------------
 
-    def explain(self, s, f: sx.Formula, max_lines: int = 200):
-        """Evaluate and return human-readable lines showing why."""
+    def explain(self, s, f: sx.Formula):
+        """Evaluate and return human-readable lines showing why, at most
+        ``_EXPLAIN_LINES`` of them before a truncation mark."""
         if s not in self.props:
             raise UnknownState(f"state {s!r} not in model")
         sx._check_depth(f)
         lines = []
-        self._explain(self._top, s, f, (), 0, lines, max_lines)
-        if len(lines) > max_lines:
-            del lines[max_lines:]
+        self._explain(self._top, s, f, (), 0, lines)
+        if len(lines) > _EXPLAIN_LINES:
+            del lines[_EXPLAIN_LINES:]
             lines.append("... (truncated)")
         return lines
 
-    def _explain(self, ctx, s, f, word, depth, lines, max_lines):
-        if len(lines) > max_lines:
+    def _explain(self, ctx, s, f, word, depth, lines):
+        if len(lines) > _EXPLAIN_LINES:
             return
         val = self._holds(ctx, s, f)
         where = f" after {'-'.join(word)}" if word else ""
@@ -424,22 +414,20 @@ class Model:
                      f"{sx.print_formula(f)} @ {s}{where}: {val}")
         pad = "  " * (depth + 1)
         if isinstance(f, sx.Not):
-            self._explain(ctx, s, f.arg, word, depth + 1, lines, max_lines)
+            self._explain(ctx, s, f.arg, word, depth + 1, lines)
         elif isinstance(f, (sx.Or, sx.And)):
             for p in f.parts:
-                self._explain(ctx, s, p, word, depth + 1, lines, max_lines)
+                self._explain(ctx, s, p, word, depth + 1, lines)
         elif isinstance(f, (sx.Hat, sx.Know)):
             for t in sorted(self.block(f.agent, s) & ctx.survivors,
                             key=state_sort_key):
-                self._explain(ctx, t, f.arg, word, depth + 1, lines,
-                              max_lines)
+                self._explain(ctx, t, f.arg, word, depth + 1, lines)
         elif isinstance(f, sx.Dia):
             found, w, c = self._search(ctx, s, f.pi, f.arg, True)
             if found:
                 shown = "-".join(w) if w else "the empty word"
                 lines.append(pad + f"witness observation: {shown}")
-                self._explain(c, s, f.arg, word + w, depth + 1, lines,
-                              max_lines)
+                self._explain(c, s, f.arg, word + w, depth + 1, lines)
             else:
                 lines.append(pad + "no matching observation keeps the state "
                                    "alive with a true body")
@@ -448,8 +436,7 @@ class Model:
             if found:
                 shown = "-".join(w) if w else "the empty word"
                 lines.append(pad + f"failing observation: {shown}")
-                self._explain(c, s, f.arg, word + w, depth + 1, lines,
-                              max_lines)
+                self._explain(c, s, f.arg, word + w, depth + 1, lines)
             else:
                 lines.append(pad + "every matching observation the state "
                                    "survives makes the body true")

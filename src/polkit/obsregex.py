@@ -419,15 +419,21 @@ class Dfa:
         return state in self.accepting
 
 
+# States of one derivative automaton; past it ``to_dfa`` raises
+# ``StateBudgetExceeded``.
+_MAX_DFA_STATES = 10 ** 6
+
+
 @lru_cache(maxsize=4096)
-def to_dfa(e: ObsExpr, alphabet: Alphabet, max_states: int = 10 ** 6) -> Dfa:
+def to_dfa(e: ObsExpr, alphabet: Alphabet) -> Dfa:
     """Derivative automaton of ``e``; all states reachable from the initial.
 
     Raises ExpressionTooDeep when ``e`` or one of its derivatives nests
-    deeper than ``_MAX_DEPTH``. Results are cached, so equal arguments
-    give the same automaton, which callers must not mutate. The cache
-    is the only automaton cache of the package and holds a bounded
-    number of automata.
+    deeper than ``_MAX_DEPTH``, and StateBudgetExceeded when it has more
+    than ``_MAX_DFA_STATES`` derivatives. Results are cached, so equal
+    arguments give the same automaton, which callers must not mutate.
+    The cache is the only automaton cache of the package and holds a
+    bounded number of automata.
     """
     for sym in atoms(e):
         alphabet.require(sym)
@@ -444,9 +450,10 @@ def to_dfa(e: ObsExpr, alphabet: Alphabet, max_states: int = 10 ** 6) -> Dfa:
                 dst = _derive(src, sym)
                 dst_id = index.get(dst)
                 if dst_id is None:
-                    if len(states) >= max_states:
+                    if len(states) >= _MAX_DFA_STATES:
                         raise StateBudgetExceeded(
-                            f"derivative automaton exceeds {max_states} states")
+                            f"derivative automaton exceeds {_MAX_DFA_STATES} "
+                            f"states")
                     dst_id = index[dst] = len(states)
                     states.append(dst)
                     nxt.append(dst)
@@ -493,31 +500,26 @@ def search(dfa: Dfa, start, step, goal):
 
 
 def language_equivalent(e1: ObsExpr, e2: ObsExpr,
-                        alphabet: Alphabet | None = None,
-                        max_states: int = 10 ** 6) -> bool:
-    """Language equality via emptiness of the product symmetric difference."""
+                        alphabet: Alphabet | None = None) -> bool:
+    """Language equality: in each direction, ``search`` finds no word
+    that one automaton accepts and the other rejects."""
     if alphabet is None:
         syms = sorted(atoms(e1) | atoms(e2))
         if not syms:
             # both languages are subsets of {epsilon}
             return e1.nullable == e2.nullable and e1.empty == e2.empty
         alphabet = Alphabet(syms)
-    d1 = to_dfa(e1, alphabet, max_states)
-    d2 = to_dfa(e2, alphabet, max_states)
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        nxt = []
-        for s1, s2 in frontier:
-            if (s1 in d1.accepting) != (s2 in d2.accepting):
-                return False
+    d1 = to_dfa(e1, alphabet)
+    d2 = to_dfa(e2, alphabet)
+
+    def differs(da, db):
+        def step(q):
             for sym in alphabet:
-                pair = (d1.transitions[(s1, sym)], d2.transitions[(s2, sym)])
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.append(pair)
-        frontier = nxt
-    return True
+                yield sym, db.transitions[(q, sym)]
+
+        return search(da, 0, step, lambda q: q not in db.accepting) is not None
+
+    return not differs(d1, d2) and not differs(d2, d1)
 
 
 # --- concrete syntax ---------------------------------------------------------

@@ -244,7 +244,7 @@ class TestHintikka:
         for h in got:
             assert bt.is_hintikka(h, fl) is True
 
-    def test_closure_cap(self):
+    def test_closure_cap(self, monkeypatch):
         t = cx.two_bubble_bts()
         assert len(t.fl) == 22
         list(bt.enumerate_hintikka(t.fl))  # at the cap, allowed
@@ -253,8 +253,11 @@ class TestHintikka:
         assert len(fl) > 22
         with pytest.raises(ClosureTooLarge):
             bt.enumerate_hintikka(fl)
-        assert list(bt.enumerate_hintikka(sx.fl_closure(sx.prop("p")),
-                                          cap=2))
+        monkeypatch.setattr(bt, "_HINTIKKA_CAP", 2)
+        assert list(bt.enumerate_hintikka(sx.fl_closure(sx.prop("p"))))
+        with pytest.raises(ClosureTooLarge):
+            bt.enumerate_hintikka(sx.fl_closure(sx.land(sx.prop("p"),
+                                                        sx.prop("q"))))
 
 
 class TestBubble:
@@ -515,6 +518,18 @@ class TestExtraction:
         t = cx.two_bubble_bts()
         with pytest.raises(NotABts):
             bt.extract_model(bt.Bts(t.formula, (), {}))
+
+    def test_refuses_a_state_that_comes_back(self):
+        # t dies on the first a and is back after the second; validation
+        # refuses it, so extraction never reads an expectation for it
+        p = sx.prop("p")
+        both = bt.Bubble(("s", "t"), {"s": {p}, "t": {sx.lnot(p)}})
+        alone = bt.Bubble(("s",), {"s": {p}})
+        t = bt.Bts(p, (both, alone, both), {(0, "a"): 1, (1, "a"): 2})
+        v = bt.is_bts(t)
+        assert v is not True and v.condition == "2"
+        with pytest.raises(NotABts, match="appears from nowhere"):
+            bt.extract_model(t)
 
     def test_labels_hold_along_observations(self):
         t = cx.two_bubble_bts()

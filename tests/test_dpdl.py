@@ -57,7 +57,7 @@ def random_3cnf(rng, nvars, nclauses):
 
 
 def solver_for(nvars, clauses):
-    s = dps._Dpll(nvars, step_cap=10 ** 6)
+    s = dps._Dpll(nvars)
     for c in clauses:
         s.add_clause(c)
     return s
@@ -126,13 +126,13 @@ class TestPropositionalEngine:
         assert s.propagations > 0
 
     def test_tautologies_are_dropped(self):
-        s = dps._Dpll(2, step_cap=10)
+        s = dps._Dpll(2)
         assert s.add_clause([0, 1, 2]) is False
         assert s.add_clause([0, 2]) is True
         assert s.solve([1]) == ("sat", [False, True])
 
     def test_repeated_and_complementary_literals(self):
-        s = dps._Dpll(2, step_cap=10)
+        s = dps._Dpll(2)
         assert s.add_clause([2, 2]) is True
         assert s.units == [2]
         assert s.add_clause([3, 2]) is False
@@ -144,7 +144,7 @@ class TestPropositionalEngine:
 
     def test_binary_clauses_as_add_clause(self):
         pairs = list(itertools.product(range(6), repeat=2))
-        general, direct = dps._Dpll(3, step_cap=10), dps._Dpll(3, step_cap=10)
+        general, direct = dps._Dpll(3), dps._Dpll(3)
         for x, y in pairs:
             assert general.add_clause([x, y]) == direct.add_binary(x, y)
         assert general.units == direct.units
@@ -163,9 +163,9 @@ class TestPropositionalEngine:
         assert s.conflicts == 1
         assert s.reason[1] == (2, 0)
 
-    def test_step_cap_leaves_the_solver_usable(self):
+    def test_step_cap_leaves_the_solver_usable(self, monkeypatch):
         s = solver_for(10, [[0, 2]])
-        s.step_cap = 5
+        monkeypatch.setattr(dps, "_STEP_CAP", 5)
         with pytest.raises(dps._StepBudget):
             s.solve([])
         assert s.solve(list(range(0, 20, 2)))[0] == "sat"
@@ -175,7 +175,7 @@ def reference_database(members):
     """The clause database from one ``add_clause`` call per clause, in
     member order, then the diamond/box pairs."""
     index = {g: i for i, g in enumerate(members)}
-    s = dps._Dpll(len(members), step_cap=1)
+    s = dps._Dpll(len(members))
 
     def lit(g, positive):
         return dps._Dpll.lit(index[g], positive)
@@ -212,7 +212,7 @@ def reference_database(members):
 
 def assert_compiled_as_reference(f):
     members = dp.closure(f)
-    compiled = dps._Shape(members).compile(step_cap=1)
+    compiled = dps._Shape(members).compile()
     reference = reference_database(members)
     assert compiled.empty == reference.empty
     assert compiled.units == reference.units
@@ -250,22 +250,21 @@ class TestCompilation:
         assert shape.decide[len(hinted):] == [
             2 * v + 1 for v in range(len(shape.members))
             if v not in {l >> 1 for l in hinted}]
-        assert shape.compile(step_cap=1).decide == shape.decide
-        assert dps._Dpll(3, step_cap=1).decide == [1, 3, 5]
+        assert shape.compile().decide == shape.decide
+        assert dps._Dpll(3).decide == [1, 3, 5]
         # alone, the diamond's argument hint overrides its unfolding's
         alone = dps._Shape(dp.closure(dp.parse_dpdl("<a*><b>p")))
         assert 2 * alone.index[dp.parse_dpdl("<b>p")] in alone.decide
 
 
 def lazy_run(f):
-    """A lazy regime for ``f`` with ``dpdl_sat``'s default caps."""
+    """A lazy regime for ``f`` under ``dpdl_sat``'s caps."""
     shape = dps._Shape(dp.closure(f))
-    return dps._Lazy(f, shape, shape.compile(step_cap=5_000_000),
-                     node_cap=5000, restart_cap=200)
+    return dps._Lazy(f, shape, shape.compile())
 
 
 def lazy_sat(f):
-    """The lazy regime alone, with ``dpdl_sat``'s default caps."""
+    """The lazy regime alone, under ``dpdl_sat``'s caps."""
     try:
         return lazy_run(f).run()
     except ResourceBudgetExceeded as err:
@@ -275,7 +274,7 @@ def lazy_sat(f):
 def fresh_solve(lazy, assumptions):
     """A solve of ``assumptions`` by a new solver that got the compiled
     clauses, with their decision list, and the lemmas ``lazy`` learned."""
-    fresh = lazy.shape.compile(step_cap=5_000_000)
+    fresh = lazy.shape.compile()
     for lemma in lazy.lemmas:
         fresh.add_clause(lemma)
     return fresh.solve(list(assumptions))
@@ -307,8 +306,7 @@ def learned_lemmas(f):
     """Run the lazy regime on ``f``; the conjunction that each clause
     it learns refutes."""
     shape = dps._Shape(dp.closure(f))
-    lazy = dps._Lazy(f, shape, shape.compile(step_cap=10 ** 6),
-                     node_cap=5000, restart_cap=200)
+    lazy = dps._Lazy(f, shape, shape.compile())
     refuted = []
     add_clause = lazy.dpll.add_clause
 
@@ -417,18 +415,19 @@ class TestLazyRegime:
             lazy.run()
             assert len(asked) > 2, text
 
-    def test_first_graph_discharges_under_the_decision_list(self):
+    def test_first_graph_discharges_under_the_decision_list(self,
+                                                            monkeypatch):
         # negative decisions by index defer these eventualities forever;
         # the closure's decision list discharges them in the first graph
+        monkeypatch.setattr(dps, "_RESTART_CAP", 1)
         for text in ("<0*+b*>q", "q&~([a*]p|p)"):
             f = dp.parse_dpdl(text)
-            assert isinstance(dp.dpdl_sat(f, restart_cap=1), dp.Sat), text
+            assert isinstance(dp.dpdl_sat(f), dp.Sat), text
             for default, want in ((False, dp.Sat), (True, dp.Unknown)):
                 shape = dps._Shape(dp.closure(f))
-                lazy = dps._Lazy(f, shape, shape.compile(step_cap=10 ** 6),
-                                 node_cap=5000, restart_cap=1)
+                lazy = dps._Lazy(f, shape, shape.compile())
                 if default:
-                    lazy.dpll.decide = dps._Dpll(lazy.dpll.nvars, 1).decide
+                    lazy.dpll.decide = dps._Dpll(lazy.dpll.nvars).decide
                 graphs = []
                 expand = lazy._expand
 
@@ -447,8 +446,7 @@ def exact_sat(f):
     a witness is checked."""
     shape = dps._Shape(dp.closure(f))
     assert 2 ** len(shape.frontier) <= dps._ATOM_CAP
-    exact = dps._Exact(f, shape, shape.compile(step_cap=5_000_000),
-                       node_cap=5000)
+    exact = dps._Exact(f, shape, shape.compile())
     try:
         verdict = exact.run()
     except ResourceBudgetExceeded as err:

@@ -313,6 +313,18 @@ class TestErrors:
         with pytest.raises(UnknownAgent):
             drone_model().check("u", parse_formula("K_e T1"))
 
+    def test_stray_keys_are_refused(self):
+        # a typo in a state id or agent name would otherwise build a
+        # different model without a word
+        with pytest.raises(UnknownState):
+            Model(["a"], ["i"], [0], {5: {"p"}},
+                  {0: ox.epsilon(), 7: ox.empty()}, {"j": [{0}]})
+        with pytest.raises(UnknownState):
+            Model(["a"], ["i"], [0], {}, {0: ox.epsilon(), 7: ox.empty()},
+                  {})
+        with pytest.raises(UnknownAgent):
+            Model(["a"], ["i"], [0], {}, {0: ox.epsilon()}, {"j": [{0}]})
+
     def test_regex_symbols_validated(self):
         with pytest.raises(Exception):
             Model(Alphabet(["a"]), [], [0], {}, {0: ox.atom("z")}, {})

@@ -149,7 +149,7 @@ class TestDerivatives:
     @settings(max_examples=100)
     def test_finitely_many_derivatives(self, e):
         # normalization keeps the derivative automaton small
-        dfa = to_dfa(e, AB, max_states=4096)
+        dfa = to_dfa(e, AB)
         assert len(dfa.states) <= 4096
 
 
@@ -164,7 +164,7 @@ class TestEmptiness:
     def test_emptiness_matches_sampled_language(self, e):
         if not is_empty_language(e):
             # some word of length <= #dfa states is accepted
-            dfa = to_dfa(e, AB, max_states=4096)
+            dfa = to_dfa(e, AB)
             n = len(dfa.states)
             assert any(member(e, w) for w in words_up_to(("a", "b"), min(n, 8)))
         else:
@@ -255,9 +255,11 @@ class TestDfaAndEquivalence:
         for w in words_up_to(("a", "b"), 5):
             assert dfa.accepts(w) == member_oracle(e, w)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(ox, "_MAX_DFA_STATES", 3)
+        to_dfa.cache_clear()
         with pytest.raises(StateBudgetExceeded):
-            to_dfa(re("(a+b)*;a;(a+b);(a+b);(a+b)"), AB, max_states=3)
+            to_dfa(re("(a+b)*;a;(a+b);(a+b);(a+b)"), AB)
 
     @pytest.mark.parametrize("x,y,eq", [
         ("(a+b)*", "(a*;b*)*", True),
@@ -268,6 +270,7 @@ class TestDfaAndEquivalence:
     ])
     def test_language_equivalent(self, x, y, eq):
         assert language_equivalent(re(x), re(y), AB) is eq
+        assert language_equivalent(re(y), re(x), AB) is eq
 
     @given(obs_expr_strategy(), obs_expr_strategy())
     @settings(max_examples=150)

@@ -14,7 +14,7 @@ from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.dpdl import solver as dps
-from polkit.errors import BudgetInvalid
+from polkit.errors import BudgetInvalid, InvalidInput
 
 POOLS = {
     "with-empty": (ox.empty(), ox.epsilon(), ox.atom("a"),
@@ -55,6 +55,20 @@ class TestFullBudget:
         pool = (ox.empty(), ox.epsilon(), ox.atom("a"))
         found = dp.pol_bounded_sat(phi, 2, pool=pool)
         assert not isinstance(found, dp.Sat)
+
+    def test_exhaustive_budget_above_the_slot_cap(self):
+        # 2^34 slots cannot be built; pol_sat answers before trying, and
+        # Translation refuses such a budget before building any slot
+        phi = sx.parse_formula("<a;b;a;b>p & <b*>q & hK_i <a*;b>p")
+        assert len(sx.fl_closure(phi)) == 34
+        verdict = dp.pol_sat(phi)
+        assert verdict == dp.Unknown(f"the exhaustive budget of {2 ** 34} "
+                                     f"labels exceeds the slot cap 4096")
+        for budget in (None, dp.LabelBudget(2 ** 12 + 1)):
+            with pytest.raises(BudgetInvalid,
+                               match="exceeds the slot cap 4096"):
+                dp.Translation(phi, budget)
+        assert isinstance(dp.pol_sat(phi, dp.LabelBudget(1)), dp.Sat)
 
 
 def is_equivalence(rel, labels):
@@ -126,6 +140,16 @@ class TestIntervalClasses:
         assert bubble.states == (1, 3)
         assert bubble.block("i", 1) == frozenset({1, 3})
         assert bubble.block("j", 1) == frozenset({1})
+
+    def test_transitivity_break_is_refused(self):
+        # the frame laws make R_j transitive in every witness, so the
+        # classes are read, not closed: a valuation that breaks
+        # transitivity gives overlapping classes
+        t = dp.Translation(sx.parse_formula("hK_i p & K_j q"),
+                           dp.LabelBudget(3))
+        v = {"surv(1)", "surv(2)", "surv(3)", "R_j(1,2)", "R_j(2,3)"}
+        with pytest.raises(InvalidInput):
+            dp.decode_bts(t, dp.DpdlModel([0], {}, {0: v}), 0)
 
 
 class TestEncoding:
