@@ -1,9 +1,9 @@
 """Dynamic logic over deterministic models, and the route into it.
 
-The formulas are those of ``polkit.syntax``; three names give them
-their dynamic-logic reading: ``Atom`` is ``syntax.Prop``, ``dpdl_size``
-is ``syntax.formula_size`` and ``print_dpdl`` is
-``syntax.print_formula``. ``core`` has the flattening
+The formulas are those of ``polkit.syntax``; four names give them
+their dynamic-logic reading: ``Atom`` is ``syntax.Prop``, ``atom`` is
+``syntax.prop``, ``dpdl_size`` is ``syntax.formula_size`` and
+``print_dpdl`` is ``syntax.print_formula``. ``core`` has the flattening
 construction rules, the parser entry point, models and the checker;
 ``translate`` the bubble encoding of observation logic; ``solver`` the
 two-regime satisfiability procedure; ``oracle`` the brute-force
@@ -14,9 +14,10 @@ observation logic.
 from ..syntax import (
     And, Box, Dia, Not, Or, Top, box, closure, dia, lnot, top,
     Prop as Atom, formula_size as dpdl_size, print_formula as print_dpdl,
+    prop as atom,
 )
 from .core import (
-    DpdlModel, atom, dpdl_check, iff, implies, land, lor, parse_dpdl,
+    DpdlModel, dpdl_check, iff, implies, land, lor, parse_dpdl,
 )
 from .oracle import brute_dpdl_sat
 from .polsat import decode_bts, pol_bounded_sat, pol_sat

@@ -3,7 +3,10 @@
 Formulas are those of ``polkit.syntax`` without the agent operators:
 atoms, negation, disjunction, conjunction, and program modalities whose
 programs are observation expressions over action letters. Atoms are the
-propositions of ``syntax`` under any non-empty name. Models assign at
+propositions of ``syntax``, under its one name rule: any non-empty
+string except ``true`` and ``false`` and the names that start with
+``K_`` or ``hK_``. A name that is not an identifier, such as
+``surv(1)``, is written quoted. Models assign at
 most one successor per state and letter, so a diamond and the matching
 box can only disagree on whether a successor exists at all.
 
@@ -18,18 +21,12 @@ from __future__ import annotations
 
 from .. import obsregex as ox
 from .. import syntax as sx
-from ..errors import InvalidInput, UnknownState, UnknownSymbol
+from ..errors import InvalidInput, ParseError, UnknownState, UnknownSymbol
 
 __all__ = [
-    "atom", "lor", "land", "implies", "iff", "parse_dpdl",
+    "lor", "land", "implies", "iff", "parse_dpdl",
     "DpdlModel", "dpdl_check",
 ]
-
-
-def atom(name: str) -> sx.Formula:
-    if not isinstance(name, str) or not name:
-        raise InvalidInput("atom names are non-empty strings")
-    return ox._intern(("p", name), sx.Prop, name)
 
 
 def _junction(cls, tag, parts, empty):
@@ -64,12 +61,17 @@ def iff(a: sx.Formula, b: sx.Formula) -> sx.Formula:
 
 
 def parse_dpdl(text: str, alphabet=None) -> sx.Formula:
-    """Parse the concrete syntax; quoted atoms carry arbitrary names.
+    """Parse the concrete syntax of ``syntax``, with flattening junctions.
 
-    With an alphabet given, program letters outside it are rejected.
+    A formula with an agent operator is a ParseError. With an alphabet
+    given, program letters outside it are rejected.
     """
-    return sx._parse(sx._FormulaTokens(text, lor, land, atom, dpdl=True),
-                     alphabet)
+    toks = sx._FormulaTokens(text, lor, land)
+    f = sx._parse(toks, alphabet)
+    if toks.agent_at is not None:
+        raise ParseError("dynamic logic has no agent operators",
+                         *toks.agent_at)
+    return f
 
 
 # --- models and truth ---------------------------------------------------------

@@ -24,6 +24,7 @@ from .. import bts
 from .. import models as md
 from .. import obsregex as ox
 from .. import syntax as sx
+from ..errors import UnknownState
 from . import core as dc
 from . import translate
 from .solver import Sat, Unknown, Unsat, dpdl_sat
@@ -36,15 +37,12 @@ def _reachable(model: dc.DpdlModel, start):
     """Witness states reachable from ``start``, in visit order."""
     order = [start]
     index = {start: 0}
-    queue = [start]
-    while queue:
-        w = queue.pop(0)
+    for w in order:  # the order grows while it is read
         for a in model.alphabet:
             t = model.trans.get((w, a))
             if t is not None and t not in index:
                 index[t] = len(order)
                 order.append(t)
-                queue.append(t)
     return order, index
 
 
@@ -90,8 +88,11 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
     relation an equivalence (interval links for the first agent, the
     frame laws for the others), so the classes are read, not closed; a
     valuation that breaks transitivity gives overlapping classes, which
-    ``bts.Bubble`` refuses with ``InvalidInput``.
+    ``bts.Bubble`` refuses with ``InvalidInput``. A ``state`` that is
+    not in ``model`` raises ``UnknownState``.
     """
+    if state not in model.val:
+        raise UnknownState(f"state {state!r} not in model")
     order, index = _reachable(model, state)
     bubbles = []
     for w in order:

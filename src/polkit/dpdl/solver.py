@@ -361,7 +361,7 @@ class _Exact:
             agenda = [entry for entry in carried
                       if not self._discharged(i, *entry)]
             spawned = sorted(self.shape.eventualities(self.atoms[i]),
-                             key=lambda ob: sx.formula_key(ob[1]))
+                             key=lambda ob: sx.print_formula(ob[1]))
             for entry in spawned:
                 if entry not in agenda and not self._discharged(i, *entry):
                     agenda.append(entry)

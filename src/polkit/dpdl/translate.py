@@ -151,7 +151,7 @@ class Translation:
         for psi in self.fl:  # parts first, so each derivation finds them
             for ell in self.labels:
                 self._at[(ell, psi)] = self._label_formula(ell, psi)
-        self._surv = {ell: dc.atom(f"surv({ell})") for ell in self.labels}
+        self._surv = {ell: sx.prop(f"surv({ell})") for ell in self.labels}
         self._rel = self._adjacency()
         self.formula = self._build()
 
@@ -171,7 +171,7 @@ class Translation:
             return dc.lor(*[self.at(ell, p) for p in psi.parts])
         if isinstance(psi, sx.And):
             return dc.land(*[self.at(ell, p) for p in psi.parts])
-        return dc.atom(f"@{ell}.{sx.print_formula(psi)}")
+        return sx.prop(f"@{ell}.{sx.print_formula(psi)}")
 
     def surv(self, ell: int) -> sx.Formula:
         return self._surv[ell]
@@ -188,7 +188,7 @@ class Translation:
         conjunction of the links from ``l`` to ``m`` for the first
         agent, one atom per pair for the others."""
         def pair(i, ell, ell2):
-            return dc.atom(f"R_{i}({ell},{ell2})")
+            return sx.prop(f"R_{i}({ell},{ell2})")
 
         return {(i, ell, ell2): dc.land(*[pair(i, k, k + 1)
                                           for k in range(ell, ell2)])

@@ -46,9 +46,9 @@ _IDENT_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_REST = _IDENT_FIRST | set("0123456789")
 
 
-def _is_identifier(name: str) -> bool:
+def _is_identifier(name) -> bool:
     # an ASCII Python identifier is a letter or _ then letters, digits, _
-    return name.isascii() and name.isidentifier()
+    return isinstance(name, str) and name.isascii() and name.isidentifier()
 
 
 class Alphabet:
@@ -572,6 +572,12 @@ _MAX_NESTING = 64
 
 
 class _RegexTokens:
+    """Tokens of one expression text: the characters of ``PUNCT`` and
+    identifiers. ``>`` and ``]`` end an expression, so a formula's parser
+    reads the program of ``<pi>f`` or ``[pi]f`` on its own cursor."""
+
+    PUNCT = "()+;*0>]"
+
     def __init__(self, text):
         self.text = text
         self.pos = 0
@@ -607,13 +613,17 @@ class _RegexTokens:
         if self.pos >= len(self.text):
             return None
         c = self.text[self.pos]
-        if c in "()+;*0":
+        if c in self.PUNCT:
             return c
         if c in _IDENT_FIRST:
             j = self.pos + 1
             while j < len(self.text) and self.text[j] in _IDENT_REST:
                 j += 1
             return self.text[self.pos:j]
+        return self.other(c)
+
+    def other(self, c):
+        # the token at ``c``, which is no punctuation and no identifier
         self.error(f"unexpected character {c!r}")
 
     def take(self):
@@ -638,7 +648,7 @@ def _parse_cat(toks, alphabet):
         if tok == ";":
             toks.take()
             parts.append(_parse_factor(toks, alphabet))
-        elif tok is not None and (tok == "(" or tok == "0" or tok not in ")+;*"):
+        elif tok is not None and (tok in ("(", "0") or tok[0] in _IDENT_FIRST):
             # juxtaposition is concatenation
             parts.append(_parse_factor(toks, alphabet))
         else:
@@ -668,7 +678,7 @@ def _parse_base(toks, alphabet):
     if tok == "0":
         toks.take()
         return _EMPTY
-    if tok in ")+;*":
+    if tok[0] not in _IDENT_FIRST:
         toks.error(f"unexpected {tok!r}")
     toks.take()
     if alphabet is not None and tok not in alphabet:

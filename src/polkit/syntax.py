@@ -11,6 +11,7 @@ Concrete syntax::
 
     true, false          constants (false abbreviates ~true)
     p, motor_on, T1      propositions (identifiers)
+    "surv(1)", "x y"     propositions (quoted, \\ escapes " and \\)
     ~f, f & g, f | g     connectives, ~ binds tighter than & than |
     hK_i f               agent i considers f possible
     K_i f                agent i knows f
@@ -18,8 +19,18 @@ Concrete syntax::
                          such that f holds afterwards
 
 Unary operators bind tightest and chain to the right, so ``K_a ~<b>p | q``
-reads ``(K_a ~<b>p) | q``. The dynamic-logic syntax has no agent
-operators and admits quoted atoms such as ``"surv(1)"``.
+reads ``(K_a ~<b>p) | q``.
+
+One name rule serves both logics, and ``prop`` is its one factory. A
+proposition name is any non-empty string except ``true`` and ``false``
+and the names that start with ``K_`` or ``hK_``; an agent name is a
+non-empty string of ASCII letters, digits and ``_``. So an identifier
+token is a constant, an agent operator when it starts with ``K_`` or
+``hK_``, and a proposition otherwise, in either logic. A proposition
+name that is not an identifier, such as the translation's ``@1.<a>p``,
+is printed quoted, and every printed formula parses back to itself.
+The dynamic logic of ``polkit.dpdl`` reads the same text and refuses
+agent operators.
 
 Disjunction and conjunction nodes hold a tuple of parts. The factories
 here are binary, so observation-logic formulas keep their shape as
@@ -34,6 +45,8 @@ size.
 
 from __future__ import annotations
 
+import re
+
 from . import obsregex as ox
 from .errors import FormulaTooDeep, InvalidInput, ParseError
 from .obsregex import Alphabet, ObsExpr, _intern
@@ -41,8 +54,7 @@ from .obsregex import Alphabet, ObsExpr, _intern
 __all__ = [
     "Formula", "Top", "Prop", "Not", "Or", "And", "Hat", "Know", "Dia", "Box",
     "top", "prop", "lnot", "lor", "land", "hat", "know", "dia", "box",
-    "parse_formula", "print_formula", "formula_size", "formula_key",
-    "closure_order",
+    "parse_formula", "print_formula", "formula_size", "closure_order",
     "props", "agents", "letters", "definition", "closure", "fl_closure",
 ]
 
@@ -155,8 +167,11 @@ def top() -> Formula:
 
 
 def prop(name: str) -> Formula:
-    if name in ("true", "false") or name.startswith(("K_", "hK_")):
-        raise InvalidInput(f"reserved proposition name {name!r}")
+    if (not isinstance(name, str) or not name or name in ("true", "false")
+            or name.startswith(("K_", "hK_"))):
+        raise InvalidInput(
+            f"{name!r} is not a proposition name: a name is a non-empty "
+            f"string other than true and false, not starting with K_ or hK_")
     return _intern(("p", name), Prop, name)
 
 
@@ -172,12 +187,21 @@ def land(left: Formula, right: Formula) -> Formula:
     return _intern(("&", left, right), And, (left, right))
 
 
+def _agent(name: str) -> str:
+    # only a non-empty run of ASCII letters, digits and _ reads back as
+    # the one token K_<name>
+    if not (isinstance(name, str) and name and ox._IDENT_REST.issuperset(name)):
+        raise InvalidInput(f"{name!r} is not an agent name: a name is a "
+                           f"non-empty string of ASCII letters, digits and _")
+    return name
+
+
 def hat(agent: str, arg: Formula) -> Formula:
-    return _intern(("hK", agent, arg), Hat, agent, arg)
+    return _intern(("hK", _agent(agent), arg), Hat, agent, arg)
 
 
 def know(agent: str, arg: Formula) -> Formula:
-    return _intern(("K", agent, arg), Know, agent, arg)
+    return _intern(("K", _agent(agent), arg), Know, agent, arg)
 
 
 def dia(pi: ObsExpr, arg: Formula) -> Formula:
@@ -354,7 +378,8 @@ def _wrap(f: Formula, floor: int) -> str:
 
 
 def _print_prop(name: str) -> str:
-    if ox._is_identifier(name) and name not in ("true", "false"):
+    # ``prop`` refuses the names an identifier token reads otherwise
+    if ox._is_identifier(name):
         return name
     escaped = name.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
@@ -394,12 +419,6 @@ def _print_node(f: Formula) -> str:
     raise TypeError(f"not a Formula: {f!r}")
 
 
-def formula_key(f: Formula) -> str:
-    """Stable string for deterministic ordering of formula sets: the
-    text ``print_formula`` keeps on each node."""
-    return print_formula(f)
-
-
 def closure_order(f: Formula) -> tuple:
     """Sort key of the closure order, in which bubble validation checks
     labels and the encoding lists members: by size, then by text."""
@@ -409,86 +428,31 @@ def closure_order(f: Formula) -> tuple:
 # --- parsing -----------------------------------------------------------------
 
 
+# a quoted proposition name, in which \" and \\ stand for " and \
+_QUOTED = re.compile(r'"(?:[^"\\]|\\["\\])*"')
+
+
 class _FormulaTokens(ox._RegexTokens):
-    """Tokens of one formula text, with the factories that build it.
+    """Tokens of one formula text, in either logic, with the junction
+    factories that build it: binary ones for observation logic and
+    flattening ones for ``polkit.dpdl``. They add the connectives and
+    quoted names to the tokens of ``obsregex``, so the program of
+    ``<pi>`` or ``[pi]`` is read on this cursor."""
 
-    Dynamic-logic text (``dpdl``) admits quoted atoms and reads ``K_a``
-    as an atom; observation-logic text reads it as an agent operator.
-    """
+    PUNCT = "()&|~<>[]+;*0"
 
-    PUNCT = "()&|~<>[]"
-
-    def __init__(self, text, lor, land, atom, dpdl):
+    def __init__(self, text, lor, land):
         super().__init__(text)
         self.lor = lor
         self.land = land
-        self.atom = atom
-        self.dpdl = dpdl
+        # where the first agent operator starts, which parse_dpdl refuses
+        self.agent_at = None
 
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self._advance(1)
-        if self.pos >= len(self.text):
-            return None
-        c = self.text[self.pos]
-        if c in self.PUNCT:
-            return c
-        if c == '"' and self.dpdl:
-            j = self.pos + 1
-            while j < len(self.text):
-                if self.text[j] == "\\":
-                    j += 2
-                    continue
-                if self.text[j] == '"':
-                    return self.text[self.pos:j + 1]
-                j += 1
-            self.error("unterminated quoted atom")
-        if c in ox._IDENT_FIRST:
-            j = self.pos + 1
-            while j < len(self.text) and self.text[j] in ox._IDENT_REST:
-                j += 1
-            return self.text[self.pos:j]
-        self.error(f"unexpected character {c!r}")
-
-    def take_regex_until(self, close: str):
-        """Consume up to (not including) the closing delimiter."""
-        start = self.pos
-        line, col = self.line, self.col
-        end = self.text.find(close, start)
-        if end < 0:
-            self.error(f"missing {close!r}")
-        text = self.text[start:end]
-        self._advance(end - start)
-        return text, line, col
-
-    def unquote(self, tok: str) -> str:
-        body = tok[1:-1]
-        out = []
-        i = 0
-        while i < len(body):
-            c = body[i]
-            if c == "\\":
-                if i + 1 >= len(body) or body[i + 1] not in ('"', "\\"):
-                    self.error("bad escape in quoted atom")
-                out.append(body[i + 1])
-                i += 2
-            else:
-                out.append(c)
-                i += 1
-        if not out:
-            self.error("quoted atom is empty")
-        return "".join(out)
-
-
-def _parse_guarded_regex(toks, close, alphabet):
-    text, line, col = toks.take_regex_until(close)
-    try:
-        return ox.parse_regex(text, alphabet)
-    except ParseError as err:
-        msg = err.args[0].split(" (line")[0]
-        if err.line == 1:
-            raise ParseError(msg, line, col + err.column - 1) from None
-        raise ParseError(msg, line + err.line - 1, err.column) from None
+    def other(self, c):
+        quoted = _QUOTED.match(self.text, self.pos) if c == '"' else None
+        if quoted is None:
+            return super().other(c)
+        return quoted.group()
 
 
 def _parse_or(toks, alphabet):
@@ -514,23 +478,22 @@ def _parse_unary(toks, alphabet):
     if tok == "~":
         toks.take()
         return lnot(toks.nested(_parse_unary, alphabet))
-    if tok == "<":
+    if tok in ("<", "["):
         toks.take()
-        pi = _parse_guarded_regex(toks, ">", alphabet)
-        toks.take()  # '>'
-        return dia(pi, toks.nested(_parse_unary, alphabet))
-    if tok == "[":
+        pi = ox._parse_sum(toks, alphabet)
+        close = ">" if tok == "<" else "]"
+        if toks.peek() != close:
+            toks.error(f"expected {close!r}")
         toks.take()
-        pi = _parse_guarded_regex(toks, "]", alphabet)
-        toks.take()  # ']'
-        return box(pi, toks.nested(_parse_unary, alphabet))
-    if not toks.dpdl:
-        if tok.startswith("K_") and len(tok) > 2:
-            toks.take()
-            return know(tok[2:], toks.nested(_parse_unary, alphabet))
-        if tok.startswith("hK_") and len(tok) > 3:
-            toks.take()
-            return hat(tok[3:], toks.nested(_parse_unary, alphabet))
+        make = dia if tok == "<" else box
+        return make(pi, toks.nested(_parse_unary, alphabet))
+    op, _, agent = tok.partition("_")
+    if op in ("K", "hK") and agent:
+        if toks.agent_at is None:
+            toks.agent_at = (toks.line, toks.col)
+        toks.take()
+        make = know if op == "K" else hat
+        return make(agent, toks.nested(_parse_unary, alphabet))
     return _parse_base(toks, alphabet)
 
 
@@ -547,16 +510,17 @@ def _parse_base(toks, alphabet):
         return f
     if tok in _FormulaTokens.PUNCT:
         toks.error(f"unexpected {tok!r}")
+    if tok in ("true", "false"):
+        toks.take()
+        return top() if tok == "true" else lnot(top())
+    # a bare K_ or hK_, and a quoted name that prop refuses, fail here
+    name = re.sub(r'\\(.)', r'\1', tok[1:-1]) if tok[0] == '"' else tok
+    try:
+        f = prop(name)
+    except InvalidInput as err:
+        toks.error(str(err))
     toks.take()
-    if tok.startswith('"'):
-        return toks.atom(toks.unquote(tok))
-    if tok == "true":
-        return top()
-    if tok == "false":
-        return lnot(top())
-    if tok in ("K_", "hK_") and not toks.dpdl:
-        toks.error(f"operator {tok!r} needs an agent name")
-    return toks.atom(tok)
+    return f
 
 
 def _parse(toks: _FormulaTokens, alphabet) -> Formula:
@@ -574,4 +538,4 @@ def _parse(toks: _FormulaTokens, alphabet) -> Formula:
 def parse_formula(text: str, alphabet: Alphabet | None = None) -> Formula:
     """Parse a formula; observation symbols are checked when an alphabet
     is supplied."""
-    return _parse(_FormulaTokens(text, lor, land, prop, dpdl=False), alphabet)
+    return _parse(_FormulaTokens(text, lor, land), alphabet)

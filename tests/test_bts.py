@@ -31,7 +31,7 @@ def pieces():
 
 
 def brute_hintikka(fl):
-    members = sorted(fl, key=sx.formula_key)
+    members = sorted(fl, key=sx.print_formula)
     out = set()
     for n in range(len(members) + 1):
         for combo in itertools.combinations(members, n):

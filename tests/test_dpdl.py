@@ -534,13 +534,13 @@ class TestParsing:
         assert dp.parse_dpdl(dp.print_dpdl(f)) is f
 
     def test_quoted_atoms_with_escapes(self):
-        for name in ('surv(1)', 'say "hi"', "back\\slash", "true", "@1.p&q"):
+        for name in ('surv(1)', 'say "hi"', "back\\slash", "@1.p&q"):
             f = dp.atom(name)
             text = dp.print_dpdl(f)
             assert text.startswith('"')
             assert dp.parse_dpdl(text) is f
         assert dp.parse_dpdl(r'"a\"b\\c"') is dp.atom('a"b\\c')
-        for bad in ('"open', '""', r'"bad\escape"'):
+        for bad in ('"open', '""', r'"bad\escape"', '"true"', '"K_a"'):
             with pytest.raises(ParseError):
                 dp.parse_dpdl(bad)
 
@@ -550,12 +550,13 @@ class TestParsing:
         assert dp.parse_dpdl("(p|q)|r") is dp.lor(p, q, r)
 
     def test_no_agent_operators(self):
-        k = dp.parse_dpdl("K_a")
-        assert isinstance(k, dp.Atom) and k.name == "K_a"
-        with pytest.raises(ParseError):
-            dp.parse_dpdl("K_a p")
-        with pytest.raises(ParseError):
-            sx.parse_formula('"x"')
+        for text in ("K_a", "K_a p"):
+            with pytest.raises(ParseError):
+                dp.parse_dpdl(text)
+        with pytest.raises(ParseError) as ei:
+            dp.parse_dpdl("p &\n <a>hK_b q")
+        assert (ei.value.line, ei.value.column) == (2, 5)
+        assert sx.parse_formula('"x"') is sx.prop("x")
 
     @pytest.mark.parametrize("f", [
         sx.know("a", sx.prop("q")),

@@ -128,6 +128,8 @@ class TestDerivatives:
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):
             derive(re("a"), "c", AB)
+        with pytest.raises(UnknownSymbol):
+            ox.atom(1)
 
     @given(obs_expr_strategy())
     @settings(max_examples=200)

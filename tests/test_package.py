@@ -39,9 +39,17 @@ def test_no_assert_statements():
     lambda: block_map([0], "i", [{0}, {0}]),
     lambda: bt.Bts(sx.prop("p"), (bt.Bubble((0,), {0: {sx.prop("p")}}),),
                    {}, initial=1),
+    lambda: ox.Alphabet([1]),
+    lambda: sx.prop(123),
+    lambda: sx.prop(""),
+    lambda: dp.atom("K_a"),
+    lambda: sx.hat("x y", sx.top()),
+    lambda: sx.know(5, sx.top()),
 ], ids=["empty-alphabet", "duplicate-symbol", "reserved-prop", "empty-atom",
         "stateless-dpdl-model", "duplicate-state", "empty-expectation",
-        "overlapping-blocks", "missing-initial-bubble"])
+        "overlapping-blocks", "missing-initial-bubble", "non-string-symbol",
+        "non-string-prop", "empty-prop", "operator-atom", "spaced-agent",
+        "non-string-agent"])
 def test_construction_errors_are_pol_errors(build):
     # errors.py promises that every deliberate error is a PolError; a
     # bad constructor argument is also a ValueError

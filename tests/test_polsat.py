@@ -14,7 +14,7 @@ from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.dpdl import solver as dps
-from polkit.errors import BudgetInvalid, InvalidInput
+from polkit.errors import BudgetInvalid, InvalidInput, UnknownState
 
 POOLS = {
     "with-empty": (ox.empty(), ox.epsilon(), ox.atom("a"),
@@ -150,6 +150,12 @@ class TestIntervalClasses:
         v = {"surv(1)", "surv(2)", "surv(3)", "R_j(1,2)", "R_j(2,3)"}
         with pytest.raises(InvalidInput):
             dp.decode_bts(t, dp.DpdlModel([0], {}, {0: v}), 0)
+
+    def test_unknown_start_state_is_refused(self):
+        t = dp.Translation(sx.parse_formula("hK_i p"), dp.LabelBudget(2))
+        model = dp.DpdlModel([0], {}, {0: {"surv(1)"}})
+        with pytest.raises(UnknownState):
+            dp.decode_bts(t, model, 7)
 
 
 class TestEncoding:

@@ -2,7 +2,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from polkit import dpdl as dp
 from polkit import obsregex as ox
@@ -20,10 +20,24 @@ from conftest import formula_strategy
 from oracles import node_count
 
 AB = Alphabet(["a", "b"])
+# proposition names that only a quoted token carries
+AWKWARD = ("x y", 'a"b', "back\\slash", "@1.p&q", "surv(1)", "R_i(1,2)", "p")
 
 
 def pf(text):
     return parse_formula(text)
+
+
+def flattened(f):
+    """``f`` rebuilt with the flattening junctions of ``polkit.dpdl``."""
+    if isinstance(f, (Or, And)):
+        return (dp.lor if isinstance(f, Or) else dp.land)(
+            *map(flattened, f.parts))
+    if isinstance(f, Not):
+        return lnot(flattened(f.arg))
+    if isinstance(f, (Dia, Box)):
+        return (dia if isinstance(f, Dia) else box)(f.pi, flattened(f.arg))
+    return f
 
 
 class TestParsing:
@@ -96,6 +110,12 @@ class TestParsing:
             prop("true")
         with pytest.raises(ValueError):
             prop("K_d")
+        # a quoted name that prop refuses fails at the quote
+        for bad, column in (('"true"', 1), ('p & "K_a"', 5), ('p|""', 3),
+                            ('~"hK_i"', 2)):
+            with pytest.raises(ParseError) as ei:
+                pf(bad)
+            assert ei.value.column == column, bad
 
 
 class TestPrinting:
@@ -122,6 +142,21 @@ class TestPrinting:
     def test_print_then_parse_is_identity(self, f):
         assert parse_formula(print_formula(f)) is f
 
+    @given(formula_strategy(agent_names=("i", "5"), prop_names=AWKWARD))
+    @example(land(prop("x y"), prop("q")))
+    @example(hat("i", prop("surv(1)")))
+    @example(dia(ox.atom("a"), lnot(prop("@1.p&q"))))
+    @settings(max_examples=300)
+    def test_awkward_names_print_and_parse_back(self, f):
+        assert parse_formula(print_formula(f)) is f
+        if agents(f):
+            with pytest.raises(ParseError):
+                dp.parse_dpdl(print_formula(f))
+        else:
+            g = flattened(f)
+            assert dp.parse_dpdl(dp.print_dpdl(f)) is g
+            assert dp.parse_dpdl(dp.print_dpdl(g)) is g
+
 
 def nested(wrap, leaf, depth=3000):
     f = leaf
@@ -138,12 +173,6 @@ class TestDeepFactoryNesting:
         assert formula_size(nested(lnot, prop("size"))) == 3001
         a = ox.atom("a")
         assert formula_size(nested(lambda f: dia(a, f), prop("size"))) == 6001
-
-    def test_formula_key(self):
-        assert sx.formula_key(nested(lnot, prop("key"))) == "~" * 3000 + "key"
-        a = ox.atom("a")
-        assert (sx.formula_key(nested(lambda f: dia(a, f), prop("key")))
-                == "<a>" * 3000 + "key")
 
     def test_print_formula(self):
         assert (print_formula(nested(lnot, prop("shown")))
