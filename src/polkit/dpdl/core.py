@@ -39,6 +39,8 @@ def _junction(cls, tag, parts, empty):
     if not flat:
         return empty
     if len(flat) == 1:
+        if not isinstance(flat[0], sx.Formula):
+            sx._refuse(flat[0])
         return flat[0]
     flat = tuple(flat)
     return ox._intern((tag,) + flat, cls, flat)

@@ -15,6 +15,14 @@ holds, once, as a bit mask over ``Model.states``, and memoizes it per
 (reached model, formula), up to a fixed number of entries; ``check``
 reads one bit of it.
 
+An announcement is a step in the model's own residuation graph.
+``Model.update`` walks the word from the model's context and returns a
+model that stands at the context reached. The graph, its cached steps
+and the memo are shared with every model that ``update`` returns, so
+the checks after an announcement read what the checks before it
+computed. ``residuation_graph`` numbers a model's contexts locally,
+with the model itself at 0.
+
 Survival is carried by survivor masks. A state survives a word only if
 it survived every prefix, so the survivors of a reached model shrink
 along each walk through the product, and a state among them at the end
@@ -37,6 +45,8 @@ well, and observing the empty word changes nothing.
 
 from __future__ import annotations
 
+import copy
+
 from . import obsregex as ox
 from . import syntax as sx
 from .errors import (InvalidInput, ResourceBudgetExceeded, UnknownAgent,
@@ -47,16 +57,19 @@ __all__ = ["Model", "state_sort_key", "validity_sample"]
 
 _MISSING = object()
 
-# Entries of ``Model._memo``, one per (reached model, formula) pair: far
-# above what checking a few dozen formulas on a model needs, while a
-# model checked against an endless stream of formulas starts over.
+# Entries of ``Model._memo``, one per (reached model, formula) pair and
+# shared, like the graph, with the models ``update`` returns: far above
+# what checking a few dozen formulas on a model and its updates needs,
+# while a model checked against an endless stream of formulas starts
+# over.
 _MEMO_ENTRIES = 4096
 
 # Lines of one ``Model.explain``; past it the explanation is cut short.
 _EXPLAIN_LINES = 200
 
-# Contexts of one residuation graph, over all the walks a model's
-# checks take; past it ``ResourceBudgetExceeded`` is raised.
+# Contexts of one residuation graph, over all the walks that the checks
+# of a model and of every model ``update`` returns from it take, since
+# they share the graph; past it ``ResourceBudgetExceeded`` is raised.
 _MAX_CONTEXTS = 10 ** 5
 
 
@@ -197,25 +210,29 @@ class Model:
 
     def update(self, word) -> "Model | None":
         """The model after publicly observing ``word``, or None if no
-        state survives. Every state survives the empty word."""
-        survivors = []
-        new_exp = {}
-        for s in self.states:
-            e = ox.residuate(self.exp[s], word, self.alphabet)
-            if not ox.is_empty_language(e):
-                survivors.append(s)
-                new_exp[s] = e
-        if not survivors:
+        state survives. Every state survives the empty word.
+
+        The announcement is a walk along ``word`` in this model's own
+        residuation graph. The model returned stands at the context
+        reached, and shares the graph, its cached steps and the memo
+        with this model and every other model that ``update`` returns
+        from either."""
+        ctx = self._top
+        for sym in word:
+            self.alphabet.require(sym)
+            if ctx is not None:
+                ctx = self._step(ctx, sym)
+        if ctx is None:
             return None
-        keep = set(survivors)
-        relations = {
-            agent: [b & keep for b in self.relation_blocks(agent)
-                    if b & keep]
-            for agent in self.agents
-        }
-        return Model(self.alphabet, self.agents, survivors,
-                     {s: self.props[s] for s in survivors},
-                     new_exp, relations)
+        new = copy.copy(self)
+        new._top = ctx
+        new.states = tuple(sorted(ctx.survivors, key=state_sort_key))
+        new.props = {s: self.props[s] for s in new.states}
+        new.exp = {s: ctx.exp[s] for s in new.states}
+        new._blocks = {agent: {s: assigned[s] & ctx.survivors
+                               for s in new.states}
+                       for agent, assigned in self._blocks.items()}
+        return new
 
     # -- residuation graph ------------------------------------------------
 
@@ -253,23 +270,24 @@ class Model:
         """Explore every context reachable by observations from this
         model. Returns (contexts, edges) where contexts maps context id
         to its surviving states with expectations and edges maps
-        (context id, symbol) to the successor context id or None."""
-        edges = {}
-        seen = {self._top.cid}
+        (context id, symbol) to the successor context id or None.
+
+        Ids are local to this model: they number the contexts in
+        breadth-first order from this model, which is context 0, and
+        not by their place in the graph shared with its updates."""
+        ids = {self._top: 0}
         order = [self._top]
-        i = 0
-        while i < len(order):
-            ctx = order[i]
-            i += 1
+        edges = {}
+        for ctx in order:  # the order grows while it is read
             for sym in self.alphabet:
                 nxt = self._step(ctx, sym)
-                edges[(ctx.cid, sym)] = None if nxt is None else nxt.cid
-                if nxt is not None and nxt.cid not in seen:
-                    seen.add(nxt.cid)
+                if nxt is not None and nxt not in ids:
+                    ids[nxt] = len(order)
                     order.append(nxt)
+                edges[(ids[ctx], sym)] = None if nxt is None else ids[nxt]
         contexts = {
-            c.cid: {s: c.exp[s] for s in sorted(c.survivors,
-                                                key=state_sort_key)}
+            ids[c]: {s: c.exp[s] for s in sorted(c.survivors,
+                                                 key=state_sort_key)}
             for c in order
         }
         return contexts, edges
@@ -280,8 +298,13 @@ class Model:
         """Is the formula true at state ``s``?"""
         if s not in self.props:
             raise UnknownState(f"state {s!r} not in model")
-        sx._check_depth(f)
-        return bool(self._eval(self._top, f) & self._bit[s])
+        # a formula is memoized only once it, or a formula containing
+        # it, passed the depth check, so a hit needs no check
+        got = self._memo.get((self._top.cid, f))
+        if got is None:
+            sx._check_depth(f)
+            got = self._eval(self._top, f)
+        return bool(got & self._bit[s])
 
     def _holds(self, ctx: _Ctx, s, f: sx.Formula) -> bool:
         return bool(self._eval(ctx, f) & self._bit[s])

@@ -78,6 +78,14 @@ class Formula:
         return f"Formula({print_formula(self)!r})"
 
 
+# A node constructor runs only when the intern table misses, and no key
+# with an operand of the wrong type ever gets into the table, so the
+# constructors check each operand once per distinct node, and a factory
+# call that hits the table pays nothing for the check.
+def _refuse(operand, kind="a formula"):
+    raise InvalidInput(f"{operand!r} is not {kind}")
+
+
 class Top(Formula):
     __slots__ = ()
 
@@ -97,6 +105,8 @@ class Not(Formula):
     __slots__ = ("arg",)
 
     def __init__(self, arg):
+        if not isinstance(arg, Formula):
+            _refuse(arg)
         self.arg = arg
         self.size, self.depth = 1 + arg.size, 1 + arg.depth
 
@@ -105,6 +115,9 @@ class Or(Formula):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
+        for p in parts:
+            if not isinstance(p, Formula):
+                _refuse(p)
         self.parts = parts
         self.size = len(parts) - 1 + sum(p.size for p in parts)
         self.depth = 1 + max(p.depth for p in parts)
@@ -114,6 +127,9 @@ class And(Formula):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
+        for p in parts:
+            if not isinstance(p, Formula):
+                _refuse(p)
         self.parts = parts
         self.size = len(parts) - 1 + sum(p.size for p in parts)
         self.depth = 1 + max(p.depth for p in parts)
@@ -124,6 +140,8 @@ class Hat(Formula):
     __slots__ = ("agent", "arg")
 
     def __init__(self, agent, arg):
+        if not isinstance(arg, Formula):
+            _refuse(arg)
         self.agent = agent
         self.arg = arg
         self.size, self.depth = 1 + arg.size, 1 + arg.depth
@@ -133,6 +151,8 @@ class Know(Formula):
     __slots__ = ("agent", "arg")
 
     def __init__(self, agent, arg):
+        if not isinstance(arg, Formula):
+            _refuse(arg)
         self.agent = agent
         self.arg = arg
         self.size, self.depth = 1 + arg.size, 1 + arg.depth
@@ -143,6 +163,10 @@ class Dia(Formula):
     __slots__ = ("pi", "arg")
 
     def __init__(self, pi, arg):
+        if not isinstance(pi, ObsExpr):
+            _refuse(pi, "an observation expression")
+        if not isinstance(arg, Formula):
+            _refuse(arg)
         self.pi = pi
         self.arg = arg
         self.size = 1 + pi.size + arg.size
@@ -153,6 +177,10 @@ class Box(Formula):
     __slots__ = ("pi", "arg")
 
     def __init__(self, pi, arg):
+        if not isinstance(pi, ObsExpr):
+            _refuse(pi, "an observation expression")
+        if not isinstance(arg, Formula):
+            _refuse(arg)
         self.pi = pi
         self.arg = arg
         self.size = 1 + pi.size + arg.size
@@ -442,6 +470,8 @@ class _FormulaTokens(ox._RegexTokens):
     PUNCT = "()&|~<>[]+;*0"
 
     def __init__(self, text, lor, land):
+        if not isinstance(text, str):
+            raise InvalidInput(f"{text!r} is not a formula text")
         super().__init__(text)
         self.lor = lor
         self.land = land

@@ -12,6 +12,7 @@ from polkit import bts as bt
 from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
+from polkit.models import Model
 from polkit.obsregex import Atom, Concat, Empty, Epsilon, ObsExpr, Star, Sum
 
 
@@ -152,6 +153,28 @@ def label_mismatches(t, model, max_len: int = 3):
     return failures, checked
 
 
+def residuated_model(m, word):
+    """The model after publicly observing ``word``, built from scratch:
+    each expectation residuated by the whole word (``ox.residuate``),
+    then a fresh ``Model`` over the states whose residual is not empty,
+    with their propositions and the relations restricted to them. None
+    if no state survives. ``Model.update`` walks its residuation graph
+    instead, so this is its reference."""
+    exp = {}
+    for s in m.states:
+        e = ox.residuate(m.exp[s], word, m.alphabet)
+        if not ox.is_empty_language(e):
+            exp[s] = e
+    if not exp:
+        return None
+    keep = set(exp)
+    relations = {agent: [b & keep for b in m.relation_blocks(agent)
+                         if b & keep]
+                 for agent in m.agents}
+    return Model(m.alphabet, m.agents, keep,
+                 {s: m.props[s] for s in keep}, exp, relations)
+
+
 def _model_key(m):
     return m.states, tuple(m.exp[s] for s in m.states)
 
@@ -160,8 +183,8 @@ def stepwise_check(m, s, f, memo=None) -> bool:
     """Truth of ``f`` at state ``s`` of ``m``, one state at a time.
 
     Uses the public API only. An observation modality walks words
-    breadth first over pairs of an updated model (``Model.update``) and
-    a state of the automaton of its expression, keeps the models that
+    breadth first over pairs of an updated model (``residuated_model``)
+    and a state of the automaton of its expression, keeps the models that
     ``s`` survives, and evaluates the body at ``s`` in the models met at
     accepting automaton states. ``memo`` caches truth per (model states
     and expectations, state, formula) within one base model."""
@@ -199,7 +222,7 @@ def stepwise_check(m, s, f, memo=None) -> bool:
                     found = True
                     break
                 for sym in m.alphabet:
-                    nxt = mw.update((sym,))
+                    nxt = residuated_model(mw, (sym,))
                     q2 = dfa.transitions[(q, sym)]
                     if nxt is None or s not in nxt.states or q2 not in dfa.live:
                         continue

@@ -3,22 +3,25 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from oracles import member_oracle, stepwise_check, words_up_to
+from oracles import (member_oracle, residuated_model, stepwise_check,
+                     words_up_to)
 from polkit import models
 from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.corpus import (drone_model, random_formula, random_model,
                            recall_counterexample_model)
-from polkit.errors import (InvalidInput, ResourceBudgetExceeded,
-                           UnknownAgent, UnknownState)
+from polkit.errors import (FormulaTooDeep, InvalidInput,
+                           ResourceBudgetExceeded, UnknownAgent,
+                           UnknownState, UnknownSymbol)
 from polkit.models import Model, validity_sample
 from polkit.obsregex import Alphabet, parse_regex, print_regex
 from polkit.syntax import parse_formula
 
 
 def naive_check(m, s, f, bound):
-    """Reference checker built on the public update API; observation
-    modalities quantify over words up to the given length only."""
+    """Reference checker built on models residuated from scratch
+    (``residuated_model``); observation modalities quantify over words
+    up to the given length only."""
     if isinstance(f, sx.Top):
         return True
     if isinstance(f, sx.Prop):
@@ -40,7 +43,7 @@ def naive_check(m, s, f, bound):
         for w in words_up_to(tuple(m.alphabet), bound):
             if not member_oracle(f.pi, w):
                 continue
-            mw = m.update(w)
+            mw = residuated_model(m, w)
             if mw is None or s not in mw.props:
                 continue
             results.append(naive_check(mw, s, f.arg, bound))
@@ -81,6 +84,106 @@ class TestUpdate:
                 assert step.states == one.states
                 assert {s: step.exp[s] for s in step.states} == \
                     {s: one.exp[s] for s in one.states}
+
+
+def assert_same_model(got, want, formulas):
+    """``got`` and ``want`` are both None, or have the same states,
+    propositions, expectations and relations, and agree on every
+    formula at every state."""
+    if want is None:
+        assert got is None
+        return
+    assert got.states == want.states
+    assert got.props == want.props
+    assert got.exp == want.exp
+    for agent in want.agents:
+        assert got.relation_blocks(agent) == want.relation_blocks(agent)
+    for f in formulas:
+        for s in want.states:
+            assert got.check(s, f) == want.check(s, f), (s, f)
+
+
+class TestSharedUpdate:
+    """``update`` walks the residuation graph that it shares with the
+    model it is called on; ``residuated_model`` builds from scratch."""
+
+    def test_updates_equal_models_residuated_from_scratch(self):
+        rng = random.Random(24)
+        agents = ("i", "j")
+        for _ in range(60):
+            m = random_model(rng, agents=agents, max_states=5)
+            formulas = [random_formula(rng, agents=agents, depth=3)
+                        for _ in range(4)]
+            # checks on the parent first, so its updates start from a
+            # warm graph and memo
+            for f in formulas:
+                for s in m.states:
+                    m.check(s, f)
+            for n in range(4):
+                w = tuple(rng.choice("ab") for _ in range(n))
+                assert_same_model(m.update(w), residuated_model(m, w),
+                                  formulas)
+            u = tuple(rng.choice("ab") for _ in range(rng.randint(0, 2)))
+            v = tuple(rng.choice("ab") for _ in range(rng.randint(0, 2)))
+            mu = m.update(u)
+            assert_same_model(None if mu is None else mu.update(v),
+                              residuated_model(m, u + v), formulas)
+
+    def test_symbols_after_a_dead_walk_are_checked(self):
+        # "f" kills both states of the drone model
+        m = drone_model()
+        with pytest.raises(UnknownSymbol):
+            m.update(("f", "zzz"))
+
+    def test_errors_survive_a_warm_memo(self):
+        m = drone_model()
+        mc = m.update(("c",))
+        deep = sx.prop("T1")
+        for _ in range(sx._MAX_DEPTH - 1):
+            deep = sx.lnot(deep)
+        fs = [deep, parse_formula("<s*;p*;c>K_d T1", m.alphabet),
+              parse_formula("K_d T1", m.alphabet)]
+        for model in (m, mc):
+            for f in fs:
+                model.check("u", f)
+        for model in (m, mc):
+            with pytest.raises(FormulaTooDeep):
+                model.check("u", sx.lnot(deep))
+            with pytest.raises(UnknownAgent):
+                model.check("u", parse_formula("K_e T1"))
+        # v does not survive c, and the parent's answers for it are
+        # memoized at the contexts that the two models share
+        for f in fs:
+            with pytest.raises(UnknownState):
+                mc.check("v", f)
+
+    def test_graph_ids_are_local(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            m = random_model(rng, max_states=4)
+            m.residuation_graph()
+            w = tuple(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+            mw, fresh = m.update(w), residuated_model(m, w)
+            if fresh is None:
+                assert mw is None
+                continue
+            contexts, edges = mw.residuation_graph()
+            assert contexts[0] == {s: mw.exp[s] for s in mw.states}
+            # same ids, so the same count, as the graph of a fresh model
+            assert (contexts, edges) == fresh.residuation_graph()
+
+    def test_context_budget_covers_the_shared_graph(self, monkeypatch):
+        # the parent's walk through b;b and its update's walk from a;a
+        # fill one graph: each fits under the cap, together they do not
+        monkeypatch.setattr(models, "_MAX_CONTEXTS", 5)
+        ab = Alphabet(["a", "b"])
+        m = Model(ab, [], [0], {}, {0: parse_regex("a;a;a+b;b;b", ab)},
+                  {})
+        ma = m.update(("a",))
+        assert m.check(0, parse_formula("<b;b>true", ab))
+        assert len(residuated_model(m, ("a",)).residuation_graph()[0]) == 3
+        with pytest.raises(ResourceBudgetExceeded):
+            ma.residuation_graph()
 
 
 class TestDroneTruths:
@@ -177,14 +280,15 @@ class TestResiduationGraph:
     def test_graph_matches_updates(self):
         m = drone_model()
         contexts, edges = m.residuation_graph()
-        # walking the edges agrees with the public update on sample words
+        # walking the edges agrees with models residuated from scratch
+        # on sample words
         for w in words_up_to(tuple(m.alphabet), 3):
             cid = 0
             for sym in w:
                 cid = edges.get((cid, sym))
                 if cid is None:
                     break
-            mw = m.update(w)
+            mw = residuated_model(m, w)
             if cid is None:
                 assert mw is None
             else:

@@ -45,11 +45,28 @@ def test_no_assert_statements():
     lambda: dp.atom("K_a"),
     lambda: sx.hat("x y", sx.top()),
     lambda: sx.know(5, sx.top()),
+    lambda: sx.lnot("p"),
+    lambda: sx.lnot(ox.atom("a")),
+    lambda: sx.lor(sx.top(), "p"),
+    lambda: sx.land(None, sx.top()),
+    lambda: sx.hat("i", "p"),
+    lambda: sx.know("i", 3),
+    lambda: sx.dia("a", sx.top()),
+    lambda: sx.box(ox.atom("a"), "p"),
+    lambda: dp.lor(sx.top(), "p"),
+    lambda: dp.land("p", "q", sx.top()),
+    lambda: dp.lor("p"),
+    lambda: sx.parse_formula(123),
+    lambda: dp.parse_dpdl(123),
 ], ids=["empty-alphabet", "duplicate-symbol", "reserved-prop", "empty-atom",
         "stateless-dpdl-model", "duplicate-state", "empty-expectation",
         "overlapping-blocks", "missing-initial-bubble", "non-string-symbol",
         "non-string-prop", "empty-prop", "operator-atom", "spaced-agent",
-        "non-string-agent"])
+        "non-string-agent", "string-negand", "program-negand",
+        "string-disjunct", "none-conjunct", "string-hat-body",
+        "int-know-body", "string-program", "string-box-body",
+        "string-dpdl-disjunct", "string-dpdl-conjuncts",
+        "lone-string-disjunct", "int-formula-text", "int-dpdl-text"])
 def test_construction_errors_are_pol_errors(build):
     # errors.py promises that every deliberate error is a PolError; a
     # bad constructor argument is also a ValueError
