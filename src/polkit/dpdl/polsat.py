@@ -46,47 +46,39 @@ def _reachable(model: dc.DpdlModel, start):
     return order, index
 
 
-def _label(t: Translation, ell: int, v) -> frozenset:
-    """The members true at slot ``ell`` under the atoms ``v``. A member
-    with an atom reads it; the others follow from their parts, which
-    come first in ``t.fl``."""
-    label = set()
-    for psi in t.fl:
-        a = t.at(ell, psi)
-        if isinstance(a, sx.Prop):
-            holds = a.name in v
-        elif isinstance(psi, sx.Top):
-            holds = True
-        elif isinstance(psi, sx.Not):
-            holds = psi.arg not in label
-        elif isinstance(psi, sx.Or):
-            holds = any(p in label for p in psi.parts)
-        else:
-            holds = all(p in label for p in psi.parts)
-        if holds:
-            label.add(psi)
-    return frozenset(label)
+def _truth(v):
+    """Truth under the atoms ``v`` of ``true``, atoms, negations and
+    junctions, memoized per formula; any other node is a TypeError."""
+    memo = {sx.top(): True}
 
+    def holds(f) -> bool:
+        got = memo.get(f)
+        if got is None:
+            if isinstance(f, sx.Prop):
+                got = f.name in v
+            elif isinstance(f, sx.Not):
+                got = not holds(f.arg)
+            elif isinstance(f, sx.Or):
+                got = any(map(holds, f.parts))
+            elif isinstance(f, sx.And):
+                got = all(map(holds, f.parts))
+            else:
+                raise TypeError(f"not a slot fact: {f!r}")
+            memo[f] = got
+        return got
 
-def _related(r, v) -> bool:
-    """Whether the atoms ``v`` make the adjacency formula ``r`` true:
-    ``r`` is one atom, or a conjunction of links that a dead slot
-    between two live ones does not break."""
-    parts = r.parts if isinstance(r, sx.And) else (r,)
-    return all(g.name in v for g in parts)
+    return holds
 
 
 def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
     """Read the bubble transition structure out of a witness model.
 
-    Each witness state is a bubble whose live slots carry labels: a
-    slot's proposition, negated-proposition, modal and agent members
-    are read from their atoms, and its other members are completed in
-    ``t.fl`` order, parts before the members they make up. Each live
-    slot's class, per agent, is itself and the live slots whose
-    ``t.rel`` with it has every atom true. The encoding makes every
-    relation an equivalence (interval links for the first agent, the
-    frame laws for the others), so the classes are read, not closed; a
+    Each witness state is a bubble, read only through the encoding's
+    own formulas under the state's atoms: slot ``l`` is live where
+    ``t.surv(l)`` holds, its label is the members ``psi`` whose
+    ``t.at(l, psi)`` holds, and its class per agent is the live slots
+    ``m`` whose ``t.rel(agent, l, m)`` holds. The encoding makes every
+    relation an equivalence, so the classes are read, not closed; a
     valuation that breaks transitivity gives overlapping classes, which
     ``bts.Bubble`` refuses with ``InvalidInput``. A ``state`` that is
     not in ``model`` raises ``UnknownState``.
@@ -96,18 +88,18 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
     order, index = _reachable(model, state)
     bubbles = []
     for w in order:
-        v = model.val[w]
-        slots = [ell for ell in t.labels if t.surv(ell).name in v]
-        labels = {ell: _label(t, ell, v) for ell in slots}
-        relations = {agent: {frozenset(y for y in slots if x == y or
-                                       _related(t.rel(agent, x, y), v))
+        holds = _truth(model.val[w])
+        slots = [ell for ell in t.labels if holds(t.surv(ell))]
+        labels = {ell: frozenset(psi for psi in t.fl if holds(t.at(ell, psi)))
+                  for ell in slots}
+        relations = {agent: {frozenset(y for y in slots
+                                       if holds(t.rel(agent, x, y)))
                              for x in slots}
                      for agent in t.agents}
         bubbles.append(bts.Bubble(tuple(slots), labels, relations))
-    delta = {}
-    for (w, a), target in model.trans.items():
-        if w in index and target in index:
-            delta[(index[w], a)] = index[target]
+    # a transition from a reachable state ends at a reachable state
+    delta = {(index[w], a): index[target]
+             for (w, a), target in model.trans.items() if w in index}
     return bts.Bts(t.source, tuple(bubbles), delta, initial=index[state],
                    alphabet=t.alphabet, fl=t.fl)
 

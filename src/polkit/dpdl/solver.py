@@ -960,9 +960,10 @@ def dpdl_sat(f: sx.Formula):
     run added is valid, so it gives the verdict and witness that a
     fresh enumeration would. Module constants bound the work:
     ``_NODE_CAP`` the states of a demand graph or witness walk,
-    ``_RESTART_CAP`` the lemma restarts and ``_STEP_CAP`` the steps of
-    each propositional search. A formula with agent operators is a
-    TypeError.
+    ``_RESTART_CAP`` the lemma restarts, ``_STEP_CAP`` the steps of
+    each propositional search and ``obsregex._MAX_DFA_STATES`` those of
+    every automaton, the witness check's too. A formula with agent
+    operators is a TypeError.
     """
     sx._check_depth(f)
     members = sx.closure(f)
@@ -979,8 +980,11 @@ def dpdl_sat(f: sx.Formula):
             outcome = _Exact(f, shape, dpll).run()
         except ResourceBudgetExceeded as err:
             outcome = Unknown(str(err))
-    if (isinstance(outcome, Sat)
-            and not dc.dpdl_check(outcome.model, outcome.state, f)):
-        raise AssertionError("solver produced a witness the model checker "
-                             "rejects; this is a bug")
+    if isinstance(outcome, Sat):
+        try:
+            if not dc.dpdl_check(outcome.model, outcome.state, f):
+                raise AssertionError("solver produced a witness the model "
+                                     "checker rejects; this is a bug")
+        except ResourceBudgetExceeded as err:
+            return Unknown(str(err))
     return outcome

@@ -85,6 +85,9 @@ class Translation:
     ``<b;a><(b;a)*>hK_j q`` undischarged at two labels, and the exact
     regime does not run on closures that large.
 
+    Decoding (``polsat.decode_bts``) reads slot facts only by evaluating
+    ``at``, ``surv`` and ``rel``, so only this class knows the atoms.
+
     ``formula`` is a set of root facts and one invariant under
     ``[Σ*]``. The root facts: slot 1 is alive, slot 1 satisfies the
     source formula, and the transitivity instances of every agent but

@@ -43,12 +43,12 @@ class UnknownState(PolError):
     """A state id that does not occur in the model."""
 
 
-class StateBudgetExceeded(PolError):
-    """An automaton or residuation-graph construction outgrew its cap."""
-
-
 class ResourceBudgetExceeded(PolError):
-    """The satisfiability backend hit its resource cap; verdict UNKNOWN."""
+    """A named resource cap was hit; in ``dpdl_sat`` the verdict is UNKNOWN."""
+
+
+class StateBudgetExceeded(ResourceBudgetExceeded):
+    """A derivative automaton outgrew ``obsregex._MAX_DFA_STATES``."""
 
 
 class ClosureTooLarge(PolError):

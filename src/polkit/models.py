@@ -23,6 +23,10 @@ the checks after an announcement read what the checks before it
 computed. ``residuation_graph`` numbers a model's contexts locally,
 with the model itself at 0.
 
+A context, a model reached by observations, is its map from survivors
+to residuals in state order. An observation walks the parent's map in
+that order, so the residuals and the survivor mask key it with no sort.
+
 Survival is carried by survivor masks. A state survives a word only if
 it survived every prefix, so the survivors of a reached model shrink
 along each walk through the product, and a state among them at the end
@@ -111,17 +115,16 @@ def ordered_blocks(assigned: dict) -> tuple:
 class _Ctx:
     """A model reached by some sequence of observations.
 
-    Identified by its surviving states and their residuated expectations;
-    propositions and relations are those of the base model, restricted.
-    ``mask`` holds the survivors as a bit mask over the base model's
-    states.
+    ``exp`` maps the survivors to their residuals in state order, the
+    bit order of ``mask``, the survivors' bit mask; read in that order,
+    the residuals and the mask key the context. Propositions and
+    relations are those of the base model, restricted.
     """
 
-    __slots__ = ("cid", "survivors", "mask", "exp", "steps")
+    __slots__ = ("cid", "mask", "exp", "steps")
 
-    def __init__(self, cid, survivors, mask, exp):
+    def __init__(self, cid, mask, exp):
         self.cid = cid
-        self.survivors = survivors
         self.mask = mask
         self.exp = exp
         self.steps = {}
@@ -184,7 +187,8 @@ class Model:
                              for agent, assigned in self._blocks.items()}
         self._ctxs = {}
         self._memo = {}
-        self._top = self._ctx_for(frozenset(self.states), self.exp)
+        # a dict of its own, so that editing ``self.exp`` re-keys nothing
+        self._top = self._ctx_for(dict(self.exp))
 
     # -- structure ------------------------------------------------------------
 
@@ -226,28 +230,28 @@ class Model:
             return None
         new = copy.copy(self)
         new._top = ctx
-        new.states = tuple(sorted(ctx.survivors, key=state_sort_key))
+        new.states = tuple(ctx.exp)
         new.props = {s: self.props[s] for s in new.states}
-        new.exp = {s: ctx.exp[s] for s in new.states}
-        new._blocks = {agent: {s: assigned[s] & ctx.survivors
+        new.exp = dict(ctx.exp)
+        new._blocks = {agent: {s: assigned[s].intersection(ctx.exp)
                                for s in new.states}
                        for agent, assigned in self._blocks.items()}
         return new
 
     # -- residuation graph ------------------------------------------------
 
-    def _ctx_for(self, survivors, exp):
-        mask = self._mask(survivors)
-        # sorting by bit sorts in state order
-        key = (mask, tuple(exp[s] for s in sorted(survivors,
-                                                  key=self._bit.__getitem__)))
+    def _ctx_for(self, exp):
+        mask = self._mask(exp)
+        # bit order is state order, and every map given here is built in
+        # state order: the top's over self.states, each step's by walking
+        # its parent's map in order
+        key = (mask, tuple(exp.values()))
         ctx = self._ctxs.get(key)
         if ctx is None:
             if len(self._ctxs) >= _MAX_CONTEXTS:
                 raise ResourceBudgetExceeded(
                     f"residuation graph exceeds {_MAX_CONTEXTS} contexts")
-            ctx = _Ctx(len(self._ctxs), survivors, mask,
-                       {s: exp[s] for s in survivors})
+            ctx = _Ctx(len(self._ctxs), mask, exp)
             self._ctxs[key] = ctx
         return ctx
 
@@ -255,14 +259,12 @@ class Model:
         got = ctx.steps.get(sym, _MISSING)
         if got is not _MISSING:
             return got
-        survivors = set()
         exp = {}
-        for s in ctx.survivors:
-            e = ox.derive(ctx.exp[s], sym)
+        for s, e in ctx.exp.items():
+            e = ox.derive(e, sym)
             if not ox.is_empty_language(e):
-                survivors.add(s)
                 exp[s] = e
-        nxt = self._ctx_for(frozenset(survivors), exp) if survivors else None
+        nxt = self._ctx_for(exp) if exp else None
         ctx.steps[sym] = nxt
         return nxt
 
@@ -285,11 +287,7 @@ class Model:
                     ids[nxt] = len(order)
                     order.append(nxt)
                 edges[(ids[ctx], sym)] = None if nxt is None else ids[nxt]
-        contexts = {
-            ids[c]: {s: c.exp[s] for s in sorted(c.survivors,
-                                                 key=state_sort_key)}
-            for c in order
-        }
+        contexts = {ids[c]: dict(c.exp) for c in order}
         return contexts, edges
 
     # -- truth ------------------------------------------------------------
@@ -403,7 +401,7 @@ class Model:
         def step(c):
             for sym in self.alphabet:
                 nc = self._step(c, sym)
-                if nc is not None and s in nc.survivors:
+                if nc is not None and s in nc.exp:
                     yield sym, nc
 
         path = ox.search(ox.to_dfa(pi, self.alphabet), ctx, step,
@@ -442,8 +440,8 @@ class Model:
             for p in f.parts:
                 self._explain(ctx, s, p, word, depth + 1, lines)
         elif isinstance(f, (sx.Hat, sx.Know)):
-            for t in sorted(self.block(f.agent, s) & ctx.survivors,
-                            key=state_sort_key):
+            block = self.block(f.agent, s)
+            for t in filter(block.__contains__, ctx.exp):
                 self._explain(ctx, t, f.arg, word, depth + 1, lines)
         elif isinstance(f, sx.Dia):
             found, w, c = self._search(ctx, s, f.pi, f.arg, True)

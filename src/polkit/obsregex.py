@@ -579,6 +579,8 @@ class _RegexTokens:
     PUNCT = "()+;*0>]"
 
     def __init__(self, text):
+        if not isinstance(text, str):
+            raise InvalidInput(f"{text!r} is not a text to parse")
         self.text = text
         self.pos = 0
         self.line = 1
@@ -710,6 +712,8 @@ def parse_word(text: str, alphabet: Alphabet) -> tuple:
     is a symbol, it abbreviates that character sequence (so ``ba`` over
     {a, b} is the two-letter word b a). The empty string is the empty word.
     """
+    if not isinstance(text, str):
+        raise InvalidInput(f"{text!r} is not a text to parse")
     word = []
     for tok in text.replace(",", " ").split():
         if tok in alphabet:

@@ -470,8 +470,6 @@ class _FormulaTokens(ox._RegexTokens):
     PUNCT = "()&|~<>[]+;*0"
 
     def __init__(self, text, lor, land):
-        if not isinstance(text, str):
-            raise InvalidInput(f"{text!r} is not a formula text")
         super().__init__(text)
         self.lor = lor
         self.land = land

@@ -175,6 +175,26 @@ def residuated_model(m, word):
                  {s: m.props[s] for s in keep}, exp, relations)
 
 
+def residual_maps(m) -> set:
+    """The models reachable from ``m`` by observations, each as its map
+    from surviving states to residuals keyed order-free, as
+    ``frozenset(exp.items())``: a breadth-first walk that derives every
+    residual by each letter with ``ox.derive`` and keeps the states
+    whose residual is not empty."""
+    start = frozenset(m.exp.items())
+    seen = {start}
+    queue = [start]
+    for cur in queue:  # the queue grows while it is read
+        for sym in m.alphabet:
+            derived = ((s, ox.derive(e, sym)) for s, e in cur)
+            nxt = frozenset((s, e) for s, e in derived
+                            if not ox.is_empty_language(e))
+            if nxt and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
 def _model_key(m):
     return m.states, tuple(m.exp[s] for s in m.states)
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polkit import dpdl as dp
+from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.dpdl import solver as dps
 from polkit.errors import ParseError, ResourceBudgetExceeded
@@ -509,6 +510,17 @@ class TestDpdlSat:
             f = dp.parse_dpdl(text)
             assert isinstance(lazy_sat(f), dp.Unknown), text
             assert isinstance(dp.dpdl_sat(f), want), text
+
+    @pytest.mark.parametrize("text", ["<(a;b)*>p", "<a;b;a>p"])
+    def test_automaton_cap_ends_in_unknown(self, monkeypatch, text):
+        # the automaton of (a;b)* outgrows the cap in the discharge walk,
+        # and that of a;b;a in the check of the witness; like every cap
+        # inside dpdl_sat, it ends in an Unknown that names it
+        monkeypatch.setattr(ox, "_MAX_DFA_STATES", 2)
+        ox.to_dfa.cache_clear()
+        verdict = dp.dpdl_sat(dp.parse_dpdl(text))
+        assert isinstance(verdict, dp.Unknown)
+        assert verdict.reason == "derivative automaton exceeds 2 states"
 
 
 class TestDpdlCheck:

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from oracles import (member_oracle, residuated_model, stepwise_check,
-                     words_up_to)
+from oracles import (member_oracle, residual_maps, residuated_model,
+                     stepwise_check, words_up_to)
 from polkit import models
 from polkit import obsregex as ox
 from polkit import syntax as sx
@@ -300,6 +300,38 @@ class TestResiduationGraph:
             m = random_model(rng, max_states=4)
             contexts, edges = m.residuation_graph()
             assert len(contexts) <= 10 ** 5
+
+    def test_context_identity_is_order_free(self):
+        # a context is keyed by its residuals in state order; shuffled
+        # ids of both kinds, whose order is not the order given or the
+        # order of their digits, must still give one context per
+        # distinct map of survivors to residuals
+        rng = random.Random(25)
+        for _ in range(40):
+            base = random_model(rng, agents=("i",), min_states=3,
+                                max_states=8, regex_depth=4)
+            ids = rng.sample(range(20), len(base.states))
+            name = {s: n if rng.random() < 0.5 else str(n)
+                    for s, n in zip(base.states, ids)}
+            states = list(base.states)
+            rng.shuffle(states)
+            m = Model(base.alphabet, base.agents, [name[s] for s in states],
+                      {name[s]: base.props[s] for s in states},
+                      {name[s]: base.exp[s] for s in states},
+                      {"i": [{name[s] for s in b}
+                             for b in base.relation_blocks("i")]})
+            contexts, _ = m.residuation_graph()
+            maps = residual_maps(m)
+            assert len(contexts) == len(maps)
+            assert {frozenset(c.items()) for c in contexts.values()} == maps
+            for c in contexts.values():
+                assert list(c) == sorted(c, key=models.state_sort_key)
+            for w in words_up_to(tuple(m.alphabet), 2):
+                u = m.update(w)
+                if u is not None:
+                    assert list(u.exp) == list(u.states)
+                    assert len(u.residuation_graph()[0]) == len(
+                        residual_maps(u))
 
     def test_context_budget_enforced(self, monkeypatch):
         monkeypatch.setattr(models, "_MAX_CONTEXTS", 2)

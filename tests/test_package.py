@@ -58,6 +58,8 @@ def test_no_assert_statements():
     lambda: dp.lor("p"),
     lambda: sx.parse_formula(123),
     lambda: dp.parse_dpdl(123),
+    lambda: ox.parse_regex(123),
+    lambda: ox.parse_word(123, ox.Alphabet(["a"])),
 ], ids=["empty-alphabet", "duplicate-symbol", "reserved-prop", "empty-atom",
         "stateless-dpdl-model", "duplicate-state", "empty-expectation",
         "overlapping-blocks", "missing-initial-bubble", "non-string-symbol",
@@ -66,7 +68,8 @@ def test_no_assert_statements():
         "string-disjunct", "none-conjunct", "string-hat-body",
         "int-know-body", "string-program", "string-box-body",
         "string-dpdl-disjunct", "string-dpdl-conjuncts",
-        "lone-string-disjunct", "int-formula-text", "int-dpdl-text"])
+        "lone-string-disjunct", "int-formula-text", "int-dpdl-text",
+        "int-regex-text", "int-word-text"])
 def test_construction_errors_are_pol_errors(build):
     # errors.py promises that every deliberate error is a PolError; a
     # bad constructor argument is also a ValueError

@@ -102,6 +102,60 @@ class TestDecodedStructures:
             checked += n
         assert structures >= 50 and checked > 500
 
+    @pytest.mark.parametrize("labels", [2, 3])
+    def test_all_pairs_witnesses_decode(self, labels):
+        # the route above on a second encoding, which spells every
+        # relation as one atom per slot pair; each decoded slot fact is
+        # also read by dpdl_check, an independent reader of the same
+        # formulas, at the witness state that the bubble comes from
+        rng = random.Random(25)
+        structures = facts = 0
+        for _ in range(400):
+            phi = corpus.random_formula(rng, ("a", "b"), ("i", "j"),
+                                        ("p", "q"), depth=3)
+            cap = 2 ** len(sx.fl_closure(phi))
+            if cap > 2 ** 8 or cap < labels:
+                continue
+            t = AllPairsTranslation(phi, dp.LabelBudget(labels,
+                                                        full=labels == cap))
+            outcome = dp.dpdl_sat(t.formula)
+            if not isinstance(outcome, dp.Sat):
+                continue
+            witness = outcome.model
+            structure = dp.decode_bts(t, witness, outcome.state)
+            # the bubbles and the witness states they come from, walked
+            # along the transitions of both
+            pairs = {structure.initial: outcome.state}
+            queue = [structure.initial]
+            for k in queue:  # the queue grows while it is read
+                for a in t.alphabet:
+                    nxt = structure.delta.get((k, a))
+                    if nxt is not None and nxt not in pairs:
+                        pairs[nxt] = witness.trans[(pairs[k], a)]
+                        queue.append(nxt)
+            assert len(pairs) == len(structure.bubbles)
+            for k, w in pairs.items():
+                bubble = structure.bubbles[k]
+
+                def holds(f):
+                    return dp.dpdl_check(witness, w, f)
+
+                live = [ell for ell in t.labels if holds(t.surv(ell))]
+                assert list(bubble.states) == live
+                for ell in live:
+                    assert bubble.label(ell) == {
+                        psi for psi in t.fl if holds(t.at(ell, psi))}
+                    for agent in t.agents:
+                        assert bubble.block(agent, ell) == {
+                            m for m in live if holds(t.rel(agent, ell, m))}
+                facts += len(live) * (len(t.fl) + len(t.agents))
+            model, s0 = bt.extract_model(structure)
+            assert model.check(s0, phi)
+            failures, _ = label_mismatches(structure, model)
+            assert not failures, (sx.print_formula(phi), failures[:3])
+            structures += 1
+        assert structures >= 200 and facts > 2500
+
 
 class TestIntervalClasses:
     def test_same_verdicts_as_all_pairs(self):
