@@ -24,7 +24,7 @@ from .. import bts
 from .. import models as md
 from .. import obsregex as ox
 from .. import syntax as sx
-from ..errors import UnknownState
+from ..errors import InvalidInput, UnknownState
 from . import core as dc
 from . import translate
 from .solver import Sat, Unknown, Unsat, dpdl_sat
@@ -157,14 +157,21 @@ def pol_bounded_sat(phi: sx.Formula, max_states: int = 2, pool=None):
     """Exhaustive search over models of at most ``max_states`` states.
 
     Expected observations are drawn from ``pool`` (default: just the
-    empty word); expressions with an empty language are skipped, since
-    ``Model`` refuses them. Returns the first satisfying model and state
-    in a fixed deterministic order, else ``Unknown``: the bound and pool
-    are restrictions, so exhausting them proves nothing.
+    empty word); an entry that is not an ``ObsExpr`` raises
+    ``InvalidInput``, and expressions with an empty language are
+    skipped, since ``Model`` refuses them. Returns the first satisfying
+    model and state in a fixed deterministic order, else ``Unknown``:
+    the bound and pool are restrictions, so exhausting them proves
+    nothing.
     """
     sx._check_depth(phi)
     if pool is None:
         pool = (ox.epsilon(),)
+    pool = tuple(pool)
+    for e in pool:
+        if not isinstance(e, ox.ObsExpr):
+            raise InvalidInput(f"pool entry {e!r} is not an observation "
+                               f"expression")
     pool = tuple(e for e in pool if not ox.is_empty_language(e))
     letters = set(sx.letters(phi))
     for e in pool:

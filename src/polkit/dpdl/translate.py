@@ -54,7 +54,10 @@ def full_budget(phi: sx.Formula) -> LabelBudget:
 
 
 def _check_budget(budget: LabelBudget, cap: int) -> LabelBudget:
-    if not isinstance(budget.labels, int) or budget.labels < 1:
+    if not isinstance(budget, LabelBudget):
+        raise BudgetInvalid(f"a budget is a LabelBudget, not {budget!r}")
+    # not isinstance: a bool is an int to it, but no count of labels
+    if type(budget.labels) is not int or budget.labels < 1:
         raise BudgetInvalid("label budget must be a positive integer")
     if budget.labels > cap:
         raise BudgetInvalid(
@@ -109,31 +112,55 @@ class Translation:
     conjunction of the links ``R_i(k,k+1)`` for ``l <= k < m``: two
     slots are related when no link between them is missing. Its classes
     are the runs of linked neighbours, an interval partition, so its
-    relation is an equivalence by construction. For every other agent,
-    transitivity is stated only for slot triples (l, l2, l3) with
-    ``l < l3`` and ``l2`` distinct from both, each as one flat clause;
-    by symmetry (l3, l2, l) is the same constraint, and ``l = l3`` is
-    the diagonal, so these instances keep exactly the equivalence
-    relations.
+    relation is an equivalence by construction. Only the links are
+    atoms; the conjunction for a pair that is not a link is built when
+    ``rel`` is first asked for it, which only decoding does, and kept.
+    For every other agent, transitivity is stated only for slot triples
+    (l, l2, l3) with ``l < l3`` and ``l2`` distinct from both, each as
+    one flat clause; by symmetry (l3, l2, l) is the same constraint, and
+    ``l = l3`` is the diagonal, so these instances keep exactly the
+    equivalence relations.
+
+    An agent member of every agent but the first is pinned at slot
+    ``l`` by the pairwise clause: ``hK_i psi`` is the disjunction over
+    ``m`` of ``rel(i, l, m) & surv(m) & @m.psi``, and ``K_i psi`` the
+    conjunction of ``~rel(i, l, m) | ~surv(m) | @m.psi``, so L parts
+    per slot. The first agent's member is read along its links instead
+    (``_chains``). With ``cell(m)`` the part for ``m`` without its
+    ``rel``, ``surv(m) & @m.psi`` for ``hK`` and ``~surv(m) | @m.psi``
+    for ``K``, ``right(l)`` is ``cell(l) | (R_i(l,l+1) &
+    right(l+1))`` for ``hK`` and ``cell(l) & (~R_i(l,l+1) |
+    right(l+1))`` for ``K``, ``left(l)`` is the mirror image, and the
+    member is pinned to ``left(l) | right(l)`` or ``left(l) &
+    right(l)``. Unrolled, ``right(l)`` for ``hK`` is the disjunction
+    over ``m >= l`` of the links from ``l`` to ``m`` conjoined with
+    ``cell(m)``, which is the pairwise clause's part for ``m`` since
+    those links are ``rel(i, l, m)``; ``K`` is the dual, and ``left``
+    covers ``m <= l``. So every state has the models it has under the
+    pairwise clause, while each chain node is shared by every slot that
+    reads it: the clauses of one member take O(L) nodes, not O(L^2)
+    parts with O(L^3) link occurrences.
 
     Interval classes lose no model, so an ``Unsat`` at the full budget
     means what it means with a pair atom per slot pair for every agent.
     Only slot 1 carries root facts of its own, ``surv(1)`` and
-    ``@1.source``; every other conjunct is unchanged by a permutation
-    of slots 2..L applied to every slot's atoms at once. Take a model
-    of the all-pairs encoding. The first agent's relation is an
-    equivalence, and it is the same at every reachable state because
-    ``R`` persists along every path. Number the slots class by class,
-    slot 1's class first, slot 1 first in it. That permutation fixes
-    slot 1, so renaming the slot atoms of every state by it gives
-    another model of the all-pairs encoding, in which each of the
-    first agent's classes is an interval. Setting each link to whether
-    its two slots are related then satisfies this encoding. Conversely,
-    an interval partition is an equivalence, so every model of this
-    encoding is one of the all-pairs encoding. This is lex-leader
-    symmetry breaking (Crawford, Ginsberg, Luks and Roy, KR 1996) on
-    one agent: a single permutation cannot make the classes of two
-    agents intervals in general.
+    ``@1.source``; every other conjunct of the all-pairs encoding is
+    unchanged by a permutation of slots 2..L applied to every slot's
+    atoms at once. Take a model of the all-pairs encoding. The first
+    agent's relation is an equivalence, and it is the same at every
+    reachable state because ``R`` persists along every path. Number the
+    slots class by class, slot 1's class first, slot 1 first in it.
+    That permutation fixes slot 1, so renaming the slot atoms of every
+    state by it gives another model of the all-pairs encoding, in which
+    each of the first agent's classes is an interval. Setting each link
+    to whether its two slots are related then satisfies this encoding,
+    whose first-agent clauses say, by the unrolling above, what the
+    all-pairs ones say with each pair atom read as the conjunction of
+    its links. Conversely, an interval partition is an equivalence, so
+    every model of this encoding is one of the all-pairs encoding. This
+    is lex-leader symmetry breaking (Crawford, Ginsberg, Luks and Roy,
+    KR 1996) on one agent: a single permutation cannot make the classes
+    of two agents intervals in general.
     """
 
     def __init__(self, source: sx.Formula, budget: LabelBudget | None = None):
@@ -181,23 +208,27 @@ class Translation:
 
     def rel(self, agent: str, ell: int, ell2: int) -> sx.Formula:
         """Adjacency of two slots: ``true`` on the diagonal, and the
-        formula of the unordered pair otherwise."""
+        formula of the unordered pair otherwise. A first-agent pair that
+        is not a link is the conjunction of the links between its slots,
+        built when first asked and kept."""
         if ell == ell2:
             return sx.top()
-        return self._rel[(agent, min(ell, ell2), max(ell, ell2))]
+        key = (agent, min(ell, ell2), max(ell, ell2))
+        got = self._rel.get(key)
+        if got is None:
+            got = self._rel[key] = dc.land(*[self._rel[(agent, k, k + 1)]
+                                             for k in range(key[1], key[2])])
+        return got
 
     def _adjacency(self) -> dict:
-        """The formula of every agent and slot pair ``l < m``: the
-        conjunction of the links from ``l`` to ``m`` for the first
-        agent, one atom per pair for the others."""
-        def pair(i, ell, ell2):
-            return sx.prop(f"R_{i}({ell},{ell2})")
-
-        return {(i, ell, ell2): dc.land(*[pair(i, k, k + 1)
-                                          for k in range(ell, ell2)])
-                if i == self.agents[0] else pair(i, ell, ell2)
+        """The relation atoms: the links ``R_i(l,l+1)`` of the first
+        agent, and one atom ``R_i(l,m)`` per slot pair ``l < m`` for the
+        others."""
+        return {(i, ell, ell2): sx.prop(f"R_{i}({ell},{ell2})")
                 for i in self.agents
-                for ell, ell2 in combinations(self.labels, 2)}
+                for ell, ell2 in (zip(self.labels, self.labels[1:])
+                                  if i == self.agents[0]
+                                  else combinations(self.labels, 2))}
 
     # -- construction ------------------------------------------------------
 
@@ -209,29 +240,61 @@ class Translation:
         A modal or agent member's atom is pinned, both ways, to the
         truth of its argument at the slots it reads.
         """
-        parts = []
-        for ell in self.labels:
-            if isinstance(psi, sx.Prop):
-                pinned = sx.lnot(self.at(ell, sx.lnot(psi)))
-            elif isinstance(psi, sx.Hat):
-                pinned = dc.lor(*[dc.land(self.rel(psi.agent, ell, m),
-                                          self.surv(m), self.at(m, psi.arg))
-                                  for m in self.labels])
-            elif isinstance(psi, sx.Know):
-                pinned = dc.land(*[dc.lor(sx.lnot(self.rel(psi.agent, ell, m)),
-                                          sx.lnot(self.surv(m)),
-                                          self.at(m, psi.arg))
-                                   for m in self.labels])
-            elif isinstance(psi, sx.Dia):
-                pinned = sx.dia(psi.pi, dc.land(self.at(ell, psi.arg),
-                                                self.surv(ell)))
-            elif isinstance(psi, sx.Box):
-                pinned = sx.box(psi.pi, dc.implies(self.surv(ell),
-                                                   self.at(ell, psi.arg)))
-            else:
-                raise TypeError(f"no clause for {psi!r}")
-            parts.append(dc.iff(self.at(ell, psi), pinned))
-        return dc.land(*parts)
+        if isinstance(psi, (sx.Hat, sx.Know)) and psi.agent == self.agents[0]:
+            pinned = self._chains(psi)
+        else:
+            pinned = [self._pinned(psi, ell) for ell in self.labels]
+        return dc.land(*[dc.iff(self.at(ell, psi), p)
+                         for ell, p in zip(self.labels, pinned)])
+
+    def _pinned(self, psi: sx.Formula, ell: int) -> sx.Formula:
+        """What the atom of ``psi`` at slot ``ell`` is pinned to, an
+        agent member's by its pairwise clause."""
+        if isinstance(psi, sx.Prop):
+            return sx.lnot(self.at(ell, sx.lnot(psi)))
+        if isinstance(psi, sx.Hat):
+            return dc.lor(*[dc.land(self.rel(psi.agent, ell, m),
+                                    self.surv(m), self.at(m, psi.arg))
+                            for m in self.labels])
+        if isinstance(psi, sx.Know):
+            return dc.land(*[dc.lor(sx.lnot(self.rel(psi.agent, ell, m)),
+                                    sx.lnot(self.surv(m)),
+                                    self.at(m, psi.arg))
+                             for m in self.labels])
+        if isinstance(psi, sx.Dia):
+            return sx.dia(psi.pi, dc.land(self.at(ell, psi.arg),
+                                          self.surv(ell)))
+        if isinstance(psi, sx.Box):
+            return sx.box(psi.pi, dc.implies(self.surv(ell),
+                                             self.at(ell, psi.arg)))
+        raise TypeError(f"no clause for {psi!r}")
+
+    def _chains(self, psi: sx.Formula) -> list:
+        """The first agent's member at each slot, read along its links
+        by the chains of the class docstring. ``before[k]`` is the part
+        that ``left`` adds to the cell of slot index ``k`` through the
+        link on its left, and ``after[k]`` the part that ``right`` adds
+        through the link on its right; the member's truth at ``k`` is
+        the cell joined with both, which is ``left(k)`` joined with
+        ``right(k)``."""
+        hat = isinstance(psi, sx.Hat)
+        join = dc.lor if hat else dc.land
+        cells = [dc.land(self.surv(m), self.at(m, psi.arg)) if hat else
+                 dc.lor(sx.lnot(self.surv(m)), self.at(m, psi.arg))
+                 for m in self.labels]
+        links = [self.rel(psi.agent, m, m + 1) for m in self.labels[:-1]]
+
+        def beyond(link, chain):
+            return dc.land(link, chain) if hat else dc.implies(link, chain)
+
+        n = len(cells)
+        before, after = [()] * n, [()] * n
+        for k in range(1, n):
+            before[k] = (beyond(links[k - 1],
+                                join(cells[k - 1], *before[k - 1])),)
+        for k in reversed(range(n - 1)):
+            after[k] = (beyond(links[k], join(cells[k + 1], *after[k + 1])),)
+        return [join(cells[k], *before[k], *after[k]) for k in range(n)]
 
     def _frame_laws(self) -> list:
         """The transitivity instances that the class docstring names,

@@ -55,8 +55,9 @@ class ClosureTooLarge(PolError):
     """A closure too large to enumerate Hintikka sets over."""
 
 
-class BudgetInvalid(PolError):
-    """A label budget outside the allowed range."""
+class BudgetInvalid(PolError, ValueError):
+    """A label budget that is not a ``LabelBudget`` or lies outside the
+    allowed range."""
 
 
 class NotABts(PolError):

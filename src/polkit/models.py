@@ -136,8 +136,9 @@ class Model:
     ``relations`` maps each agent to a partition of the states, given as
     an iterable of blocks; states missing from all blocks form singleton
     blocks of their own. ``exp`` maps each state to its observation
-    expression, whose language must not be empty, and ``props`` to the
-    set of propositions true there. A key of ``props`` or ``exp`` that
+    expression (an ``ObsExpr``, else ``InvalidInput``), whose language
+    must not be empty, and ``props`` to the set of propositions true
+    there. A key of ``props`` or ``exp`` that
     is not a state raises ``UnknownState``, and a key of ``relations``
     that is not an agent ``UnknownAgent``.
     """
@@ -168,6 +169,9 @@ class Model:
                 raise InvalidInput(
                     f"state {s!r} has no observation expression")
             e = exp[s]
+            if not isinstance(e, ObsExpr):
+                raise InvalidInput(f"state {s!r} expects {e!r}, which is "
+                                   f"not an observation expression")
             for sym in ox.atoms(e):
                 alphabet.require(sym)
             if ox.is_empty_language(e):

@@ -260,7 +260,12 @@ def stepwise_check(m, s, f, memo=None) -> bool:
 class AllPairsTranslation(dp.Translation):
     """The bubble encoding with one adjacency atom per slot pair and the
     transitivity laws for every agent, the first one included, so no
-    agent's classes are restricted to intervals of slots."""
+    agent's classes are restricted to intervals of slots. Every agent
+    member reads every slot pair, so the first agent's chains over
+    neighbour links are not used either."""
+
+    def _chains(self, psi):
+        return [self._pinned(psi, ell) for ell in self.labels]
 
     def _adjacency(self):
         return {(i, x, y): dp.atom(f"R_{i}({x},{y})") for i in self.agents

@@ -60,6 +60,10 @@ def test_no_assert_statements():
     lambda: dp.parse_dpdl(123),
     lambda: ox.parse_regex(123),
     lambda: ox.parse_word(123, ox.Alphabet(["a"])),
+    lambda: dp.pol_sat(sx.prop("p"), 2),
+    lambda: dp.pol_sat(sx.prop("p"), dp.LabelBudget(True)),
+    lambda: Model(["a"], ["i"], [0], {0: {"p"}}, {0: "a"}, {}),
+    lambda: dp.pol_bounded_sat(sx.prop("p"), 1, pool=["a"]),
 ], ids=["empty-alphabet", "duplicate-symbol", "reserved-prop", "empty-atom",
         "stateless-dpdl-model", "duplicate-state", "empty-expectation",
         "overlapping-blocks", "missing-initial-bubble", "non-string-symbol",
@@ -69,7 +73,8 @@ def test_no_assert_statements():
         "int-know-body", "string-program", "string-box-body",
         "string-dpdl-disjunct", "string-dpdl-conjuncts",
         "lone-string-disjunct", "int-formula-text", "int-dpdl-text",
-        "int-regex-text", "int-word-text"])
+        "int-regex-text", "int-word-text", "int-budget", "bool-labels",
+        "string-expectation", "string-pool-entry"])
 def test_construction_errors_are_pol_errors(build):
     # errors.py promises that every deliberate error is a PolError; a
     # bad constructor argument is also a ValueError

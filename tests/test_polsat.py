@@ -271,6 +271,60 @@ class TestEncoding:
         assert len([n for n in names if n.startswith("R_j(")]) == (
             labels * (labels - 1) // 2)
 
+    @pytest.mark.parametrize("labels", [1, 2, 3, 4, 5])
+    def test_chains_are_the_pairwise_clause(self, labels):
+        # the first agent's members are pinned by chains over its links;
+        # under every valuation of the atoms they read (a seeded sample
+        # of 2,000 at five slots), they agree at every slot with the
+        # clause over every slot pair, built here from ``rel``
+        t = dp.Translation(sx.parse_formula("hK_i p & K_i q"),
+                           dp.LabelBudget(labels))
+        for psi in (sx.parse_formula("hK_i p"), sx.parse_formula("K_i q")):
+            hat = isinstance(psi, sx.Hat)
+            chains = t._chains(psi)
+            pairwise = [
+                dp.lor(*[dp.land(t.rel("i", ell, m), t.surv(m),
+                                 t.at(m, psi.arg)) for m in t.labels])
+                if hat else
+                dp.land(*[dp.lor(sx.lnot(t.rel("i", ell, m)),
+                                 sx.lnot(t.surv(m)), t.at(m, psi.arg))
+                          for m in t.labels])
+                for ell in t.labels]
+            agree = dp.land(*[dp.iff(c, p) for c, p in zip(chains, pairwise)])
+            atoms = ([t.rel("i", x, x + 1).name for x in t.labels[:-1]]
+                     + [g.name for m in t.labels
+                        for g in (t.surv(m), t.at(m, psi.arg))])
+            masks = range(2 ** len(atoms))
+            if labels == 5:
+                masks = random.Random(26).sample(masks, 2000)
+            for mask in masks:
+                v = {a for k, a in enumerate(atoms) if mask >> k & 1}
+                model = dp.DpdlModel([0], {}, {0: v})
+                assert dp.dpdl_check(model, 0, agree), (
+                    sx.print_formula(psi), sorted(v))
+
+    def test_one_agent_encoding_grows_linearly(self):
+        # each doubling of the slots at most about doubles the closure;
+        # with a pair clause per slot pair it tripled and more
+        phi = sx.parse_formula("hK_i p & K_i q")
+        sizes = [len(sx.closure(dp.Translation(phi, dp.LabelBudget(n))
+                                .formula)) for n in (16, 32, 64)]
+        assert sizes[1] <= 2.05 * sizes[0] and sizes[2] <= 2.05 * sizes[1], (
+            sizes)
+
+    def test_all_pairs_oracle_reads_every_pair(self):
+        # the reference encoding keeps a pair atom for the first agent
+        # and reads it in its clauses, where this one has only links
+        phi = sx.parse_formula("hK_i p & K_i q")
+        far = dp.atom("R_i(1,3)")
+        reference = AllPairsTranslation(phi, dp.LabelBudget(3))
+        assert reference.rel("i", 1, 3) is far
+        assert far in sx.closure(reference.formula)
+        t = dp.Translation(phi, dp.LabelBudget(3))
+        assert far not in sx.closure(t.formula)
+        assert t.rel("i", 1, 3) is dp.land(t.rel("i", 1, 2),
+                                           t.rel("i", 2, 3))
+
     def test_full_budget_encoding_size(self):
         t = dp.Translation(sx.parse_formula("K_i q"))
         assert t.budget.labels == 16

@@ -8,7 +8,7 @@ from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.corpus import random_formula, random_regex
-from polkit.errors import ParseError, UnknownSymbol
+from polkit.errors import ParseError, PolError, UnknownSymbol
 from polkit.obsregex import Alphabet
 from polkit.syntax import (
     And, Box, Dia, Hat, Know, Not, Or, Prop, Top,
@@ -116,6 +116,58 @@ class TestParsing:
             with pytest.raises(ParseError) as ei:
                 pf(bad)
             assert ei.value.column == column, bad
+
+
+class TestParserFuzz:
+    # bits of the concrete syntax of both logics, of regexes and of words
+    PIECES = ("p", "q", "a", "b", "0", "1", "true", "false", "K_i ", "hK_j ",
+              "K_", "~", "&", "|", "->", "<->", "(", ")", "<", ">", "[", "]",
+              "*", "+", ";", ",", " ", "\n", "\t", '"', '"x y"', "\\",
+              "@1.p", "é", "\x00")
+
+    def texts(self, rng, count):
+        """Random texts: printed random formulas and regexes, each cut,
+        spliced or salted with pieces, and strings of pieces alone."""
+        for _ in range(count):
+            if rng.random() < 0.3:
+                yield "".join(rng.choice(self.PIECES)
+                              for _ in range(rng.randrange(12)))
+                continue
+            text = (print_formula(random_formula(rng, ("a", "b"), ("i", "j"),
+                                                 ("p", "q"), depth=3))
+                    if rng.random() < 0.6 else
+                    ox.print_regex(random_regex(rng, ("a", "b"), depth=3)))
+            for _ in range(rng.randrange(1, 4)):
+                i = rng.randrange(len(text) + 1)
+                j = min(len(text), i + rng.randrange(4))
+                how = rng.randrange(4)
+                if how == 0:
+                    text = text[:i] + text[j:]
+                elif how == 1:
+                    text = text[:i] + rng.choice(self.PIECES) + text[i:]
+                elif how == 2:
+                    text = text[:i] + text[i:j] * 2 + text[j:]
+                else:
+                    text = text[:i]
+            yield text
+
+    def test_parsers_raise_only_pol_errors(self):
+        # every text either parses or fails with a PolError: no
+        # IndexError, KeyError, RecursionError or other crash
+        rng = random.Random(26)
+        parsers = (parse_formula, lambda t: parse_formula(t, AB),
+                   dp.parse_dpdl, ox.parse_regex,
+                   lambda t: ox.parse_regex(t, AB),
+                   lambda t: ox.parse_word(t, AB))
+        parsed = 0
+        for text in self.texts(rng, 3000):
+            for parse in parsers:
+                try:
+                    parse(text)
+                    parsed += 1
+                except PolError:
+                    pass
+        assert parsed > 1000
 
 
 class TestPrinting:
