@@ -1,8 +1,7 @@
 """Random generators for expressions, formulas and models.
 
-Used by ``models.validity_sample``, the tests and the ``perfbench``
-workloads. Everything is driven by an explicit random.Random so runs
-are reproducible from a seed.
+Used by the tests and the ``perfbench`` workloads. Everything is driven
+by an explicit random.Random so runs are reproducible from a seed.
 """
 
 from __future__ import annotations

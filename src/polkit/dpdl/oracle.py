@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import product
 
 from .. import syntax as sx
+from ..errors import InvalidInput
 from . import core as dc
 from .solver import Sat, Unknown
 
@@ -22,14 +23,23 @@ def _subsets(pool):
         yield frozenset(p for i, p in enumerate(pool) if mask >> i & 1)
 
 
+def _check_max_states(max_states) -> None:
+    # not isinstance: a bool is an int to it, but no count of states
+    if type(max_states) is not int or max_states < 1:
+        raise InvalidInput(f"max_states must be a positive integer, "
+                           f"not {max_states!r}")
+
+
 def brute_dpdl_sat(f: sx.Formula, max_states: int = 3):
     """Try every deterministic model up to ``max_states`` states.
 
     Valuations draw on the atoms of ``f``; transitions range over all
     partial successor functions. Returns ``Sat`` with the first witness
     in a fixed deterministic order, or ``Unknown``: exhausting the bound
-    proves nothing beyond it.
+    proves nothing beyond it. ``max_states`` must be a positive ``int``,
+    else ``InvalidInput``.
     """
+    _check_max_states(max_states)
     atoms = sorted(sx.props(f))
     letters = sorted(sx.letters(f))
     for k in range(1, max_states + 1):

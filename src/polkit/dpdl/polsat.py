@@ -5,8 +5,11 @@ solver, and reads a satisfying model back out of the witness: each
 witness state decodes to a bubble whose slots carry closure labels,
 the witness transitions become the observation transitions, and the
 standard extraction turns that transition structure into a model whose
-expected observations realize it. The final model is checked against
-the source formula before it is reported.
+expected observations realize it. ``Model.check`` of the source formula
+on that model is the one guard of a ``Sat``: the solver's witness is
+not checked on its own, since a wrong witness that still yields a model
+of the formula gives a correct verdict. A resource cap hit anywhere on
+the way ends in ``Unknown``.
 
 A non-full label budget weakens only the negative side: the encoding
 can run out of slots, so its unsatisfiability then means "no model
@@ -24,10 +27,11 @@ from .. import bts
 from .. import models as md
 from .. import obsregex as ox
 from .. import syntax as sx
-from ..errors import InvalidInput, UnknownState
+from ..errors import InvalidInput, ResourceBudgetExceeded, UnknownState
 from . import core as dc
 from . import translate
-from .solver import Sat, Unknown, Unsat, dpdl_sat
+from .oracle import _check_max_states
+from .solver import Sat, Unknown, Unsat, _decide
 from .translate import LabelBudget, Translation, full_budget
 
 __all__ = ["pol_sat", "pol_bounded_sat", "decode_bts"]
@@ -107,14 +111,17 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
 def pol_sat(phi: sx.Formula, budget: LabelBudget | None = None):
     """Decide ``phi`` against the models of observation logic.
 
-    A ``Sat`` verdict carries a checked model and state, and is sound
-    at every budget. ``Unsat`` is only reported at the full budget;
+    A ``Sat`` verdict carries a model and state that ``Model.check``
+    accepted, and is sound at every budget; that check is the one guard
+    of a ``Sat``. ``Unsat`` is only reported at the full budget;
     with fewer labels a failed search means the budget may simply be
     too small, which is reported as ``Unknown``. With no budget, the
     full one is used when it has at most ``translate._SLOT_CAP`` slots;
     a larger one gives ``Unknown`` naming the cap and the exhaustive
     count, and a larger explicit budget raises ``BudgetInvalid``. The
-    solver runs under ``dpdl_sat``'s caps.
+    solver runs under ``dpdl_sat``'s caps, and a cap hit by the solver,
+    the decoding, the extraction or the final check gives ``Unknown``
+    naming it.
     """
     sx._check_depth(phi)
     if budget is None:
@@ -123,16 +130,20 @@ def pol_sat(phi: sx.Formula, budget: LabelBudget | None = None):
             return Unknown(f"the exhaustive budget of {budget.labels} labels "
                            f"exceeds the slot cap {translate._SLOT_CAP}")
     t = Translation(phi, budget)
-    outcome = dpdl_sat(t.formula)
+    outcome = _decide(t.formula)
     if isinstance(outcome, Unknown):
         return outcome
     if isinstance(outcome, Unsat):
         if t.budget.full:
             return Unsat()
         return Unknown(f"no model within {t.budget.labels} labels")
-    structure = decode_bts(t, outcome.model, outcome.state)
-    model, s0 = bts.extract_model(structure)
-    if not model.check(s0, phi):
+    try:
+        structure = decode_bts(t, outcome.model, outcome.state)
+        model, s0 = bts.extract_model(structure)
+        holds = model.check(s0, phi)
+    except ResourceBudgetExceeded as err:
+        return Unknown(str(err))
+    if not holds:
         raise AssertionError("decoded model fails the source formula; "
                              "this is a bug")
     return Sat(model, s0)
@@ -162,9 +173,11 @@ def pol_bounded_sat(phi: sx.Formula, max_states: int = 2, pool=None):
     skipped, since ``Model`` refuses them. Returns the first satisfying
     model and state in a fixed deterministic order, else ``Unknown``:
     the bound and pool are restrictions, so exhausting them proves
-    nothing.
+    nothing. ``max_states`` must be a positive ``int``, else
+    ``InvalidInput``.
     """
     sx._check_depth(phi)
+    _check_max_states(max_states)
     if pool is None:
         pool = (ox.epsilon(),)
     pool = tuple(pool)

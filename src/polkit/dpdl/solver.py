@@ -43,9 +43,9 @@ An eventuality is carried into a successor only when some walk from
 that successor still discharges it, so every eventuality on a node's
 agenda has a walk and the steering never gets stuck.
 
-Both regimes validate a found witness with the model checker before
-reporting it. Resource caps turn into an unknown verdict, never into a
-wrong one.
+``dpdl_sat`` validates a found witness with the model checker before
+reporting it; ``_decide`` is the same search without that check.
+Resource caps turn into an unknown verdict, never into a wrong one.
 """
 
 from __future__ import annotations
@@ -940,6 +940,27 @@ class _Lazy:
 # --- entry point ----------------------------------------------------------
 
 
+def _decide(f: sx.Formula):
+    """``dpdl_sat`` without its witness check: a ``Sat`` here carries a
+    witness that no checker has read. Caps end in ``Unknown``."""
+    sx._check_depth(f)
+    members = sx.closure(f)
+    if any(isinstance(g, (sx.Hat, sx.Know)) for g in members):
+        raise TypeError("dynamic logic has no agent operators")
+    shape = _Shape(members)
+    dpll = shape.compile()
+    try:
+        outcome = _Lazy(f, shape, dpll).run()
+    except ResourceBudgetExceeded as err:
+        outcome = Unknown(str(err))
+    if isinstance(outcome, Unknown) and 2 ** len(shape.frontier) <= _ATOM_CAP:
+        try:
+            outcome = _Exact(f, shape, dpll).run()
+        except ResourceBudgetExceeded as err:
+            outcome = Unknown(str(err))
+    return outcome
+
+
 def dpdl_sat(f: sx.Formula):
     """Decide satisfiability of ``f`` over deterministic models.
 
@@ -965,21 +986,7 @@ def dpdl_sat(f: sx.Formula):
     every automaton, the witness check's too. A formula with agent
     operators is a TypeError.
     """
-    sx._check_depth(f)
-    members = sx.closure(f)
-    if any(isinstance(g, (sx.Hat, sx.Know)) for g in members):
-        raise TypeError("dynamic logic has no agent operators")
-    shape = _Shape(members)
-    dpll = shape.compile()
-    try:
-        outcome = _Lazy(f, shape, dpll).run()
-    except ResourceBudgetExceeded as err:
-        outcome = Unknown(str(err))
-    if isinstance(outcome, Unknown) and 2 ** len(shape.frontier) <= _ATOM_CAP:
-        try:
-            outcome = _Exact(f, shape, dpll).run()
-        except ResourceBudgetExceeded as err:
-            outcome = Unknown(str(err))
+    outcome = _decide(f)
     if isinstance(outcome, Sat):
         try:
             if not dc.dpdl_check(outcome.model, outcome.state, f):

@@ -57,7 +57,7 @@ from .errors import (InvalidInput, ResourceBudgetExceeded, UnknownAgent,
                      UnknownState)
 from .obsregex import Alphabet, ObsExpr
 
-__all__ = ["Model", "state_sort_key", "validity_sample"]
+__all__ = ["Model", "state_sort_key"]
 
 _MISSING = object()
 
@@ -82,16 +82,34 @@ def state_sort_key(s):
     return (isinstance(s, str), s)
 
 
+def _as_set(items, what) -> frozenset:
+    """``items`` as a frozenset; a string, which would be read letter by
+    letter, or an object that is not an iterable of hashables raises
+    ``InvalidInput``."""
+    if isinstance(items, str):
+        raise InvalidInput(f"{what} is the string {items!r}, not a set")
+    try:
+        return frozenset(items)
+    except TypeError:
+        raise InvalidInput(f"{what} {items!r} is not a set") from None
+
+
 def block_map(states, agent, blocks) -> dict:
     """Map each of ``states`` to its block in the agent's partition.
 
     ``blocks`` is an iterable of blocks; states missing from all of them
-    form singleton blocks of their own.
+    form singleton blocks of their own. ``blocks`` that is not iterable,
+    or a block that ``_as_set`` refuses, raises ``InvalidInput``.
     """
     sset = set(states)
     assigned = {}
+    try:
+        blocks = iter(blocks)
+    except TypeError:
+        raise InvalidInput(f"the relation of {agent!r} is {blocks!r}, not "
+                           f"an iterable of blocks") from None
     for block in blocks:
-        fb = frozenset(block)
+        fb = _as_set(block, f"a block of {agent!r}")
         for s in fb:
             if s not in sset:
                 raise UnknownState(f"state {s!r} in relation of "
@@ -138,7 +156,8 @@ class Model:
     blocks of their own. ``exp`` maps each state to its observation
     expression (an ``ObsExpr``, else ``InvalidInput``), whose language
     must not be empty, and ``props`` to the set of propositions true
-    there. A key of ``props`` or ``exp`` that
+    there, an iterable that is not a string (else ``InvalidInput``). A
+    key of ``props`` or ``exp`` that
     is not a state raises ``UnknownState``, and a key of ``relations``
     that is not an agent ``UnknownAgent``.
     """
@@ -162,7 +181,9 @@ class Model:
             if agent not in self.agents:
                 raise UnknownAgent(f"relation given for {agent!r}, which "
                                    f"is not an agent")
-        self.props = {s: frozenset(props.get(s, ())) for s in self.states}
+        self.props = {s: _as_set(props.get(s, ()),
+                                 f"the propositions of state {s!r}")
+                      for s in self.states}
         self.exp = {}
         for s in self.states:
             if s not in exp:
@@ -465,25 +486,3 @@ class Model:
             else:
                 lines.append(pad + "every matching observation the state "
                                    "survives makes the body true")
-
-
-def validity_sample(f: sx.Formula, models: int = 500, seed: int = 0,
-                    **gen_kwargs):
-    """Search random models for a state falsifying the formula.
-
-    Returns (model, state) for the first counterexample, or None if the
-    formula held everywhere in the sample.
-    """
-    import random
-
-    from .corpus import random_model
-
-    rng = random.Random(seed)
-    gen_kwargs.setdefault("agents", tuple(sorted(sx.agents(f))) or ("i",))
-    gen_kwargs.setdefault("symbols", tuple(sorted(sx.letters(f))) or ("a",))
-    for _ in range(models):
-        m = random_model(rng, **gen_kwargs)
-        for s in m.states:
-            if not m.check(s, f):
-                return m, s
-    return None

@@ -18,9 +18,8 @@ and a dropped expression is reclaimed. Each node's constructor sets its
 Derivatives are cached in one bounded table, like the automata of
 ``to_dfa``.
 
-The derivative of an expression by a symbol (and by extension a word)
-follows Brzozowski: the language of ``residuate(pi, w)`` is exactly
-``{u | w u in L(pi)}``.
+The derivative of an expression by a symbol follows Brzozowski: the
+language of ``derive(pi, a)`` is exactly ``{u | a u in L(pi)}``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import (ExpressionTooDeep, InvalidInput, ParseError,
 __all__ = [
     "Alphabet", "ObsExpr", "Empty", "Epsilon", "Atom", "Sum", "Concat", "Star",
     "empty", "epsilon", "atom", "alt", "seq", "star",
-    "nullable", "derive", "residuate", "is_empty_language", "member",
+    "nullable", "derive", "is_empty_language",
     "atoms", "expr_size",
     "Dfa", "to_dfa", "search", "language_equivalent",
     "parse_regex", "print_regex", "parse_word",
@@ -328,20 +327,9 @@ def derive(e: ObsExpr, sym: str, alphabet: Alphabet | None = None) -> ObsExpr:
     return _derive(e, sym)
 
 
-def residuate(e: ObsExpr, word, alphabet: Alphabet | None = None) -> ObsExpr:
-    """Derivative by a word: L(residuate(e, w)) = {u | w u in L(e)}."""
-    for sym in word:
-        e = derive(e, sym, alphabet)
-    return e
-
-
 def is_empty_language(e: ObsExpr) -> bool:
     """Emptiness; exact because there is no complement."""
     return e.empty
-
-
-def member(e: ObsExpr, word, alphabet: Alphabet | None = None) -> bool:
-    return residuate(e, word, alphabet).nullable
 
 
 def atoms(e: ObsExpr) -> frozenset:

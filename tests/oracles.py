@@ -1,14 +1,18 @@
 """Slow reference implementations used only to cross-check the library.
 
 Everything here is written against the same data types but with different
-algorithms than the package uses, so agreement is meaningful.
+algorithms than the package uses, so agreement is meaningful. The
+exceptions are ``residuate``, ``member`` and ``validity_sample``:
+compositions of the package's own operations that only the tests need.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from polkit import bts as bt
+from polkit import corpus
 from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
@@ -155,14 +159,14 @@ def label_mismatches(t, model, max_len: int = 3):
 
 def residuated_model(m, word):
     """The model after publicly observing ``word``, built from scratch:
-    each expectation residuated by the whole word (``ox.residuate``),
+    each expectation residuated by the whole word (``residuate``),
     then a fresh ``Model`` over the states whose residual is not empty,
     with their propositions and the relations restricted to them. None
     if no state survives. ``Model.update`` walks its residuation graph
     instead, so this is its reference."""
     exp = {}
     for s in m.states:
-        e = ox.residuate(m.exp[s], word, m.alphabet)
+        e = residuate(m.exp[s], word, m.alphabet)
         if not ox.is_empty_language(e):
             exp[s] = e
     if not exp:
@@ -277,3 +281,32 @@ class AllPairsTranslation(dp.Translation):
                 for i in self.agents
                 for x, z in itertools.combinations(self.labels, 2)
                 for y in self.labels if y not in (x, z)]
+
+
+def residuate(e: ObsExpr, word, alphabet=None) -> ObsExpr:
+    """Derivative by a word: L(residuate(e, w)) = {u | w u in L(e)}."""
+    for sym in word:
+        e = ox.derive(e, sym, alphabet)
+    return e
+
+
+def member(e: ObsExpr, word, alphabet=None) -> bool:
+    """Whether ``word`` is in L(e), through ``residuate``."""
+    return residuate(e, word, alphabet).nullable
+
+
+def validity_sample(f, models: int = 500, seed: int = 0, **gen_kwargs):
+    """Search random models for a state falsifying the formula.
+
+    Returns (model, state) for the first counterexample, or None if the
+    formula held everywhere in the sample.
+    """
+    rng = random.Random(seed)
+    gen_kwargs.setdefault("agents", tuple(sorted(sx.agents(f))) or ("i",))
+    gen_kwargs.setdefault("symbols", tuple(sorted(sx.letters(f))) or ("a",))
+    for _ in range(models):
+        m = corpus.random_model(rng, **gen_kwargs)
+        for s in m.states:
+            if not m.check(s, f):
+                return m, s
+    return None

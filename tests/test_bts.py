@@ -14,7 +14,7 @@ import polkit.syntax as sx
 from polkit.errors import ClosureTooLarge, NotABts, UnknownSymbol
 
 from conftest import formula_strategy
-from oracles import hintikka_by_masks, label_mismatches
+from oracles import hintikka_by_masks, label_mismatches, member
 
 
 def closure(text):
@@ -443,7 +443,7 @@ def star_free(rng, depth):
 def brute_fulfilled(t, start, s, f, want, bound=4):
     for n in range(bound + 1):
         for w in itertools.product(tuple(t.alphabet), repeat=n):
-            if not ox.member(f.pi, w):
+            if not member(f.pi, w):
                 continue
             cur, alive = start, True
             for a in w:

@@ -14,7 +14,7 @@ from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.dpdl import solver as dps
-from polkit.errors import ParseError, ResourceBudgetExceeded
+from polkit.errors import InvalidInput, ParseError, ResourceBudgetExceeded
 
 from conftest import dpdl_formula_strategy
 
@@ -521,6 +521,18 @@ class TestDpdlSat:
         verdict = dp.dpdl_sat(dp.parse_dpdl(text))
         assert isinstance(verdict, dp.Unknown)
         assert verdict.reason == "derivative automaton exceeds 2 states"
+
+    def test_rejected_witness_is_a_bug(self, monkeypatch):
+        # dpdl_sat's Sat carries a witness that dpdl_check accepted
+        monkeypatch.setattr("polkit.dpdl.core.dpdl_check",
+                            lambda *args: False)
+        with pytest.raises(AssertionError, match="this is a bug"):
+            dp.dpdl_sat(dp.parse_dpdl("<a>p"))
+
+    @pytest.mark.parametrize("max_states", ["x", True, 0, -1])
+    def test_brute_force_refuses_invalid_state_bounds(self, max_states):
+        with pytest.raises(InvalidInput, match="must be a positive integer"):
+            dp.brute_dpdl_sat(dp.parse_dpdl("p"), max_states)
 
 
 class TestDpdlCheck:

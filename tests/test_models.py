@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import (member_oracle, residual_maps, residuated_model,
-                     stepwise_check, words_up_to)
+                     stepwise_check, validity_sample, words_up_to)
 from polkit import models
 from polkit import obsregex as ox
 from polkit import syntax as sx
@@ -13,7 +13,7 @@ from polkit.corpus import (drone_model, random_formula, random_model,
 from polkit.errors import (FormulaTooDeep, InvalidInput,
                            ResourceBudgetExceeded, UnknownAgent,
                            UnknownState, UnknownSymbol)
-from polkit.models import Model, validity_sample
+from polkit.models import Model
 from polkit.obsregex import Alphabet, parse_regex, print_regex
 from polkit.syntax import parse_formula
 

@@ -4,14 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from oracles import language_sample, member_oracle, words_up_to
+from oracles import (language_sample, member, member_oracle, residuate,
+                     words_up_to)
 from polkit import corpus
 from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.errors import ParseError, StateBudgetExceeded, UnknownSymbol
 from polkit.obsregex import (
     Alphabet, alt, atom, empty, epsilon, seq, star,
-    derive, residuate, member, nullable, is_empty_language,
+    derive, nullable, is_empty_language,
     language_equivalent, parse_regex, parse_word, print_regex, to_dfa,
 )
 

@@ -28,6 +28,20 @@ def test_no_assert_statements():
     assert not found
 
 
+def test_imports_at_module_level():
+    # an import inside a function hides an edge of the module graph, and
+    # with it a cycle between modules
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(SOURCE)}:{inner.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for inner in ast.walk(node)
+                  if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not found
+
+
 @pytest.mark.parametrize("build", [
     lambda: ox.Alphabet([]),
     lambda: ox.Alphabet(["a", "a"]),
@@ -64,6 +78,10 @@ def test_no_assert_statements():
     lambda: dp.pol_sat(sx.prop("p"), dp.LabelBudget(True)),
     lambda: Model(["a"], ["i"], [0], {0: {"p"}}, {0: "a"}, {}),
     lambda: dp.pol_bounded_sat(sx.prop("p"), 1, pool=["a"]),
+    lambda: Model(["a"], [], [0], {0: "pq"}, {0: ox.epsilon()}, {}),
+    lambda: Model(["a"], [], [0], {0: 5}, {0: ox.epsilon()}, {}),
+    lambda: Model(["a"], ["i"], [0], {}, {0: ox.epsilon()}, {"i": [5]}),
+    lambda: Model(["a"], ["i"], [0], {}, {0: ox.epsilon()}, {"i": 5}),
 ], ids=["empty-alphabet", "duplicate-symbol", "reserved-prop", "empty-atom",
         "stateless-dpdl-model", "duplicate-state", "empty-expectation",
         "overlapping-blocks", "missing-initial-bubble", "non-string-symbol",
@@ -74,7 +92,8 @@ def test_no_assert_statements():
         "string-dpdl-disjunct", "string-dpdl-conjuncts",
         "lone-string-disjunct", "int-formula-text", "int-dpdl-text",
         "int-regex-text", "int-word-text", "int-budget", "bool-labels",
-        "string-expectation", "string-pool-entry"])
+        "string-expectation", "string-pool-entry", "string-props",
+        "int-props", "int-block", "int-relation"])
 def test_construction_errors_are_pol_errors(build):
     # errors.py promises that every deliberate error is a PolError; a
     # bad constructor argument is also a ValueError

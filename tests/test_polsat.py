@@ -71,6 +71,31 @@ class TestFullBudget:
         assert isinstance(dp.pol_sat(phi, dp.LabelBudget(1)), dp.Sat)
 
 
+class TestOneGuard:
+    """``Model.check`` of the source formula is the one guard of a
+    ``Sat``: ``pol_sat`` does not check the solver's witness."""
+
+    def test_witness_is_not_checked(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pol_sat checked a DPDL witness")
+
+        monkeypatch.setattr("polkit.dpdl.core.dpdl_check", refuse)
+        sats = [(f, v) for f in small_formulas()
+                for v in [dp.pol_sat(f)] if isinstance(v, dp.Sat)]
+        assert sats, "the sample should reach at least one Sat"
+        for f, verdict in sats:
+            assert verdict.model.check(verdict.state, f)
+
+    @pytest.mark.parametrize("text", ["<a>p", "<a;b;a>p"])
+    def test_automaton_cap_ends_in_unknown(self, monkeypatch, text):
+        # with no witness check on the route, the cap is hit in the
+        # extraction or the final check, and still ends in an Unknown
+        monkeypatch.setattr(ox, "_MAX_DFA_STATES", 2)
+        ox.to_dfa.cache_clear()
+        verdict = dp.pol_sat(sx.parse_formula(text), dp.LabelBudget(1))
+        assert verdict == dp.Unknown("derivative automaton exceeds 2 states")
+
+
 def is_equivalence(rel, labels):
     return (all((x, x) in rel for x in labels)
             and all((y, x) in rel for x, y in rel)
@@ -398,3 +423,8 @@ class TestEncoding:
     def test_invalid_budgets(self, budget, message):
         with pytest.raises(BudgetInvalid, match=message):
             dp.Translation(sx.parse_formula("K_i q"), budget)
+
+    @pytest.mark.parametrize("max_states", ["x", True, 0, -1])
+    def test_invalid_state_bounds(self, max_states):
+        with pytest.raises(InvalidInput, match="must be a positive integer"):
+            dp.pol_bounded_sat(sx.parse_formula("p"), max_states)
