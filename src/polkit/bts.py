@@ -392,24 +392,26 @@ class Bts:
                 if isinstance(g, (sx.Dia, sx.Box))
                 and isinstance(g.pi, ox.Atom)}
         clean = {}
+        # not isinstance: a bool is an int to it, but no bubble index
         for (i, a), j in dict(delta).items():
-            if not isinstance(i, int) or not 0 <= i < len(self.bubbles):
+            if type(i) is not int or not 0 <= i < len(self.bubbles):
                 raise InvalidInput(f"transition from unknown bubble {i!r}")
             if j is None:
                 continue
-            if not isinstance(j, int) or not 0 <= j < len(self.bubbles):
+            if type(j) is not int or not 0 <= j < len(self.bubbles):
                 raise InvalidInput(f"transition to unknown bubble {j!r}")
             syms.add(a)
             clean[(i, a)] = j
         if alphabet is None:
             alphabet = Alphabet(sorted(syms) or ["a"])
-        elif not isinstance(alphabet, Alphabet):
-            alphabet = Alphabet(alphabet)
+        else:
+            alphabet = ox._as_alphabet(alphabet)
         for a in sorted(syms):
             alphabet.require(a)
         self.alphabet = alphabet
         self.delta = clean
-        if self.bubbles and not 0 <= initial < len(self.bubbles):
+        if type(initial) is not int or (
+                self.bubbles and not 0 <= initial < len(self.bubbles)):
             raise InvalidInput(f"initial bubble {initial!r} does not exist")
         self.initial = initial
 
@@ -429,7 +431,7 @@ def _fulfilled(t: Bts, start: int, s, f, want: bool) -> bool:
                 yield a, j
 
     return ox.search(
-        ox.to_dfa(f.pi, t.alphabet), start, step,
+        f.pi, start, step,
         lambda bi: (f.arg in t.bubbles[bi].labels[s]) == want) is not None
 
 

@@ -6,9 +6,9 @@ their dynamic-logic reading: ``Atom`` is ``syntax.Prop``, ``atom`` is
 ``print_dpdl`` is ``syntax.print_formula``. ``core`` has the flattening
 construction rules, the parser entry point, models and the checker;
 ``translate`` the bubble encoding of observation logic; ``solver`` the
-two-regime satisfiability procedure; ``oracle`` the brute-force
-cross-check; and ``polsat`` the end-to-end decision procedures for
-observation logic.
+two-regime satisfiability procedure; ``polsat`` the end-to-end
+decision procedure for observation logic; and ``oracle`` both
+brute-force cross-checks, one for each logic.
 """
 
 from ..syntax import (
@@ -19,8 +19,8 @@ from ..syntax import (
 from .core import (
     DpdlModel, dpdl_check, iff, implies, land, lor, parse_dpdl,
 )
-from .oracle import brute_dpdl_sat
-from .polsat import decode_bts, pol_bounded_sat, pol_sat
+from .oracle import brute_dpdl_sat, pol_bounded_sat
+from .polsat import decode_bts, pol_sat
 from .solver import Sat, Unknown, Unsat, dpdl_sat
 from .translate import LabelBudget, Translation, full_budget
 

@@ -126,22 +126,15 @@ class DpdlModel:
 def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
     """Truth of ``f`` at state ``s``.
 
-    An agent operator that the evaluation reaches is a TypeError. Each
-    program's automaton reads the model's letters and the program's own.
+    An agent operator that the evaluation reaches is a TypeError. A
+    modality walks its program's derivatives along the model's
+    transitions, so a program letter that the model lacks labels no
+    transition.
     """
     if s not in m.val:
         raise UnknownState(f"state {s!r} not in model")
     sx._check_depth(f)
-    letters = set(m.alphabet)
-    dfas = {}
     memo = {}
-
-    def dfa(pi):
-        found = dfas.get(pi)
-        if found is None:
-            found = dfas[pi] = ox.to_dfa(
-                pi, ox.Alphabet(sorted(letters | ox.atoms(pi)) or ["a"]))
-        return found
 
     def step(st):
         for a in m.alphabet:
@@ -173,10 +166,10 @@ def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
                     v = False
                     break
         elif isinstance(g, sx.Dia):
-            v = ox.search(dfa(g.pi), st, step,
+            v = ox.search(g.pi, st, step,
                           lambda t: ev(t, g.arg)) is not None
         elif isinstance(g, sx.Box):
-            v = ox.search(dfa(g.pi), st, step,
+            v = ox.search(g.pi, st, step,
                           lambda t: not ev(t, g.arg)) is None
         else:
             raise TypeError(f"not a dynamic-logic formula: {g!r}")

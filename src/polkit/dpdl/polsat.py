@@ -14,27 +14,19 @@ the way ends in ``Unknown``.
 A non-full label budget weakens only the negative side: the encoding
 can run out of slots, so its unsatisfiability then means "no model
 within this many labels", reported as unknown.
-
-``pol_bounded_sat`` is the independent cross-check: exhaustive search
-over small models with expressions drawn from a fixed pool.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 from .. import bts
-from .. import models as md
-from .. import obsregex as ox
 from .. import syntax as sx
-from ..errors import InvalidInput, ResourceBudgetExceeded, UnknownState
+from ..errors import ResourceBudgetExceeded, UnknownState
 from . import core as dc
 from . import translate
-from .oracle import _check_max_states
 from .solver import Sat, Unknown, Unsat, _decide
 from .translate import LabelBudget, Translation, full_budget
 
-__all__ = ["pol_sat", "pol_bounded_sat", "decode_bts"]
+__all__ = ["pol_sat", "decode_bts"]
 
 
 def _reachable(model: dc.DpdlModel, start):
@@ -147,72 +139,3 @@ def pol_sat(phi: sx.Formula, budget: LabelBudget | None = None):
         raise AssertionError("decoded model fails the source formula; "
                              "this is a bug")
     return Sat(model, s0)
-
-
-def _partitions(items):
-    """All partitions of ``items``, each a tuple of sorted blocks."""
-    items = list(items)
-    if not items:
-        return [()]
-    head, rest = items[0], items[1:]
-    out = []
-    for sub in _partitions(rest):
-        out.append(((head,),) + sub)
-        for i, block in enumerate(sub):
-            grown = tuple(sorted(block + (head,)))
-            out.append(sub[:i] + (grown,) + sub[i + 1:])
-    return out
-
-
-def pol_bounded_sat(phi: sx.Formula, max_states: int = 2, pool=None):
-    """Exhaustive search over models of at most ``max_states`` states.
-
-    Expected observations are drawn from ``pool`` (default: just the
-    empty word); an entry that is not an ``ObsExpr`` raises
-    ``InvalidInput``, and expressions with an empty language are
-    skipped, since ``Model`` refuses them. Returns the first satisfying
-    model and state in a fixed deterministic order, else ``Unknown``:
-    the bound and pool are restrictions, so exhausting them proves
-    nothing. ``max_states`` must be a positive ``int``, else
-    ``InvalidInput``.
-    """
-    sx._check_depth(phi)
-    _check_max_states(max_states)
-    if pool is None:
-        pool = (ox.epsilon(),)
-    pool = tuple(pool)
-    for e in pool:
-        if not isinstance(e, ox.ObsExpr):
-            raise InvalidInput(f"pool entry {e!r} is not an observation "
-                               f"expression")
-    pool = tuple(e for e in pool if not ox.is_empty_language(e))
-    letters = set(sx.letters(phi))
-    for e in pool:
-        letters |= ox.atoms(e)
-    alphabet = ox.Alphabet(sorted(letters) or ["a"])
-    agents = sorted(sx.agents(phi))
-    names = sorted(sx.props(phi))
-    for k in range(1, max_states + 1):
-        states = tuple(range(k))
-        parts = _partitions(states)
-        for exps in product(pool, repeat=k):
-            exp = dict(zip(states, exps))
-            for blocks in product(parts, repeat=len(agents)):
-                relations = dict(zip(agents, blocks))
-                for chosen in product(_prop_subsets(names), repeat=k):
-                    props = dict(zip(states, chosen))
-                    model = md.Model(alphabet, agents, states, props,
-                                     exp, relations)
-                    for s in states:
-                        if model.check(s, phi):
-                            return Sat(model, s)
-    return Unknown(f"no model with at most {max_states} states over "
-                   f"the given pool")
-
-
-def _prop_subsets(names):
-    out = []
-    for mask in range(2 ** len(names)):
-        out.append(frozenset(n for i, n in enumerate(names)
-                             if mask >> i & 1))
-    return out

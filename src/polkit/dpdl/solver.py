@@ -130,9 +130,6 @@ class _Shape:
                 table = self.dia if isinstance(g, sx.Dia) else self.box
                 table.setdefault(g.pi.symbol, []).append(g)
         self.letters = tuple(sorted(set(self.dia) | set(self.box)))
-        # Every letter of a closure's programs also heads one of its
-        # one-letter modalities, so this alphabet serves all of them.
-        self.alphabet = ox.Alphabet(self.letters or ["a"])
         self.profile = {a: tuple(self.dia.get(a, []) + self.box.get(a, []))
                         for a in self.letters}
         self.stars = [g for g in self.members
@@ -261,8 +258,7 @@ class _Shape:
         state giving ``arg`` the truth ``want``, as (letter, state) steps
         through the edges ``step`` yields; None when there is none."""
         var = self.index[arg]
-        return ox.search(ox.to_dfa(pi, self.alphabet), start, step,
-                         lambda j: states[j][var] == want)
+        return ox.search(pi, start, step, lambda j: states[j][var] == want)
 
     def witness(self, states, trans):
         """The deterministic model over numbered states and transitions."""
@@ -982,9 +978,9 @@ def dpdl_sat(f: sx.Formula):
     fresh enumeration would. Module constants bound the work:
     ``_NODE_CAP`` the states of a demand graph or witness walk,
     ``_RESTART_CAP`` the lemma restarts, ``_STEP_CAP`` the steps of
-    each propositional search and ``obsregex._MAX_DFA_STATES`` those of
-    every automaton, the witness check's too. A formula with agent
-    operators is a TypeError.
+    each propositional search and ``obsregex._MAX_DERIVATIVES`` the
+    derivatives that each walk meets, the witness check's too. A formula
+    with agent operators is a TypeError.
     """
     outcome = _decide(f)
     if isinstance(outcome, Sat):

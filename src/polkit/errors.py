@@ -48,7 +48,8 @@ class ResourceBudgetExceeded(PolError):
 
 
 class StateBudgetExceeded(ResourceBudgetExceeded):
-    """A derivative automaton outgrew ``obsregex._MAX_DFA_STATES``."""
+    """One walk through a product with an expression's derivatives met
+    more than ``obsregex._MAX_DERIVATIVES`` of them."""
 
 
 class ClosureTooLarge(PolError):

@@ -7,13 +7,14 @@ and residuates the expectations of the others.
 
 ``Model.check`` implements the truth definition set at a time. The
 observation modalities quantify over words from a regular language, so
-the checker explores the product of the word automaton with the model's
-residuation graph: the (finite, by normalization of derivatives) set of
-models reachable from this one by observations. For each reached model
-and subformula it computes the set of states where the subformula
-holds, once, as a bit mask over ``Model.states``, and memoizes it per
-(reached model, formula), up to a fixed number of entries; ``check``
-reads one bit of it.
+the checker walks pairs of a context and a derivative of the modality's
+expression: the product of the expression's derivative automaton with
+the model's residuation graph, the (finite, by normalization of
+derivatives) set of models reachable from this one by observations.
+For each reached model and subformula it computes the set of states
+where the subformula holds, once, as a bit mask over ``Model.states``,
+and memoizes it per (reached model, formula), up to a fixed number of
+entries; ``check`` reads one bit of it.
 
 An announcement is a step in the model's own residuation graph.
 ``Model.update`` walks the word from the model's context and returns a
@@ -55,7 +56,7 @@ from . import obsregex as ox
 from . import syntax as sx
 from .errors import (InvalidInput, ResourceBudgetExceeded, UnknownAgent,
                      UnknownState)
-from .obsregex import Alphabet, ObsExpr
+from .obsregex import ObsExpr
 
 __all__ = ["Model", "state_sort_key"]
 
@@ -163,9 +164,7 @@ class Model:
     """
 
     def __init__(self, alphabet, agents, states, props, exp, relations):
-        if not isinstance(alphabet, Alphabet):
-            alphabet = Alphabet(alphabet)
-        self.alphabet = alphabet
+        self.alphabet = alphabet = ox._as_alphabet(alphabet)
         self.agents = tuple(agents)
         self.states = tuple(sorted(states, key=state_sort_key))
         if not self.states:
@@ -193,7 +192,7 @@ class Model:
             if not isinstance(e, ObsExpr):
                 raise InvalidInput(f"state {s!r} expects {e!r}, which is "
                                    f"not an observation expression")
-            for sym in ox.atoms(e):
+            for sym in sorted(ox.atoms(e)):
                 alphabet.require(sym)
             if ox.is_empty_language(e):
                 raise InvalidInput(f"state {s!r} expects no word")
@@ -391,15 +390,26 @@ class Model:
         least fixpoint of propagating those sets backwards through the
         product, read at its start. A pair whose survivors are all in
         the union already adds nothing, and is not expanded.
+
+        The loop walks (context, derivative) pairs as ``ox.search`` does,
+        but it is a loop of its own, set at a time: through ``ox.search``
+        each modal level of the recursion through ``_eval`` would spend
+        two more frames, the search's and its goal's, and at
+        ``sx._MAX_DEPTH`` the caller of ``check`` would keep about a
+        third of the frames it keeps now.
         """
-        dfa = ox.to_dfa(pi, self.alphabet)
+        for sym in sorted(ox.atoms(pi)):
+            self.alphabet.require(sym)
         found = 0
-        queue = [(ctx, 0)] if 0 in dfa.live else []
-        seen = {(ctx.cid, 0)}
+        queue = [] if pi.empty else [(ctx, pi)]
+        seen = {(ctx.cid, pi)}
+        met = set()
         for c, q in queue:  # the queue grows while it is read
             if not c.mask & ~found:
                 continue
-            if q in dfa.accepting:
+            if q not in met:
+                ox._meet(q, met)
+            if q.nullable:
                 got = self._eval(c, body)
                 found |= got if want else c.mask & ~got
                 if found == ctx.mask:
@@ -408,8 +418,8 @@ class Model:
                 nc = self._step(c, sym)
                 if nc is None:
                     continue
-                q2 = dfa.transitions[(q, sym)]
-                if q2 in dfa.live and (nc.cid, q2) not in seen:
+                q2 = ox._derive(q, sym)
+                if not q2.empty and (nc.cid, q2) not in seen:
                     seen.add((nc.cid, q2))
                     queue.append((nc, q2))
         return found
@@ -429,7 +439,7 @@ class Model:
                 if nc is not None and s in nc.exp:
                     yield sym, nc
 
-        path = ox.search(ox.to_dfa(pi, self.alphabet), ctx, step,
+        path = ox.search(pi, ctx, step,
                          lambda c: self._holds(c, s, body) is want)
         if path is None:
             return False, None, None

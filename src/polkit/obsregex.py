@@ -7,7 +7,7 @@ concatenation are applied, and stars are in star normal form
 (Brueggemann-Klein, TCS 1993): the body of a star never holds the empty
 word, so ``(a*;b*)*`` is ``(a+b)*`` and ``(0*+a)*`` is ``a*``.
 Normalization keeps the set of word derivatives of any expression finite,
-which is what makes the automaton construction below terminate.
+which is what makes every walk below terminate.
 
 Normalized expressions are interned in ``_interned``, the one intern
 table of the package, which the formulas of ``polkit.syntax`` share. Its
@@ -15,18 +15,21 @@ values are weak: an expression equal to a live one is that same object,
 and a dropped expression is reclaimed. Each node's constructor sets its
 ``nullable``, ``empty`` and ``size`` fields from its parts, so
 ``nullable``, ``is_empty_language`` and ``expr_size`` read a field.
-Derivatives are cached in one bounded table, like the automata of
-``to_dfa``.
+Derivatives are cached in one bounded table.
 
 The derivative of an expression by a symbol follows Brzozowski: the
-language of ``derive(pi, a)`` is exactly ``{u | a u in L(pi)}``.
+language of ``derive(pi, a)`` is exactly ``{u | a u in L(pi)}``. So an
+expression's derivatives are the states of its automaton, and ``search``
+walks the product of a graph with that automaton by deriving the
+expression along each edge's letter, on demand (Owens, Reppy & Turon,
+JFP 2009). Model checking, bubble validation and the dynamic-logic
+solver all walk that way.
 """
 
 from __future__ import annotations
 
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (ExpressionTooDeep, InvalidInput, ParseError,
@@ -37,7 +40,7 @@ __all__ = [
     "empty", "epsilon", "atom", "alt", "seq", "star",
     "nullable", "derive", "is_empty_language",
     "atoms", "expr_size",
-    "Dfa", "to_dfa", "search", "language_equivalent",
+    "search", "language_equivalent",
     "parse_regex", "print_regex", "parse_word",
 ]
 
@@ -56,7 +59,15 @@ class Alphabet:
     __slots__ = ("symbols", "_index")
 
     def __init__(self, symbols):
-        syms = tuple(symbols)
+        # a string would be read letter by letter
+        if isinstance(symbols, str):
+            raise InvalidInput(f"alphabet is the string {symbols!r}, not "
+                               f"a sequence of symbols")
+        try:
+            syms = tuple(symbols)
+        except TypeError:
+            raise InvalidInput(f"alphabet {symbols!r} is not a sequence of "
+                               f"symbols") from None
         if not syms:
             raise InvalidInput("alphabet must be non-empty")
         seen = set()
@@ -90,6 +101,12 @@ class Alphabet:
     def require(self, sym):
         if sym not in self._index:
             raise UnknownSymbol(f"symbol {sym!r} not in alphabet {list(self.symbols)}")
+
+
+def _as_alphabet(symbols) -> Alphabet:
+    """``symbols`` itself when it is an ``Alphabet``, else
+    ``Alphabet(symbols)``."""
+    return symbols if isinstance(symbols, Alphabet) else Alphabet(symbols)
 
 
 class ObsExpr:
@@ -255,9 +272,10 @@ def seq(*parts) -> ObsExpr:
 
 
 # ``_derive`` and ``_strip`` recurse once per expression level, ``_derive``
-# with two frames on a sum, so ``derive``, ``to_dfa`` and ``star`` refuse
-# an expression deeper than this. The formulas of ``polkit.syntax`` share
-# the limit, and a modality's depth counts its expression's.
+# with two frames on a sum, so ``derive``, ``star`` and every walk refuse
+# an expression deeper than this, a walk each derivative before it
+# derives it. The formulas of ``polkit.syntax`` share the limit, and a
+# modality's depth counts its expression's.
 _MAX_DEPTH = 200
 
 
@@ -295,9 +313,10 @@ def nullable(e: ObsExpr) -> bool:
     return e.nullable
 
 
-# Bounded like ``to_dfa``'s cache: the derivative of a star holds the
-# star, so a cache on each node would keep whole chains of derivatives
-# alive through the intern table's keys.
+# Bounded, and the only cache of derivatives: the derivative of a star
+# holds the star, so a cache on each node would keep whole chains of
+# derivatives alive through the intern table's keys. Every walk steps
+# through it.
 @lru_cache(maxsize=4096)
 def _derive(e: ObsExpr, sym: str) -> ObsExpr:
     if isinstance(e, (Empty, Epsilon)):
@@ -322,7 +341,7 @@ def _derive(e: ObsExpr, sym: str) -> ObsExpr:
 def derive(e: ObsExpr, sym: str, alphabet: Alphabet | None = None) -> ObsExpr:
     """Brzozowski derivative of ``e`` by one symbol."""
     if alphabet is not None:
-        alphabet.require(sym)
+        _as_alphabet(alphabet).require(sym)
     _check_depth(e)
     return _derive(e, sym)
 
@@ -332,6 +351,9 @@ def is_empty_language(e: ObsExpr) -> bool:
     return e.empty
 
 
+# Bounded like ``_derive``'s cache: ``Model._reach`` checks the symbols
+# of its program against the model's alphabet on every walk.
+@lru_cache(maxsize=4096)
 def atoms(e: ObsExpr) -> frozenset:
     """The set of symbols occurring in the expression."""
     return frozenset(n.symbol for n in _nodes(e, _children)
@@ -390,88 +412,49 @@ def expr_size(e: ObsExpr) -> int:
     return e.size
 
 
-@dataclass(frozen=True)
-class Dfa:
-    """Deterministic automaton over derivatives. State 0 is initial."""
-
-    alphabet: Alphabet
-    states: tuple          # tuple of ObsExpr, index = state id
-    transitions: dict      # (state, symbol) -> state
-    accepting: frozenset
-    live: frozenset        # states whose language is not empty
-
-    def accepts(self, word) -> bool:
-        state = 0
-        for sym in word:
-            state = self.transitions[(state, sym)]
-        return state in self.accepting
-
-
-# States of one derivative automaton; past it ``to_dfa`` raises
+# Distinct derivatives that one walk may meet; past it the walk raises
 # ``StateBudgetExceeded``.
-_MAX_DFA_STATES = 10 ** 6
+_MAX_DERIVATIVES = 10 ** 6
 
 
-@lru_cache(maxsize=4096)
-def to_dfa(e: ObsExpr, alphabet: Alphabet) -> Dfa:
-    """Derivative automaton of ``e``; all states reachable from the initial.
-
-    Raises ExpressionTooDeep when ``e`` or one of its derivatives nests
-    deeper than ``_MAX_DEPTH``, and StateBudgetExceeded when it has more
-    than ``_MAX_DFA_STATES`` derivatives. Results are cached, so equal
-    arguments give the same automaton, which callers must not mutate.
-    The cache is the only automaton cache of the package and holds a
-    bounded number of automata.
-    """
-    for sym in atoms(e):
-        alphabet.require(sym)
-    index = {e: 0}
-    states = [e]
-    transitions = {}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for src in frontier:
-            _check_depth(src)
-            src_id = index[src]
-            for sym in alphabet:
-                dst = _derive(src, sym)
-                dst_id = index.get(dst)
-                if dst_id is None:
-                    if len(states) >= _MAX_DFA_STATES:
-                        raise StateBudgetExceeded(
-                            f"derivative automaton exceeds {_MAX_DFA_STATES} "
-                            f"states")
-                    dst_id = index[dst] = len(states)
-                    states.append(dst)
-                    nxt.append(dst)
-                transitions[(src_id, sym)] = dst_id
-        frontier = nxt
-    accepting = frozenset(i for i, s in enumerate(states) if s.nullable)
-    live = frozenset(i for i, s in enumerate(states) if not s.empty)
-    return Dfa(alphabet, tuple(states), transitions, accepting, live)
+def _meet(e: ObsExpr, met: set) -> None:
+    """Add ``e`` to ``met``, the derivatives that one walk has met, when
+    the walk reaches ``e`` for the first time, before it derives ``e``.
+    An ``e`` deeper than ``_MAX_DEPTH`` raises ExpressionTooDeep, which
+    keeps ``_derive`` within the frame budget, and a walk's
+    ``_MAX_DERIVATIVES + 1``-th derivative raises StateBudgetExceeded."""
+    _check_depth(e)
+    if len(met) >= _MAX_DERIVATIVES:
+        raise StateBudgetExceeded(f"a walk meets more than "
+                                  f"{_MAX_DERIVATIVES} derivatives")
+    met.add(e)
 
 
-def search(dfa: Dfa, start, step, goal):
-    """Shortest walk through the product of ``dfa`` with a graph.
+def search(e: ObsExpr, start, step, goal):
+    """Shortest walk through the product of ``e``'s automaton with a graph.
 
-    The walk starts at the pair ``(start, 0)``. ``step(node)`` yields the
+    The walk starts at the pair ``(start, e)``. ``step(node)`` yields the
     graph's ``(symbol, successor)`` edges out of ``node``, and each edge
-    moves the automaton by its symbol. Pairs are visited breadth first;
-    ``goal(node)`` is asked only at pairs whose automaton state accepts.
-    A pair whose automaton state has an empty language is never queued,
-    since no walk through it ends in an accepting state.
+    derives the pair's expression by its symbol. Pairs are visited
+    breadth first; ``goal(node)`` is asked only at pairs whose expression
+    is nullable. A pair whose expression has an empty language is never
+    queued, since no walk through it ends at a nullable one.
 
     Returns the ``(symbol, node)`` steps of a shortest walk to the first
     goal met, ``[]`` when the start pair is one, or None when no goal
-    can be reached.
+    can be reached. A derivative reached that nests deeper than
+    ``_MAX_DEPTH`` raises ExpressionTooDeep, and the walk's
+    ``_MAX_DERIVATIVES + 1``-th distinct one StateBudgetExceeded.
     """
-    first = (start, 0)
+    first = (start, e)
     parent = {first: None}
-    queue = [first] if 0 in dfa.live else []
+    queue = [] if e.empty else [first]
+    met = set()
     for pair in queue:  # the queue grows while it is read
         node, q = pair
-        if q in dfa.accepting and goal(node):
+        if q not in met:
+            _meet(q, met)
+        if q.nullable and goal(node):
             path = []
             while parent[pair] is not None:
                 prev, sym = parent[pair]
@@ -480,8 +463,8 @@ def search(dfa: Dfa, start, step, goal):
             path.reverse()
             return path
         for sym, nxt in step(node):
-            q2 = dfa.transitions[(q, sym)]
-            if q2 in dfa.live and (nxt, q2) not in parent:
+            q2 = _derive(q, sym)
+            if not q2.empty and (nxt, q2) not in parent:
                 parent[(nxt, q2)] = (pair, sym)
                 queue.append((nxt, q2))
     return None
@@ -490,24 +473,32 @@ def search(dfa: Dfa, start, step, goal):
 def language_equivalent(e1: ObsExpr, e2: ObsExpr,
                         alphabet: Alphabet | None = None) -> bool:
     """Language equality: in each direction, ``search`` finds no word
-    that one automaton accepts and the other rejects."""
+    that one expression holds and the other does not. A symbol of
+    either expression outside a given alphabet raises UnknownSymbol."""
     if alphabet is None:
         syms = sorted(atoms(e1) | atoms(e2))
         if not syms:
             # both languages are subsets of {epsilon}
             return e1.nullable == e2.nullable and e1.empty == e2.empty
         alphabet = Alphabet(syms)
-    d1 = to_dfa(e1, alphabet)
-    d2 = to_dfa(e2, alphabet)
+    else:
+        alphabet = _as_alphabet(alphabet)
+        for sym in sorted(atoms(e1) | atoms(e2)):
+            alphabet.require(sym)
 
-    def differs(da, db):
+    def differs(ea, eb):
+        # the graph is eb's automaton, so its derivatives meet the cap too
+        met = set()
+
         def step(q):
+            if q not in met:
+                _meet(q, met)
             for sym in alphabet:
-                yield sym, db.transitions[(q, sym)]
+                yield sym, _derive(q, sym)
 
-        return search(da, 0, step, lambda q: q not in db.accepting) is not None
+        return search(ea, eb, step, lambda q: not q.nullable) is not None
 
-    return not differs(d1, d2) and not differs(d2, d1)
+    return not differs(e1, e2) and not differs(e2, e1)
 
 
 # --- concrete syntax ---------------------------------------------------------
@@ -686,6 +677,8 @@ def parse_regex(text: str, alphabet: Alphabet | None = None) -> ObsExpr:
     ``a b``) concatenates two.
     """
     toks = _RegexTokens(text)
+    if alphabet is not None:
+        alphabet = _as_alphabet(alphabet)
     e = _parse_sum(toks, alphabet)
     if toks.peek() is not None:
         toks.error(f"trailing input {toks.peek()!r}")
@@ -702,6 +695,7 @@ def parse_word(text: str, alphabet: Alphabet) -> tuple:
     """
     if not isinstance(text, str):
         raise InvalidInput(f"{text!r} is not a text to parse")
+    alphabet = _as_alphabet(alphabet)
     word = []
     for tok in text.replace(",", " ").split():
         if tok in alphabet:

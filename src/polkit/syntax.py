@@ -264,10 +264,11 @@ def formula_size(f: Formula) -> int:
 # two frames on a modal level (``_eval`` and ``_reach``) and one on any
 # other, ``Model.explain`` one more in all, and ``dpdl_check`` at most
 # three on any level. A modality's depth counts its program's depth too:
-# the program's automaton is built, at most two frames per expression
-# level, before the body is evaluated. So 200 levels (``ox._MAX_DEPTH``)
-# take at most 600 frames, and 400 of the interpreter's default
-# recursion limit of 1,000 are left to the caller.
+# the walk of a modal level derives the program, at most two frames per
+# expression level, on top of that level's frames and never inside the
+# body's evaluation. So 200 levels (``ox._MAX_DEPTH``) take at most 600
+# frames, and 400 of the interpreter's default recursion limit of 1,000
+# are left to the caller.
 _MAX_DEPTH = ox._MAX_DEPTH
 
 
@@ -552,6 +553,8 @@ def _parse_base(toks, alphabet):
 
 
 def _parse(toks: _FormulaTokens, alphabet) -> Formula:
+    if alphabet is not None:
+        alphabet = ox._as_alphabet(alphabet)
     f = _parse_or(toks, alphabet)
     if toks.peek() is not None:
         toks.error(f"trailing input {toks.peek()!r}")

@@ -113,7 +113,7 @@ def checked_sat_verdicts():
         (dp, "brute_dpdl_sat", by_dpdl_check),
         (dpp, "pol_sat", by_model_check),
         (dp, "pol_sat", by_model_check),
-        (dpp, "pol_bounded_sat", by_model_check),
+        (dpo, "pol_bounded_sat", by_model_check),
         (dp, "pol_bounded_sat", by_model_check),
     ):
         fn = getattr(mod, name)

@@ -208,9 +208,10 @@ def stepwise_check(m, s, f, memo=None) -> bool:
 
     Uses the public API only. An observation modality walks words
     breadth first over pairs of an updated model (``residuated_model``)
-    and a state of the automaton of its expression, keeps the models that
-    ``s`` survives, and evaluates the body at ``s`` in the models met at
-    accepting automaton states. ``memo`` caches truth per (model states
+    and a derivative of its expression (``ox.derive``), keeps the models
+    that ``s`` survives and the derivatives whose language is not empty,
+    and evaluates the body at ``s`` in the models met at nullable
+    derivatives. ``memo`` caches truth per (model states
     and expectations, state, formula) within one base model."""
     if memo is None:
         memo = {}
@@ -236,19 +237,19 @@ def stepwise_check(m, s, f, memo=None) -> bool:
     elif isinstance(f, (sx.Dia, sx.Box)):
         want = isinstance(f, sx.Dia)
         found = False
-        dfa = ox.to_dfa(f.pi, m.alphabet)
-        if 0 in dfa.live:
-            queue = [(m, 0)]
-            seen = {(_model_key(m), 0)}
+        if not ox.is_empty_language(f.pi):
+            queue = [(m, f.pi)]
+            seen = {(_model_key(m), f.pi)}
             for mw, q in queue:  # the queue grows while it is read
-                if (q in dfa.accepting
+                if (ox.nullable(q)
                         and stepwise_check(mw, s, f.arg, memo) is want):
                     found = True
                     break
                 for sym in m.alphabet:
                     nxt = residuated_model(mw, (sym,))
-                    q2 = dfa.transitions[(q, sym)]
-                    if nxt is None or s not in nxt.states or q2 not in dfa.live:
+                    q2 = ox.derive(q, sym)
+                    if (nxt is None or s not in nxt.states
+                            or ox.is_empty_language(q2)):
                         continue
                     pair = (_model_key(nxt), q2)
                     if pair not in seen:

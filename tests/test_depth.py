@@ -68,6 +68,20 @@ def test_at_the_limit_passes(entry):
         ENTRY_POINTS[entry](sx.dia(ox.epsilon(), f))
 
 
+def under_frames(n, call):
+    """``call()`` under ``n`` more frames of this function."""
+    return call() if n == 0 else under_frames(n - 1, call)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_caller_keeps_headroom_at_the_limit(entry):
+    # at the limit every evaluator leaves its caller at least 300 of the
+    # interpreter's default 1,000 frames (see syntax._MAX_DEPTH); two
+    # more frames on each modal level of Model.check would leave fewer
+    f = nested(lambda g: sx.dia(ox.epsilon(), g), sx._MAX_DEPTH)
+    under_frames(300, lambda: ENTRY_POINTS[entry](f))
+
+
 def test_parser_refuses_a_deep_chain():
     # the grammar's nesting cap does not count a junction chain, so the
     # parser checks the depth of what it built
@@ -92,7 +106,7 @@ def test_deep_expression_is_refused():
     e = deep_program(3001)
     assert e.depth == 3001
     alphabet = ox.Alphabet(["a", "b"])
-    for refuse in (lambda: ox.to_dfa(e, alphabet),
+    for refuse in (lambda: ox.search(e, 0, lambda n: [], lambda n: True),
                    lambda: ox.derive(e, "a"),
                    lambda: ox.star(ox.alt(ox.epsilon(), e)),
                    lambda: Model(alphabet, [], [0], {0: set()}, {0: e},

@@ -511,16 +511,20 @@ class TestDpdlSat:
             assert isinstance(lazy_sat(f), dp.Unknown), text
             assert isinstance(dp.dpdl_sat(f), want), text
 
-    @pytest.mark.parametrize("text", ["<(a;b)*>p", "<a;b;a>p"])
+    @pytest.mark.parametrize("text", ["<a>p", "<a;b;a>p", "<(a;b)*>p&~p"])
     def test_automaton_cap_ends_in_unknown(self, monkeypatch, text):
-        # the automaton of (a;b)* outgrows the cap in the discharge walk,
-        # and that of a;b;a in the check of the witness; like every cap
-        # inside dpdl_sat, it ends in an Unknown that names it
-        monkeypatch.setattr(ox, "_MAX_DFA_STATES", 2)
-        ox.to_dfa.cache_clear()
+        # the walks of (a;b)* outgrow the cap in the discharge walk, and
+        # those of a and a;b;a in the check of the witness; like every
+        # cap inside dpdl_sat, it ends in an Unknown that names it
+        monkeypatch.setattr(ox, "_MAX_DERIVATIVES", 1)
         verdict = dp.dpdl_sat(dp.parse_dpdl(text))
         assert isinstance(verdict, dp.Unknown)
-        assert verdict.reason == "derivative automaton exceeds 2 states"
+        assert verdict.reason == "a walk meets more than 1 derivatives"
+
+    def test_a_walk_that_stops_at_its_start_derives_nothing(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(ox, "_MAX_DERIVATIVES", 1)
+        assert isinstance(dp.dpdl_sat(dp.parse_dpdl("<(a;b)*>p")), dp.Sat)
 
     def test_rejected_witness_is_a_bug(self, monkeypatch):
         # dpdl_sat's Sat carries a witness that dpdl_check accepted

@@ -205,6 +205,20 @@ class TestDroneTruths:
         mc = m.update(("s", "c"))
         assert mc.check("u", parse_formula("K_d T1", m.alphabet))
 
+    @pytest.mark.parametrize("entry", ["check", "explain"])
+    def test_program_letter_outside_the_alphabet(self, entry):
+        # z labels no step of the residuation graph, so a walk alone
+        # would find no word for <z>T1 and call it false
+        m = drone_model()
+        f = sx.dia(ox.atom("z"), sx.prop("T1"))
+        with pytest.raises(UnknownSymbol):
+            getattr(m, entry)("u", f)
+
+    def test_the_least_unknown_letter_is_reported(self):
+        # whatever the hash seed, so the message is deterministic
+        with pytest.raises(UnknownSymbol, match="'y'"):
+            drone_model().check("u", parse_formula("<z;y>T1"))
+
     def test_explain_produces_witness(self):
         m = drone_model()
         f = parse_formula("<s*;p*;c>K_d T1", m.alphabet)

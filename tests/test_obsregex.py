@@ -9,11 +9,12 @@ from oracles import (language_sample, member, member_oracle, residuate,
 from polkit import corpus
 from polkit import obsregex as ox
 from polkit import syntax as sx
-from polkit.errors import ParseError, StateBudgetExceeded, UnknownSymbol
+from polkit.errors import (InvalidInput, ParseError, StateBudgetExceeded,
+                           UnknownSymbol)
 from polkit.obsregex import (
     Alphabet, alt, atom, empty, epsilon, seq, star,
     derive, nullable, is_empty_language,
-    language_equivalent, parse_regex, parse_word, print_regex, to_dfa,
+    language_equivalent, parse_regex, parse_word, print_regex,
 )
 
 from conftest import obs_expr_strategy
@@ -23,6 +24,20 @@ AB = Alphabet(["a", "b"])
 
 def re(text):
     return parse_regex(text, AB)
+
+
+def live_derivatives(e):
+    """The derivatives of ``e`` by words over {a, b} whose language is not
+    empty, in the order that ``ox.search`` meets them on the graph whose
+    nodes are the derivatives themselves."""
+    met = []
+
+    def step(q):
+        met.append(q)
+        return [(sym, derive(q, sym)) for sym in AB]
+
+    assert ox.search(e, e, step, lambda q: False) is None
+    return met
 
 
 def nullable_reference(e):
@@ -110,6 +125,20 @@ class TestPrintParse:
             parse_regex("a+c", AB)
         parse_regex("a+c")  # fine without one
 
+    def test_alphabet_given_as_a_list(self):
+        assert parse_regex("a;b", ["a", "b"]) is re("a;b")
+        with pytest.raises(UnknownSymbol):
+            parse_regex("z", ["a", "b"])
+
+    @pytest.mark.parametrize("text,alphabet", [
+        ("z", "ab"),      # read letter by letter, "ab" would be {a, b}
+        ("ab", "xaby"),   # and a substring test would accept "ab"
+        ("a", 5),
+    ])
+    def test_alphabet_that_is_no_sequence_of_symbols(self, text, alphabet):
+        with pytest.raises(InvalidInput):
+            parse_regex(text, alphabet)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_regex("a)")
@@ -151,9 +180,8 @@ class TestDerivatives:
     @given(obs_expr_strategy(max_leaves=20))
     @settings(max_examples=100)
     def test_finitely_many_derivatives(self, e):
-        # normalization keeps the derivative automaton small
-        dfa = to_dfa(e, AB)
-        assert len(dfa.states) <= 4096
+        # normalization keeps the derivatives that a walk meets few
+        assert len(live_derivatives(e)) <= 4096
 
 
 class TestEmptiness:
@@ -166,9 +194,9 @@ class TestEmptiness:
     @given(obs_expr_strategy())
     def test_emptiness_matches_sampled_language(self, e):
         if not is_empty_language(e):
-            # some word of length <= #dfa states is accepted
-            dfa = to_dfa(e, AB)
-            n = len(dfa.states)
+            # some word shorter than the number of live derivatives is
+            # accepted
+            n = len(live_derivatives(e))
             assert any(member(e, w) for w in words_up_to(("a", "b"), min(n, 8)))
         else:
             assert not language_sample(e, ("a", "b"), 4)
@@ -197,11 +225,10 @@ class TestOneTable:
                 e = corpus.random_regex(rng, ("a", "b"), 6)
                 nullable(e)
                 derive(e, "a")
-                to_dfa(e, AB)
+                live_derivatives(e)
 
         def settle():
             ox._derive.cache_clear()
-            to_dfa.cache_clear()
             gc.collect()
             return len(ox._interned)
 
@@ -253,16 +280,22 @@ class TestNesting:
 
 class TestDfaAndEquivalence:
     def test_dfa_accepts_language(self):
+        # a walk along the path that spells w reaches its end at a
+        # nullable derivative exactly when e holds w
         e = re("b*;a;a;(a+b)*")
-        dfa = to_dfa(e, AB)
         for w in words_up_to(("a", "b"), 5):
-            assert dfa.accepts(w) == member_oracle(e, w)
+            def step(i):
+                return [(w[i], i + 1)] if i < len(w) else []
+
+            found = ox.search(e, 0, step, lambda i: i == len(w))
+            assert (found is not None) == member_oracle(e, w)
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(ox, "_MAX_DFA_STATES", 3)
-        to_dfa.cache_clear()
+        # the expression has 16 live derivatives
+        monkeypatch.setattr(ox, "_MAX_DERIVATIVES", 3)
         with pytest.raises(StateBudgetExceeded):
-            to_dfa(re("(a+b)*;a;(a+b);(a+b);(a+b)"), AB)
+            live_derivatives(re("(a+b)*;a;(a+b);(a+b);(a+b)"))
+        assert len(live_derivatives(re("a;b"))) == 3
 
     @pytest.mark.parametrize("x,y,eq", [
         ("(a+b)*", "(a*;b*)*", True),
@@ -286,13 +319,34 @@ class TestDfaAndEquivalence:
         assert language_equivalent(re("a+0"), re("a"))
         assert not language_equivalent(epsilon(), empty())
 
+    def test_symbol_outside_the_alphabet(self):
+        # a walk steps only the alphabet's letters, so an unchecked b
+        # would never be read, and a and b would be equivalent
+        for x, y in (("a", "b"), ("b", "a")):
+            with pytest.raises(UnknownSymbol):
+                language_equivalent(atom(x), atom(y), Alphabet(["a"]))
+
+    def test_alphabet_given_as_a_list(self):
+        assert not language_equivalent(atom("a"), atom("b"), ["a", "b"])
+        assert language_equivalent(re("(a;b)*;a"), re("a;(b;a)*"), ["a", "b"])
+
+    def test_equivalence_walks_meet_the_cap(self, monkeypatch):
+        # padded has five derivatives, full one; in the first order the
+        # cap is met on the walk's graph side, in the second on its own
+        full, padded = re("(a+b)*"), re("(a;a;a;a)*+(a+b)*")
+        assert language_equivalent(full, padded, AB)
+        monkeypatch.setattr(ox, "_MAX_DERIVATIVES", 3)
+        for x, y in ((full, padded), (padded, full)):
+            with pytest.raises(StateBudgetExceeded):
+                language_equivalent(x, y, AB)
+
 
 class TestProductSearch:
     # 0 -a-> 1 -a-> 2 -a-> 3 and a shortcut 0 -b-> 3
     LINE = {0: [("a", 1), ("b", 3)], 1: [("a", 2)], 2: [("a", 3)], 3: []}
 
     def walk(self, text, goal):
-        return ox.search(to_dfa(re(text), AB), 0, self.LINE.__getitem__, goal)
+        return ox.search(re(text), 0, self.LINE.__getitem__, goal)
 
     def test_shortest_walk(self):
         assert self.walk("(a+b)*", lambda n: n == 3) == [("b", 3)]
@@ -319,18 +373,18 @@ class TestProductSearch:
             expanded.append(n)
             return [("a", (n + 1) % 3), ("b", (n + 1) % 3)]
 
-        assert ox.search(to_dfa(re("a;b"), AB), 0, step,
-                         lambda n: False) is None
+        assert ox.search(re("a;b"), 0, step, lambda n: False) is None
         assert expanded == [0, 1, 2]
         expanded.clear()
-        assert ox.search(to_dfa(empty(), AB), 0, step, lambda n: True) is None
+        assert ox.search(empty(), 0, step, lambda n: True) is None
         assert expanded == []
 
     def test_automata_are_cached_and_the_cache_is_bounded(self):
-        e = re("(a;b)*;a")
-        assert to_dfa(e, AB) is to_dfa(e, Alphabet(["a", "b"]))
-        info = to_dfa.cache_info()
-        assert info.maxsize is not None
+        # the states of an automaton are derivatives, and the one cache
+        # of derivatives holds a bounded number of them
+        live_derivatives(re("(a;b)*;a"))
+        info = ox._derive.cache_info()
+        assert info.hits and info.maxsize is not None
         assert info.currsize <= info.maxsize
 
 
@@ -348,3 +402,10 @@ class TestWords:
     def test_unknown(self):
         with pytest.raises(UnknownSymbol):
             parse_word("ac", AB)
+
+    def test_alphabet_given_as_a_list(self):
+        assert parse_word("ba", ["a", "b"]) == ("b", "a")
+        with pytest.raises(UnknownSymbol):
+            parse_word("z", ["a"])
+        with pytest.raises(InvalidInput):
+            parse_word("z", "ab")

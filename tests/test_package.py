@@ -1,6 +1,7 @@
 """Properties of the package source as a whole."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,11 @@ def test_imports_at_module_level():
                   for inner in ast.walk(node)
                   if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert not found
+
+
+def two_bubbles(delta, initial=0):
+    bubble = bt.Bubble((0,), {0: {sx.prop("p")}})
+    return bt.Bts(sx.prop("p"), (bubble, bubble), delta, initial=initial)
 
 
 @pytest.mark.parametrize("build", [
@@ -82,6 +88,12 @@ def test_imports_at_module_level():
     lambda: Model(["a"], [], [0], {0: 5}, {0: ox.epsilon()}, {}),
     lambda: Model(["a"], ["i"], [0], {}, {0: ox.epsilon()}, {"i": [5]}),
     lambda: Model(["a"], ["i"], [0], {}, {0: ox.epsilon()}, {"i": 5}),
+    lambda: ox.Alphabet("ab"),
+    lambda: two_bubbles({}, initial=1.0),
+    lambda: two_bubbles({}, initial="0"),
+    lambda: two_bubbles({}, initial=True),
+    lambda: two_bubbles({(True, "a"): 0}),
+    lambda: two_bubbles({(0, "a"): True}),
 ], ids=["empty-alphabet", "duplicate-symbol", "reserved-prop", "empty-atom",
         "stateless-dpdl-model", "duplicate-state", "empty-expectation",
         "overlapping-blocks", "missing-initial-bubble", "non-string-symbol",
@@ -93,10 +105,26 @@ def test_imports_at_module_level():
         "lone-string-disjunct", "int-formula-text", "int-dpdl-text",
         "int-regex-text", "int-word-text", "int-budget", "bool-labels",
         "string-expectation", "string-pool-entry", "string-props",
-        "int-props", "int-block", "int-relation"])
+        "int-props", "int-block", "int-relation", "str-alphabet",
+        "float-initial-bubble", "str-initial-bubble", "bool-initial-bubble",
+        "bool-source-bubble", "bool-target-bubble"])
 def test_construction_errors_are_pol_errors(build):
     # errors.py promises that every deliberate error is a PolError; a
     # bad constructor argument is also a ValueError
     with pytest.raises(PolError) as raised:
         build()
     assert isinstance(raised.value, ValueError)
+
+
+def test_exported_names_resolve():
+    # a name deleted from a module must leave its ``__all__`` too
+    missing = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        parts = path.relative_to(SOURCE.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = importlib.import_module(".".join(parts))
+        missing += [f"{module.__name__}.{name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert not missing

@@ -86,14 +86,20 @@ class TestOneGuard:
         for f, verdict in sats:
             assert verdict.model.check(verdict.state, f)
 
-    @pytest.mark.parametrize("text", ["<a>p", "<a;b;a>p"])
+    @pytest.mark.parametrize("text", ["<a>p", "<a;b;a>p", "<(a;b)*>p&~p"])
     def test_automaton_cap_ends_in_unknown(self, monkeypatch, text):
         # with no witness check on the route, the cap is hit in the
-        # extraction or the final check, and still ends in an Unknown
-        monkeypatch.setattr(ox, "_MAX_DFA_STATES", 2)
-        ox.to_dfa.cache_clear()
+        # extraction or the final check, and still ends in an Unknown;
+        # each formula's walks must derive its program
+        monkeypatch.setattr(ox, "_MAX_DERIVATIVES", 1)
         verdict = dp.pol_sat(sx.parse_formula(text), dp.LabelBudget(1))
-        assert verdict == dp.Unknown("derivative automaton exceeds 2 states")
+        assert verdict == dp.Unknown("a walk meets more than 1 derivatives")
+
+    def test_a_walk_that_stops_at_its_start_derives_nothing(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(ox, "_MAX_DERIVATIVES", 1)
+        verdict = dp.pol_sat(sx.parse_formula("<(a;b)*>p"), dp.LabelBudget(1))
+        assert isinstance(verdict, dp.Sat)
 
 
 def is_equivalence(rel, labels):

@@ -8,7 +8,7 @@ from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.corpus import random_formula, random_regex
-from polkit.errors import ParseError, PolError, UnknownSymbol
+from polkit.errors import InvalidInput, ParseError, PolError, UnknownSymbol
 from polkit.obsregex import Alphabet
 from polkit.syntax import (
     And, Box, Dia, Hat, Know, Not, Or, Prop, Top,
@@ -84,6 +84,23 @@ class TestParsing:
         parse_formula("<a;c>p")
         with pytest.raises(UnknownSymbol):
             parse_formula("<a;c>p", AB)
+
+    @pytest.mark.parametrize("parse", [parse_formula, dp.parse_dpdl])
+    def test_alphabet_given_as_a_list(self, parse):
+        assert parse("<a;b>p", ["a", "b"]) is parse("<a;b>p", AB)
+        with pytest.raises(UnknownSymbol):
+            parse("<z>p", ["a", "b"])
+
+    @pytest.mark.parametrize("parse", [parse_formula, dp.parse_dpdl])
+    @pytest.mark.parametrize("text,alphabet", [
+        ("<z>p", "ab"),      # read letter by letter, "ab" would be {a, b}
+        ("<ab>p", "xaby"),   # and a substring test would accept "ab"
+        ("<a>p", 5),
+    ])
+    def test_alphabet_that_is_no_sequence_of_symbols(self, parse, text,
+                                                     alphabet):
+        with pytest.raises(InvalidInput):
+            parse(text, alphabet)
 
     def test_regex_error_position_is_global(self):
         with pytest.raises(ParseError) as ei:
