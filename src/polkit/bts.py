@@ -29,7 +29,8 @@ from __future__ import annotations
 from . import obsregex as ox
 from . import syntax as sx
 from .errors import ClosureTooLarge, InvalidInput, NotABts, UnknownState
-from .models import Model, block_map, ordered_blocks, state_sort_key
+from .models import (Model, _collect, block_map, ordered_blocks,
+                     state_sort_key)
 from .obsregex import Alphabet
 
 __all__ = [
@@ -104,6 +105,9 @@ def _holds(kind, operands, h) -> bool:
 
 def _hintikka_violation(h, c: _Closure):
     if not h <= c.fl:
+        odd = sorted(repr(g) for g in h if not isinstance(g, sx.Formula))
+        if odd:
+            return Violation("membership", f"{odd[0]} is not a formula")
         f = min(h - c.fl, key=sx.closure_order)
         return Violation("membership", f"{_pp(f)} is not a closure member")
     for f, kind, operands in c.defined:
@@ -199,20 +203,23 @@ class Bubble:
 
     ``relations`` maps agents to partitions given as iterables of
     blocks; states missing from every block are singletons, as in
-    ``Model``. Bubbles with the same states, labels and relations
-    compare equal.
+    ``Model``. ``states`` and each label are iterables that are not
+    strings (else ``InvalidInput``). Bubbles with the same states,
+    labels and relations compare equal.
     """
 
     __slots__ = ("states", "labels", "agents", "_blocks", "_canon")
 
     def __init__(self, states, labels, relations=None):
-        self.states = tuple(sorted(set(states), key=state_sort_key))
-        sset = set(self.states)
+        sset = _collect(frozenset, states, "the states of a bubble")
+        self.states = tuple(sorted(sset, key=state_sort_key))
         labels = dict(labels)
         for s in labels:
             if s not in sset:
                 raise UnknownState(f"labelled state {s!r} is not a state")
-        self.labels = {s: frozenset(labels.get(s, ())) for s in self.states}
+        self.labels = {s: _collect(frozenset, labels.get(s, ()),
+                                   f"the label of {s!r}")
+                       for s in self.states}
         self._blocks = {agent: block_map(self.states, agent, blocks)
                         for agent, blocks in dict(relations or {}).items()}
         self.agents = tuple(sorted(self._blocks))

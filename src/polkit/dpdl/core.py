@@ -22,6 +22,7 @@ from __future__ import annotations
 from .. import obsregex as ox
 from .. import syntax as sx
 from ..errors import InvalidInput, ParseError, UnknownState, UnknownSymbol
+from ..models import _collect
 
 __all__ = [
     "lor", "land", "implies", "iff", "parse_dpdl",
@@ -84,13 +85,15 @@ class DpdlModel:
 
     ``trans`` maps pairs (state, letter) to the single successor; pairs
     absent from the map have no successor. ``val`` maps each state to
-    the set of atom names true there.
+    the set of atom names true there. ``states``, ``alphabet`` (which may
+    be empty) and each set of ``val`` are collections, not strings (else
+    ``InvalidInput``).
     """
 
     __slots__ = ("states", "alphabet", "trans", "val")
 
     def __init__(self, states, trans, val, alphabet=None):
-        self.states = tuple(states)
+        self.states = _collect(tuple, states, "the states")
         if not self.states:
             raise InvalidInput("a model needs at least one state")
         if len(set(self.states)) != len(self.states):
@@ -98,7 +101,10 @@ class DpdlModel:
         sset = set(self.states)
         syms = set()
         self.trans = {}
-        for (s, a), t in trans.items():
+        for key, t in trans.items():
+            if type(key) is not tuple or len(key) != 2:
+                raise InvalidInput(f"transition key {key!r} is not a pair")
+            s, a = key
             if s not in sset:
                 raise UnknownState(f"transition source {s!r} is not a state")
             if t not in sset:
@@ -108,7 +114,7 @@ class DpdlModel:
         if alphabet is None:
             self.alphabet = tuple(sorted(syms))
         else:
-            self.alphabet = tuple(alphabet)
+            self.alphabet = _collect(tuple, alphabet, "the alphabet")
             missing = syms - set(self.alphabet)
             if missing:
                 raise UnknownSymbol(
@@ -116,7 +122,9 @@ class DpdlModel:
         for s in self.states:
             if s not in val:
                 raise UnknownState(f"state {s!r} has no valuation")
-        self.val = {s: frozenset(val[s]) for s in self.states}
+        self.val = {s: _collect(frozenset, val[s],
+                                f"the valuation of {s!r}")
+                    for s in self.states}
 
     def __repr__(self):
         return (f"DpdlModel(states={len(self.states)}, "
@@ -128,8 +136,8 @@ def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
 
     An agent operator that the evaluation reaches is a TypeError. A
     modality walks its program's derivatives along the model's
-    transitions, so a program letter that the model lacks labels no
-    transition.
+    transitions, iterated in the evaluator's own frame (``ox.walk``), so
+    a program letter that the model lacks labels no transition.
     """
     if s not in m.val:
         raise UnknownState(f"state {s!r} not in model")
@@ -165,12 +173,14 @@ def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
                 if not ev(st, p):
                     v = False
                     break
-        elif isinstance(g, sx.Dia):
-            v = ox.search(g.pi, st, step,
-                          lambda t: ev(t, g.arg)) is not None
-        elif isinstance(g, sx.Box):
-            v = ox.search(g.pi, st, step,
-                          lambda t: not ev(t, g.arg)) is None
+        elif isinstance(g, (sx.Dia, sx.Box)):
+            # a walk ending at a body with truth ``want`` decides
+            want = isinstance(g, sx.Dia)
+            v = not want
+            for t, q in ox.walk(g.pi, st, step):
+                if q.nullable and ev(t, g.arg) is want:
+                    v = want
+                    break
         else:
             raise TypeError(f"not a dynamic-logic formula: {g!r}")
         memo[key] = v

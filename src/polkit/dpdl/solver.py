@@ -253,13 +253,6 @@ class _Shape:
                 out.append((g.pi, g.arg, want))
         return out
 
-    def discharge_walk(self, states, step, start, pi, arg, want):
-        """Shortest walk from state ``start`` along a word of ``pi`` to a
-        state giving ``arg`` the truth ``want``, as (letter, state) steps
-        through the edges ``step`` yields; None when there is none."""
-        var = self.index[arg]
-        return ox.search(pi, start, step, lambda j: states[j][var] == want)
-
     def witness(self, states, trans):
         """The deterministic model over numbered states and transitions."""
         val = {nid: frozenset(name for v, name in self.props if assign[v])
@@ -312,8 +305,12 @@ class _Exact:
                 yield a, k
 
     def _discharge_walk(self, i, pi, arg, want):
-        return self.shape.discharge_walk(self.atoms, self._edges, i,
-                                         pi, arg, want)
+        """Shortest walk from atom ``i`` along a word of ``pi`` to an atom
+        giving ``arg`` the truth ``want``, as (letter, atom) steps; None
+        when there is none."""
+        var = self.shape.index[arg]
+        return ox.search(pi, i, self._edges,
+                         lambda j: self.atoms[j][var] == want)
 
     def eliminate(self):
         changed = True
@@ -906,8 +903,9 @@ class _Lazy:
         missing = []
         for nid, assign in enumerate(assigns):
             for pi, arg, want in shape.eventualities(assign):
-                if shape.discharge_walk(assigns, step, nid,
-                                        pi, arg, want) is None:
+                var = shape.index[arg]
+                if not any(q.nullable and assigns[j][var] == want
+                           for j, q in ox.walk(pi, nid, step)):
                     missing.append((pi, arg, want))
         if missing:
             return missing

@@ -35,6 +35,9 @@ of a walk survived all of it. A diamond thus holds at exactly the
 states that some reachable accepting pair keeps alive with a true body:
 one sweep of the product ORs those sets together, for every state at
 once, where a per-state search would walk the product once per state.
+The sweep is ``obsregex.walk``, iterated in ``_eval``'s own frame, so
+each formula level costs one frame; it expands no context whose
+survivors are all found already, and it stops once all are.
 
 Every state expects some word: ``Model`` refuses an expectation whose
 language is empty. Such a state would survive no observation, not even
@@ -83,34 +86,30 @@ def state_sort_key(s):
     return (isinstance(s, str), s)
 
 
-def _as_set(items, what) -> frozenset:
-    """``items`` as a frozenset; a string, which would be read letter by
-    letter, or an object that is not an iterable of hashables raises
-    ``InvalidInput``."""
+def _collect(kind, items, what):
+    """``kind(items)``, for ``kind`` ``tuple`` or ``frozenset``; a string,
+    which would be read letter by letter, or an object that ``kind``
+    refuses raises ``InvalidInput``."""
     if isinstance(items, str):
-        raise InvalidInput(f"{what} is the string {items!r}, not a set")
+        raise InvalidInput(f"{what}: the string {items!r} is not a "
+                           f"collection")
     try:
-        return frozenset(items)
+        return kind(items)
     except TypeError:
-        raise InvalidInput(f"{what} {items!r} is not a set") from None
+        raise InvalidInput(f"{what}: {items!r} is not a collection") from None
 
 
 def block_map(states, agent, blocks) -> dict:
     """Map each of ``states`` to its block in the agent's partition.
 
     ``blocks`` is an iterable of blocks; states missing from all of them
-    form singleton blocks of their own. ``blocks`` that is not iterable,
-    or a block that ``_as_set`` refuses, raises ``InvalidInput``.
+    form singleton blocks of their own. ``blocks`` or a block that
+    ``_collect`` refuses raises ``InvalidInput``.
     """
     sset = set(states)
     assigned = {}
-    try:
-        blocks = iter(blocks)
-    except TypeError:
-        raise InvalidInput(f"the relation of {agent!r} is {blocks!r}, not "
-                           f"an iterable of blocks") from None
-    for block in blocks:
-        fb = _as_set(block, f"a block of {agent!r}")
+    for block in _collect(tuple, blocks, f"the relation of {agent!r}"):
+        fb = _collect(frozenset, block, f"a block of {agent!r}")
         for s in fb:
             if s not in sset:
                 raise UnknownState(f"state {s!r} in relation of "
@@ -157,16 +156,18 @@ class Model:
     blocks of their own. ``exp`` maps each state to its observation
     expression (an ``ObsExpr``, else ``InvalidInput``), whose language
     must not be empty, and ``props`` to the set of propositions true
-    there, an iterable that is not a string (else ``InvalidInput``). A
-    key of ``props`` or ``exp`` that
-    is not a state raises ``UnknownState``, and a key of ``relations``
-    that is not an agent ``UnknownAgent``.
+    there. ``agents``, ``states``, each relation, each block and each
+    set of propositions are collections, not strings (else
+    ``InvalidInput``). A key of ``props`` or ``exp`` that is not a
+    state raises ``UnknownState``, and a key of ``relations`` that is
+    not an agent ``UnknownAgent``.
     """
 
     def __init__(self, alphabet, agents, states, props, exp, relations):
         self.alphabet = alphabet = ox._as_alphabet(alphabet)
-        self.agents = tuple(agents)
-        self.states = tuple(sorted(states, key=state_sort_key))
+        self.agents = _collect(tuple, agents, "the agents")
+        self.states = tuple(sorted(_collect(tuple, states, "the states"),
+                                   key=state_sort_key))
         if not self.states:
             raise InvalidInput("a model needs at least one state")
         known = set(self.states)
@@ -180,7 +181,7 @@ class Model:
             if agent not in self.agents:
                 raise UnknownAgent(f"relation given for {agent!r}, which "
                                    f"is not an agent")
-        self.props = {s: _as_set(props.get(s, ()),
+        self.props = {s: _collect(frozenset, props.get(s, ()),
                                  f"the propositions of state {s!r}")
                       for s in self.states}
         self.exp = {}
@@ -238,7 +239,8 @@ class Model:
 
     def update(self, word) -> "Model | None":
         """The model after publicly observing ``word``, or None if no
-        state survives. Every state survives the empty word.
+        state survives. Every state survives the empty word. A string
+        ``word`` raises ``InvalidInput``: ``ox.parse_word`` reads text.
 
         The announcement is a walk along ``word`` in this model's own
         residuation graph. The model returned stands at the context
@@ -246,7 +248,7 @@ class Model:
         with this model and every other model that ``update`` returns
         from either."""
         ctx = self._top
-        for sym in word:
+        for sym in _collect(tuple, word, "the word"):
             self.alphabet.require(sym)
             if ctx is not None:
                 ctx = self._step(ctx, sym)
@@ -365,10 +367,30 @@ class Model:
                 val = sum(b for b in blocks if b & arg)
             else:  # the blocks that stay inside it
                 val = sum(b for b in blocks if not b & ~arg)
-        elif isinstance(f, sx.Dia):
-            val = self._reach(ctx, f.pi, f.arg, True)
-        elif isinstance(f, sx.Box):
-            val = ctx.mask & ~self._reach(ctx, f.pi, f.arg, False)
+        elif isinstance(f, (sx.Dia, sx.Box)):
+            for sym in sorted(ox.atoms(f.pi)):
+                self.alphabet.require(sym)
+            # found: the survivors of ctx that some word of the program
+            # keeps alive with the body true (diamond) or false (box); a
+            # pair whose survivors are all found adds nothing (see the
+            # module docstring), so it is neither evaluated nor expanded
+            want = isinstance(f, sx.Dia)
+            found = 0
+            symbols, succ = self.alphabet.symbols, self._step
+
+            def step(c):
+                if not c.mask & ~found:
+                    return ()
+                return [(a, n) for a in symbols
+                        if (n := succ(c, a)) is not None]
+
+            for c, q in ox.walk(f.pi, ctx, step):
+                if q.nullable and c.mask & ~found:
+                    got = self._eval(c, f.arg)
+                    found |= got if want else c.mask & ~got
+                    if found == ctx.mask:
+                        break
+            val = found if want else ctx.mask & ~found
         else:
             raise TypeError(f"not a Formula: {f!r}")
         if len(self._memo) >= _MEMO_ENTRIES:
@@ -376,59 +398,11 @@ class Model:
         self._memo[key] = val
         return val
 
-    def _reach(self, ctx: _Ctx, pi: ObsExpr, body: sx.Formula,
-               want: bool) -> int:
-        """The mask of the states s for which some word w matching pi
-        has s surviving it and the body evaluating to ``want`` at s
-        afterwards.
-
-        Survivors only shrink along a word, so a state among the
-        survivors at the end of a walk survived every step of it. The
-        answer is therefore the union, over the live pairs of the
-        product that ``ctx`` reaches, of the survivors at accepting
-        pairs where the body evaluates to ``want``: the
-        least fixpoint of propagating those sets backwards through the
-        product, read at its start. A pair whose survivors are all in
-        the union already adds nothing, and is not expanded.
-
-        The loop walks (context, derivative) pairs as ``ox.search`` does,
-        but it is a loop of its own, set at a time: through ``ox.search``
-        each modal level of the recursion through ``_eval`` would spend
-        two more frames, the search's and its goal's, and at
-        ``sx._MAX_DEPTH`` the caller of ``check`` would keep about a
-        third of the frames it keeps now.
-        """
-        for sym in sorted(ox.atoms(pi)):
-            self.alphabet.require(sym)
-        found = 0
-        queue = [] if pi.empty else [(ctx, pi)]
-        seen = {(ctx.cid, pi)}
-        met = set()
-        for c, q in queue:  # the queue grows while it is read
-            if not c.mask & ~found:
-                continue
-            if q not in met:
-                ox._meet(q, met)
-            if q.nullable:
-                got = self._eval(c, body)
-                found |= got if want else c.mask & ~got
-                if found == ctx.mask:
-                    break
-            for sym in self.alphabet:
-                nc = self._step(c, sym)
-                if nc is None:
-                    continue
-                q2 = ox._derive(q, sym)
-                if not q2.empty and (nc.cid, q2) not in seen:
-                    seen.add((nc.cid, q2))
-                    queue.append((nc, q2))
-        return found
-
     def _search(self, ctx: _Ctx, s, pi: ObsExpr, body: sx.Formula,
                 want: bool):
-        """Find a shortest word w matching pi with s surviving it and the
-        body evaluating to ``want`` afterwards. Returns (found, word,
-        context).
+        """A shortest word w matching pi with s surviving it and the body
+        evaluating to ``want`` afterwards, with the context it reaches;
+        None when there is none.
 
         Branches where s has already died are skipped: a state that does
         not survive w survives no extension of w either.
@@ -442,9 +416,8 @@ class Model:
         path = ox.search(pi, ctx, step,
                          lambda c: self._holds(c, s, body) is want)
         if path is None:
-            return False, None, None
-        end = path[-1][1] if path else ctx
-        return True, tuple(sym for sym, _ in path), end
+            return None
+        return tuple(sym for sym, _ in path), path[-1][1] if path else ctx
 
     # -- explanation --------------------------------------------------------
 
@@ -478,21 +451,18 @@ class Model:
             block = self.block(f.agent, s)
             for t in filter(block.__contains__, ctx.exp):
                 self._explain(ctx, t, f.arg, word, depth + 1, lines)
-        elif isinstance(f, sx.Dia):
-            found, w, c = self._search(ctx, s, f.pi, f.arg, True)
-            if found:
+        elif isinstance(f, (sx.Dia, sx.Box)):
+            want = isinstance(f, sx.Dia)
+            found = self._search(ctx, s, f.pi, f.arg, want)
+            if found is not None:
+                w, c = found
                 shown = "-".join(w) if w else "the empty word"
-                lines.append(pad + f"witness observation: {shown}")
+                kind = "witness" if want else "failing"
+                lines.append(pad + f"{kind} observation: {shown}")
                 self._explain(c, s, f.arg, word + w, depth + 1, lines)
-            else:
+            elif want:
                 lines.append(pad + "no matching observation keeps the state "
                                    "alive with a true body")
-        elif isinstance(f, sx.Box):
-            found, w, c = self._search(ctx, s, f.pi, f.arg, False)
-            if found:
-                shown = "-".join(w) if w else "the empty word"
-                lines.append(pad + f"failing observation: {shown}")
-                self._explain(c, s, f.arg, word + w, depth + 1, lines)
             else:
                 lines.append(pad + "every matching observation the state "
                                    "survives makes the body true")

@@ -19,11 +19,11 @@ Derivatives are cached in one bounded table.
 
 The derivative of an expression by a symbol follows Brzozowski: the
 language of ``derive(pi, a)`` is exactly ``{u | a u in L(pi)}``. So an
-expression's derivatives are the states of its automaton, and ``search``
-walks the product of a graph with that automaton by deriving the
+expression's derivatives are the states of its automaton, and ``walk``
+generates the product of a graph with that automaton by deriving the
 expression along each edge's letter, on demand (Owens, Reppy & Turon,
 JFP 2009). Model checking, bubble validation and the dynamic-logic
-solver all walk that way.
+solver all consume it, directly or through ``search``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
     "empty", "epsilon", "atom", "alt", "seq", "star",
     "nullable", "derive", "is_empty_language",
     "atoms", "expr_size",
-    "search", "language_equivalent",
+    "walk", "search", "language_equivalent",
     "parse_regex", "print_regex", "parse_word",
 ]
 
@@ -351,8 +351,8 @@ def is_empty_language(e: ObsExpr) -> bool:
     return e.empty
 
 
-# Bounded like ``_derive``'s cache: ``Model._reach`` checks the symbols
-# of its program against the model's alphabet on every walk.
+# Bounded like ``_derive``'s cache: ``Model`` checks the symbols of a
+# modality's program against its alphabet on every walk.
 @lru_cache(maxsize=4096)
 def atoms(e: ObsExpr) -> frozenset:
     """The set of symbols occurring in the expression."""
@@ -430,31 +430,50 @@ def _meet(e: ObsExpr, met: set) -> None:
     met.add(e)
 
 
-def search(e: ObsExpr, start, step, goal):
-    """Shortest walk through the product of ``e``'s automaton with a graph.
+def walk(e: ObsExpr, start, step):
+    """The live pairs of the product of ``e``'s automaton with a graph,
+    the one loop over such products.
 
-    The walk starts at the pair ``(start, e)``. ``step(node)`` yields the
-    graph's ``(symbol, successor)`` edges out of ``node``, and each edge
-    derives the pair's expression by its symbol. Pairs are visited
-    breadth first; ``goal(node)`` is asked only at pairs whose expression
-    is nullable. A pair whose expression has an empty language is never
-    queued, since no walk through it ends at a nullable one.
-
-    Returns the ``(symbol, node)`` steps of a shortest walk to the first
-    goal met, ``[]`` when the start pair is one, or None when no goal
-    can be reached. A derivative reached that nests deeper than
-    ``_MAX_DEPTH`` raises ExpressionTooDeep, and the walk's
-    ``_MAX_DERIVATIVES + 1``-th distinct one StateBudgetExceeded.
+    Yields ``(node, derivative)`` pairs from ``(start, e)``, breadth
+    first and each once. ``step(node)`` yields the graph's ``(symbol,
+    successor)`` edges, and each edge derives the pair's expression by
+    its symbol. A pair whose derivative has an empty language is never
+    yielded: no walk through it ends at a nullable one. ``step(node)``
+    is called only when the pair after ``node``'s is asked for, so it
+    may prune by what the consumer has found. Each derivative is met
+    (``_meet``, which raises ExpressionTooDeep and StateBudgetExceeded)
+    before its pair is yielded. A suspended generator holds no frame, so
+    an evaluator that iterates a walk in its own frame spends one frame
+    per formula level.
     """
-    first = (start, e)
-    parent = {first: None}
-    queue = [] if e.empty else [first]
+    return _walk(e, start, step, {})
+
+
+def _walk(e, start, step, parent):
+    # parent: each queued pair -> the pair and symbol it was reached by
+    parent[(start, e)] = None
+    queue = [] if e.empty else [(start, e)]
     met = set()
     for pair in queue:  # the queue grows while it is read
         node, q = pair
         if q not in met:
             _meet(q, met)
-        if q.nullable and goal(node):
+        yield pair
+        for sym, nxt in step(node):
+            q2 = _derive(q, sym)
+            if not q2.empty and (nxt, q2) not in parent:
+                parent[(nxt, q2)] = (pair, sym)
+                queue.append((nxt, q2))
+
+
+def search(e: ObsExpr, start, step, goal):
+    """Shortest walk to a goal through the pairs of ``walk(e, start,
+    step)``, asking ``goal(node)`` only at nullable pairs: the
+    ``(symbol, node)`` steps to the first goal met, ``[]`` when the
+    start pair is one, or None when no goal can be reached."""
+    parent = {}
+    for pair in _walk(e, start, step, parent):
+        if pair[1].nullable and goal(pair[0]):
             path = []
             while parent[pair] is not None:
                 prev, sym = parent[pair]
@@ -462,11 +481,6 @@ def search(e: ObsExpr, start, step, goal):
                 pair = prev
             path.reverse()
             return path
-        for sym, nxt in step(node):
-            q2 = _derive(q, sym)
-            if not q2.empty and (nxt, q2) not in parent:
-                parent[(nxt, q2)] = (pair, sym)
-                queue.append((nxt, q2))
     return None
 
 

@@ -260,15 +260,14 @@ def formula_size(f: Formula) -> int:
     return f.size
 
 
-# The evaluators recurse once per formula level. ``Model.check`` spends
-# two frames on a modal level (``_eval`` and ``_reach``) and one on any
-# other, ``Model.explain`` one more in all, and ``dpdl_check`` at most
-# three on any level. A modality's depth counts its program's depth too:
-# the walk of a modal level derives the program, at most two frames per
-# expression level, on top of that level's frames and never inside the
-# body's evaluation. So 200 levels (``ox._MAX_DEPTH``) take at most 600
-# frames, and 400 of the interpreter's default recursion limit of 1,000
-# are left to the caller.
+# Every evaluator spends one frame per formula level: a modal level
+# iterates its walk (``ox.walk``) in its own frame, and a suspended walk
+# holds none, and ``Model.explain`` spends one frame more in all. A
+# modality's depth counts its program's: the walk of a modal level
+# derives the program, at most two frames per expression level, on top
+# of that level's frame and never inside the body's evaluation. So 200
+# levels (``ox._MAX_DEPTH``) of modalities leave about 800 of the
+# interpreter's default recursion limit of 1,000 to the caller.
 _MAX_DEPTH = ox._MAX_DEPTH
 
 

@@ -196,6 +196,17 @@ class TestHintikka:
         v = bt.is_hintikka({sx.prop("zz")}, fl)
         assert v.condition == "membership"
 
+    def test_member_that_is_no_formula(self):
+        # the name of a proposition is not the proposition
+        p = sx.prop("p")
+        fl = sx.fl_closure(p)
+        for h in ({"p"}, {"p", p}, {"p", sx.prop("zz")}, {5, None}):
+            v = bt.is_hintikka(h, fl)
+            assert v.condition == "membership"
+            assert "is not a formula" in v.detail
+        v = bt.is_bubble(bt.Bubble((0,), {0: {"p"}}), fl)
+        assert v.condition == "2" and "'p' is not a formula" in v.detail
+
     def test_enumerate_single_proposition(self):
         p = sx.prop("p")
         fl = sx.fl_closure(p)

@@ -59,7 +59,7 @@ def test_too_deep_is_refused(entry, source):
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_at_the_limit_passes(entry):
-    # an empty-word diamond costs Model.check its two frames per level
+    # an empty-word diamond costs every evaluator one frame per level
     # without any observation, so every entry point decides it quickly
     f = nested(lambda g: sx.dia(ox.epsilon(), g), sx._MAX_DEPTH)
     assert f.depth == sx._MAX_DEPTH
@@ -75,11 +75,12 @@ def under_frames(n, call):
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_caller_keeps_headroom_at_the_limit(entry):
-    # at the limit every evaluator leaves its caller at least 300 of the
-    # interpreter's default 1,000 frames (see syntax._MAX_DEPTH); two
-    # more frames on each modal level of Model.check would leave fewer
+    # at the limit every evaluator leaves its caller at least 700 of the
+    # interpreter's default 1,000 frames (see syntax._MAX_DEPTH): each
+    # iterates a modal level's walk in its own frame, and one more frame
+    # on each modal level, such as a goal callback's, would leave fewer
     f = nested(lambda g: sx.dia(ox.epsilon(), g), sx._MAX_DEPTH)
-    under_frames(300, lambda: ENTRY_POINTS[entry](f))
+    under_frames(700, lambda: ENTRY_POINTS[entry](f))
 
 
 def test_parser_refuses_a_deep_chain():
@@ -107,6 +108,7 @@ def test_deep_expression_is_refused():
     assert e.depth == 3001
     alphabet = ox.Alphabet(["a", "b"])
     for refuse in (lambda: ox.search(e, 0, lambda n: [], lambda n: True),
+                   lambda: next(ox.walk(e, 0, lambda n: [])),
                    lambda: ox.derive(e, "a"),
                    lambda: ox.star(ox.alt(ox.epsilon(), e)),
                    lambda: Model(alphabet, [], [0], {0: set()}, {0: e},

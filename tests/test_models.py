@@ -185,6 +185,20 @@ class TestSharedUpdate:
         with pytest.raises(ResourceBudgetExceeded):
             ma.residuation_graph()
 
+    def test_a_step_past_the_budget_is_not_cached(self, monkeypatch):
+        # by a the top steps to itself, by b to a new context over the
+        # cap: a call that asks again must raise again, not read a
+        # successor map with b missing as "no state survives b"
+        monkeypatch.setattr(models, "_MAX_CONTEXTS", 1)
+        ab = Alphabet(["a", "b"])
+        m = Model(ab, [], [0], {}, {0: parse_regex("a*;b", ab)}, {})
+        for _ in range(2):
+            with pytest.raises(ResourceBudgetExceeded):
+                m.check(0, parse_formula("<b>true", ab))
+            with pytest.raises(ResourceBudgetExceeded):
+                m.update(("b",))
+        assert m.update(("a",)) is not None
+
 
 class TestDroneTruths:
     def test_uncertainty_persists_while_scanning(self):

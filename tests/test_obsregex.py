@@ -388,6 +388,109 @@ class TestProductSearch:
         assert info.currsize <= info.maxsize
 
 
+def reference_pairs(e, start, step):
+    """The live pairs of the product breadth first, each once, written
+    out without ``ox.walk``."""
+    if is_empty_language(e):
+        return []
+    order, seen = [(start, e)], {(start, e)}
+    for node, q in order:
+        for sym, nxt in step(node):
+            q2 = derive(q, sym)
+            if not is_empty_language(q2) and (nxt, q2) not in seen:
+                seen.add((nxt, q2))
+                order.append((nxt, q2))
+    return order
+
+
+class TestWalk:
+    # three nodes in a cycle, both letters on every edge
+    @staticmethod
+    def cycle(n):
+        return [("a", (n + 1) % 3), ("b", (n + 1) % 3)]
+
+    @given(obs_expr_strategy())
+    @settings(max_examples=150)
+    def test_live_pairs_once_breadth_first(self, e):
+        pairs = list(ox.walk(e, 0, self.cycle))
+        assert pairs == reference_pairs(e, 0, self.cycle)
+        assert len(set(pairs)) == len(pairs)
+        assert not any(is_empty_language(q) for _, q in pairs)
+
+    @given(obs_expr_strategy())
+    @settings(max_examples=100)
+    def test_order_is_the_order_search_meets(self, e):
+        # on the graph of e's own derivatives each pair is (q, q)
+        def step(q):
+            return [(sym, derive(q, sym)) for sym in AB]
+
+        pairs = list(ox.walk(e, e, step))
+        assert all(n is q for n, q in pairs)
+        assert [n for n, _ in pairs] == live_derivatives(e)
+
+    def test_empty_expression_yields_nothing(self):
+        asked = []
+        assert list(ox.walk(empty(), 0,
+                            lambda n: asked.append(n) or [])) == []
+        assert list(ox.walk(re("a;0"), 0,
+                            lambda n: asked.append(n) or [])) == []
+        assert asked == []
+
+    def test_step_follows_the_consumers_body(self):
+        events = []
+
+        def step(n):
+            events.append(("step", n))
+            return self.cycle(n)
+
+        for n, _ in ox.walk(re("a;b;a"), 0, step):
+            events.append(("body", n))
+        assert events == [("body", 0), ("step", 0), ("body", 1),
+                          ("step", 1), ("body", 2), ("step", 2),
+                          ("body", 0), ("step", 0)]
+
+    def test_consumer_prunes_through_step(self):
+        # the body marks node 1 done, and step then offers no edge out
+        # of it, so the walk ends there
+        done = set()
+
+        def step(n):
+            return [] if n in done else self.cycle(n)
+
+        seen = []
+        for n, _ in ox.walk(re("(a+b)*"), 0, step):
+            seen.append(n)
+            if n == 1:
+                done.add(n)
+        assert seen == [0, 1]
+
+    def test_break_stops_stepping(self):
+        asked = []
+
+        def step(n):
+            asked.append(n)
+            return self.cycle(n)
+
+        for n, _ in ox.walk(re("(a+b)*"), 0, step):
+            if n == 2:
+                break
+        assert asked == [0, 1]
+
+    def test_caps_fire_before_the_pair_is_yielded(self, monkeypatch):
+        # (a+b)*;a;(a+b);(a+b);(a+b) has 16 live derivatives
+        def step(q):
+            return [(sym, derive(q, sym)) for sym in AB]
+
+        e = re("(a+b)*;a;(a+b);(a+b);(a+b)")
+        monkeypatch.setattr(ox, "_MAX_DERIVATIVES", 3)
+        yielded = []
+        with pytest.raises(StateBudgetExceeded):
+            for n, _ in ox.walk(e, e, step):
+                yielded.append(n)
+        assert len(yielded) == 3
+        assert len(list(ox.walk(re("a;b"), re("a;b"), step))) == 3
+
+
 class TestWords:
     def test_tokens_and_char_splitting(self):
         assert parse_word("b a", AB) == ("b", "a")

@@ -43,6 +43,28 @@ def test_imports_at_module_level():
     assert not found
 
 
+def test_walks_step_derivatives_in_obsregex_only():
+    # obsregex.walk is the one loop over (node, derivative) pairs; a
+    # loop of its own elsewhere would step ``_derive`` and count what it
+    # meets with ``_meet``
+    names = {"_derive", "_meet"}
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path == SOURCE / "obsregex.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(SOURCE)}:{getattr(node, 'lineno', 0)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in names
+                  or isinstance(node, ast.Name) and node.id in names
+                  or isinstance(node, ast.alias) and node.name in names]
+    assert not found
+
+
+def one_state_model():
+    return Model(["a"], [], [0], {}, {0: ox.star(ox.atom("a"))}, {})
+
+
 def two_bubbles(delta, initial=0):
     bubble = bt.Bubble((0,), {0: {sx.prop("p")}})
     return bt.Bts(sx.prop("p"), (bubble, bubble), delta, initial=initial)
@@ -89,6 +111,25 @@ def two_bubbles(delta, initial=0):
     lambda: Model(["a"], ["i"], [0], {}, {0: ox.epsilon()}, {"i": [5]}),
     lambda: Model(["a"], ["i"], [0], {}, {0: ox.epsilon()}, {"i": 5}),
     lambda: ox.Alphabet("ab"),
+    lambda: dp.DpdlModel([0], {(0, "a"): 0}, {0: set()}, alphabet="ab"),
+    lambda: dp.DpdlModel([0], {(0, "a"): 0}, {0: set()}, alphabet=5),
+    lambda: dp.DpdlModel([0], {}, {0: "pq"}),
+    lambda: dp.DpdlModel([0], {}, {0: 5}),
+    lambda: dp.DpdlModel("ab", {}, {"a": set(), "b": set()}),
+    lambda: dp.DpdlModel(5, {}, {}),
+    lambda: dp.DpdlModel([0], {0: 0}, {0: set()}),
+    lambda: dp.DpdlModel([0], {"ab": 0}, {0: set()}),
+    lambda: Model(["a"], [], "uv", {}, {"u": ox.epsilon(),
+                                        "v": ox.epsilon()}, {}),
+    lambda: Model(["a"], [], 5, {}, {}, {}),
+    lambda: Model(["a"], "ij", [0], {}, {0: ox.epsilon()}, {}),
+    lambda: Model(["a"], 5, [0], {}, {0: ox.epsilon()}, {}),
+    lambda: bt.Bubble("st", {}),
+    lambda: bt.Bubble(5, {}),
+    lambda: bt.Bubble(["s"], {"s": "pq"}),
+    lambda: bt.Bubble(["s"], {"s": 5}),
+    lambda: one_state_model().update("aa"),
+    lambda: one_state_model().update(5),
     lambda: two_bubbles({}, initial=1.0),
     lambda: two_bubbles({}, initial="0"),
     lambda: two_bubbles({}, initial=True),
@@ -106,6 +147,12 @@ def two_bubbles(delta, initial=0):
         "int-regex-text", "int-word-text", "int-budget", "bool-labels",
         "string-expectation", "string-pool-entry", "string-props",
         "int-props", "int-block", "int-relation", "str-alphabet",
+        "str-dpdl-alphabet", "int-dpdl-alphabet", "str-dpdl-valuation",
+        "int-dpdl-valuation", "str-dpdl-states", "int-dpdl-states",
+        "int-dpdl-transition-key", "str-dpdl-transition-key",
+        "str-states", "int-states", "str-agents", "int-agents",
+        "str-bubble-states", "int-bubble-states", "str-bubble-label",
+        "int-bubble-label", "str-word", "int-word",
         "float-initial-bubble", "str-initial-bubble", "bool-initial-bubble",
         "bool-source-bubble", "bool-target-bubble"])
 def test_construction_errors_are_pol_errors(build):
