@@ -28,19 +28,16 @@ from __future__ import annotations
 
 from . import obsregex as ox
 from . import syntax as sx
-from .errors import ClosureTooLarge, InvalidInput, NotABts, UnknownState
-from .models import (Model, _collect, block_map, ordered_blocks,
+from .errors import InvalidInput, NotABts, UnknownState
+from .models import (Model, _collect, _mapping, block_map, ordered_blocks,
                      state_sort_key)
 from .obsregex import Alphabet
 
 __all__ = [
     "Violation", "Bubble", "Bts",
-    "is_hintikka", "enumerate_hintikka",
+    "is_hintikka",
     "is_bubble", "is_a_successor", "is_bts", "extract_model",
 ]
-
-# The most closure members ``enumerate_hintikka`` enumerates labels over.
-_HINTIKKA_CAP = 22
 
 
 class Violation:
@@ -62,10 +59,6 @@ class Violation:
         return f"condition {self.condition}: {self.detail}"
 
 
-def _ordered(formulas):
-    return sorted(formulas, key=sx.closure_order)
-
-
 def _pp(f):
     return sx.print_formula(f)
 
@@ -73,13 +66,18 @@ def _pp(f):
 class _Closure:
     """A closure as the validators read it, built once per check: its
     members in closure order, each defined member with its
-    ``syntax.definition``, and the agent operators."""
+    ``syntax.definition``, and the agent operators. A closure that
+    ``_collect`` refuses, or a member that is not a formula, raises
+    ``InvalidInput``."""
 
     __slots__ = ("fl", "ordered", "defined", "knowledge")
 
     def __init__(self, fl):
-        self.fl = frozenset(fl)
-        self.ordered = _ordered(self.fl)
+        self.fl = _collect(frozenset, fl, "the closure")
+        for f in self.fl:
+            if not isinstance(f, sx.Formula):
+                raise InvalidInput(f"closure member {f!r} is not a formula")
+        self.ordered = sorted(self.fl, key=sx.closure_order)
         self.defined = []
         for f in self.ordered:
             kind, operands = sx.definition(f)
@@ -144,57 +142,6 @@ def is_hintikka(h, fl):
     return True if v is None else v
 
 
-def enumerate_hintikka(fl):
-    """All sets passing ``is_hintikka`` over ``fl``, in a fixed order.
-
-    A label is fixed by its free members (``syntax.definition``): every
-    other member is in it exactly when its definition holds. So each
-    assignment to the free members is completed, operands first, into
-    the one candidate it allows, and the candidates that pass condition
-    2 are yielded ordered as bit patterns over the unnegated members in
-    closure order, smallest first. Refuses closures with more than
-    ``_HINTIKKA_CAP`` members, since the candidate space can double with
-    each one.
-    """
-    fl = frozenset(fl)
-    if len(fl) > _HINTIKKA_CAP:
-        raise ClosureTooLarge(
-            f"{len(fl)} closure members exceed the cap of {_HINTIKKA_CAP}")
-    c = _Closure(fl)
-    defs = {f: (kind, operands) for f, kind, operands in c.defined}
-    free = [f for f in c.ordered if f not in defs]
-    cores = [f for f in c.ordered if not isinstance(f, sx.Not)]
-    derived = []
-
-    def place(f):  # the definitions form a DAG over the capped members
-        if f in defs and f not in placed:
-            placed.add(f)
-            for g in defs[f][1]:
-                place(g)
-            derived.append((f,) + defs[f])
-
-    placed = set()
-    for f in c.ordered:
-        place(f)
-
-    def key(h):
-        return sum(1 << i for i, f in enumerate(cores) if f in h)
-
-    def gen():
-        labels = []
-        for mask in range(1 << len(free)):
-            h = {f for i, f in enumerate(free) if mask >> i & 1}
-            for f, kind, operands in derived:
-                if _holds(kind, operands, h):
-                    h.add(f)
-            h = frozenset(h)
-            if _hintikka_violation(h, c) is None:
-                labels.append(h)
-        yield from sorted(labels, key=key)
-
-    return gen()
-
-
 # --- bubbles -------------------------------------------------------------
 
 
@@ -204,31 +151,26 @@ class Bubble:
     ``relations`` maps agents to partitions given as iterables of
     blocks; states missing from every block are singletons, as in
     ``Model``. ``states`` and each label are iterables that are not
-    strings (else ``InvalidInput``). Bubbles with the same states,
-    labels and relations compare equal.
+    strings, and ``labels`` and ``relations`` are mappings or pairs
+    (else ``InvalidInput``).
     """
 
-    __slots__ = ("states", "labels", "agents", "_blocks", "_canon")
+    __slots__ = ("states", "labels", "agents", "_blocks")
 
     def __init__(self, states, labels, relations=None):
         sset = _collect(frozenset, states, "the states of a bubble")
         self.states = tuple(sorted(sset, key=state_sort_key))
-        labels = dict(labels)
+        labels = _mapping(labels, "the labels of a bubble")
         for s in labels:
             if s not in sset:
                 raise UnknownState(f"labelled state {s!r} is not a state")
         self.labels = {s: _collect(frozenset, labels.get(s, ()),
                                    f"the label of {s!r}")
                        for s in self.states}
+        relations = _mapping(relations or {}, "the relations of a bubble")
         self._blocks = {agent: block_map(self.states, agent, blocks)
-                        for agent, blocks in dict(relations or {}).items()}
+                        for agent, blocks in relations.items()}
         self.agents = tuple(sorted(self._blocks))
-        self._canon = None
-
-    def label(self, s) -> frozenset:
-        if s not in self.labels:
-            raise UnknownState(f"state {s!r} not in bubble")
-        return self.labels[s]
 
     def block(self, agent, s) -> frozenset:
         """Equivalence class of ``s``; unlisted agents see singletons."""
@@ -242,23 +184,6 @@ class Bubble:
         if assigned is None:
             return tuple(frozenset({s}) for s in self.states)
         return ordered_blocks(assigned)
-
-    def _key(self):
-        if self._canon is None:
-            rels = tuple(
-                (agent, self.relation_blocks(agent))
-                for agent in self.agents
-                if any(len(b) > 1 for b in self.relation_blocks(agent)))
-            self._canon = (self.states,
-                           tuple(self.labels[s] for s in self.states),
-                           rels)
-        return self._canon
-
-    def __eq__(self, other):
-        return isinstance(other, Bubble) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"Bubble(states={self.states!r})"
@@ -331,7 +256,7 @@ def is_a_successor(b: Bubble, b2: Bubble, a: str, fl):
 
     Returns True or a falsy Violation.
     """
-    v = _successor_violation(b, b2, a, _ordered(frozenset(fl)))
+    v = _successor_violation(b, b2, a, _Closure(fl).ordered)
     return True if v is None else v
 
 
@@ -383,24 +308,31 @@ class Bts:
     ``delta`` maps (bubble index, symbol) pairs to bubble indices; a
     missing or None entry means the observation kills the structure.
     The alphabet is inferred from the formula and the transitions when
-    not given, and is ``a`` alone when neither has a letter. ``fl`` is
-    the formula's ``syntax.fl_closure``, for a caller that already holds
-    it. The formula's letters are those that head its closure's
-    one-letter modalities, since every letter of a program is peeled
-    into one by the unfoldings.
+    not given, and is ``a`` alone when neither has a letter. The
+    formula's letters are those that head the one-letter modalities of
+    its closure, since every letter of a program is peeled into one by
+    the unfoldings. ``bubbles`` is a collection of ``Bubble`` objects,
+    and ``delta`` a mapping or pairs whose keys are pairs (else
+    ``InvalidInput``).
     """
 
     def __init__(self, formula, bubbles, delta, initial: int = 0,
-                 alphabet=None, *, fl=None):
+                 alphabet=None):
         self.formula = formula
-        self.bubbles = tuple(bubbles)
-        self.fl = sx.fl_closure(formula) if fl is None else frozenset(fl)
+        self.bubbles = _collect(tuple, bubbles, "the bubbles")
+        for b in self.bubbles:
+            if not isinstance(b, Bubble):
+                raise InvalidInput(f"{b!r} is not a Bubble")
+        self.fl = sx.fl_closure(formula)
         syms = {g.pi.symbol for g in self.fl
                 if isinstance(g, (sx.Dia, sx.Box))
                 and isinstance(g.pi, ox.Atom)}
         clean = {}
         # not isinstance: a bool is an int to it, but no bubble index
-        for (i, a), j in dict(delta).items():
+        for key, j in _mapping(delta, "the transitions").items():
+            if type(key) is not tuple or len(key) != 2:
+                raise InvalidInput(f"transition key {key!r} is not a pair")
+            i, a = key
             if type(i) is not int or not 0 <= i < len(self.bubbles):
                 raise InvalidInput(f"transition from unknown bubble {i!r}")
             if j is None:

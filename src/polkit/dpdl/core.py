@@ -22,7 +22,7 @@ from __future__ import annotations
 from .. import obsregex as ox
 from .. import syntax as sx
 from ..errors import InvalidInput, ParseError, UnknownState, UnknownSymbol
-from ..models import _collect
+from ..models import _collect, _mapping
 
 __all__ = [
     "lor", "land", "implies", "iff", "parse_dpdl",
@@ -86,8 +86,9 @@ class DpdlModel:
     ``trans`` maps pairs (state, letter) to the single successor; pairs
     absent from the map have no successor. ``val`` maps each state to
     the set of atom names true there. ``states``, ``alphabet`` (which may
-    be empty) and each set of ``val`` are collections, not strings (else
-    ``InvalidInput``).
+    be empty) and each set of ``val`` are collections, not strings,
+    ``trans`` and ``val`` are mappings or pairs, and each key of
+    ``trans`` is a pair (else ``InvalidInput``).
     """
 
     __slots__ = ("states", "alphabet", "trans", "val")
@@ -101,7 +102,7 @@ class DpdlModel:
         sset = set(self.states)
         syms = set()
         self.trans = {}
-        for key, t in trans.items():
+        for key, t in _mapping(trans, "the transitions").items():
             if type(key) is not tuple or len(key) != 2:
                 raise InvalidInput(f"transition key {key!r} is not a pair")
             s, a = key
@@ -119,6 +120,7 @@ class DpdlModel:
             if missing:
                 raise UnknownSymbol(
                     f"transition letters {sorted(missing)!r} not in alphabet")
+        val = _mapping(val, "the valuations")
         for s in self.states:
             if s not in val:
                 raise UnknownState(f"state {s!r} has no valuation")

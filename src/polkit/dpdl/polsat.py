@@ -97,7 +97,7 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
     delta = {(index[w], a): index[target]
              for (w, a), target in model.trans.items() if w in index}
     return bts.Bts(t.source, tuple(bubbles), delta, initial=index[state],
-                   alphabet=t.alphabet, fl=t.fl)
+                   alphabet=t.alphabet)
 
 
 def pol_sat(phi: sx.Formula, budget: LabelBudget | None = None):

@@ -89,10 +89,6 @@ class Unknown:
     reason: str
 
 
-class _StepBudget(ResourceBudgetExceeded):
-    pass
-
-
 class _Shape:
     """A closure as solver variables: member ``v`` is variable ``v``.
 
@@ -743,7 +739,7 @@ class _Dpll:
                     continue
                 steps += 1
                 if steps > step_cap:
-                    raise _StepBudget(
+                    raise ResourceBudgetExceeded(
                         f"propositional search exceeded {step_cap} steps")
                 while pos < len(decide) and value[decide[pos]] is not None:
                     pos += 1

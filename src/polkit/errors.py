@@ -2,7 +2,10 @@
 
 Every error the library raises deliberately derives from PolError, so
 callers can tell malformed input and exhausted budgets apart from
-genuine bugs.
+genuine bugs. An argument that breaks a stated contract raises
+InvalidInput, which is also a ValueError; a symbol, agent or state
+that the model or alphabet at hand does not hold raises the matching
+Unknown error.
 """
 
 
@@ -50,10 +53,6 @@ class ResourceBudgetExceeded(PolError):
 class StateBudgetExceeded(ResourceBudgetExceeded):
     """One walk through a product with an expression's derivatives met
     more than ``obsregex._MAX_DERIVATIVES`` of them."""
-
-
-class ClosureTooLarge(PolError):
-    """A closure too large to enumerate Hintikka sets over."""
 
 
 class BudgetInvalid(PolError, ValueError):

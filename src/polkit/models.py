@@ -99,6 +99,15 @@ def _collect(kind, items, what):
         raise InvalidInput(f"{what}: {items!r} is not a collection") from None
 
 
+def _mapping(items, what) -> dict:
+    """``dict(items)``, from a mapping or from pairs; an object that
+    ``dict`` refuses raises ``InvalidInput``."""
+    try:
+        return dict(items)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{what}: {items!r} is not a mapping") from None
+
+
 def block_map(states, agent, blocks) -> dict:
     """Map each of ``states`` to its block in the agent's partition.
 
@@ -157,7 +166,8 @@ class Model:
     expression (an ``ObsExpr``, else ``InvalidInput``), whose language
     must not be empty, and ``props`` to the set of propositions true
     there. ``agents``, ``states``, each relation, each block and each
-    set of propositions are collections, not strings (else
+    set of propositions are collections, not strings, and ``props``,
+    ``exp`` and ``relations`` are mappings or pairs (else
     ``InvalidInput``). A key of ``props`` or ``exp`` that is not a
     state raises ``UnknownState``, and a key of ``relations`` that is
     not an agent ``UnknownAgent``.
@@ -173,6 +183,9 @@ class Model:
         known = set(self.states)
         if len(known) != len(self.states):
             raise InvalidInput("duplicate state ids")
+        props = _mapping(props, "the propositions")
+        exp = _mapping(exp, "the expectations")
+        relations = _mapping(relations, "the relations")
         for s in (*props, *exp):
             if s not in known:
                 raise UnknownState(f"{s!r} has propositions or an "

@@ -40,7 +40,7 @@ __all__ = [
     "empty", "epsilon", "atom", "alt", "seq", "star",
     "nullable", "derive", "is_empty_language",
     "atoms", "expr_size",
-    "walk", "search", "language_equivalent",
+    "walk", "search",
     "parse_regex", "print_regex", "parse_word",
 ]
 
@@ -338,10 +338,9 @@ def _derive(e: ObsExpr, sym: str) -> ObsExpr:
     raise TypeError(f"not an ObsExpr: {e!r}")
 
 
-def derive(e: ObsExpr, sym: str, alphabet: Alphabet | None = None) -> ObsExpr:
-    """Brzozowski derivative of ``e`` by one symbol."""
-    if alphabet is not None:
-        _as_alphabet(alphabet).require(sym)
+def derive(e: ObsExpr, sym: str) -> ObsExpr:
+    """Brzozowski derivative of ``e`` by one symbol. No alphabet is
+    consulted: a symbol that ``e`` does not hold gives ``empty()``."""
     _check_depth(e)
     return _derive(e, sym)
 
@@ -482,37 +481,6 @@ def search(e: ObsExpr, start, step, goal):
             path.reverse()
             return path
     return None
-
-
-def language_equivalent(e1: ObsExpr, e2: ObsExpr,
-                        alphabet: Alphabet | None = None) -> bool:
-    """Language equality: in each direction, ``search`` finds no word
-    that one expression holds and the other does not. A symbol of
-    either expression outside a given alphabet raises UnknownSymbol."""
-    if alphabet is None:
-        syms = sorted(atoms(e1) | atoms(e2))
-        if not syms:
-            # both languages are subsets of {epsilon}
-            return e1.nullable == e2.nullable and e1.empty == e2.empty
-        alphabet = Alphabet(syms)
-    else:
-        alphabet = _as_alphabet(alphabet)
-        for sym in sorted(atoms(e1) | atoms(e2)):
-            alphabet.require(sym)
-
-    def differs(ea, eb):
-        # the graph is eb's automaton, so its derivatives meet the cap too
-        met = set()
-
-        def step(q):
-            if q not in met:
-                _meet(q, met)
-            for sym in alphabet:
-                yield sym, _derive(q, sym)
-
-        return search(ea, eb, step, lambda q: not q.nullable) is not None
-
-    return not differs(e1, e2) and not differs(e2, e1)
 
 
 # --- concrete syntax ---------------------------------------------------------

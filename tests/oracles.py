@@ -2,8 +2,9 @@
 
 Everything here is written against the same data types but with different
 algorithms than the package uses, so agreement is meaningful. The
-exceptions are ``residuate``, ``member`` and ``validity_sample``:
-compositions of the package's own operations that only the tests need.
+exceptions are ``residuate``, ``member``, ``language_equivalent`` and
+``validity_sample``: compositions of the package's own operations that
+only the tests need.
 """
 
 from __future__ import annotations
@@ -285,15 +286,46 @@ class AllPairsTranslation(dp.Translation):
 
 
 def residuate(e: ObsExpr, word, alphabet=None) -> ObsExpr:
-    """Derivative by a word: L(residuate(e, w)) = {u | w u in L(e)}."""
+    """Derivative by a word: L(residuate(e, w)) = {u | w u in L(e)}. A
+    symbol outside ``alphabet``, an ``Alphabet`` when given, raises
+    UnknownSymbol."""
     for sym in word:
-        e = ox.derive(e, sym, alphabet)
+        if alphabet is not None:
+            alphabet.require(sym)
+        e = ox.derive(e, sym)
     return e
 
 
-def member(e: ObsExpr, word, alphabet=None) -> bool:
+def member(e: ObsExpr, word) -> bool:
     """Whether ``word`` is in L(e), through ``residuate``."""
-    return residuate(e, word, alphabet).nullable
+    return residuate(e, word).nullable
+
+
+def language_equivalent(e1: ObsExpr, e2: ObsExpr, alphabet=None) -> bool:
+    """Language equality: in each direction, ``ox.search`` finds no word
+    that one expression holds and the other does not. The graph of each
+    search is the other expression's derivatives under ``ox.derive``, so
+    only the searched expression's derivatives meet the walk's cap. A
+    symbol of either expression outside a given alphabet raises
+    UnknownSymbol."""
+    syms = sorted(ox.atoms(e1) | ox.atoms(e2))
+    if alphabet is None:
+        if not syms:
+            # both languages are subsets of {epsilon}
+            return e1.nullable == e2.nullable and e1.empty == e2.empty
+        alphabet = ox.Alphabet(syms)
+    else:
+        alphabet = ox.Alphabet(alphabet)
+        for sym in syms:
+            alphabet.require(sym)
+
+    def step(q):
+        return [(sym, ox.derive(q, sym)) for sym in alphabet]
+
+    def differs(ea, eb):
+        return ox.search(ea, eb, step, lambda q: not q.nullable) is not None
+
+    return not differs(e1, e2) and not differs(e2, e1)
 
 
 def validity_sample(f, models: int = 500, seed: int = 0, **gen_kwargs):

@@ -167,7 +167,8 @@ class TestPropositionalEngine:
     def test_step_cap_leaves_the_solver_usable(self, monkeypatch):
         s = solver_for(10, [[0, 2]])
         monkeypatch.setattr(dps, "_STEP_CAP", 5)
-        with pytest.raises(dps._StepBudget):
+        with pytest.raises(ResourceBudgetExceeded,
+                           match="propositional search exceeded"):
             s.solve([])
         assert s.solve(list(range(0, 20, 2)))[0] == "sat"
 

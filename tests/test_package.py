@@ -15,6 +15,7 @@ from polkit.errors import PolError
 from polkit.models import Model, block_map
 
 SOURCE = Path(polkit.__file__).resolve().parent
+PERFBENCH = SOURCE.parents[1] / "perfbench"
 
 
 def test_no_assert_statements():
@@ -59,6 +60,40 @@ def test_walks_step_derivatives_in_obsregex_only():
                   or isinstance(node, ast.Name) and node.id in names
                   or isinstance(node, ast.alias) and node.name in names]
     assert not found
+
+
+# Exported names that users call directly and that no module of the
+# package or of perfbench/ needs to: the parsers' word reader and the
+# DPDL parser, the paper's validation predicates, and worked examples.
+ENTRY_POINTS = {
+    "parse_word", "parse_dpdl", "is_hintikka", "is_bubble",
+    "is_a_successor", "drone_model", "recall_counterexample_model",
+    "two_bubble_bts",
+}
+
+
+def test_public_names_are_used():
+    # a name in an ``__all__`` that neither the package nor the benchmark
+    # reads, and that is no entry point, is dead API; its import or its
+    # ``__all__`` entry alone does not count, and a used ``import ... as``
+    # alias counts for the name it renames
+    exported, used, renamed = set(), set(), {}
+    for path in sorted(SOURCE.rglob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias) and node.asname:
+                renamed.setdefault(node.asname, set()).add(node.name)
+            elif (isinstance(node, ast.Assign) and path.is_relative_to(SOURCE)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)):
+                exported |= set(ast.literal_eval(node.value))
+    for name in list(used):
+        used |= renamed.get(name, set())
+    assert sorted(exported - used - ENTRY_POINTS) == []
 
 
 def one_state_model():
@@ -135,6 +170,20 @@ def two_bubbles(delta, initial=0):
     lambda: two_bubbles({}, initial=True),
     lambda: two_bubbles({(True, "a"): 0}),
     lambda: two_bubbles({(0, "a"): True}),
+    lambda: bt.is_hintikka(set(), {"p"}),
+    lambda: bt.is_bubble(bt.Bubble([0], {}), {"p"}),
+    lambda: bt.is_a_successor(bt.Bubble([0], {}), bt.Bubble([0], {}), "a",
+                              {"p"}),
+    lambda: bt.is_bts(bt.Bts(sx.prop("p"), ["x"], {})),
+    lambda: bt.Bts(sx.prop("p"), [bt.Bubble([0], {})], {0: 0}),
+    lambda: Model(["a"], [], [0], 5, {0: ox.epsilon()}, {}),
+    lambda: Model(["a"], [], [0], {}, 5, {}),
+    lambda: Model(["a"], [], [0], {}, {0: ox.epsilon()}, 5),
+    lambda: dp.DpdlModel([0], 5, {0: set()}),
+    lambda: dp.DpdlModel([0], {}, 5),
+    lambda: bt.Bubble([0], 5),
+    lambda: bt.Bubble([0], {}, 5),
+    lambda: bt.Bts(sx.prop("p"), [bt.Bubble([0], {})], 5),
 ], ids=["empty-alphabet", "duplicate-symbol", "reserved-prop", "empty-atom",
         "stateless-dpdl-model", "duplicate-state", "empty-expectation",
         "overlapping-blocks", "missing-initial-bubble", "non-string-symbol",
@@ -154,13 +203,32 @@ def two_bubbles(delta, initial=0):
         "str-bubble-states", "int-bubble-states", "str-bubble-label",
         "int-bubble-label", "str-word", "int-word",
         "float-initial-bubble", "str-initial-bubble", "bool-initial-bubble",
-        "bool-source-bubble", "bool-target-bubble"])
+        "bool-source-bubble", "bool-target-bubble",
+        "str-hintikka-closure-member", "str-bubble-closure-member",
+        "str-successor-closure-member", "str-bubble-of-bts",
+        "int-bts-transition-key", "int-props-map", "int-expectations",
+        "int-relations", "int-dpdl-transitions", "int-dpdl-valuations",
+        "int-bubble-labels", "int-bubble-relations", "int-bts-delta"])
 def test_construction_errors_are_pol_errors(build):
     # errors.py promises that every deliberate error is a PolError; a
     # bad constructor argument is also a ValueError
     with pytest.raises(PolError) as raised:
         build()
     assert isinstance(raised.value, ValueError)
+
+
+def test_mappings_may_be_given_as_pairs():
+    # the rule that refuses a non-mapping reads pairs as ``dict`` does
+    p = sx.prop("p")
+    b = bt.Bubble([0], [(0, {p})], [("i", [[0]])])
+    assert b.labels == {0: frozenset({p})}
+    t = bt.Bts(p, [b], [((0, "a"), 0)])
+    assert bt.is_bts(t) is True
+    m = Model(["a"], ["i"], [0], [(0, {"p"})], [(0, ox.epsilon())],
+              [("i", [[0]])])
+    assert m.check(0, p)
+    d = dp.DpdlModel([0], [((0, "a"), 0)], [(0, {"p"})])
+    assert dp.dpdl_check(d, 0, dp.atom("p"))
 
 
 def test_exported_names_resolve():

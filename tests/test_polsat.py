@@ -174,7 +174,7 @@ class TestDecodedStructures:
                 live = [ell for ell in t.labels if holds(t.surv(ell))]
                 assert list(bubble.states) == live
                 for ell in live:
-                    assert bubble.label(ell) == {
+                    assert bubble.labels[ell] == {
                         psi for psi in t.fl if holds(t.at(ell, psi))}
                     for agent in t.agents:
                         assert bubble.block(agent, ell) == {
