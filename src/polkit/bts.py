@@ -137,8 +137,9 @@ def is_hintikka(h, fl):
           hK_a psi in h when hK_a psi is a member
 
     Returns True, or a falsy Violation naming the first failed condition.
+    A label that is a string or not a collection raises ``InvalidInput``.
     """
-    v = _hintikka_violation(frozenset(h), _Closure(fl))
+    v = _hintikka_violation(_collect(frozenset, h, "the label"), _Closure(fl))
     return True if v is None else v
 
 
@@ -189,6 +190,13 @@ class Bubble:
         return f"Bubble(states={self.states!r})"
 
 
+def _bubble(b) -> Bubble:
+    """``b``, which must be a ``Bubble`` (else ``InvalidInput``)."""
+    if not isinstance(b, Bubble):
+        raise InvalidInput(f"{b!r} is not a Bubble")
+    return b
+
+
 def _bubble_violation(b: Bubble, c: _Closure):
     n = len(c.fl)
     if n < 64 and len(b.states) > 1 << n:
@@ -236,9 +244,10 @@ def is_bubble(b: Bubble, fl):
       3b. states related for an agent carry the same K_a and hK_a
           members
 
-    Returns True or a falsy Violation.
+    Returns True or a falsy Violation. A ``b`` that is not a ``Bubble``
+    raises ``InvalidInput``.
     """
-    v = _bubble_violation(b, _Closure(fl))
+    v = _bubble_violation(_bubble(b), _Closure(fl))
     return True if v is None else v
 
 
@@ -254,9 +263,11 @@ def is_a_successor(b: Bubble, b2: Bubble, a: str, fl):
       4. each agent's relation in b2 is the restriction of its relation
          in b to the survivors
 
-    Returns True or a falsy Violation.
+    Returns True or a falsy Violation. A ``b`` or ``b2`` that is not a
+    ``Bubble`` raises ``InvalidInput``.
     """
-    v = _successor_violation(b, b2, a, _Closure(fl).ordered)
+    v = _successor_violation(_bubble(b), _bubble(b2), a,
+                             _Closure(fl).ordered)
     return True if v is None else v
 
 
@@ -321,8 +332,7 @@ class Bts:
         self.formula = formula
         self.bubbles = _collect(tuple, bubbles, "the bubbles")
         for b in self.bubbles:
-            if not isinstance(b, Bubble):
-                raise InvalidInput(f"{b!r} is not a Bubble")
+            _bubble(b)
         self.fl = sx.fl_closure(formula)
         syms = {g.pi.symbol for g in self.fl
                 if isinstance(g, (sx.Dia, sx.Box))

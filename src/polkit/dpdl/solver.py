@@ -3,13 +3,16 @@
 Truth of every closure member is determined by the frontier members,
 which are the atoms and the modalities over a single letter, through
 the one-step equations that ``syntax.definition`` states. The solver
-therefore works with truth assignments to the closure. The equations
-are compiled once per call into the clauses of one incremental CDCL
-solver, in one pass over the closure: member ``v`` is variable ``v``
-with literals ``2v`` and ``2v+1``, each binary clause goes straight
-onto the implication lists of its two literals, and only the long
-clause of a junction is sorted, checked for tautology and watched. Both
-regimes work on that database.
+therefore works with truth assignments to the closure. It reads the
+members, their definitions and their index from the one closure walk
+of ``syntax``, which reads each member's definition once, and sorts the
+members into frontier, letters, stars and atoms in one loop over that
+walk. The equations are compiled once per call into the clauses of one
+incremental CDCL solver, in one pass over the definitions: member ``v``
+is variable ``v`` with literals ``2v`` and ``2v+1``, each binary clause
+goes straight onto the implication lists of its two literals, and only
+the long clause of a junction is sorted, checked for tautology and
+watched. Both regimes work on that database.
 
 The lazy regime runs first, on every formula, and never enumerates. It
 builds successor states only for demanded letters and memoizes states
@@ -90,13 +93,17 @@ class Unknown:
 
 
 class _Shape:
-    """A closure as solver variables: member ``v`` is variable ``v``.
+    """The closure of a formula as solver variables: member ``v`` is
+    variable ``v``.
 
-    A state is an assignment, a list giving each variable's truth. Each
-    member's ``syntax.definition`` is kept by index, and the free
-    members (atoms and one-letter modalities) form the frontier. The
-    one-letter modalities are indexed by letter, and the methods below
-    read a state's demands, eventualities and valuation.
+    The members, each member's ``syntax.definition`` and the index come
+    from the one closure walk (``syntax._closure``), and one loop over
+    them fills the rest: the free members (atoms and one-letter
+    modalities) form the frontier, the one-letter modalities are indexed
+    by letter, the star modalities and the atoms are listed, and an
+    agent operator is refused with a TypeError. A state is an
+    assignment, a list giving each variable's truth, and the methods
+    below read a state's demands, eventualities and valuation.
 
     ``decide`` is the solver's decision list: one literal per variable,
     each decided in turn when propagation has left it open. It settles
@@ -112,27 +119,30 @@ class _Shape:
     negative.
     """
 
-    def __init__(self, members):
-        self.members = tuple(members)
-        self.index = {g: i for i, g in enumerate(self.members)}
-        self.definitions = tuple(map(sx.definition, self.members))
-        self.frontier = [g for g, (kind, _) in zip(self.members,
-                                                    self.definitions)
-                         if kind == "free"]
+    def __init__(self, f):
+        self.members, self.definitions, self.index = sx._closure(f)
+        self.frontier = []
         self.dia = {}
         self.box = {}
-        for g in self.members:
-            if isinstance(g, (sx.Dia, sx.Box)) and isinstance(g.pi, ox.Atom):
-                table = self.dia if isinstance(g, sx.Dia) else self.box
-                table.setdefault(g.pi.symbol, []).append(g)
+        self.stars = []
+        self.props = []
+        for v, g in enumerate(self.members):
+            cls = type(g)
+            if self.definitions[v][0] == "free":
+                self.frontier.append(g)
+                if cls is sx.Prop:
+                    self.props.append((v, g.name))
+                elif cls is sx.Dia:
+                    self.dia.setdefault(g.pi.symbol, []).append(g)
+                elif cls is sx.Box:
+                    self.box.setdefault(g.pi.symbol, []).append(g)
+                else:
+                    raise TypeError("dynamic logic has no agent operators")
+            elif (cls is sx.Dia or cls is sx.Box) and type(g.pi) is ox.Star:
+                self.stars.append(g)
         self.letters = tuple(sorted(set(self.dia) | set(self.box)))
         self.profile = {a: tuple(self.dia.get(a, []) + self.box.get(a, []))
                         for a in self.letters}
-        self.stars = [g for g in self.members
-                      if isinstance(g, (sx.Dia, sx.Box))
-                      and isinstance(g.pi, ox.Star)]
-        self.props = [(v, g.name) for v, g in enumerate(self.members)
-                      if isinstance(g, sx.Prop)]
         hints = {self.index[h]: isinstance(h, sx.Box)
                  for h in self._unfold_frontier()}
         hints.update((self.index[g.arg], isinstance(g, sx.Dia))
@@ -162,7 +172,10 @@ class _Shape:
         one per pair of a diamond and a box over the same letter and
         argument.
 
-        Literals come straight from member indices, and only the long
+        Literals come straight from member indices. An operand is never
+        its member, so no binary clause is a unit or a tautology, and
+        each goes straight onto the implication lists of its two
+        literals, as ``_Dpll._search`` adds a learned one. Only the long
         clause of a junction passes through ``add_clause``. The clauses,
         and the literals in each, come out in the order that
         ``add_clause`` on each of them would give. It runs before the
@@ -173,37 +186,47 @@ class _Shape:
         dpll.decide = self.decide
         index = self.index
         units = dpll.units
+        bins = dpll.bins
         add_clause = dpll.add_clause
-        binary = dpll.add_binary
         for v, (kind, operands) in enumerate(self.definitions):
-            pos = 2 * v
             if kind == "free":
                 continue
-            parts = [2 * index[h] for h in operands]
-            if kind == "true":
-                units.append(pos)
-            elif kind == "false":
-                units.append(pos + 1)
+            pos = 2 * v
+            neg = pos + 1
+            if kind == "or":
+                parts = [2 * index[h] for h in operands]
+                add_clause([neg] + parts)
+                for h in parts:
+                    bins[pos].append(h + 1)
+                    bins[h + 1].append(pos)
+            elif kind == "and":
+                parts = [2 * index[h] + 1 for h in operands]
+                add_clause([pos] + parts)
+                for h in parts:
+                    bins[neg].append(h - 1)
+                    bins[h - 1].append(neg)
             elif kind == "not":
-                binary(pos + 1, parts[0] + 1)
-                binary(pos, parts[0])
+                h = 2 * index[operands[0]]
+                bins[neg].append(h + 1)
+                bins[h + 1].append(neg)
+                bins[pos].append(h)
+                bins[h].append(pos)
             elif kind == "eq":
-                binary(pos + 1, parts[0])
-                binary(pos, parts[0] + 1)
-            elif kind == "or":
-                add_clause([pos + 1] + parts)
-                for h in parts:
-                    binary(pos, h + 1)
+                h = 2 * index[operands[0]]
+                bins[neg].append(h)
+                bins[h].append(neg)
+                bins[pos].append(h + 1)
+                bins[h + 1].append(pos)
             else:
-                add_clause([pos] + [h + 1 for h in parts])
-                for h in parts:
-                    binary(pos + 1, h)
+                units.append(pos if kind == "true" else neg)
         for a in self.letters:
             boxes = {g.arg: g for g in self.box.get(a, ())}
             for d in self.dia.get(a, ()):
                 b = boxes.get(d.arg)
                 if b is not None:
-                    binary(2 * index[d] + 1, 2 * index[b])
+                    x, y = 2 * index[d] + 1, 2 * index[b]
+                    bins[x].append(y)
+                    bins[y].append(x)
         return dpll
 
     def needs(self, assign, a):
@@ -485,21 +508,6 @@ class _Dpll:
         else:
             self.watches[lits[0]].append(lits)
             self.watches[lits[1]].append(lits)
-        return True
-
-    def add_binary(self, x, y):
-        """``add_clause([x, y])`` without sorting or sets: one comparison
-        tells a repeated literal (a unit) and a complementary pair
-        (dropped) from a clause that goes onto its implication lists.
-        """
-        if x >> 1 != y >> 1:
-            self.bins[x].append(y)
-            self.bins[y].append(x)
-        elif x == y:
-            self.units.append(x)
-        else:
-            return False
-        self.stale = True
         return True
 
     def _assign(self, lit, reason):
@@ -932,12 +940,15 @@ class _Lazy:
 
 def _decide(f: sx.Formula):
     """``dpdl_sat`` without its witness check: a ``Sat`` here carries a
-    witness that no checker has read. Caps end in ``Unknown``."""
-    sx._check_depth(f)
-    members = sx.closure(f)
-    if any(isinstance(g, (sx.Hat, sx.Know)) for g in members):
-        raise TypeError("dynamic logic has no agent operators")
-    shape = _Shape(members)
+    witness that no checker has read. Caps end in ``Unknown``.
+
+    No step here recurses on the depth of ``f``: the closure walk, the
+    solver and both regimes are iterative, and the walks of programs
+    guard their own depth. So it takes formulas of any depth, such as
+    the bubble encodings that ``pol_sat`` hands it, whose chains nest
+    two levels per slot; ``dpdl_sat`` applies the depth limit for its
+    witness check, which does recurse."""
+    shape = _Shape(f)
     dpll = shape.compile()
     try:
         outcome = _Lazy(f, shape, dpll).run()
@@ -974,8 +985,12 @@ def dpdl_sat(f: sx.Formula):
     ``_RESTART_CAP`` the lemma restarts, ``_STEP_CAP`` the steps of
     each propositional search and ``obsregex._MAX_DERIVATIVES`` the
     derivatives that each walk meets, the witness check's too. A formula
-    with agent operators is a TypeError.
+    with agent operators is a TypeError. A formula that nests deeper
+    than ``syntax._MAX_DEPTH`` raises ``FormulaTooDeep`` before the
+    search: the witness check evaluates by recursion on the formula,
+    one frame per level, and the search itself does not recurse.
     """
+    sx._check_depth(f)
     outcome = _decide(f)
     if isinstance(outcome, Sat):
         try:

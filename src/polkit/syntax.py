@@ -38,7 +38,9 @@ written; ``polkit.dpdl`` adds factories that flatten nested junctions.
 
 ``definition`` states how a formula's truth follows from others in one
 step, unfolding modalities over composite expressions. ``closure``
-collects subformulas and the operands of those definitions;
+collects subformulas and the operands of those definitions in one walk
+that reads each member's definition once, and the solver of
+``polkit.dpdl`` reads the definitions from that same walk;
 ``fl_closure`` adds single negations. Both are linear in the formula's
 size.
 """
@@ -309,36 +311,71 @@ def definition(g: Formula) -> tuple:
     once and recurs, the empty word defers to the argument, and the
     empty language makes a diamond false and a box true. The empty-word
     and star rules are exact because every state of a model survives
-    the empty word (see ``models``).
+    the empty word (see ``models``). No node class has a subclass, so
+    the cases dispatch on the exact class.
     """
-    if isinstance(g, (Dia, Box)):
+    cls = type(g)
+    if cls is Or:
+        return ("or", g.parts)
+    if cls is Not:
+        return ("not", (g.arg,))
+    if cls is Prop:
+        return ("free", ())
+    if cls is Dia or cls is Box:
         pi = g.pi
-        if isinstance(pi, ox.Atom):
+        kind = type(pi)
+        if kind is ox.Atom:
             return ("free", ())
-        make, junction = (dia, "or") if isinstance(g, Dia) else (box, "and")
-        if isinstance(pi, ox.Star):
+        make, junction = (dia, "or") if cls is Dia else (box, "and")
+        if kind is ox.Star:
             return (junction, (g.arg, make(pi.body, g)))
-        if isinstance(pi, ox.Concat):
+        if kind is ox.Concat:
             rest = ox.seq(*pi.parts[1:])
             return ("eq", (make(pi.parts[0], make(rest, g.arg)),))
-        if isinstance(pi, ox.Sum):
+        if kind is ox.Sum:
             return (junction, tuple(make(p, g.arg) for p in pi.parts))
-        if isinstance(pi, ox.Epsilon):
+        if kind is ox.Epsilon:
             return ("eq", (g.arg,))
-        if isinstance(pi, ox.Empty):
-            return ("false" if isinstance(g, Dia) else "true", ())
+        if kind is ox.Empty:
+            return ("false" if cls is Dia else "true", ())
         raise TypeError(f"unsupported expression {pi!r}")
-    if isinstance(g, Not):
-        return ("not", (g.arg,))
-    if isinstance(g, Or):
-        return ("or", g.parts)
-    if isinstance(g, And):
+    if cls is And:
         return ("and", g.parts)
-    if isinstance(g, Top):
+    if cls is Top:
         return ("true", ())
-    if isinstance(g, (Prop, Hat, Know)):
+    if cls is Hat or cls is Know:
         return ("free", ())
     raise TypeError(f"not a Formula: {g!r}")
+
+
+def _closure(f: Formula) -> tuple:
+    """The one closure walk: ``closure(f)``, each member's
+    ``definition`` in the same order, read once as the walk reaches the
+    member, and the index of each member in that order."""
+    definitions = []
+    index = {}
+    stack = [f]
+    push = stack.append
+    while stack:
+        g = stack.pop()
+        if g in index:
+            continue
+        index[g] = len(definitions)
+        d = definition(g)
+        definitions.append(d)
+        cls = type(g)
+        if cls is Or or cls is And:
+            stack.extend(reversed(d[1]))
+        elif cls is not Top and cls is not Prop:
+            # a unary node's argument goes first, then the operands of
+            # its definition that differ from it
+            arg = g.arg
+            push(arg)
+            for h in reversed(d[1]):
+                if h is not arg:
+                    push(h)
+    # a dict keeps its keys in insertion order, the members' order
+    return tuple(index), tuple(definitions), index
 
 
 def closure(f: Formula) -> tuple:
@@ -346,31 +383,11 @@ def closure(f: Formula) -> tuple:
 
     Every operand of a member's ``definition`` is itself a member, so a
     truth assignment to the members determines each member from the
-    free ones alone. The returned order is deterministic.
+    free ones alone. The order is deterministic: one walk (``_closure``)
+    takes each member from a stack, reads its definition once, and
+    pushes its argument and then its definition's operands, last first.
     """
-    seen = []
-    seen_set = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen_set:
-            continue
-        seen_set.add(g)
-        seen.append(g)
-        if isinstance(g, (Dia, Box)):
-            stack.append(g.arg)
-            # a one-letter modality does not unfold
-            if not isinstance(g.pi, ox.Atom):
-                for h in reversed(definition(g)[1]):
-                    if h is not g.arg:
-                        stack.append(h)
-        elif isinstance(g, (Or, And)):
-            stack.extend(reversed(g.parts))
-        elif isinstance(g, (Not, Hat, Know)):
-            stack.append(g.arg)
-        elif not isinstance(g, (Top, Prop)):
-            raise TypeError(f"not a Formula: {g!r}")
-    return tuple(seen)
+    return _closure(f)[0]
 
 
 def fl_closure(f: Formula) -> frozenset:

@@ -135,3 +135,27 @@ def test_program_at_the_limit_passes(entry):
         f = sx.dia(ox.epsilon(), f)
     assert f.depth == sx._MAX_DEPTH
     ENTRY_POINTS[entry](f)
+
+
+def test_pol_sat_decides_an_encoding_past_the_limit():
+    # the chains that encode the first agent's knowledge nest two levels
+    # per slot, so at 128 slots this encoding nests past the limit; the
+    # solver does not recurse on depth, and pol_sat checks its model on
+    # the shallow source formula, so only dpdl_sat's own witness check,
+    # which recurses, refuses the encoding
+    phi = sx.parse_formula("hK_i p & K_i q")
+    budget = dp.LabelBudget(128)
+    t = dp.Translation(phi, budget)
+    assert t.formula.depth > sx._MAX_DEPTH
+    with pytest.raises(FormulaTooDeep):
+        dp.dpdl_sat(t.formula)
+    assert isinstance(under_frames(700, lambda: dp.pol_sat(phi, budget)),
+                      dp.Sat)
+
+
+def test_pol_sat_refutes_at_a_full_budget_past_the_limit():
+    phi = sx.parse_formula("~K_j (true|p)")
+    t = dp.Translation(phi)
+    assert t.budget.full and t.budget.labels == 256
+    assert t.formula.depth > sx._MAX_DEPTH
+    assert isinstance(dp.pol_sat(phi), dp.Unsat)

@@ -143,15 +143,6 @@ class TestPropositionalEngine:
         assert s.watches == [[], [], [], []]
         assert s.solve([1]) == ("sat", [False, True])
 
-    def test_binary_clauses_as_add_clause(self):
-        pairs = list(itertools.product(range(6), repeat=2))
-        general, direct = dps._Dpll(3), dps._Dpll(3)
-        for x, y in pairs:
-            assert general.add_clause([x, y]) == direct.add_binary(x, y)
-        assert general.units == direct.units
-        assert general.bins == direct.bins
-        assert general.watches == direct.watches
-
     def test_learned_binary_clause_is_an_implication(self):
         # deciding x0 then x1 false conflicts, and the search learns
         # x0 | x1; a later solve assuming ~x0 gets x1 from that clause
@@ -173,17 +164,74 @@ class TestPropositionalEngine:
         assert s.solve(list(range(0, 20, 2)))[0] == "sat"
 
 
-def reference_database(members):
+def reference_closure(f):
+    """``closure`` as a walk that reads a definition only where a
+    modality over a composite expression unfolds."""
+    seen = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.append(g)
+        if isinstance(g, (dp.Dia, dp.Box)):
+            stack.append(g.arg)
+            if not isinstance(g.pi, ox.Atom):
+                stack.extend(h for h in reversed(sx.definition(g)[1])
+                             if h is not g.arg)
+        elif isinstance(g, (dp.Or, dp.And)):
+            stack.extend(reversed(g.parts))
+        elif isinstance(g, (dp.Not, sx.Hat, sx.Know)):
+            stack.append(g.arg)
+    return tuple(seen)
+
+
+class ReferenceShape(dps._Shape):
+    """``_Shape`` built the old way: the members from a closure of their
+    own, each definition read again, and one loop per field."""
+
+    def __init__(self, f):
+        members = reference_closure(f)
+        if any(isinstance(g, (sx.Hat, sx.Know)) for g in members):
+            raise TypeError("dynamic logic has no agent operators")
+        self.members = members
+        self.index = {g: i for i, g in enumerate(members)}
+        self.definitions = tuple(map(sx.definition, members))
+        self.frontier = [g for g, (kind, _) in zip(members, self.definitions)
+                         if kind == "free"]
+        self.dia = {}
+        self.box = {}
+        for g in members:
+            if isinstance(g, (dp.Dia, dp.Box)) and isinstance(g.pi, ox.Atom):
+                table = self.dia if isinstance(g, dp.Dia) else self.box
+                table.setdefault(g.pi.symbol, []).append(g)
+        self.letters = tuple(sorted(set(self.dia) | set(self.box)))
+        self.profile = {a: tuple(self.dia.get(a, []) + self.box.get(a, []))
+                        for a in self.letters}
+        self.stars = [g for g in members
+                      if isinstance(g, (dp.Dia, dp.Box))
+                      and isinstance(g.pi, ox.Star)]
+        self.props = [(v, g.name) for v, g in enumerate(members)
+                      if isinstance(g, dp.Atom)]
+        hints = {self.index[h]: isinstance(h, dp.Box)
+                 for h in self._unfold_frontier()}
+        hints.update((self.index[g.arg], isinstance(g, dp.Dia))
+                     for g in self.stars)
+        self.decide = [dps._Dpll.lit(v, hints[v]) for v in sorted(hints)] + [
+            2 * v + 1 for v in range(len(members)) if v not in hints]
+
+
+def reference_database(f):
     """The clause database from one ``add_clause`` call per clause, in
     member order, then the diamond/box pairs."""
-    index = {g: i for i, g in enumerate(members)}
-    s = dps._Dpll(len(members))
+    shape = ReferenceShape(f)
+    index = shape.index
+    s = dps._Dpll(len(shape.members))
 
     def lit(g, positive):
         return dps._Dpll.lit(index[g], positive)
 
-    for g in members:
-        kind, operands = sx.definition(g)
+    for g, (kind, operands) in zip(shape.members, shape.definitions):
         if kind == "true":
             s.add_clause([lit(g, True)])
         elif kind == "false":
@@ -202,7 +250,6 @@ def reference_database(members):
             s.add_clause([lit(g, True)] + [lit(h, False) for h in operands])
             for h in operands:
                 s.add_clause([lit(g, False), lit(h, True)])
-    shape = dps._Shape(members)
     for a in shape.letters:
         boxes = {g.arg: g for g in shape.box.get(a, ())}
         for d in shape.dia.get(a, ()):
@@ -213,13 +260,40 @@ def reference_database(members):
 
 
 def assert_compiled_as_reference(f):
-    members = dp.closure(f)
-    compiled = dps._Shape(members).compile()
-    reference = reference_database(members)
+    compiled = dps._Shape(f).compile()
+    reference = reference_database(f)
     assert compiled.empty == reference.empty
     assert compiled.units == reference.units
     assert compiled.bins == reference.bins
     assert compiled.watches == reference.watches
+
+
+def assert_one_walk(f):
+    members, definitions, index = sx._closure(f)
+    assert members == sx.closure(f) == reference_closure(f)
+    assert definitions == tuple(map(sx.definition, members))
+    assert index == {g: i for i, g in enumerate(members)}
+    assert vars(dps._Shape(f)) == vars(ReferenceShape(f))
+
+
+# encodings whose closures hold every kind of member and flattened
+# junctions, the formulas that pol_sat hands the solver
+TRANSLATIONS = {
+    "K_i q full": lambda: dp.Translation(sx.parse_formula("K_i q")),
+    "hK_i p & K_j q at 3": lambda: dp.Translation(
+        sx.parse_formula("hK_i p & K_j q"), dp.LabelBudget(3)),
+}
+
+
+class TestOneWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(dpdl_formula_strategy())
+    def test_walk_and_shape_as_reference(self, f):
+        assert_one_walk(f)
+
+    @pytest.mark.parametrize("name", sorted(TRANSLATIONS))
+    def test_walk_and_shape_on_translations(self, name):
+        assert_one_walk(TRANSLATIONS[name]().formula)
 
 
 class TestCompilation:
@@ -229,12 +303,15 @@ class TestCompilation:
         assert_compiled_as_reference(f)
 
     def test_same_database_on_a_full_budget_translation(self):
+        assert_compiled_as_reference(TRANSLATIONS["K_i q full"]().formula)
+
+    def test_same_database_on_a_two_agent_translation(self):
         assert_compiled_as_reference(
-            dp.Translation(sx.parse_formula("K_i q")).formula)
+            TRANSLATIONS["hK_i p & K_j q at 3"]().formula)
 
     def test_decision_list_settles_stars_first(self):
         f = dp.parse_dpdl("<a*><b>p & [b*]q & ~[(a;b)*]<b>p")
-        shape = dps._Shape(dp.closure(f))
+        shape = dps._Shape(f)
 
         def lit(text, truth):
             return dps._Dpll.lit(shape.index[dp.parse_dpdl(text)], truth)
@@ -255,13 +332,13 @@ class TestCompilation:
         assert shape.compile().decide == shape.decide
         assert dps._Dpll(3).decide == [1, 3, 5]
         # alone, the diamond's argument hint overrides its unfolding's
-        alone = dps._Shape(dp.closure(dp.parse_dpdl("<a*><b>p")))
+        alone = dps._Shape(dp.parse_dpdl("<a*><b>p"))
         assert 2 * alone.index[dp.parse_dpdl("<b>p")] in alone.decide
 
 
 def lazy_run(f):
     """A lazy regime for ``f`` under ``dpdl_sat``'s caps."""
-    shape = dps._Shape(dp.closure(f))
+    shape = dps._Shape(f)
     return dps._Lazy(f, shape, shape.compile())
 
 
@@ -307,7 +384,7 @@ def reused_answers(f):
 def learned_lemmas(f):
     """Run the lazy regime on ``f``; the conjunction that each clause
     it learns refutes."""
-    shape = dps._Shape(dp.closure(f))
+    shape = dps._Shape(f)
     lazy = dps._Lazy(f, shape, shape.compile())
     refuted = []
     add_clause = lazy.dpll.add_clause
@@ -426,7 +503,7 @@ class TestLazyRegime:
             f = dp.parse_dpdl(text)
             assert isinstance(dp.dpdl_sat(f), dp.Sat), text
             for default, want in ((False, dp.Sat), (True, dp.Unknown)):
-                shape = dps._Shape(dp.closure(f))
+                shape = dps._Shape(f)
                 lazy = dps._Lazy(f, shape, shape.compile())
                 if default:
                     lazy.dpll.decide = dps._Dpll(lazy.dpll.nvars).decide
@@ -446,7 +523,7 @@ def exact_sat(f):
     """The exact regime alone, on the closure's fresh clause database,
     which the cap admits for every formula of ``dpdl_formula_strategy``;
     a witness is checked."""
-    shape = dps._Shape(dp.closure(f))
+    shape = dps._Shape(f)
     assert 2 ** len(shape.frontier) <= dps._ATOM_CAP
     exact = dps._Exact(f, shape, shape.compile())
     try:

@@ -184,6 +184,10 @@ def two_bubbles(delta, initial=0):
     lambda: bt.Bubble([0], 5),
     lambda: bt.Bubble([0], {}, 5),
     lambda: bt.Bts(sx.prop("p"), [bt.Bubble([0], {})], 5),
+    lambda: bt.is_hintikka(5, {sx.prop("p")}),
+    lambda: bt.is_bubble("x", {sx.prop("p")}),
+    lambda: bt.is_a_successor(bt.Bubble([0], {}), "x", "a", {sx.prop("p")}),
+    lambda: bt.is_a_successor("x", bt.Bubble([0], {}), "a", {sx.prop("p")}),
 ], ids=["empty-alphabet", "duplicate-symbol", "reserved-prop", "empty-atom",
         "stateless-dpdl-model", "duplicate-state", "empty-expectation",
         "overlapping-blocks", "missing-initial-bubble", "non-string-symbol",
@@ -208,7 +212,9 @@ def two_bubbles(delta, initial=0):
         "str-successor-closure-member", "str-bubble-of-bts",
         "int-bts-transition-key", "int-props-map", "int-expectations",
         "int-relations", "int-dpdl-transitions", "int-dpdl-valuations",
-        "int-bubble-labels", "int-bubble-relations", "int-bts-delta"])
+        "int-bubble-labels", "int-bubble-relations", "int-bts-delta",
+        "int-hintikka-label", "str-bubble", "str-successor-bubble",
+        "str-predecessor-bubble"])
 def test_construction_errors_are_pol_errors(build):
     # errors.py promises that every deliberate error is a PolError; a
     # bad constructor argument is also a ValueError
