@@ -8,39 +8,53 @@ members, their definitions and their index from the one closure walk
 of ``syntax``, which reads each member's definition once, and sorts the
 members into frontier, letters, stars and atoms in one loop over that
 walk. The equations are compiled once per call into the clauses of one
-incremental CDCL solver, in one pass over the definitions: member ``v``
-is variable ``v`` with literals ``2v`` and ``2v+1``, each binary clause
-goes straight onto the implication lists of its two literals, and only
-the long clause of a junction is sorted, checked for tautology and
+incremental CDCL solver, in one pass over the definitions. Member ``v``
+is variable ``v`` with literals ``2v`` and ``2v+1``, except that a
+negation is polarity: its literal is its argument's, complemented, and
+its own variable stays unused. Each binary clause goes straight onto
+the implication lists of its two literals, and only the long clause of
+a junction is sorted, merged and checked for tautology, since with
+polarity its operands can repeat or complement (``p | ~p``), and
 watched. Both regimes work on that database.
+
+Every state that the search builds or enumerates is reachable from a
+root of ``f``. So a top-level conjunct ``[π*]χ`` of ``f`` whose ``π``
+holds every letter of the closure holds at each of them, and it is one
+unit clause of the database: its consequences sit on the solver's level
+0, derived once instead of from every demand's assumptions. The
+bubble encoding of ``pol_sat`` has one such conjunct, its ``[Σ*]``
+invariant. The lemmas below are therefore valid at every state
+reachable from a model of ``f``, which is all that deciding ``f`` asks.
 
 The lazy regime runs first, on every formula, and never enumerates. It
 builds successor states only for demanded letters and memoizes states
 by their incoming demand. Each state's demand is a set of assumptions,
 and a refuted demand comes back with the core of them that the solver's
 final conflict analysis rests on. The modal literals of the parent
-behind that core are learned as a new clause, which is valid in every
-deterministic model, and the search restarts. A demand graph that leaves
-star eventualities undischarged is not a refutation. When the database
-refutes an eventuality's discharge outright, its star modality can never
-promise it, which is learned as a unit clause with a restart; otherwise
-the run ends undecided. Every solve decides along one static list of
-literals, computed once per closure, that settles each star eventuality
-as early as the clauses allow, as tableaux fulfil eventualities (Goré
-and Widmann, CADE 2009). So each solve returns the least model in that
-list and the witnesses are deterministic. That also lets a rebuilt
-graph reuse the models its predecessor was given, as long as they
-satisfy the lemmas learned since.
+behind that core are learned as a new clause, which holds at every
+state reachable from a model of ``f``, and the search restarts. A
+demand graph that leaves star eventualities undischarged is not a
+refutation. When the database refutes an eventuality's discharge
+outright, its star modality can never promise it, which is learned as a
+unit clause with a restart; otherwise the run ends undecided. Every
+solve decides along one static list of literals, computed once per
+closure, that settles each star eventuality as early as the clauses
+allow, as tableaux fulfil eventualities (Goré and Widmann, CADE 2009).
+So each solve returns the least model in that list and the witnesses
+are deterministic. That also lets a rebuilt graph reuse the models its
+predecessor was given, as long as they satisfy the lemmas learned
+since.
 
 The exact regime backstops a lazy run that ends undecided, when at most
 2^14 frontier assignments exist. Its atoms are the assignments that the
 lazy run's database admits, one solve each with the frontier literals as
-assumptions. The database holds only clauses valid in every model, so
-it drops only assignments that no state has and elimination would drop:
-the survivors and the witness are those of enumerating every assignment.
-Elimination keeps an atom that has, per letter it demands, a surviving
-atom meeting that demand, and that discharges every star eventuality
-through such matching edges. A witness is read off by walking demanded
+assumptions. The database holds only clauses that hold at every state
+reachable from a model of ``f``, so it drops only assignments that no
+such state has and elimination would drop: the survivors and the
+witness are those of enumerating every assignment. Elimination keeps an
+atom that has, per letter it demands, a surviving atom meeting that
+demand, and that discharges every star eventuality through such
+matching edges. A witness is read off by walking demanded
 letters, steering each step toward the oldest undischarged eventuality.
 An eventuality is carried into a successor only when some walk from
 that successor still discharges it, so every eventuality on a node's
@@ -57,7 +71,7 @@ from dataclasses import dataclass
 
 from .. import obsregex as ox
 from .. import syntax as sx
-from ..errors import ResourceBudgetExceeded
+from ..errors import InvalidInput, ResourceBudgetExceeded
 from . import core as dc
 
 __all__ = ["Sat", "Unsat", "Unknown", "dpdl_sat"]
@@ -94,19 +108,24 @@ class Unknown:
 
 class _Shape:
     """The closure of a formula as solver variables: member ``v`` is
-    variable ``v``.
+    variable ``v``, and ``lit[v]`` is the literal that gives its truth.
 
     The members, each member's ``syntax.definition`` and the index come
-    from the one closure walk (``syntax._closure``), and one loop over
-    them fills the rest: the free members (atoms and one-letter
-    modalities) form the frontier, the one-letter modalities are indexed
-    by letter, the star modalities and the atoms are listed, and an
-    agent operator is refused with a TypeError. A state is an
-    assignment, a list giving each variable's truth, and the methods
-    below read a state's demands, eventualities and valuation.
+    from the one closure walk (``syntax._closure``), and one loop visits
+    every member to fill the rest: the free members (atoms and
+    one-letter modalities) form the frontier, the one-letter modalities
+    are indexed by letter, the star modalities and the atoms are listed,
+    and an agent operator is refused with ``InvalidInput``, wherever it
+    sits. ``lit[v]`` is ``2v``, except that a negation is polarity: its
+    literal is its argument's with the sign flipped, so a chain of
+    negations ends on the literal of a member that is not one. A
+    negation's own variable is left out of every clause and decision. A
+    state is an assignment, a list giving each member's truth, and the
+    methods below read a state's demands, eventualities and valuation.
 
-    ``decide`` is the solver's decision list: one literal per variable,
-    each decided in turn when propagation has left it open. It settles
+    ``decide`` is the solver's decision list: one literal per member,
+    read through ``lit``, each decided in turn when propagation has left
+    it open. So a negation's entry decides its argument. It settles
     every star eventuality as early as possible. Each one-letter
     modality that a star member's unfolding defers to is hinted not to
     defer: a box true, a diamond false. That hint depends only on the
@@ -114,21 +133,29 @@ class _Shape:
     is hinted the truth that discharges it, true under a diamond and
     false under a box. An argument hint overrides an unfolding hint,
     and where two stars hint one argument both ways, the later star in
-    member order wins. The hinted variables come first, in index order,
-    with their hinted literals; the others follow in index order,
-    negative.
+    member order wins. The hinted members come first, in index order,
+    with their hinted truths; the others follow in index order, false.
     """
 
     def __init__(self, f):
         self.members, self.definitions, self.index = sx._closure(f)
+        members, index = self.members, self.index
+        self.lit = lit = list(range(0, 2 * len(members), 2))
         self.frontier = []
         self.dia = {}
         self.box = {}
         self.stars = []
         self.props = []
-        for v, g in enumerate(self.members):
+        for v, g in enumerate(members):
             cls = type(g)
-            if self.definitions[v][0] == "free":
+            if cls is sx.Not:
+                flip = 1
+                h = g.arg
+                while type(h) is sx.Not:
+                    flip ^= 1
+                    h = h.arg
+                lit[v] = 2 * index[h] + flip
+            elif self.definitions[v][0] == "free":
                 self.frontier.append(g)
                 if cls is sx.Prop:
                     self.props.append((v, g.name))
@@ -137,18 +164,19 @@ class _Shape:
                 elif cls is sx.Box:
                     self.box.setdefault(g.pi.symbol, []).append(g)
                 else:
-                    raise TypeError("dynamic logic has no agent operators")
+                    raise InvalidInput("dynamic logic has no agent operators")
             elif (cls is sx.Dia or cls is sx.Box) and type(g.pi) is ox.Star:
                 self.stars.append(g)
         self.letters = tuple(sorted(set(self.dia) | set(self.box)))
         self.profile = {a: tuple(self.dia.get(a, []) + self.box.get(a, []))
                         for a in self.letters}
-        hints = {self.index[h]: isinstance(h, sx.Box)
+        hints = {index[h]: isinstance(h, sx.Box)
                  for h in self._unfold_frontier()}
-        hints.update((self.index[g.arg], isinstance(g, sx.Dia))
+        hints.update((index[g.arg], isinstance(g, sx.Dia))
                      for g in self.stars)
-        self.decide = [_Dpll.lit(v, hints[v]) for v in sorted(hints)] + [
-            2 * v + 1 for v in range(len(self.members)) if v not in hints]
+        self.decide = [lit[v] if hints[v] else lit[v] ^ 1
+                       for v in sorted(hints)] + [
+            lit[v] ^ 1 for v in range(len(members)) if v not in hints]
 
     def _unfold_frontier(self):
         """The one-letter modalities whose truth defers a star member to
@@ -170,53 +198,58 @@ class _Shape:
     def compile(self):
         """A solver over the clauses of every member's definition, then
         one per pair of a diamond and a box over the same letter and
-        argument.
+        argument, then one unit per global conjunct.
 
-        Literals come straight from member indices. An operand is never
-        its member, so no binary clause is a unit or a tautology, and
-        each goes straight onto the implication lists of its two
-        literals, as ``_Dpll._search`` adds a learned one. Only the long
-        clause of a junction passes through ``add_clause``. The clauses,
+        Literals come through ``lit``, and a negation has no clause of
+        its own. An operand is never its member or the member's
+        negation, so no binary clause is a unit or a tautology, and each
+        goes straight onto the implication lists of its two literals, as
+        ``_Dpll._search`` adds a learned one. Only the long clause of a
+        junction passes through ``add_clause``, which merges repeated
+        operands and drops a tautology such as ``p | ~p``. The clauses,
         and the literals in each, come out in the order that
-        ``add_clause`` on each of them would give. It runs before the
-        first solve, which builds level 0 from the units. The solver
-        decides along ``decide``.
+        ``add_clause`` on each of them would give.
+
+        A global conjunct is a top-level conjunct of the formula (the
+        formula itself when it is not a conjunction) of the form
+        ``[π*]χ`` whose ``π`` holds every letter of ``letters``. It
+        holds at every state reachable from a root, and those are the
+        only states the solver is asked about (see the module
+        docstring), so it is a unit. It runs before the first solve,
+        which builds level 0 from the units. The solver decides along
+        ``decide`` and reports each member's truth through ``lit``.
         """
         dpll = _Dpll(len(self.members))
         dpll.decide = self.decide
+        dpll.out = self.lit
         index = self.index
+        lit = self.lit
         units = dpll.units
         bins = dpll.bins
         add_clause = dpll.add_clause
         for v, (kind, operands) in enumerate(self.definitions):
-            if kind == "free":
+            if kind == "free" or kind == "not":
                 continue
             pos = 2 * v
             neg = pos + 1
             if kind == "or":
-                parts = [2 * index[h] for h in operands]
+                parts = [lit[index[h]] for h in operands]
                 add_clause([neg] + parts)
                 for h in parts:
-                    bins[pos].append(h + 1)
-                    bins[h + 1].append(pos)
+                    bins[pos].append(h ^ 1)
+                    bins[h ^ 1].append(pos)
             elif kind == "and":
-                parts = [2 * index[h] + 1 for h in operands]
+                parts = [lit[index[h]] ^ 1 for h in operands]
                 add_clause([pos] + parts)
                 for h in parts:
-                    bins[neg].append(h - 1)
-                    bins[h - 1].append(neg)
-            elif kind == "not":
-                h = 2 * index[operands[0]]
-                bins[neg].append(h + 1)
-                bins[h + 1].append(neg)
-                bins[pos].append(h)
-                bins[h].append(pos)
+                    bins[neg].append(h ^ 1)
+                    bins[h ^ 1].append(neg)
             elif kind == "eq":
-                h = 2 * index[operands[0]]
+                h = lit[index[operands[0]]]
                 bins[neg].append(h)
                 bins[h].append(neg)
-                bins[pos].append(h + 1)
-                bins[h + 1].append(pos)
+                bins[pos].append(h ^ 1)
+                bins[h ^ 1].append(pos)
             else:
                 units.append(pos if kind == "true" else neg)
         for a in self.letters:
@@ -227,6 +260,12 @@ class _Shape:
                     x, y = 2 * index[d] + 1, 2 * index[b]
                     bins[x].append(y)
                     bins[y].append(x)
+        f = self.members[0]
+        for g in f.parts if type(f) is sx.And else (f,):
+            if (type(g) is sx.Box and type(g.pi) is ox.Star
+                    and all(ox.derive(g.pi.body, a).nullable
+                            for a in self.letters)):
+                units.append(2 * index[g])
         return dpll
 
     def needs(self, assign, a):
@@ -241,21 +280,23 @@ class _Shape:
         Under an existing ``a``-successor, every one-letter modality
         over ``a`` pins its argument's truth there to its own truth
         here. Returns the sorted tuple of those literals with a map from
-        each variable to its truth and the modality that pins it; or None
-        with a pair of modalities that pin one variable both ways.
+        each variable to its literal and the modality that pins it; or
+        None with a pair of modalities that pin one variable both ways,
+        such as ``[a]p`` and ``[a]~p``, whose arguments share a variable.
         """
         index = self.index
+        lit = self.lit
         req = {}
         for g in self.profile[a]:
-            truth = assign[index[g]]
-            var = index[g.arg]
-            if var in req:
-                if req[var][0] != truth:
-                    return None, (req[var][1], g)
-            else:
-                req[var] = (truth, g)
-        lits = tuple(sorted(_Dpll.lit(var, truth)
-                            for var, (truth, _) in req.items()))
+            want = lit[index[g.arg]]
+            if not assign[index[g]]:
+                want ^= 1
+            pinned = req.get(want >> 1)
+            if pinned is None:
+                req[want >> 1] = (want, g)
+            elif pinned[0] != want:
+                return None, (pinned[1], g)
+        lits = tuple(sorted(want for want, _ in req.values()))
         return lits, req
 
     def eventualities(self, assign):
@@ -302,7 +343,8 @@ class _Exact:
                          for atom in self.atoms]
         self._groups = {}
         for a in shape.letters:
-            args = sorted({shape.index[g.arg] for g in shape.profile[a]})
+            args = sorted({shape.lit[shape.index[g.arg]] >> 1
+                           for g in shape.profile[a]})
             groups = {}
             for j, atom in enumerate(self.atoms):
                 key = tuple(_Dpll.lit(v, atom[v]) for v in args)
@@ -439,12 +481,15 @@ class _Dpll:
     propagated literal sits in position 0 of its reason, which for a
     binary implication is the pair ``(implied, falsified)``; a binary
     conflict is the pair of its two false literals. Level 0 holds the
-    consequences of the unit clauses; it persists between solves and
-    is rebuilt only after ``add_clause``. Each solve puts all of its
-    assumptions on level 1 and decides above it. A conflict above
-    level 1 is analysed to its first unique implication point; the
-    learned clause is kept for later solves, since it follows from the
-    clause database alone, and the search jumps back to where it
+    consequences of the unit clauses and persists between solves. The
+    first solve builds it from the units, and after that it grows in
+    place, as in MiniSat (Eén and Sörensson, SAT 2003): ``add_clause``
+    asserts and propagates a clause that level 0 leaves one literal
+    open, and a learned unit goes straight onto it. Each solve puts all
+    of its assumptions on level 1 and decides above it. A conflict
+    above level 1 is analysed to its first unique implication point;
+    the learned clause is kept for later solves, since it follows from
+    the clause database alone, and the search jumps back to where it
     asserts. A conflict on level 1 refutes the assumptions: walking its
     reasons back to them yields the core returned with ``unsat``.
 
@@ -453,9 +498,13 @@ class _Dpll:
     by default every variable's negative literal in index order, and
     ``_Shape.compile`` hands over its closure's list. So every answer
     is the least model in that list, the same model a chronological
-    search finds, and witnesses stay deterministic. ``solves``,
-    ``decisions``, ``conflicts`` (those above level 1, each teaching
-    one clause), ``propagations`` and ``learned`` count the work done.
+    search finds, and witnesses stay deterministic. A ``sat`` answer
+    gives, for each entry of ``out``, that literal's truth: by default
+    each variable's positive literal, and ``_Shape.compile`` hands over
+    its ``lit``, so a negation member reads its argument's complement.
+    ``solves``, ``decisions``, ``conflicts`` (those above level 1, each
+    teaching one clause), ``propagations`` and ``learned`` count the
+    work done.
     """
 
     def __init__(self, nvars):
@@ -470,8 +519,9 @@ class _Dpll:
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self.stale = True
+        self.built = False
         self.decide = list(range(1, 2 * nvars, 2))
+        self.out = range(0, 2 * nvars, 2)
         self.solves = 0
         self.decisions = 0
         self.conflicts = 0
@@ -486,6 +536,11 @@ class _Dpll:
         """Add a clause; False when it is a tautology and was dropped.
 
         Sorting puts repeated and complementary literals side by side.
+        Before the first solve the clause is only stored. After it,
+        level 0 grows in place: literals false there go last, so no
+        watch starts on one; a clause with one literal that is not false
+        there asserts that literal on level 0, and one with none makes
+        the database empty.
         """
         lits = sorted(lits)
         kept = []
@@ -497,7 +552,18 @@ class _Dpll:
                 kept.append(lit)
                 last = lit
         lits = kept
-        self.stale = True
+        if self.built:
+            value = self.value
+            lits.sort(key=lambda lit: value[lit] is False)
+            if not lits or value[lits[0]] is False:
+                self.empty = True
+                return True
+            if len(lits) == 1 or value[lits[1]] is False:
+                if value[lits[0]] is None:
+                    self._assign(lits[0], None)
+                    if self._propagate() is not None:
+                        self.empty = True
+                return True
         if not lits:
             self.empty = True
         elif len(lits) == 1:
@@ -531,12 +597,9 @@ class _Dpll:
         self.qhead = start
 
     def _rebuild(self):
-        """Recompute level 0 from the unit clauses."""
-        self.stale = False
-        self.value = [None] * (2 * self.nvars)
-        self.trail = []
-        self.trail_lim = []
-        self.qhead = 0
+        """Build level 0 from the unit clauses, once, at the first
+        solve; ``add_clause`` extends it after that."""
+        self.built = True
         for lit in self.units:
             if self.value[lit] is False:
                 self.empty = True
@@ -694,11 +757,12 @@ class _Dpll:
     def solve(self, assumptions):
         """("sat", assign) or ("unsat", core). Raises on step budget.
 
-        ``assign`` gives every variable's truth; ``core`` is a subset
+        ``assign`` gives the truth of each literal of ``out``, which is
+        each member's truth for a compiled closure; ``core`` is a subset
         of ``assumptions`` that the clauses already refute.
         """
         self.solves += 1
-        if self.stale:
+        if not self.built:
             self._rebuild()
         if self.empty:
             return "unsat", []
@@ -729,7 +793,6 @@ class _Dpll:
                     learnt, back = self._analyze(conflict)
                     self._cancel(back)
                     if back == 0:
-                        self.units.append(learnt[0])
                         self._assign(learnt[0], None)
                         if self._propagate() is not None:
                             self.empty = True
@@ -752,7 +815,7 @@ class _Dpll:
                 while pos < len(decide) and value[decide[pos]] is not None:
                     pos += 1
                 if pos >= len(decide):
-                    return "sat", value[0::2]
+                    return "sat", list(map(value.__getitem__, self.out))
                 lit = decide[pos]
                 self.decisions += 1
                 self.trail_lim.append(len(self.trail))
@@ -820,15 +883,18 @@ class _Lazy:
         raise AssertionError("demanded letter without an existence forcer")
 
     def _learn(self, assign, a, culprits):
-        """Refute this combination of modal truths as a new validity.
+        """Refute this combination of modal truths at every state
+        reachable from a model of ``f``.
 
-        The culprits force contradictory facts at the successor. When
-        none of them is a true diamond or a false box, which force the
-        successor to exist, a modality that does is added as the
-        forcer. So no state of any deterministic model satisfies all of
-        them at once. The literals are over distinct members, so the
-        clause is never a tautology, and the current assignment falsifies
-        it, so it is new.
+        The culprits force facts at the successor that the clause
+        database refutes. The successor of such a state is reachable
+        too, so it satisfies the database, global units included. When
+        none of the culprits is a true diamond or a false box, which
+        force the successor to exist, a modality that does is added as
+        the forcer. So no reachable state of any deterministic model
+        satisfies all of them at once. The literals are over distinct
+        members, so the clause is never a tautology, and the current
+        assignment falsifies it, so it is new.
         """
         index = self.shape.index
         culprits = list(culprits)
@@ -845,7 +911,8 @@ class _Lazy:
         restarts = 0
         while restarts < _RESTART_CAP:
             self._next_round()
-            status, assign = self._solve([2 * self.shape.index[self.f]])
+            status, assign = self._solve(
+                [self.shape.lit[self.shape.index[self.f]]])
             if status == "unsat":
                 return Unsat()
             outcome = self._expand(assign)
@@ -919,15 +986,18 @@ class _Lazy:
         """Learn that an eventuality whose discharge no state admits is
         never promised; True when some unit was learned.
 
-        Every state satisfies the clause database, so when the database
-        refutes ``arg`` having truth ``want``, no walk discharges the
+        Every state reachable from a model of ``f`` satisfies the
+        clause database, global units included, and so does every state
+        that a walk from it reaches. So when the database refutes
+        ``arg`` having truth ``want``, no walk discharges the
         eventuality, and its star modality never has the truth that
-        promises it, in any deterministic model.
+        promises it at such a state.
         """
         index = self.shape.index
+        lit = self.shape.lit
         learned = False
         for pi, arg, want in dict.fromkeys(missing):
-            status, _ = self._solve([_Dpll.lit(index[arg], want)])
+            status, _ = self._solve([lit[index[arg]] ^ (not want)])
             if status == "unsat":
                 g = sx.dia(pi, arg) if want else sx.box(pi, arg)
                 self._add_lemma([_Dpll.lit(index[g], not want)])
@@ -969,9 +1039,13 @@ def dpdl_sat(f: sx.Formula):
     model checker has validated, ``Unsat``, or ``Unknown`` when a
     resource cap was hit or the lazy regime left eventualities
     undischarged where the exact regime does not run. ``Unsat`` is only
-    reported after a propositional refutation from valid lemmas (lazy
-    regime) or exhaustive pruning (exact regime), so every definite
-    verdict is sound.
+    reported after a propositional refutation from lemmas that hold at
+    every state reachable from a model of ``f`` (lazy regime) or
+    exhaustive pruning (exact regime), so every definite verdict is
+    sound. Each top-level conjunct ``[π*]χ`` whose ``π`` holds every
+    letter of the closure holds at all of those states, so the solver
+    takes it as a unit clause; the bubble encoding's ``[Σ*]`` invariant
+    is one.
 
     The lazy regime runs first, on every formula, and decides along the
     closure's one static decision list (``_Shape.decide``), which
@@ -979,16 +1053,17 @@ def dpdl_sat(f: sx.Formula):
     it ends undecided and the closure has at most 14 frontier members
     (atoms and one-letter modalities), the exact regime decides
     instead, on the lazy run's clause database: every clause the lazy
-    run added is valid, so it gives the verdict and witness that a
-    fresh enumeration would. Module constants bound the work:
-    ``_NODE_CAP`` the states of a demand graph or witness walk,
-    ``_RESTART_CAP`` the lemma restarts, ``_STEP_CAP`` the steps of
-    each propositional search and ``obsregex._MAX_DERIVATIVES`` the
-    derivatives that each walk meets, the witness check's too. A formula
-    with agent operators is a TypeError. A formula that nests deeper
-    than ``syntax._MAX_DEPTH`` raises ``FormulaTooDeep`` before the
-    search: the witness check evaluates by recursion on the formula,
-    one frame per level, and the search itself does not recurse.
+    run added holds at every state reachable from a model of ``f``, so
+    it gives the verdict and witness that a fresh enumeration would.
+    Module constants bound the work: ``_NODE_CAP`` the states of a
+    demand graph or witness walk, ``_RESTART_CAP`` the lemma restarts,
+    ``_STEP_CAP`` the steps of each propositional search and
+    ``obsregex._MAX_DERIVATIVES`` the derivatives that each walk meets,
+    the witness check's too. A formula with agent operators, wherever
+    they sit, raises ``InvalidInput``. A formula that nests deeper than
+    ``syntax._MAX_DEPTH`` raises ``FormulaTooDeep`` before the search:
+    the witness check evaluates by recursion on the formula, one frame
+    per level, and the search itself does not recurse.
     """
     sx._check_depth(f)
     outcome = _decide(f)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polkit import corpus
 from polkit import dpdl as dp
 from polkit import obsregex as ox
 from polkit import syntax as sx
@@ -155,6 +156,68 @@ class TestPropositionalEngine:
         assert s.conflicts == 1
         assert s.reason[1] == (2, 0)
 
+    def test_level_zero_grows_in_place(self, monkeypatch):
+        # after a first solve, a unit, a clause false at level 0 but for
+        # one literal and one false there throughout are added in place;
+        # each answer is a fresh solver's with the same clauses, and
+        # level 0 is built once per solver
+        rebuilds = []
+        rebuild = dps._Dpll._rebuild
+
+        def counting(self):
+            rebuilds.append(self)
+            rebuild(self)
+
+        monkeypatch.setattr(dps._Dpll, "_rebuild", counting)
+        rng = random.Random(33)
+        asserted = 0
+        for _ in range(40):
+            nvars = 8
+            clauses = random_3cnf(rng, nvars, rng.randint(6, 14))
+            clauses.append([2 * rng.randrange(nvars) + rng.randint(0, 1)])
+            s = solver_for(nvars, clauses)
+            s.decide = [2 * v + rng.randint(0, 1)
+                        for v in rng.sample(range(nvars), nvars)]
+            s.solve([])
+            for step in ("unit", "all false but one", "all false"):
+                false = [l for l in range(2 * nvars) if s.value[l] is False]
+                free = [v for v in range(nvars) if s.value[2 * v] is None]
+                if step == "all false":
+                    clause = false[:3]
+                elif not free:
+                    continue
+                elif step == "unit":
+                    clause = [2 * rng.choice(free) + rng.randint(0, 1)]
+                else:
+                    clause = false[-2:] + [2 * free[-1] + 1]
+                    asserted += 1
+                # level 0 also holds units that the solves learned, so
+                # the fresh solver gets them too
+                learned = [[l] for l in s.trail]
+                clauses.append(clause)
+                s.add_clause(clause)
+                fresh = solver_for(nvars, learned + clauses)
+                fresh.decide = s.decide
+                for _ in range(3):
+                    assumptions = [2 * v + rng.randint(0, 1)
+                                   for v in rng.sample(range(nvars), 2)]
+                    status, result = s.solve(assumptions)
+                    again = fresh.solve(assumptions)
+                    assert s.empty == fresh.empty, step
+                    # a core may be smaller than the fresh solver's,
+                    # through clauses the first solves learned
+                    assert status == again[0], step
+                    if status == "sat":
+                        assert result == again[1] == least_model(
+                            nvars, clauses, assumptions, s.decide), step
+                    else:
+                        assert set(result) <= set(assumptions), step
+                        assert least_model(nvars, clauses, result,
+                                           s.decide) is None, step
+            assert s.empty
+        assert asserted > 20
+        assert len(rebuilds) == len(set(map(id, rebuilds)))
+
     def test_step_cap_leaves_the_solver_usable(self, monkeypatch):
         s = solver_for(10, [[0, 2]])
         monkeypatch.setattr(dps, "_STEP_CAP", 5)
@@ -186,6 +249,16 @@ def reference_closure(f):
     return tuple(seen)
 
 
+def reference_lit(g, index):
+    """The literal of a member: a negation is its argument's literal with
+    the sign flipped, any other member ``v`` is ``2v``."""
+    flip = 0
+    while isinstance(g, dp.Not):
+        g = g.arg
+        flip ^= 1
+    return 2 * index[g] + flip
+
+
 class ReferenceShape(dps._Shape):
     """``_Shape`` built the old way: the members from a closure of their
     own, each definition read again, and one loop per field."""
@@ -193,9 +266,10 @@ class ReferenceShape(dps._Shape):
     def __init__(self, f):
         members = reference_closure(f)
         if any(isinstance(g, (sx.Hat, sx.Know)) for g in members):
-            raise TypeError("dynamic logic has no agent operators")
+            raise InvalidInput("dynamic logic has no agent operators")
         self.members = members
         self.index = {g: i for i, g in enumerate(members)}
+        self.lit = [reference_lit(g, self.index) for g in members]
         self.definitions = tuple(map(sx.definition, members))
         self.frontier = [g for g, (kind, _) in zip(members, self.definitions)
                          if kind == "free"]
@@ -217,28 +291,38 @@ class ReferenceShape(dps._Shape):
                  for h in self._unfold_frontier()}
         hints.update((self.index[g.arg], isinstance(g, dp.Dia))
                      for g in self.stars)
-        self.decide = [dps._Dpll.lit(v, hints[v]) for v in sorted(hints)] + [
+        # each member's literal, then the same through lit: a negation's
+        # entry becomes its argument's
+        old = [dps._Dpll.lit(v, hints[v]) for v in sorted(hints)] + [
             2 * v + 1 for v in range(len(members)) if v not in hints]
+        self.decide = [self.lit[l >> 1] ^ (l & 1) for l in old]
+
+
+def global_conjuncts(f, letters):
+    """The top-level conjuncts ``[π*]χ`` of ``f`` whose ``π`` holds each
+    of ``letters`` as a one-letter word."""
+    conjuncts = f.parts if isinstance(f, dp.And) else (f,)
+    return [g for g in conjuncts
+            if isinstance(g, dp.Box) and isinstance(g.pi, ox.Star)
+            and all(ox.nullable(ox.derive(g.pi.body, a)) for a in letters)]
 
 
 def reference_database(f):
     """The clause database from one ``add_clause`` call per clause, in
-    member order, then the diamond/box pairs."""
+    member order, then the diamond/box pairs, then a unit per global
+    conjunct. A negation has no clause: it is its argument's literal
+    with the sign flipped."""
     shape = ReferenceShape(f)
-    index = shape.index
     s = dps._Dpll(len(shape.members))
 
     def lit(g, positive):
-        return dps._Dpll.lit(index[g], positive)
+        return reference_lit(g, shape.index) ^ (0 if positive else 1)
 
     for g, (kind, operands) in zip(shape.members, shape.definitions):
         if kind == "true":
             s.add_clause([lit(g, True)])
         elif kind == "false":
             s.add_clause([lit(g, False)])
-        elif kind == "not":
-            s.add_clause([lit(g, False), lit(operands[0], False)])
-            s.add_clause([lit(g, True), lit(operands[0], True)])
         elif kind == "eq":
             s.add_clause([lit(g, False), lit(operands[0], True)])
             s.add_clause([lit(g, True), lit(operands[0], False)])
@@ -256,6 +340,8 @@ def reference_database(f):
             b = boxes.get(d.arg)
             if b is not None:
                 s.add_clause([lit(d, False), lit(b, True)])
+    for g in global_conjuncts(f, shape.letters):
+        s.add_clause([lit(g, True)])
     return s
 
 
@@ -309,12 +395,29 @@ class TestCompilation:
         assert_compiled_as_reference(
             TRANSLATIONS["hK_i p & K_j q at 3"]().formula)
 
+    @settings(max_examples=200, deadline=None)
+    @given(dpdl_formula_strategy())
+    @example(dp.parse_dpdl("~~p|~p&[a]~~~q"))
+    def test_a_negation_is_its_arguments_complement(self, f):
+        shape = dps._Shape(f)
+        dpll = shape.compile()
+        negations = {v for v, g in enumerate(shape.members)
+                     if isinstance(g, dp.Not)}
+        for v in negations:
+            arg = shape.index[shape.members[v].arg]
+            assert shape.lit[v] == shape.lit[arg] ^ 1
+        clauses = [[l] for l in dpll.units] + [
+            [l, m] for l, implied in enumerate(dpll.bins) for m in implied] + [
+            c for w in dpll.watches for c in w]
+        assert not {l >> 1 for c in clauses for l in c} & negations
+        assert not {l >> 1 for l in shape.decide} & negations
+
     def test_decision_list_settles_stars_first(self):
         f = dp.parse_dpdl("<a*><b>p & [b*]q & ~[(a;b)*]<b>p")
         shape = dps._Shape(f)
 
         def lit(text, truth):
-            return dps._Dpll.lit(shape.index[dp.parse_dpdl(text)], truth)
+            return shape.lit[shape.index[dp.parse_dpdl(text)]] ^ (not truth)
 
         # unfoldings do not defer (diamonds false, boxes true), and each
         # argument takes its discharging truth; <b>p is both an
@@ -326,9 +429,13 @@ class TestCompilation:
         head = shape.decide[:len(hinted)]
         assert sorted(head) == sorted(hinted)
         assert head == sorted(head, key=lambda l: l >> 1)
+        # the rest are false, and the negation's entry is its argument
+        # true
         assert shape.decide[len(hinted):] == [
-            2 * v + 1 for v in range(len(shape.members))
+            shape.lit[v] ^ 1 for v in range(len(shape.members))
             if v not in {l >> 1 for l in hinted}]
+        negation = shape.index[f.parts[-1]]
+        assert shape.lit[negation] ^ 1 == 2 * shape.index[f.parts[-1].arg]
         assert shape.compile().decide == shape.decide
         assert dps._Dpll(3).decide == [1, 3, 5]
         # alone, the diamond's argument hint overrides its unfolding's
@@ -402,7 +509,11 @@ def learned_lemmas(f):
 
 class TestLazyRegime:
     # random formulas seldom teach a lemma; the examples teach 1 to 6,
-    # and the first one's lemma is valid only with its forcer, <a>q
+    # and the first one's lemma is valid only with its forcer, <a>q. A
+    # lemma holds wherever the global conjuncts of the formula hold,
+    # which is at every state reachable from a model of it; the last
+    # example's lemmas ~[a]p and ~[a][a]p hold only under its global
+    # conjunct [(a+b)*](p&p)
     @settings(max_examples=100, deadline=None)
     @given(dpdl_formula_strategy())
     @example(dp.parse_dpdl("[a]p&[a]~p&<a>q"))
@@ -413,14 +524,19 @@ class TestLazyRegime:
     @example(dp.parse_dpdl("[(b;b)*]true"))
     @example(dp.parse_dpdl("[(a;b)*]true"))
     @example(dp.parse_dpdl("<a*>~~false"))
+    @example(dp.parse_dpdl("[(0*+a);b;a][a]p&[(a+b)*](p&p)"))
     def test_every_lemma_is_valid(self, f):
+        where = global_conjuncts(f, dps._Shape(f).letters)
         for refuted in learned_lemmas(f):
-            assert not isinstance(dp.brute_dpdl_sat(refuted, 2), dp.Sat)
+            assert not isinstance(
+                dp.brute_dpdl_sat(dp.land(refuted, *where), 2), dp.Sat)
 
     def test_lemma_adds_a_forcer_only_when_needed(self):
         # <a>~p already makes the a-successor exist, so the lemma leaves
-        # out <a>q; under [a]p and [a]~p alone it needs <a>q
-        for text, refuted in (("<a>q&[a]p&<a>~p", "[a]p&<a>~p"),
+        # out <a>q; under [a]p and [a]~p alone it needs <a>q. <a>~p and
+        # [a]p pin the one variable of p both ways, so the pair comes
+        # from the demand in pin order, not from a solver core
+        for text, refuted in (("<a>q&[a]p&<a>~p", "<a>~p&[a]p"),
                               ("[a]p&[a]~p&<a>q", "[a]p&[a]~p&<a>q")):
             assert [sx.print_formula(g) for g in
                     learned_lemmas(dp.parse_dpdl(text))] == [refuted], text
@@ -506,7 +622,7 @@ class TestLazyRegime:
                 shape = dps._Shape(f)
                 lazy = dps._Lazy(f, shape, shape.compile())
                 if default:
-                    lazy.dpll.decide = dps._Dpll(lazy.dpll.nvars).decide
+                    lazy.dpll.decide = [l ^ 1 for l in shape.lit]
                 graphs = []
                 expand = lazy._expand
 
@@ -581,6 +697,31 @@ class TestDpdlSat:
     @given(dpdl_formula_strategy())
     def test_verdict_kind_is_the_exact_regimes(self, f):
         assert type(dp.dpdl_sat(f)) is type(exact_sat(f))
+
+    def test_a_global_conjunct_keeps_every_verdict(self):
+        # psi & [pi*]chi with pi over every letter: the box is a unit of
+        # the database; psi & ([pi*]chi | false) hides it from that rule
+        rng = random.Random(33)
+        letters = ("a", "b")
+        kinds = []
+        while len(kinds) < 600:
+            pi = ox.star(corpus.random_regex(rng, letters, 2))
+            psi = corpus.random_formula(rng, letters, (), depth=2)
+            chi = corpus.random_formula(rng, letters, (), depth=1)
+            if not (isinstance(pi, ox.Star) and all(
+                    ox.nullable(ox.derive(pi.body, a)) for a in letters)):
+                continue
+            box = dp.box(pi, chi)
+            f = dp.land(psi, box)
+            shape = dps._Shape(f)
+            assert 2 * shape.index[box] in shape.compile().units
+            verdict = dp.dpdl_sat(f)
+            hidden = dp.dpdl_sat(dp.land(psi, dp.lor(box, dp.lnot(dp.top()))))
+            assert type(verdict) is type(hidden), dp.print_dpdl(f)
+            if isinstance(verdict, dp.Unsat):
+                assert not isinstance(dp.brute_dpdl_sat(f, 2), dp.Sat)
+            kinds.append(type(verdict))
+        assert kinds.count(dp.Unsat) > 100
 
     def test_exact_regime_backstops_an_undecided_lazy_run(self):
         for text, want in (("<a*>~(p&p)&[a*+b](p|p)&~q", dp.Unsat),
@@ -667,11 +808,21 @@ class TestParsing:
     @pytest.mark.parametrize("f", [
         sx.know("a", sx.prop("q")),
         dp.land(dp.atom("p"), sx.know("a", sx.prop("q"))),
+        dp.lor(sx.hat("a", sx.prop("q")), dp.atom("p")),
+    ])
+    def test_agent_operators_are_invalid_input_to_the_solver(self, f):
+        # the solver's loop visits every closure member, so an agent
+        # operator is refused wherever it sits among the operands
+        with pytest.raises(InvalidInput, match="no agent operators"):
+            dp.dpdl_sat(f)
+
+    @pytest.mark.parametrize("f", [
+        sx.know("a", sx.prop("q")),
+        dp.land(dp.atom("p"), sx.know("a", sx.prop("q"))),
     ])
     def test_agent_operators_are_type_errors(self, f):
-        # p holds, so evaluating the conjunction reaches K_a
+        # p holds, so evaluating the conjunction reaches K_a; the
+        # checker still refuses only what its evaluation reaches
         model = dp.DpdlModel([0], {}, {0: {"p"}})
-        with pytest.raises(TypeError):
-            dp.dpdl_sat(f)
         with pytest.raises(TypeError):
             dp.dpdl_check(model, 0, f)

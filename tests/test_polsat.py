@@ -409,6 +409,40 @@ class TestEncoding:
         verdict = dp.pol_sat(sx.parse_formula(text), dp.LabelBudget(2))
         assert isinstance(verdict, dp.Sat), verdict
 
+    @pytest.mark.parametrize("text, labels", [
+        ("<a*>(<0>p&hK_j p)", 1), ("~[a+a*]hK_j true", 1),
+        ("<a*>(<0>p&q)", 1), ("<a*>(<0>p&q)", 2),
+    ])
+    def test_lazy_run_refutes_through_the_invariant(self, monkeypatch, text,
+                                                    labels):
+        # the [Σ*] invariant is a unit of the solver's database, so its
+        # consequences, such as @l.<0>p being false, sit on level 0;
+        # without that the lazy run left eventualities undischarged, and
+        # the exact regime took 29 s and 2.2 s on the first two
+        def refuse(*args):
+            raise AssertionError("the exact regime ran")
+
+        monkeypatch.setattr(dps, "_Exact", refuse)
+        verdict = dp.pol_sat(sx.parse_formula(text), dp.LabelBudget(labels))
+        assert verdict == dp.Unknown(f"no model within {labels} labels")
+
+    def test_one_label_sat_in_the_exact_regime(self, monkeypatch):
+        # the lazy run leaves it undecided, and the exact regime keeps
+        # only the frontier assignments that the invariant admits: 44
+        # of 8,192, where 7,680 survived without it and the run took
+        # seconds
+        atoms = []
+        run = dps._Exact.run
+
+        def counting(exact):
+            atoms.append(len(exact.atoms))
+            return run(exact)
+
+        monkeypatch.setattr(dps._Exact, "run", counting)
+        verdict = dp.pol_sat(sx.parse_formula("~[b;b*]p"), dp.LabelBudget(1))
+        assert isinstance(verdict, dp.Sat)
+        assert len(atoms) == 1 and atoms[0] <= 64
+
     @pytest.mark.parametrize("text, labels", [("true", 2), ("p", 1)])
     def test_small_translations_stay_lazy(self, monkeypatch, text, labels):
         # their closures have 13 and 11 frontier members, few enough
