@@ -29,8 +29,8 @@ from __future__ import annotations
 from . import obsregex as ox
 from . import syntax as sx
 from .errors import InvalidInput, NotABts, UnknownState
-from .models import (Model, _collect, _mapping, block_map, ordered_blocks,
-                     state_sort_key)
+from .models import (Model, _collect, _mapping, _ordered, block_map,
+                     ordered_blocks, state_sort_key)
 from .obsregex import Alphabet
 
 __all__ = [
@@ -160,7 +160,7 @@ class Bubble:
 
     def __init__(self, states, labels, relations=None):
         sset = _collect(frozenset, states, "the states of a bubble")
-        self.states = tuple(sorted(sset, key=state_sort_key))
+        self.states = tuple(_ordered(sset, "the states", state_sort_key))
         labels = _mapping(labels, "the labels of a bubble")
         for s in labels:
             if s not in sset:
@@ -171,7 +171,7 @@ class Bubble:
         relations = _mapping(relations or {}, "the relations of a bubble")
         self._blocks = {agent: block_map(self.states, agent, blocks)
                         for agent, blocks in relations.items()}
-        self.agents = tuple(sorted(self._blocks))
+        self.agents = tuple(_ordered(self._blocks, "the agents"))
 
     def block(self, agent, s) -> frozenset:
         """Equivalence class of ``s``; unlisted agents see singletons."""
@@ -300,7 +300,7 @@ def _successor_violation(b: Bubble, b2: Bubble, a: str, ordered):
                     return Violation(
                         "3", f"{_pp(f)} at {s!r} disagrees with "
                              f"{_pp(f.arg)} after the observation")
-    for agent in sorted(set(b.agents) | set(b2.agents)):
+    for agent in _ordered(set(b.agents) | set(b2.agents), "the agents"):
         for s in b2.states:
             want = frozenset(x for x in b.block(agent, s) if x in s2set)
             if b2.block(agent, s) != want:
@@ -351,11 +351,12 @@ class Bts:
                 raise InvalidInput(f"transition to unknown bubble {j!r}")
             syms.add(a)
             clean[(i, a)] = j
+        syms = _ordered(syms, "the letters of a structure")
         if alphabet is None:
-            alphabet = Alphabet(sorted(syms) or ["a"])
+            alphabet = Alphabet(syms or ["a"])
         else:
             alphabet = ox._as_alphabet(alphabet)
-        for a in sorted(syms):
+        for a in syms:
             alphabet.require(a)
         self.alphabet = alphabet
         self.delta = clean
@@ -493,7 +494,8 @@ def extract_model(t: Bts):
                            if s in b.labels)
         e = _graph_regex(n + 1, delta, n, finals)
         exp[s] = ox.epsilon() if ox.is_empty_language(e) else e
-    agents = tuple(sorted(set(init.agents) | set(sx.agents(t.formula))))
+    agents = tuple(_ordered(set(init.agents) | set(sx.agents(t.formula)),
+                            "the agents"))
     props = {s: frozenset(f.name for f in init.labels[s]
                           if isinstance(f, sx.Prop))
              for s in init.states}

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .. import obsregex as ox
 from .. import syntax as sx
 from ..errors import InvalidInput, ParseError, UnknownState, UnknownSymbol
-from ..models import _collect, _mapping
+from ..models import _collect, _mapping, _ordered
 
 __all__ = [
     "lor", "land", "implies", "iff", "parse_dpdl",
@@ -113,13 +113,13 @@ class DpdlModel:
             syms.add(a)
             self.trans[(s, a)] = t
         if alphabet is None:
-            self.alphabet = tuple(sorted(syms))
+            self.alphabet = tuple(_ordered(syms, "the transition letters"))
         else:
             self.alphabet = _collect(tuple, alphabet, "the alphabet")
-            missing = syms - set(self.alphabet)
+            missing = _ordered(syms - set(self.alphabet), "the letters")
             if missing:
                 raise UnknownSymbol(
-                    f"transition letters {sorted(missing)!r} not in alphabet")
+                    f"transition letters {missing!r} not in alphabet")
         val = _mapping(val, "the valuations")
         for s in self.states:
             if s not in val:
@@ -136,10 +136,14 @@ class DpdlModel:
 def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
     """Truth of ``f`` at state ``s``.
 
-    An agent operator that the evaluation reaches is a TypeError. A
-    modality walks its program's derivatives along the model's
-    transitions, iterated in the evaluator's own frame (``ox.walk``), so
-    a program letter that the model lacks labels no transition.
+    An agent operator raises ``InvalidInput`` and a non-formula
+    ``TypeError``, but only where the evaluation reaches them:
+    ``p | ~p | K_i p`` is ``True``, as the disjunction stops at ``p``.
+    A walk over the formula first would refuse it, at about half the
+    checks' own time on the witnesses of ``dpdl_sat``. A modality walks
+    its program's derivatives along the model's transitions, iterated
+    in the evaluator's own frame (``ox.walk``), so a program letter
+    that the model lacks labels no transition.
     """
     if s not in m.val:
         raise UnknownState(f"state {s!r} not in model")
@@ -183,6 +187,8 @@ def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
                 if q.nullable and ev(t, g.arg) is want:
                     v = want
                     break
+        elif isinstance(g, (sx.Hat, sx.Know)):
+            raise InvalidInput("dynamic logic has no agent operators")
         else:
             raise TypeError(f"not a dynamic-logic formula: {g!r}")
         memo[key] = v

@@ -3,19 +3,14 @@
 Truth of every closure member is determined by the frontier members,
 which are the atoms and the modalities over a single letter, through
 the one-step equations that ``syntax.definition`` states. The solver
-therefore works with truth assignments to the closure. It reads the
-members, their definitions and their index from the one closure walk
-of ``syntax``, which reads each member's definition once, and sorts the
-members into frontier, letters, stars and atoms in one loop over that
-walk. The equations are compiled once per call into the clauses of one
-incremental CDCL solver, in one pass over the definitions. Member ``v``
-is variable ``v`` with literals ``2v`` and ``2v+1``, except that a
-negation is polarity: its literal is its argument's, complemented, and
-its own variable stays unused. Each binary clause goes straight onto
-the implication lists of its two literals, and only the long clause of
-a junction is sorted, merged and checked for tautology, since with
-polarity its operands can repeat or complement (``p | ~p``), and
-watched. Both regimes work on that database.
+therefore works with truth assignments to the closure, read from the
+one closure walk of ``syntax`` (``_Shape``). The equations are compiled
+once per call, in one pass over the definitions, into the clauses of
+one incremental CDCL solver (``_Shape.compile``), which asserts each
+unit clause on its level 0 as it is added. Member ``v`` is variable
+``v`` with literals ``2v`` and ``2v+1``, except that a negation is
+polarity: its literal is its argument's, complemented. Both regimes
+work on that database.
 
 Every state that the search builds or enumerates is reachable from a
 root of ``f``. So a top-level conjunct ``[π*]χ`` of ``f`` whose ``π``
@@ -196,9 +191,10 @@ class _Shape:
                         stack.append(h)
 
     def compile(self):
-        """A solver over the clauses of every member's definition, then
+        """A solver over the clauses of every member's definition and
         one per pair of a diamond and a box over the same letter and
-        argument, then one unit per global conjunct.
+        argument, then the unit clauses: those of the ``true`` and
+        ``false`` members, then one per global conjunct.
 
         Literals come through ``lit``, and a negation has no clause of
         its own. An operand is never its member or the member's
@@ -215,16 +211,18 @@ class _Shape:
         ``[π*]χ`` whose ``π`` holds every letter of ``letters``. It
         holds at every state reachable from a root, and those are the
         only states the solver is asked about (see the module
-        docstring), so it is a unit. It runs before the first solve,
-        which builds level 0 from the units. The solver decides along
-        ``decide`` and reports each member's truth through ``lit``.
+        docstring), so it is a unit. The unit clauses go through
+        ``add_clause`` after every other clause is written, so each is
+        asserted and propagated on level 0 over the whole database. The
+        solver decides along ``decide`` and reports each member's truth
+        through ``lit``.
         """
         dpll = _Dpll(len(self.members))
         dpll.decide = self.decide
         dpll.out = self.lit
         index = self.index
         lit = self.lit
-        units = dpll.units
+        asserted = []
         bins = dpll.bins
         add_clause = dpll.add_clause
         for v, (kind, operands) in enumerate(self.definitions):
@@ -251,7 +249,7 @@ class _Shape:
                 bins[pos].append(h ^ 1)
                 bins[h ^ 1].append(pos)
             else:
-                units.append(pos if kind == "true" else neg)
+                asserted.append(pos if kind == "true" else neg)
         for a in self.letters:
             boxes = {g.arg: g for g in self.box.get(a, ())}
             for d in self.dia.get(a, ()):
@@ -265,14 +263,22 @@ class _Shape:
             if (type(g) is sx.Box and type(g.pi) is ox.Star
                     and all(ox.derive(g.pi.body, a).nullable
                             for a in self.letters)):
-                units.append(2 * index[g])
+                asserted.append(2 * index[g])
+        for unit in asserted:
+            add_clause([unit])
         return dpll
 
-    def needs(self, assign, a):
-        """Whether a state must have an ``a``-successor."""
+    def forcer(self, assign, a):
+        """The first true diamond or false box over ``a``, which forces
+        an ``a``-successor to exist; None when the state has none."""
         index = self.index
-        return (any(assign[index[g]] for g in self.dia.get(a, ()))
-                or any(not assign[index[g]] for g in self.box.get(a, ())))
+        for g in self.dia.get(a, ()):
+            if assign[index[g]]:
+                return g
+        for g in self.box.get(a, ()):
+            if not assign[index[g]]:
+                return g
+        return None
 
     def demand(self, assign, a):
         """The literals an ``a``-successor must satisfy, and who pins them.
@@ -331,7 +337,7 @@ class _Exact:
         self.atoms = []
         for mask in range(2 ** len(shape.frontier)):
             status, assign = dpll.solve([
-                _Dpll.lit(shape.index[g], bool(mask >> i & 1))
+                2 * shape.index[g] + (not mask >> i & 1)
                 for i, g in enumerate(shape.frontier)])
             if status == "sat":
                 self.atoms.append(assign)
@@ -339,7 +345,7 @@ class _Exact:
         # per atom, each letter it demands with its successor literals,
         # None where two modalities pin one literal both ways
         self._demands = [{a: shape.demand(atom, a)[0] for a in shape.letters
-                          if shape.needs(atom, a)}
+                          if shape.forcer(atom, a) is not None}
                          for atom in self.atoms]
         self._groups = {}
         for a in shape.letters:
@@ -347,7 +353,7 @@ class _Exact:
                            for g in shape.profile[a]})
             groups = {}
             for j, atom in enumerate(self.atoms):
-                key = tuple(_Dpll.lit(v, atom[v]) for v in args)
+                key = tuple(2 * v + (not atom[v]) for v in args)
                 groups.setdefault(key, []).append(j)
             self._groups[a] = groups
 
@@ -378,18 +384,10 @@ class _Exact:
         while changed:
             changed = False
             for i in sorted(self.alive):
-                ok = True
-                for a in self._demands[i]:
-                    if not self._candidates(i, a):
-                        ok = False
-                        break
-                if ok:
-                    for pi, arg, want in self.shape.eventualities(
-                            self.atoms[i]):
-                        if self._discharge_walk(i, pi, arg, want) is None:
-                            ok = False
-                            break
-                if not ok:
+                if not (all(self._candidates(i, a) for a in self._demands[i])
+                        and all(self._discharge_walk(i, *ev) is not None
+                                for ev in self.shape.eventualities(
+                                    self.atoms[i]))):
                     self.alive.discard(i)
                     changed = True
 
@@ -481,12 +479,12 @@ class _Dpll:
     propagated literal sits in position 0 of its reason, which for a
     binary implication is the pair ``(implied, falsified)``; a binary
     conflict is the pair of its two false literals. Level 0 holds the
-    consequences of the unit clauses and persists between solves. The
-    first solve builds it from the units, and after that it grows in
-    place, as in MiniSat (Eén and Sörensson, SAT 2003): ``add_clause``
-    asserts and propagates a clause that level 0 leaves one literal
-    open, and a learned unit goes straight onto it. Each solve puts all
-    of its assumptions on level 1 and decides above it. A conflict
+    consequences of the unit clauses and persists between solves. It
+    grows in place from the first clause on, as in MiniSat (Eén and
+    Sörensson, SAT 2003): ``add_clause`` asserts and propagates a
+    clause that level 0 leaves one literal open, a unit clause among
+    them, and the search hands it each unit it learns. Each solve puts
+    all of its assumptions on level 1 and decides above it. A conflict
     above level 1 is analysed to its first unique implication point;
     the learned clause is kept for later solves, since it follows from
     the clause database alone, and the search jumps back to where it
@@ -508,8 +506,6 @@ class _Dpll:
     """
 
     def __init__(self, nvars):
-        self.nvars = nvars
-        self.units = []
         self.bins = [[] for _ in range(2 * nvars)]
         self.watches = [[] for _ in range(2 * nvars)]
         self.empty = False
@@ -519,7 +515,6 @@ class _Dpll:
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self.built = False
         self.decide = list(range(1, 2 * nvars, 2))
         self.out = range(0, 2 * nvars, 2)
         self.solves = 0
@@ -528,46 +523,34 @@ class _Dpll:
         self.propagations = 0
         self.learned = 0
 
-    @staticmethod
-    def lit(var, positive):
-        return 2 * var + (0 if positive else 1)
-
     def add_clause(self, lits):
-        """Add a clause; False when it is a tautology and was dropped.
+        """Add a clause on level 0; False when it is a tautology and was
+        dropped.
 
         Sorting puts repeated and complementary literals side by side.
-        Before the first solve the clause is only stored. After it,
-        level 0 grows in place: literals false there go last, so no
+        Level 0 grows in place: literals false there go last, so no
         watch starts on one; a clause with one literal that is not false
-        there asserts that literal on level 0, and one with none makes
-        the database empty.
+        there asserts that literal on level 0 and propagates it, and one
+        with none makes the database empty.
         """
-        lits = sorted(lits)
+        value = self.value
         kept = []
+        false = []
         last = -2
-        for lit in lits:
+        for lit in sorted(lits):
             if lit != last:
                 if lit == last ^ 1:
                     return False
-                kept.append(lit)
+                (false if value[lit] is False else kept).append(lit)
                 last = lit
-        lits = kept
-        if self.built:
-            value = self.value
-            lits.sort(key=lambda lit: value[lit] is False)
-            if not lits or value[lits[0]] is False:
-                self.empty = True
-                return True
-            if len(lits) == 1 or value[lits[1]] is False:
-                if value[lits[0]] is None:
-                    self._assign(lits[0], None)
-                    if self._propagate() is not None:
-                        self.empty = True
-                return True
-        if not lits:
+        lits = kept + false
+        if not lits or value[lits[0]] is False:
             self.empty = True
-        elif len(lits) == 1:
-            self.units.append(lits[0])
+        elif len(lits) == 1 or value[lits[1]] is False:
+            if value[lits[0]] is None:
+                self._assign(lits[0], None)
+                if self._propagate() is not None:
+                    self.empty = True
         elif len(lits) == 2:
             self.bins[lits[0]].append(lits[1])
             self.bins[lits[1]].append(lits[0])
@@ -595,19 +578,6 @@ class _Dpll:
         del self.trail[start:]
         del self.trail_lim[lv:]
         self.qhead = start
-
-    def _rebuild(self):
-        """Build level 0 from the unit clauses, once, at the first
-        solve; ``add_clause`` extends it after that."""
-        self.built = True
-        for lit in self.units:
-            if self.value[lit] is False:
-                self.empty = True
-                return
-            if self.value[lit] is None:
-                self._assign(lit, None)
-        if self._propagate() is not None:
-            self.empty = True
 
     def _propagate(self):
         """Propagate the trail; the conflicting clause, or None."""
@@ -762,8 +732,6 @@ class _Dpll:
         of ``assumptions`` that the clauses already refute.
         """
         self.solves += 1
-        if not self.built:
-            self._rebuild()
         if self.empty:
             return "unsat", []
         try:
@@ -793,9 +761,8 @@ class _Dpll:
                     learnt, back = self._analyze(conflict)
                     self._cancel(back)
                     if back == 0:
-                        self._assign(learnt[0], None)
-                        if self._propagate() is not None:
-                            self.empty = True
+                        self.add_clause(learnt)
+                        if self.empty:
                             return "unsat", []
                         break
                     if len(learnt) == 2:
@@ -872,37 +839,30 @@ class _Lazy:
         self.lemmas.append(lits)
         self.dpll.add_clause(lits)
 
-    def _forcer(self, assign, a):
-        index = self.shape.index
-        for g in self.shape.dia.get(a, ()):
-            if assign[index[g]]:
-                return g
-        for g in self.shape.box.get(a, ()):
-            if not assign[index[g]]:
-                return g
-        raise AssertionError("demanded letter without an existence forcer")
-
     def _learn(self, assign, a, culprits):
         """Refute this combination of modal truths at every state
         reachable from a model of ``f``.
 
         The culprits force facts at the successor that the clause
         database refutes. The successor of such a state is reachable
-        too, so it satisfies the database, global units included. When
-        none of the culprits is a true diamond or a false box, which
-        force the successor to exist, a modality that does is added as
-        the forcer. So no reachable state of any deterministic model
-        satisfies all of them at once. The literals are over distinct
-        members, so the clause is never a tautology, and the current
-        assignment falsifies it, so it is new.
+        too, so it satisfies the database, global conjuncts included.
+        When none of the culprits is a true diamond or a false box,
+        which force the successor to exist, ``_Shape.forcer`` adds a
+        modality that does. So no reachable state of any deterministic
+        model satisfies all of them at once. The literals are over
+        distinct members, so the clause is never a tautology, and the
+        current assignment falsifies it, so it is new.
         """
         index = self.shape.index
         culprits = list(culprits)
         if not any(assign[index[g]] == isinstance(g, sx.Dia)
                    for g in culprits):
-            culprits.append(self._forcer(assign, a))
-        self._add_lemma([_Dpll.lit(index[g], not assign[index[g]])
-                         for g in culprits])
+            g = self.shape.forcer(assign, a)
+            if g is None:
+                raise AssertionError(
+                    "demanded letter without an existence forcer")
+            culprits.append(g)
+        self._add_lemma([2 * index[g] + assign[index[g]] for g in culprits])
 
     def run(self):
         """Each round ends in a ``Sat``, or restarts after a lemma or a
@@ -948,7 +908,7 @@ class _Lazy:
             nid = pending.pop()
             assign = assigns[nid]
             for a in shape.letters:
-                if not shape.needs(assign, a):
+                if shape.forcer(assign, a) is None:
                     continue
                 lits, pins = shape.demand(assign, a)
                 if lits is None:
@@ -987,8 +947,8 @@ class _Lazy:
         never promised; True when some unit was learned.
 
         Every state reachable from a model of ``f`` satisfies the
-        clause database, global units included, and so does every state
-        that a walk from it reaches. So when the database refutes
+        clause database, global conjuncts included, and so does every
+        state that a walk from it reaches. So when the database refutes
         ``arg`` having truth ``want``, no walk discharges the
         eventuality, and its star modality never has the truth that
         promises it at such a state.
@@ -1000,7 +960,7 @@ class _Lazy:
             status, _ = self._solve([lit[index[arg]] ^ (not want)])
             if status == "unsat":
                 g = sx.dia(pi, arg) if want else sx.box(pi, arg)
-                self._add_lemma([_Dpll.lit(index[g], not want)])
+                self._add_lemma([2 * index[g] + want])
                 learned = True
         return learned
 

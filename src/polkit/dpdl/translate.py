@@ -99,7 +99,9 @@ class Translation:
     member, one-step persistence ``x -> [a]x`` for every letter ``a``
     and every slot literal ``@l.p``, ``@l.~p``, adjacency atom and
     negated adjacency atom, existence of a successor per letter, and
-    that dead slots stay dead.
+    that dead slots stay dead. The existence law gives every bubble a
+    successor for every letter: without it, the witness of ``[a]true``
+    at two labels has no ``a``-successor.
 
     One-step persistence inside ``[Σ*]`` says as much as a root
     ``x -> [Σ*]x``: by induction along every path from the root, ``x``

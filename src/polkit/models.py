@@ -86,6 +86,15 @@ def state_sort_key(s):
     return (isinstance(s, str), s)
 
 
+def _ordered(items, what, key=None) -> list:
+    """``sorted(items, key=key)``; ids that cannot be compared with each
+    other, such as ``0`` and ``None``, raise ``InvalidInput``."""
+    try:
+        return sorted(items, key=key)
+    except TypeError:
+        raise InvalidInput(f"{what} cannot be put in order") from None
+
+
 def _collect(kind, items, what):
     """``kind(items)``, for ``kind`` ``tuple`` or ``frozenset``; a string,
     which would be read letter by letter, or an object that ``kind``
@@ -176,8 +185,8 @@ class Model:
     def __init__(self, alphabet, agents, states, props, exp, relations):
         self.alphabet = alphabet = ox._as_alphabet(alphabet)
         self.agents = _collect(tuple, agents, "the agents")
-        self.states = tuple(sorted(_collect(tuple, states, "the states"),
-                                   key=state_sort_key))
+        self.states = tuple(_ordered(_collect(tuple, states, "the states"),
+                                     "the states", state_sort_key))
         if not self.states:
             raise InvalidInput("a model needs at least one state")
         known = set(self.states)
@@ -225,6 +234,9 @@ class Model:
                              for agent, assigned in self._blocks.items()}
         self._ctxs = {}
         self._memo = {}
+        # the formulas that passed ``_check_formula``, shared like the
+        # memo, since the models ``update`` returns keep the names
+        self._checked = set()
         # a dict of its own, so that editing ``self.exp`` re-keys nothing
         self._top = self._ctx_for(dict(self.exp))
 
@@ -336,12 +348,33 @@ class Model:
         if s not in self.props:
             raise UnknownState(f"state {s!r} not in model")
         # a formula is memoized only once it, or a formula containing
-        # it, passed the depth check, so a hit needs no check
+        # it, passed the depth and name checks, so a hit needs neither
         got = self._memo.get((self._top.cid, f))
         if got is None:
-            sx._check_depth(f)
+            self._check_formula(f)
             got = self._eval(self._top, f)
         return bool(got & self._bit[s])
+
+    def _check_formula(self, f) -> None:
+        """``UnknownSymbol`` or ``UnknownAgent`` for a letter or an agent
+        of ``f`` that the model lacks, before the evaluation, which may
+        stop short of it; a formula that passed is kept."""
+        if f in self._checked:
+            return
+        sx._check_depth(f)
+        nodes = ox._nodes(f, sx._children)  # one walk serves both checks
+        pis = {g.pi for g in nodes if isinstance(g, (sx.Dia, sx.Box))}
+        unknown = set().union(*map(ox.atoms, pis)).difference(
+            self.alphabet.symbols)
+        if unknown:
+            self.alphabet.require(min(unknown))
+        agents = {g.agent for g in nodes if isinstance(g, (sx.Hat, sx.Know))}
+        unknown = agents.difference(self._blocks)
+        if unknown:
+            raise UnknownAgent(f"agent {min(unknown)!r} not in model")
+        if len(self._checked) >= _MEMO_ENTRIES:
+            self._checked.clear()
+        self._checked.add(f)
 
     def _holds(self, ctx: _Ctx, s, f: sx.Formula) -> bool:
         return bool(self._eval(ctx, f) & self._bit[s])
@@ -371,8 +404,6 @@ class Model:
                 if not val:
                     break
         elif isinstance(f, (sx.Hat, sx.Know)):
-            if f.agent not in self._block_masks:
-                raise UnknownAgent(f"agent {f.agent!r} not in model")
             blocks = [b & ctx.mask for b in self._block_masks[f.agent]]
             arg = self._eval(ctx, f.arg)
             # the blocks are disjoint, so their sum is their union
@@ -381,8 +412,6 @@ class Model:
             else:  # the blocks that stay inside it
                 val = sum(b for b in blocks if not b & ~arg)
         elif isinstance(f, (sx.Dia, sx.Box)):
-            for sym in sorted(ox.atoms(f.pi)):
-                self.alphabet.require(sym)
             # found: the survivors of ctx that some word of the program
             # keeps alive with the body true (diamond) or false (box); a
             # pair whose survivors are all found adds nothing (see the
@@ -439,7 +468,7 @@ class Model:
         ``_EXPLAIN_LINES`` of them before a truncation mark."""
         if s not in self.props:
             raise UnknownState(f"state {s!r} not in model")
-        sx._check_depth(f)
+        self._check_formula(f)
         lines = []
         self._explain(self._top, s, f, (), 0, lines)
         if len(lines) > _EXPLAIN_LINES:

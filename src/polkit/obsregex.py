@@ -350,8 +350,8 @@ def is_empty_language(e: ObsExpr) -> bool:
     return e.empty
 
 
-# Bounded like ``_derive``'s cache: ``Model`` checks the symbols of a
-# modality's program against its alphabet on every walk.
+# Bounded like ``_derive``'s cache: ``syntax.letters`` reads the symbols
+# of every program in a formula, for each formula a ``Model`` checks.
 @lru_cache(maxsize=4096)
 def atoms(e: ObsExpr) -> frozenset:
     """The set of symbols occurring in the expression."""

@@ -228,6 +228,20 @@ class TestDroneTruths:
         with pytest.raises(UnknownSymbol):
             getattr(m, entry)("u", f)
 
+    @pytest.mark.parametrize("entry", ["check", "explain"])
+    @pytest.mark.parametrize("text, error", [
+        ("T1 | ~T1 | <z>T1", UnknownSymbol),
+        ("<z>T1 | T1 | ~T1", UnknownSymbol),
+        ("T1 | ~T1 | K_zz T1", UnknownAgent),
+        ("K_zz T1 | T1 | ~T1", UnknownAgent),
+    ])
+    def test_unknown_names_are_refused_in_every_operand_order(
+            self, entry, text, error):
+        # the first disjunct decides the first two orders, so the names
+        # are checked before the evaluation
+        with pytest.raises(error):
+            getattr(drone_model(), entry)("u", parse_formula(text))
+
     def test_the_least_unknown_letter_is_reported(self):
         # whatever the hash seed, so the message is deterministic
         with pytest.raises(UnknownSymbol, match="'y'"):

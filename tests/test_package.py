@@ -188,6 +188,16 @@ def two_bubbles(delta, initial=0):
     lambda: bt.is_bubble("x", {sx.prop("p")}),
     lambda: bt.is_a_successor(bt.Bubble([0], {}), "x", "a", {sx.prop("p")}),
     lambda: bt.is_a_successor("x", bt.Bubble([0], {}), "a", {sx.prop("p")}),
+    lambda: Model(["a"], [], [0, (1,)], {},
+                  {0: ox.epsilon(), (1,): ox.epsilon()}, {}),
+    lambda: bt.Bubble([0, None], {}),
+    lambda: dp.DpdlModel([0], {(0, 1): 0, (0, "a"): 0}, {0: set()}),
+    lambda: bt.Bts(sx.prop("p"), (bt.Bubble([0], {}),),
+                   {(0, 1): 0, (0, "a"): 0}),
+    lambda: bt.Bubble([0], {}, {1: [], "i": []}),
+    lambda: bt.is_a_successor(bt.Bubble([0], {}, {1: []}),
+                              bt.Bubble([0], {}, {"i": []}), "a",
+                              {sx.prop("p")}),
 ], ids=["empty-alphabet", "duplicate-symbol", "reserved-prop", "empty-atom",
         "stateless-dpdl-model", "duplicate-state", "empty-expectation",
         "overlapping-blocks", "missing-initial-bubble", "non-string-symbol",
@@ -214,7 +224,10 @@ def two_bubbles(delta, initial=0):
         "int-relations", "int-dpdl-transitions", "int-dpdl-valuations",
         "int-bubble-labels", "int-bubble-relations", "int-bts-delta",
         "int-hintikka-label", "str-bubble", "str-successor-bubble",
-        "str-predecessor-bubble"])
+        "str-predecessor-bubble", "unordered-states",
+        "unordered-bubble-states", "unordered-dpdl-letters",
+        "unordered-bts-letters", "unordered-bubble-agents",
+        "unordered-successor-agents"])
 def test_construction_errors_are_pol_errors(build):
     # errors.py promises that every deliberate error is a PolError; a
     # bad constructor argument is also a ValueError

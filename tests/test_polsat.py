@@ -244,6 +244,14 @@ class TestIntervalClasses:
 
 
 class TestEncoding:
+    def test_every_bubble_has_a_successor_for_every_letter(self):
+        # the successor-existence law of the invariant; without it the
+        # witness of [a]true has no a-step at all
+        t = dp.Translation(sx.parse_formula("[a]true"), dp.LabelBudget(2))
+        verdict = dp.dpdl_sat(t.formula)
+        assert isinstance(verdict, dp.Sat)
+        assert (verdict.state, "a") in verdict.model.trans
+
     @pytest.mark.parametrize("labels", [3, 4])
     def test_links_give_interval_classes(self, labels):
         # the first agent: every valuation of its links is an
