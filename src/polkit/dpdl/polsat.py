@@ -72,12 +72,12 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
     Each witness state is a bubble, read only through the encoding's
     own formulas under the state's atoms: slot ``l`` is live where
     ``t.surv(l)`` holds, its label is the members ``psi`` whose
-    ``t.at(l, psi)`` holds, and its class per agent is the live slots
-    ``m`` whose ``t.rel(agent, l, m)`` holds. The encoding makes every
-    relation an equivalence, so the classes are read, not closed; a
-    valuation that breaks transitivity gives overlapping classes, which
-    ``bts.Bubble`` refuses with ``InvalidInput``. A ``state`` that is
-    not in ``model`` raises ``UnknownState``.
+    ``t.at(l, psi)`` holds, and its classes per agent are
+    ``t.classes``. The encoding makes every relation an equivalence, so
+    the classes are read, not closed; a valuation that breaks
+    transitivity gives overlapping classes, which ``bts.Bubble``
+    refuses with ``InvalidInput``. A ``state`` that is not in ``model``
+    raises ``UnknownState``.
     """
     if state not in model.val:
         raise UnknownState(f"state {state!r} not in model")
@@ -88,11 +88,8 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
         slots = [ell for ell in t.labels if holds(t.surv(ell))]
         labels = {ell: frozenset(psi for psi in t.fl if holds(t.at(ell, psi)))
                   for ell in slots}
-        relations = {agent: {frozenset(y for y in slots
-                                       if holds(t.rel(agent, x, y)))
-                             for x in slots}
-                     for agent in t.agents}
-        bubbles.append(bts.Bubble(tuple(slots), labels, relations))
+        bubbles.append(bts.Bubble(tuple(slots), labels, {
+            agent: t.classes(agent, holds, slots) for agent in t.agents}))
     # a transition from a reachable state ends at a reachable state
     delta = {(index[w], a): index[target]
              for (w, a), target in model.trans.items() if w in index}

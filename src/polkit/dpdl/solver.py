@@ -36,9 +36,7 @@ solve decides along one static list of literals, computed once per
 closure, that settles each star eventuality as early as the clauses
 allow, as tableaux fulfil eventualities (Goré and Widmann, CADE 2009).
 So each solve returns the least model in that list and the witnesses
-are deterministic. That also lets a rebuilt graph reuse the models its
-predecessor was given, as long as they satisfy the lemmas learned
-since.
+are deterministic, and a rebuilt graph can reuse its predecessor's.
 
 The exact regime backstops a lazy run that ends undecided, when at most
 2^14 frontier assignments exist. Its atoms are the assignments that the
@@ -57,7 +55,8 @@ agenda has a walk and the steering never gets stuck.
 
 ``dpdl_sat`` validates a found witness with the model checker before
 reporting it; ``_decide`` is the same search without that check.
-Resource caps turn into an unknown verdict, never into a wrong one.
+Resource caps turn into an unknown verdict, never into a wrong one;
+``_WORK_CAP`` bounds the propagations and graph states of a whole call.
 """
 
 from __future__ import annotations
@@ -77,12 +76,8 @@ _ATOM_CAP = 2 ** 14
 # The most states of a demand graph or a witness walk.
 _NODE_CAP = 5000
 
-# The most lemma restarts of one lazy run.
-_RESTART_CAP = 200
-
-# The most steps of one propositional search, each a propagation that
-# ends without a conflict.
-_STEP_CAP = 5_000_000
+# The most work of one call: propagations plus demand-graph states.
+_WORK_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -470,7 +465,7 @@ class _Exact:
 class _Dpll:
     """Incremental CDCL under assumptions, with failed-assumption cores.
 
-    One instance serves every solve of a lazy run. A binary clause
+    One instance serves every solve of a call. A binary clause
     ``x | y`` lives in the implication lists ``bins``, as ``y`` in
     ``bins[x]`` and ``x`` in ``bins[y]``: the literals that become true
     when the list's literal becomes false. Longer clauses keep their
@@ -502,7 +497,8 @@ class _Dpll:
     its ``lit``, so a negation member reads its argument's complement.
     ``solves``, ``decisions``, ``conflicts`` (those above level 1, each
     teaching one clause), ``propagations`` and ``learned`` count the
-    work done.
+    work done, and ``states`` the demand-graph states charged; with the
+    propagations they are the call's work meter, which nothing resets.
     """
 
     def __init__(self, nvars):
@@ -522,6 +518,17 @@ class _Dpll:
         self.conflicts = 0
         self.propagations = 0
         self.learned = 0
+        self.states = 0
+
+    def charge(self, states):
+        """Add ``states`` demand-graph states to the meter; raise
+        ``ResourceBudgetExceeded`` once the meter passes ``_WORK_CAP``."""
+        self.states += states
+        if self.propagations + self.states > _WORK_CAP:
+            raise ResourceBudgetExceeded(
+                f"work cap {_WORK_CAP} exceeded: {self.propagations} "
+                f"propagations, {self.states} graph states, "
+                f"{self.solves} solves")
 
     def add_clause(self, lits):
         """Add a clause on level 0; False when it is a tautology and was
@@ -725,7 +732,7 @@ class _Dpll:
         return None
 
     def solve(self, assumptions):
-        """("sat", assign) or ("unsat", core). Raises on step budget.
+        """("sat", assign) or ("unsat", core). Raises past the work cap.
 
         ``assign`` gives the truth of each literal of ``out``, which is
         each member's truth for a compiled closure; ``core`` is a subset
@@ -742,8 +749,6 @@ class _Dpll:
     def _search(self, assumptions):
         value = self.value
         decide = self.decide
-        step_cap = _STEP_CAP
-        steps = 0
         while True:
             core = self._assume(assumptions)
             if core is not None:
@@ -775,10 +780,7 @@ class _Dpll:
                     pos = decided_at[back + 1]
                     del decided_at[back + 1:]
                     continue
-                steps += 1
-                if steps > step_cap:
-                    raise ResourceBudgetExceeded(
-                        f"propositional search exceeded {step_cap} steps")
+                self.charge(0)
                 while pos < len(decide) and value[decide[pos]] is not None:
                     pos += 1
                 if pos >= len(decide):
@@ -806,7 +808,8 @@ class _Lazy:
     core depends on the database. Each answer a round keeps belongs to
     one of its states or refutation checks, so a table holds at most
     ``_NODE_CAP`` states' answers besides those checks, and only two
-    rounds are kept.
+    rounds are kept. Each state a round registers is charged to the
+    work meter, whether its answer was kept or solved afresh.
     """
 
     def __init__(self, f, shape, dpll):
@@ -865,11 +868,14 @@ class _Lazy:
         self._add_lemma([2 * index[g] + assign[index[g]] for g in culprits])
 
     def run(self):
-        """Each round ends in a ``Sat``, or restarts after a lemma or a
-        unit that ``_refute`` learned; a graph that leaves eventualities
-        undischarged with nothing to refute ends the run undecided."""
-        restarts = 0
-        while restarts < _RESTART_CAP:
+        """Rounds until a verdict (see the class docstring). The run
+        ends: a round that restarts adds a clause that no earlier round
+        added, since an assignment that satisfied every earlier lemma
+        falsifies it (``_learn``'s the state's own, ``_refute``'s the
+        state whose eventuality it refutes). There are finitely many
+        clauses over the members, and the work meter, charged at least
+        the root state per round, bounds the work in between."""
+        while True:
             self._next_round()
             status, assign = self._solve(
                 [self.shape.lit[self.shape.index[self.f]]])
@@ -880,8 +886,6 @@ class _Lazy:
                 return outcome
             if outcome is not None and not self._refute(outcome):
                 return Unknown("eventualities left undischarged")
-            restarts += 1
-        return Unknown("lemma restarts exhausted without convergence")
 
     def _expand(self, root_assign):
         """Build the demand graph: a ``Sat`` when it discharges every
@@ -897,6 +901,7 @@ class _Lazy:
             if len(assigns) >= _NODE_CAP:
                 raise ResourceBudgetExceeded(
                     f"demand graph exceeded {_NODE_CAP} states")
+            self.dpll.charge(1)
             nid = len(assigns)
             nodes[key] = nid
             assigns.append(assign)
@@ -970,7 +975,9 @@ class _Lazy:
 
 def _decide(f: sx.Formula):
     """``dpdl_sat`` without its witness check: a ``Sat`` here carries a
-    witness that no checker has read. Caps end in ``Unknown``.
+    witness that no checker has read. Caps end in ``Unknown``. The
+    exact regime runs on the lazy run's solver, so it gets no fresh
+    work meter: after a lazy run exhausts it, its first check raises.
 
     No step here recurses on the depth of ``f``: the closure walk, the
     solver and both regimes are iterative, and the walks of programs
@@ -1002,22 +1009,13 @@ def dpdl_sat(f: sx.Formula):
     reported after a propositional refutation from lemmas that hold at
     every state reachable from a model of ``f`` (lazy regime) or
     exhaustive pruning (exact regime), so every definite verdict is
-    sound. Each top-level conjunct ``[π*]χ`` whose ``π`` holds every
-    letter of the closure holds at all of those states, so the solver
-    takes it as a unit clause; the bubble encoding's ``[Σ*]`` invariant
-    is one.
-
-    The lazy regime runs first, on every formula, and decides along the
-    closure's one static decision list (``_Shape.decide``), which
-    discharges star eventualities as early as the clauses allow. When
-    it ends undecided and the closure has at most 14 frontier members
-    (atoms and one-letter modalities), the exact regime decides
-    instead, on the lazy run's clause database: every clause the lazy
-    run added holds at every state reachable from a model of ``f``, so
-    it gives the verdict and witness that a fresh enumeration would.
-    Module constants bound the work: ``_NODE_CAP`` the states of a
-    demand graph or witness walk, ``_RESTART_CAP`` the lemma restarts,
-    ``_STEP_CAP`` the steps of each propositional search and
+    sound. The lazy regime runs first, on every formula. When it ends
+    undecided and the closure has at most 14 frontier members (atoms and
+    one-letter modalities), the exact regime decides instead, on the
+    lazy run's clause database and solver (see the module docstring).
+    Module constants bound the work: ``_WORK_CAP`` the propagations and
+    demand-graph states of the whole call, both regimes together,
+    ``_NODE_CAP`` the states of a demand graph or witness walk, and
     ``obsregex._MAX_DERIVATIVES`` the derivatives that each walk meets,
     the witness check's too. A formula with agent operators, wherever
     they sit, raises ``InvalidInput``. A formula that nests deeper than

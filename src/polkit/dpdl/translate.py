@@ -88,8 +88,8 @@ class Translation:
     ``<b;a><(b;a)*>hK_j q`` undischarged at two labels, and the exact
     regime does not run on closures that large.
 
-    Decoding (``polsat.decode_bts``) reads slot facts only by evaluating
-    ``at``, ``surv`` and ``rel``, so only this class knows the atoms.
+    Decoding (``polsat.decode_bts``) reads slot facts only through
+    ``at``, ``surv`` and ``classes``, so only this class knows the atoms.
 
     ``formula`` is a set of root facts and one invariant under
     ``[Σ*]``. The root facts: slot 1 is alive, slot 1 satisfies the
@@ -115,8 +115,8 @@ class Translation:
     slots are related when no link between them is missing. Its classes
     are the runs of linked neighbours, an interval partition, so its
     relation is an equivalence by construction. Only the links are
-    atoms; the conjunction for a pair that is not a link is built when
-    ``rel`` is first asked for it, which only decoding does, and kept.
+    atoms; ``rel`` builds the conjunction for a pair that is not a link
+    each time it is asked, and keeps nothing.
     For every other agent, transitivity is stated only for slot triples
     (l, l2, l3) with ``l < l3`` and ``l2`` distinct from both, each as
     one flat clause; by symmetry (l3, l2, l) is the same constraint, and
@@ -211,16 +211,30 @@ class Translation:
     def rel(self, agent: str, ell: int, ell2: int) -> sx.Formula:
         """Adjacency of two slots: ``true`` on the diagonal, and the
         formula of the unordered pair otherwise. A first-agent pair that
-        is not a link is the conjunction of the links between its slots,
-        built when first asked and kept."""
+        is not a link is the conjunction of the links between its slots."""
         if ell == ell2:
             return sx.top()
-        key = (agent, min(ell, ell2), max(ell, ell2))
-        got = self._rel.get(key)
-        if got is None:
-            got = self._rel[key] = dc.land(*[self._rel[(agent, k, k + 1)]
-                                             for k in range(key[1], key[2])])
-        return got
+        lo, hi = sorted((ell, ell2))
+        if (agent, lo, hi) in self._rel:
+            return self._rel[(agent, lo, hi)]
+        return dc.land(*[self._rel[(agent, k, k + 1)] for k in range(lo, hi)])
+
+    def classes(self, agent: str, holds, slots) -> set:
+        """The classes of ``agent`` among the live ``slots`` under the
+        atom truth ``holds``: for the first agent, the runs of true links
+        over all slots, cut to the live ones; for another, pair by pair."""
+        if agent != self.agents[0]:
+            return {frozenset(m for m in slots
+                              if holds(self.rel(agent, ell, m)))
+                    for ell in slots}
+        live = set(slots)
+        runs = [[]]
+        for ell in self.labels:
+            if ell > 1 and not holds(self._rel[(agent, ell - 1, ell)]):
+                runs.append([])
+            if ell in live:
+                runs[-1].append(ell)
+        return {frozenset(run) for run in runs if run}
 
     def _adjacency(self) -> dict:
         """The relation atoms: the links ``R_i(l,l+1)`` of the first

@@ -89,15 +89,6 @@ class Alphabet:
     def __len__(self):
         return len(self.symbols)
 
-    def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.symbols == other.symbols
-
-    def __hash__(self):
-        return hash(self.symbols)
-
-    def __repr__(self):
-        return f"Alphabet({list(self.symbols)!r})"
-
     def require(self, sym):
         if sym not in self._index:
             raise UnknownSymbol(f"symbol {sym!r} not in alphabet {list(self.symbols)}")

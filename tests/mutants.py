@@ -17,7 +17,8 @@ minutes::
     python tests/mutants.py
 
 The exit status is 0 when every mutant was killed. pytest does not
-collect this file, and CI does not run it.
+collect this file; CI runs it in the ``mutants`` job of
+``.github/workflows/tier1.yml``, which fails on a survivor.
 """
 
 from __future__ import annotations
@@ -74,6 +75,19 @@ MUTANTS = [
      "                b = boxes.get(d.arg)\n",
      "                b = None\n",
      "compile drops the diamond/box pair clause"),
+    (SOLVER,
+     "                self.charge(0)\n",
+     "",
+     "_search skips the meter check"),
+    (SOLVER,
+     "            self.dpll.charge(1)\n",
+     "            self.dpll.charge(0)\n",
+     "register charges nothing"),
+    (SOLVER,
+     "            outcome = _Exact(f, shape, dpll).run()\n",
+     "            dpll.propagations = dpll.states = 0\n"
+     "            outcome = _Exact(f, shape, dpll).run()\n",
+     "_decide resets the meter before the exact regime"),
     (TRANSLATE,
      "                       *self._frame_laws(),\n",
      "",
@@ -115,6 +129,11 @@ MUTANTS = [
      "        invariant += [sx.dia(a, sx.top()) for a in letters]\n",
      "",
      "no successor-existence law"),
+    (TRANSLATE,
+     "            if ell > 1 and not holds(self._rel[(agent, ell - 1, ell)]):\n",
+     "            if ell > 1 and not (ell - 1 in live and\n"
+     "                                holds(self._rel[(agent, ell - 1, ell)])):\n",
+     "the run reader reads only the links of live slots"),
 ]
 
 

@@ -268,7 +268,12 @@ class AllPairsTranslation(dp.Translation):
     transitivity laws for every agent, the first one included, so no
     agent's classes are restricted to intervals of slots. Every agent
     member reads every slot pair, so the first agent's chains over
-    neighbour links are not used either."""
+    neighbour links are not used either, and decoding reads every
+    agent's classes pair by pair."""
+
+    def classes(self, agent, holds, slots):
+        return {frozenset(y for y in slots if holds(self.rel(agent, x, y)))
+                for x in slots}
 
     def _chains(self, psi):
         return [self._pinned(psi, ell) for ell in self.labels]

@@ -5,6 +5,7 @@ and the parser."""
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -209,12 +210,20 @@ class TestPropositionalEngine:
         assert asserted > 20
 
     def test_step_cap_leaves_the_solver_usable(self, monkeypatch):
-        s = solver_for(10, [[0, 2]])
-        monkeypatch.setattr(dps, "_STEP_CAP", 5)
+        # the work meter raises mid-search; under a raised cap the same
+        # solver answers, its level 0 as it was
+        s = solver_for(10, [[0, 2], [5]])
+        assert s.trail == [5]
+        monkeypatch.setattr(dps, "_WORK_CAP", 5)
         with pytest.raises(ResourceBudgetExceeded,
-                           match="propositional search exceeded"):
+                           match=r"work cap 5 exceeded: \d+ propagations, "
+                                 r"0 graph states, 1 solves"):
             s.solve([])
-        assert s.solve(list(range(0, 20, 2)))[0] == "sat"
+        assert s.trail == [5] and not s.trail_lim
+        monkeypatch.setattr(dps, "_WORK_CAP", 1000)
+        status, assign = s.solve([0, 6])
+        assert status == "sat" and assign[0] and not assign[2]
+        assert s.trail == [5]
 
 
 def reference_closure(f):
@@ -604,29 +613,25 @@ class TestLazyRegime:
             lazy.run()
             assert len(asked) > 2, text
 
-    def test_first_graph_discharges_under_the_decision_list(self,
-                                                            monkeypatch):
+    def test_first_graph_discharges_under_the_decision_list(self):
         # negative decisions by index defer these eventualities forever;
-        # the closure's decision list discharges them in the first graph
-        monkeypatch.setattr(dps, "_RESTART_CAP", 1)
+        # the closure's decision list discharges them in the first graph,
+        # the one built on the first root assignment
         for text in ("<0*+b*>q", "q&~([a*]p|p)"):
             f = dp.parse_dpdl(text)
             assert isinstance(dp.dpdl_sat(f), dp.Sat), text
-            for default, want in ((False, dp.Sat), (True, dp.Unknown)):
+            for default in (False, True):
                 shape = dps._Shape(f)
                 lazy = dps._Lazy(f, shape, shape.compile())
                 if default:
                     lazy.dpll.decide = [l ^ 1 for l in shape.lit]
-                graphs = []
-                expand = lazy._expand
-
-                def counting(assign):
-                    graphs.append(assign)
-                    return expand(assign)
-
-                lazy._expand = counting
-                assert isinstance(lazy.run(), want), (text, default)
-                assert len(graphs) == 1, (text, default)
+                status, root = lazy._solve([shape.lit[shape.index[f]]])
+                assert status == "sat", (text, default)
+                graph = lazy._expand(root)
+                assert isinstance(graph, dp.Sat) != default, (text, default)
+                if not default:
+                    # each state of the graph is charged to the meter once
+                    assert len(graph.model.states) == lazy.dpll.states
 
 
 def exact_sat(f):
@@ -752,6 +757,94 @@ class TestDpdlSat:
     def test_brute_force_refuses_invalid_state_bounds(self, max_states):
         with pytest.raises(InvalidInput, match="must be a positive integer"):
             dp.brute_dpdl_sat(dp.parse_dpdl("p"), max_states)
+
+
+class TestCaps:
+    """Every ``Unknown`` site of the solver, reached through ``dpdl_sat``
+    under small caps set by monkeypatch, each with its reason."""
+
+    ROUNDS = "(p|<(a;a)*>p&<a>p)&<a;a;a>p"
+    METER = (r"work cap {} exceeded: "
+             r"\d+ propagations, \d+ graph states, \d+ solves")
+
+    def metered_run(self, f):
+        """The lazy run's verdict, a cap's ``Unknown`` included, and its
+        work meter at the start of each round and at the end."""
+        lazy = lazy_run(f)
+        starts = []
+        expand = lazy._expand
+
+        def counting(assign):
+            starts.append(lazy.dpll.propagations + lazy.dpll.states)
+            return expand(assign)
+
+        lazy._expand = counting
+        try:
+            verdict = lazy.run()
+        except ResourceBudgetExceeded as err:
+            verdict = dp.Unknown(str(err))
+        return verdict, starts, lazy.dpll.propagations + lazy.dpll.states
+
+    def test_the_meter_counts_propagations_and_states(self, monkeypatch):
+        # the run's last work is a state: at its own total it passes,
+        # one below it the meter raises, and the exact regime, which
+        # starts on the spent meter, does not decide either
+        f = dp.parse_dpdl(self.ROUNDS)
+        verdict, starts, work = self.metered_run(f)
+        assert isinstance(verdict, dp.Sat) and len(starts) > 2
+        monkeypatch.setattr(dps, "_WORK_CAP", work)
+        assert isinstance(dp.dpdl_sat(f), dp.Sat)
+        monkeypatch.setattr(dps, "_WORK_CAP", work - 1)
+        verdict = dp.dpdl_sat(f)
+        assert isinstance(verdict, dp.Unknown)
+        assert re.fullmatch(self.METER.format(work - 1), verdict.reason)
+
+    def test_the_meter_ends_a_run_of_several_rounds(self, monkeypatch):
+        # a cap reached in the third round ends the run there
+        f = dp.parse_dpdl(self.ROUNDS)
+        _, starts, _ = self.metered_run(f)
+        monkeypatch.setattr(dps, "_WORK_CAP", starts[2])
+        verdict, capped, _ = self.metered_run(f)
+        assert len(capped) == 3
+        assert re.fullmatch(self.METER.format(starts[2]), verdict.reason)
+        verdict = dp.dpdl_sat(f)
+        assert re.fullmatch(self.METER.format(starts[2]), verdict.reason)
+
+    def test_the_exact_regime_gets_no_fresh_meter(self, monkeypatch):
+        # the lazy run ends undecided well within the cap, and the exact
+        # regime decides within it on its own, but not on what the lazy
+        # run left of it
+        f = dp.parse_dpdl("[(a;a)*][a*](p&p|<a>p)")
+        lazy = lazy_run(f)
+        assert lazy.run() == dp.Unknown("eventualities left undischarged")
+        spent = lazy.dpll.propagations + lazy.dpll.states
+        exact = dps._Exact(f, lazy.shape, lazy.dpll)
+        assert isinstance(exact.run(), dp.Sat)
+        alone = lazy.dpll.propagations + lazy.dpll.states - spent
+        assert 0 < spent < alone
+        monkeypatch.setattr(dps, "_WORK_CAP", alone)
+        verdict = dp.dpdl_sat(f)
+        assert isinstance(verdict, dp.Unknown)
+        assert re.fullmatch(self.METER.format(alone), verdict.reason)
+
+    def test_demand_graph_cap(self, monkeypatch):
+        # 16 frontier members: the exact regime does not run
+        f = dp.parse_dpdl("<" + ";".join("a" * 15) + ">p")
+        assert 2 ** len(dps._Shape(f).frontier) > dps._ATOM_CAP
+        assert len(dp.dpdl_sat(f).model.states) == 16
+        monkeypatch.setattr(dps, "_NODE_CAP", 8)
+        assert dp.dpdl_sat(f) == dp.Unknown("demand graph exceeded 8 states")
+
+    def test_witness_walk_cap(self, monkeypatch):
+        # the demand graph outgrows the cap first, and the exact regime,
+        # which then runs, builds a witness of four states
+        f = dp.parse_dpdl("<a;a;a>p")
+        assert len(dp.dpdl_sat(f).model.states) == 4
+        monkeypatch.setattr(dps, "_NODE_CAP", 2)
+        with pytest.raises(ResourceBudgetExceeded,
+                           match="demand graph exceeded 2 states"):
+            lazy_run(f).run()
+        assert dp.dpdl_sat(f) == dp.Unknown("witness walk exceeded 2 nodes")
 
 
 class TestDpdlCheck:

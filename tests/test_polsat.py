@@ -226,6 +226,64 @@ class TestIntervalClasses:
         assert bubble.block("i", 1) == frozenset({1, 3})
         assert bubble.block("j", 1) == frozenset({1})
 
+    def test_runs_give_the_pairwise_classes(self):
+        # the first agent's classes, read as runs of true links, are the
+        # classes that a pairwise read of ``rel`` gives: on witnesses of
+        # one and two agents, and on seeded valuations of links and
+        # survival, dead slots between linked ones included
+        class PairwiseReader(dp.Translation):
+            classes = AllPairsTranslation.classes
+
+        rng = random.Random(36)
+        decoded = witnesses = 0
+        for text in ("K_i (q&p|q)", "hK_i p & K_j q", "~K_i p & K_j (p&q)",
+                     "hK_i (p&~q) & hK_i (q&~p) & ~p & ~q"):
+            phi = sx.parse_formula(text)
+            cap = 2 ** len(sx.fl_closure(phi))
+            for labels in (2, 3, 5, 8, 16):
+                budget = dp.LabelBudget(labels, full=labels == cap)
+                t = dp.Translation(phi, budget)
+                pairwise = PairwiseReader(phi, budget)
+                models = [(dp.DpdlModel([0], {}, {0: {
+                    g.name for g in (*t._surv.values(), *t._rel.values())
+                    if g.name.startswith(("surv(", "R_i("))
+                    and rng.random() < 0.6}}), 0) for _ in range(20)]
+                verdict = dps._decide(t.formula)
+                if isinstance(verdict, dp.Sat):
+                    models.append((verdict.model, verdict.state))
+                    witnesses += 1
+                for model, state in models:
+                    runs = dp.decode_bts(t, model, state)
+                    pairs = dp.decode_bts(pairwise, model, state)
+                    for got, want in zip(runs.bubbles, pairs.bubbles,
+                                         strict=True):
+                        assert got.states == want.states
+                        assert got.labels == want.labels
+                        for agent in t.agents:
+                            assert (got.relation_blocks(agent)
+                                    == want.relation_blocks(agent)), text
+                    decoded += 1
+        assert decoded > 400 and witnesses > 15
+
+    def test_decoding_builds_no_link_conjunction(self):
+        # decoding is linear in the slots for the first agent: a 256-slot
+        # witness of one agent asks ``rel`` nothing, so no conjunction of
+        # links is built or kept
+        t = dp.Translation(sx.parse_formula("K_i (q&p|q)"),
+                           dp.LabelBudget(256))
+        verdict = dps._decide(t.formula)
+        kept = len(t._rel)
+        asked = []
+        t.rel = lambda *pair: asked.append(pair)
+        structure = dp.decode_bts(t, verdict.model, verdict.state)
+        assert len(t._rel) == kept and not asked
+        assert max(len(b.states) for b in structure.bubbles) == 256
+
+    def test_default_budget_of_a_one_agent_formula_decodes(self):
+        # 1,024 slots: the solver's Sat once decoded for minutes
+        verdict = dp.pol_sat(sx.parse_formula("K_i (q&p|q)"))
+        assert isinstance(verdict, dp.Sat)
+
     def test_transitivity_break_is_refused(self):
         # the frame laws make R_j transitive in every witness, so the
         # classes are read, not closed: a valuation that breaks
