@@ -136,19 +136,30 @@ class DpdlModel:
 def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
     """Truth of ``f`` at state ``s``.
 
-    An agent operator raises ``InvalidInput`` and a non-formula
-    ``TypeError``, but only where the evaluation reaches them:
-    ``p | ~p | K_i p`` is ``True``, as the disjunction stops at ``p``.
-    A walk over the formula first would refuse it, at about half the
-    checks' own time on the witnesses of ``dpdl_sat``. A modality walks
-    its program's derivatives along the model's transitions, iterated
-    in the evaluator's own frame (``ox.walk``), so a program letter
-    that the model lacks labels no transition.
+    An unknown state, a formula that nests too deep and an agent
+    operator anywhere in ``f`` are refused before the evaluation, so no
+    answer depends on the order of the operands; a non-formula is a
+    ``TypeError`` where the evaluation reaches it.
     """
     if s not in m.val:
         raise UnknownState(f"state {s!r} not in model")
+    _check_formula(f)
+    return _evaluator(m)(s, f)
+
+
+def _check_formula(f) -> None:
     sx._check_depth(f)
-    memo = {}
+    if sx.agents(f):
+        raise InvalidInput("dynamic logic has no agent operators")
+
+
+def _evaluator(m: DpdlModel):
+    """``ev(state, formula)``: truth on ``m`` of a formula that passed
+    ``_check_formula``, memoized per state across calls. A
+    modality walks its program's derivatives along the model's
+    transitions, iterated in the evaluator's own frame (``ox.walk``),
+    so a program letter that the model lacks labels no transition."""
+    memo = {st: {} for st in m.states}
 
     def step(st):
         for a in m.alphabet:
@@ -157,8 +168,8 @@ def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
                 yield a, t
 
     def ev(st, g):
-        key = (st, g)
-        v = memo.get(key)
+        known = memo[st]
+        v = known.get(g)
         if v is not None:
             return v
         if isinstance(g, sx.Top):
@@ -187,11 +198,9 @@ def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
                 if q.nullable and ev(t, g.arg) is want:
                     v = want
                     break
-        elif isinstance(g, (sx.Hat, sx.Know)):
-            raise InvalidInput("dynamic logic has no agent operators")
         else:
             raise TypeError(f"not a dynamic-logic formula: {g!r}")
-        memo[key] = v
+        known[g] = v
         return v
 
-    return ev(s, f)
+    return ev

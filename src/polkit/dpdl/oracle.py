@@ -42,9 +42,11 @@ def brute_dpdl_sat(f: sx.Formula, max_states: int = 3):
     partial successor functions. Returns ``Sat`` with the first witness
     in a fixed deterministic order, or ``Unknown``: exhausting the bound
     proves nothing beyond it. ``max_states`` must be a positive ``int``,
-    else ``InvalidInput``.
+    else ``InvalidInput``. ``f`` meets ``dpdl_check``'s refusals once,
+    before the search, and its evaluator reads each candidate.
     """
     _check_max_states(max_states)
+    dc._check_formula(f)
     atoms = sorted(sx.props(f))
     letters = sorted(sx.letters(f))
     for k in range(1, max_states + 1):
@@ -58,8 +60,9 @@ def brute_dpdl_sat(f: sx.Formula, max_states: int = 3):
             for val_choice in product(list(_subsets(atoms)), repeat=k):
                 val = dict(zip(states, val_choice))
                 model = dc.DpdlModel(states, trans, val, alphabet=letters)
+                ev = dc._evaluator(model)
                 for s in states:
-                    if dc.dpdl_check(model, s, f):
+                    if ev(s, f):
                         return Sat(model, s)
     return Unknown(f"no model with at most {max_states} states")
 

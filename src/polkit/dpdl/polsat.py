@@ -18,6 +18,8 @@ within this many labels", reported as unknown.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .. import bts
 from .. import syntax as sx
 from ..errors import ResourceBudgetExceeded, UnknownState
@@ -42,35 +44,12 @@ def _reachable(model: dc.DpdlModel, start):
     return order, index
 
 
-def _truth(v):
-    """Truth under the atoms ``v`` of ``true``, atoms, negations and
-    junctions, memoized per formula; any other node is a TypeError."""
-    memo = {sx.top(): True}
-
-    def holds(f) -> bool:
-        got = memo.get(f)
-        if got is None:
-            if isinstance(f, sx.Prop):
-                got = f.name in v
-            elif isinstance(f, sx.Not):
-                got = not holds(f.arg)
-            elif isinstance(f, sx.Or):
-                got = any(map(holds, f.parts))
-            elif isinstance(f, sx.And):
-                got = all(map(holds, f.parts))
-            else:
-                raise TypeError(f"not a slot fact: {f!r}")
-            memo[f] = got
-        return got
-
-    return holds
-
-
 def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
     """Read the bubble transition structure out of a witness model.
 
     Each witness state is a bubble, read only through the encoding's
-    own formulas under the state's atoms: slot ``l`` is live where
+    own formulas at that state, by one evaluator per witness, the one
+    of ``dpdl_check`` (``core._evaluator``): slot ``l`` is live where
     ``t.surv(l)`` holds, its label is the members ``psi`` whose
     ``t.at(l, psi)`` holds, and its classes per agent are
     ``t.classes``. The encoding makes every relation an equivalence, so
@@ -82,9 +61,10 @@ def decode_bts(t: Translation, model: dc.DpdlModel, state) -> bts.Bts:
     if state not in model.val:
         raise UnknownState(f"state {state!r} not in model")
     order, index = _reachable(model, state)
+    ev = dc._evaluator(model)
     bubbles = []
     for w in order:
-        holds = _truth(model.val[w])
+        holds = partial(ev, w)
         slots = [ell for ell in t.labels if holds(t.surv(ell))]
         labels = {ell: frozenset(psi for psi in t.fl if holds(t.at(ell, psi)))
                   for ell in slots}

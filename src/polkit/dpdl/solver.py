@@ -496,9 +496,9 @@ class _Dpll:
     each variable's positive literal, and ``_Shape.compile`` hands over
     its ``lit``, so a negation member reads its argument's complement.
     ``solves``, ``decisions``, ``conflicts`` (those above level 1, each
-    teaching one clause), ``propagations`` and ``learned`` count the
-    work done, and ``states`` the demand-graph states charged; with the
-    propagations they are the call's work meter, which nothing resets.
+    teaching one clause) and ``propagations`` count the work done, and
+    ``states`` the demand-graph states charged; with the propagations
+    they are the call's work meter, which nothing resets.
     """
 
     def __init__(self, nvars):
@@ -517,7 +517,6 @@ class _Dpll:
         self.decisions = 0
         self.conflicts = 0
         self.propagations = 0
-        self.learned = 0
         self.states = 0
 
     def charge(self, states):
@@ -558,13 +557,18 @@ class _Dpll:
                 self._assign(lits[0], None)
                 if self._propagate() is not None:
                     self.empty = True
-        elif len(lits) == 2:
+        else:
+            self._attach(lits)
+        return True
+
+    def _attach(self, lits):
+        """Put a clause of two or more literals on ``bins``, or watch it."""
+        if len(lits) == 2:
             self.bins[lits[0]].append(lits[1])
             self.bins[lits[1]].append(lits[0])
         else:
             self.watches[lits[0]].append(lits)
             self.watches[lits[1]].append(lits)
-        return True
 
     def _assign(self, lit, reason):
         self.value[lit] = True
@@ -762,7 +766,6 @@ class _Dpll:
                         return "unsat", self._final(
                             [q >> 1 for q in conflict], [])
                     self.conflicts += 1
-                    self.learned += 1
                     learnt, back = self._analyze(conflict)
                     self._cancel(back)
                     if back == 0:
@@ -770,12 +773,7 @@ class _Dpll:
                         if self.empty:
                             return "unsat", []
                         break
-                    if len(learnt) == 2:
-                        self.bins[learnt[0]].append(learnt[1])
-                        self.bins[learnt[1]].append(learnt[0])
-                    else:
-                        self.watches[learnt[0]].append(learnt)
-                        self.watches[learnt[1]].append(learnt)
+                    self._attach(learnt)
                     self._assign(learnt[0], learnt)
                     pos = decided_at[back + 1]
                     del decided_at[back + 1:]
@@ -1027,7 +1025,8 @@ def dpdl_sat(f: sx.Formula):
     outcome = _decide(f)
     if isinstance(outcome, Sat):
         try:
-            if not dc.dpdl_check(outcome.model, outcome.state, f):
+            # f passed the depth check above and _Shape's agent refusal
+            if not dc._evaluator(outcome.model)(outcome.state, f):
                 raise AssertionError("solver produced a witness the model "
                                      "checker rejects; this is a bug")
         except ResourceBudgetExceeded as err:

@@ -113,7 +113,8 @@ class Not(Formula):
         self.size, self.depth = 1 + arg.size, 1 + arg.depth
 
 
-class Or(Formula):
+# Each pair of node shapes below shares the constructor of a private base.
+class _Junction(Formula):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
@@ -125,68 +126,55 @@ class Or(Formula):
         self.depth = 1 + max(p.depth for p in parts)
 
 
-class And(Formula):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        for p in parts:
-            if not isinstance(p, Formula):
-                _refuse(p)
-        self.parts = parts
-        self.size = len(parts) - 1 + sum(p.size for p in parts)
-        self.depth = 1 + max(p.depth for p in parts)
+class Or(_Junction):
+    __slots__ = ()
 
 
-class Hat(Formula):
+class And(_Junction):
+    __slots__ = ()
+
+
+class _Epistemic(Formula):
+    __slots__ = ("agent", "arg")
+
+    def __init__(self, agent, arg):
+        if not isinstance(arg, Formula):
+            _refuse(arg)
+        self.agent = agent
+        self.arg = arg
+        self.size, self.depth = 1 + arg.size, 1 + arg.depth
+
+
+class Hat(_Epistemic):
     """hK_agent arg: the agent considers arg possible."""
-    __slots__ = ("agent", "arg")
+    __slots__ = ()
 
-    def __init__(self, agent, arg):
+
+class Know(_Epistemic):
+    __slots__ = ()
+
+
+class _Modal(Formula):
+    __slots__ = ("pi", "arg")
+
+    def __init__(self, pi, arg):
+        if not isinstance(pi, ObsExpr):
+            _refuse(pi, "an observation expression")
         if not isinstance(arg, Formula):
             _refuse(arg)
-        self.agent = agent
+        self.pi = pi
         self.arg = arg
-        self.size, self.depth = 1 + arg.size, 1 + arg.depth
+        self.size = 1 + pi.size + arg.size
+        self.depth = 1 + max(pi.depth, arg.depth)
 
 
-class Know(Formula):
-    __slots__ = ("agent", "arg")
-
-    def __init__(self, agent, arg):
-        if not isinstance(arg, Formula):
-            _refuse(arg)
-        self.agent = agent
-        self.arg = arg
-        self.size, self.depth = 1 + arg.size, 1 + arg.depth
-
-
-class Dia(Formula):
+class Dia(_Modal):
     """<pi> arg: some word matching pi survives and leads to arg."""
-    __slots__ = ("pi", "arg")
-
-    def __init__(self, pi, arg):
-        if not isinstance(pi, ObsExpr):
-            _refuse(pi, "an observation expression")
-        if not isinstance(arg, Formula):
-            _refuse(arg)
-        self.pi = pi
-        self.arg = arg
-        self.size = 1 + pi.size + arg.size
-        self.depth = 1 + max(pi.depth, arg.depth)
+    __slots__ = ()
 
 
-class Box(Formula):
-    __slots__ = ("pi", "arg")
-
-    def __init__(self, pi, arg):
-        if not isinstance(pi, ObsExpr):
-            _refuse(pi, "an observation expression")
-        if not isinstance(arg, Formula):
-            _refuse(arg)
-        self.pi = pi
-        self.arg = arg
-        self.size = 1 + pi.size + arg.size
-        self.depth = 1 + max(pi.depth, arg.depth)
+class Box(_Modal):
+    __slots__ = ()
 
 
 _TOP = Top()
@@ -311,8 +299,8 @@ def definition(g: Formula) -> tuple:
     once and recurs, the empty word defers to the argument, and the
     empty language makes a diamond false and a box true. The empty-word
     and star rules are exact because every state of a model survives
-    the empty word (see ``models``). No node class has a subclass, so
-    the cases dispatch on the exact class.
+    the empty word (see ``models``). Every node is of a class that has
+    no subclass, so the cases dispatch on the exact class.
     """
     cls = type(g)
     if cls is Or:

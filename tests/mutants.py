@@ -1,8 +1,9 @@
 """A standing mutant check for the bubble encoding and the solver.
 
 Each mutant is one textual edit of one source file: it drops or weakens
-one law of the encoding (``translate.py``) or one step of the solver
-(``solver.py``). The script applies the mutants one at a time, each to
+one law of the encoding (``translate.py``), one step of the solver
+(``solver.py``), or one refusal or memo key of the model checker
+(``core.py``) or of the brute-force oracle (``oracle.py``). The script applies the mutants one at a time, each to
 a fresh temporary copy of the checkout's ``src/``, ``tests/`` and
 ``perfbench/``, never to the checkout itself, and runs Tier-1 on the
 copy with ``-x`` under a time limit. A mutant is killed when a test
@@ -34,6 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "src/polkit/dpdl/solver.py"
 TRANSLATE = "src/polkit/dpdl/translate.py"
+CORE = "src/polkit/dpdl/core.py"
+ORACLE = "src/polkit/dpdl/oracle.py"
 # seconds per Tier-1 run: an unmutated run takes about 30 s on two
 # shared vCPUs, so only a mutant that makes the solver loop or blow up
 # reaches it
@@ -134,6 +137,18 @@ MUTANTS = [
      "            if ell > 1 and not (ell - 1 in live and\n"
      "                                holds(self._rel[(agent, ell - 1, ell)])):\n",
      "the run reader reads only the links of live slots"),
+    (CORE,
+     "    _check_formula(f)\n    return _evaluator(m)(s, f)\n",
+     "    sx._check_depth(f)\n    return _evaluator(m)(s, f)\n",
+     "dpdl_check skips the agent refusal"),
+    (CORE,
+     "        known = memo[st]\n",
+     "        known = memo[m.states[0]]\n",
+     "the evaluator's memo ignores the state"),
+    (ORACLE,
+     "    dc._check_formula(f)\n",
+     "    sx._check_depth(f)\n",
+     "brute_dpdl_sat skips its up-front agent refusal"),
 ]
 
 

@@ -290,6 +290,23 @@ class AllPairsTranslation(dp.Translation):
                 for y in self.labels if y not in (x, z)]
 
 
+def slot_fact(f, atoms) -> bool:
+    """Truth of a slot fact of the bubble encoding (``true``, atoms,
+    negations and junctions) under the true ``atoms``, by plain
+    recursion; any other node is a TypeError."""
+    if isinstance(f, sx.Top):
+        return True
+    if isinstance(f, sx.Prop):
+        return f.name in atoms
+    if isinstance(f, sx.Not):
+        return not slot_fact(f.arg, atoms)
+    if isinstance(f, sx.Or):
+        return any(slot_fact(g, atoms) for g in f.parts)
+    if isinstance(f, sx.And):
+        return all(slot_fact(g, atoms) for g in f.parts)
+    raise TypeError(f"not a slot fact: {f!r}")
+
+
 def residuate(e: ObsExpr, word, alphabet=None) -> ObsExpr:
     """Derivative by a word: L(residuate(e, w)) = {u | w u in L(e)}. A
     symbol outside ``alphabet``, an ``Alphabet`` when given, raises

@@ -112,20 +112,20 @@ class TestPropositionalEngine:
                            for v in rng.sample(range(nvars), 2)]
             status, result = s.solve(assumptions)
             first_conflicts += s.conflicts
-            conflicts, learned = s.conflicts, s.learned
+            conflicts = s.conflicts
             again, repeat = s.solve(assumptions)
             assert again == status
             if status == "sat":
                 assert repeat == result
-            assert (s.conflicts, s.learned) == (conflicts, learned)
+            assert s.conflicts == conflicts
         assert first_conflicts > 0
 
     def test_counters(self):
         s = solver_for(3, [[0, 2], [0, 3]])
         assert s.solve([1]) == ("unsat", [1])
-        assert (s.solves, s.decisions, s.conflicts, s.learned) == (1, 0, 0, 0)
+        assert (s.solves, s.decisions, s.conflicts) == (1, 0, 0)
         assert s.solve([]) == ("sat", [True, False, False])
-        assert (s.solves, s.decisions, s.conflicts, s.learned) == (2, 3, 1, 1)
+        assert (s.solves, s.decisions, s.conflicts) == (2, 3, 1)
         assert s.propagations > 0
 
     def test_tautologies_are_dropped(self):
@@ -150,7 +150,7 @@ class TestPropositionalEngine:
         # x0 | x1; a later solve assuming ~x0 gets x1 from that clause
         s = solver_for(3, [[0, 2, 4], [0, 2, 5]])
         assert s.solve([]) == ("sat", [False, True, False])
-        assert (s.conflicts, s.learned) == (1, 1)
+        assert s.conflicts == 1
         assert s.bins[0] == [2] and s.bins[2] == [0]
         assert all(len(c) == 3 for w in s.watches for c in w)
         assert s.solve([1]) == ("sat", [False, True, False])
@@ -747,9 +747,10 @@ class TestDpdlSat:
         assert isinstance(dp.dpdl_sat(dp.parse_dpdl("<(a;b)*>p")), dp.Sat)
 
     def test_rejected_witness_is_a_bug(self, monkeypatch):
-        # dpdl_sat's Sat carries a witness that dpdl_check accepted
-        monkeypatch.setattr("polkit.dpdl.core.dpdl_check",
-                            lambda *args: False)
+        # dpdl_sat's Sat carries a witness that dpdl_check's evaluator
+        # accepted
+        monkeypatch.setattr("polkit.dpdl.core._evaluator",
+                            lambda m: lambda s, f: False)
         with pytest.raises(AssertionError, match="this is a bug"):
             dp.dpdl_sat(dp.parse_dpdl("<a>p"))
 
@@ -915,13 +916,16 @@ class TestParsing:
         with pytest.raises(InvalidInput, match="no agent operators"):
             dp.dpdl_check(model, 0, f)
 
-    def test_the_checker_refuses_only_what_its_evaluation_reaches(self):
-        # the disjunction stops at p, before K_i p
+    def test_the_checker_refuses_agents_in_every_operand_order(self):
+        # the disjunction's evaluation would stop at p, before K_i p, in
+        # the first order; the refusal comes before the evaluation
         model = dp.DpdlModel([0], {}, {0: {"p"}})
         p = dp.atom("p")
         k = sx.know("i", p)
-        assert dp.dpdl_check(model, 0, dp.lor(p, sx.lnot(p), k))
-        with pytest.raises(InvalidInput, match="no agent operators"):
-            dp.dpdl_check(model, 0, dp.lor(k, p))
+        for f in (dp.lor(p, sx.lnot(p), k), dp.lor(k, p)):
+            with pytest.raises(InvalidInput, match="no agent operators"):
+                dp.dpdl_check(model, 0, f)
+            with pytest.raises(InvalidInput, match="no agent operators"):
+                dp.brute_dpdl_sat(f)
         with pytest.raises(TypeError):
             dp.dpdl_check(model, 0, "p")

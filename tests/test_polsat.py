@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from oracles import AllPairsTranslation, label_mismatches
+from oracles import AllPairsTranslation, label_mismatches, slot_fact
 from polkit import bts as bt
 from polkit import corpus
 from polkit import dpdl as dp
@@ -137,8 +137,9 @@ class TestDecodedStructures:
     def test_all_pairs_witnesses_decode(self, labels):
         # the route above on a second encoding, which spells every
         # relation as one atom per slot pair; each decoded slot fact is
-        # also read by dpdl_check, an independent reader of the same
-        # formulas, at the witness state that the bubble comes from
+        # also read by slot_fact, a reader that shares no code with
+        # decode_bts, under the atoms of the witness state that the
+        # bubble comes from
         rng = random.Random(25)
         structures = facts = 0
         for _ in range(400):
@@ -169,7 +170,7 @@ class TestDecodedStructures:
                 bubble = structure.bubbles[k]
 
                 def holds(f):
-                    return dp.dpdl_check(witness, w, f)
+                    return slot_fact(f, witness.val[w])
 
                 live = [ell for ell in t.labels if holds(t.surv(ell))]
                 assert list(bubble.states) == live
