@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from . import obsregex as ox
 from . import syntax as sx
-from .errors import InvalidInput, NotABts, UnknownState
+from .errors import (InvalidInput, NotABts, ResourceBudgetExceeded,
+                     UnknownState)
 from .models import (Model, _collect, _mapping, _ordered, block_map,
                      ordered_blocks, state_sort_key)
 from .obsregex import Alphabet
@@ -93,9 +94,7 @@ def _holds(kind, operands, h) -> bool:
         return operands[0] not in h
     if kind == "or":
         return any(g in h for g in operands)
-    if kind == "false":
-        return False
-    return all(g in h for g in operands)  # "true", "eq" and "and"
+    return all(g in h for g in operands)  # "and"
 
 
 # --- Hintikka sets -------------------------------------------------------
@@ -428,18 +427,27 @@ def is_bts(t: Bts):
 # --- model extraction ----------------------------------------------------
 
 
+# The most nodes that ``_graph_regex`` joins into one sum, which ``ox.alt``
+# prints; state elimination can grow them exponentially.
+_JOIN_CAP = 10_000_000
+
+
 def _graph_regex(n: int, delta, initial: int, finals) -> ox.ObsExpr:
     """Expression for the words leading from ``initial`` into ``finals``
     over the edge map ``delta``, by state elimination in ascending node
-    order."""
+    order; a join past ``_JOIN_CAP`` raises ``ResourceBudgetExceeded``."""
     start, accept = n, n + 1
     edges = {}
 
     def add(u, v, e):
-        if ox.is_empty_language(e):
-            return
         old = edges.get((u, v))
-        edges[(u, v)] = e if old is None else ox.alt(old, e)
+        if old is not None:
+            if old.size + e.size > _JOIN_CAP:
+                raise ResourceBudgetExceeded(
+                    f"model extraction would join expressions of more "
+                    f"than {_JOIN_CAP} nodes")
+            e = ox.alt(old, e)
+        edges[(u, v)] = e
 
     for (i, a), j in sorted(delta.items()):
         add(i, j, ox.atom(a))
@@ -477,7 +485,8 @@ def extract_model(t: Bts):
     initial bubble's out-edges.
 
     Returns (model, state labelled with the target formula). Raises
-    NotABts when the structure does not validate.
+    NotABts when the structure does not validate, and
+    ``ResourceBudgetExceeded`` past ``_graph_regex``'s cap.
     """
     v = is_bts(t)
     if v is not True:

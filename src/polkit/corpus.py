@@ -64,10 +64,9 @@ def random_partition(rng: random.Random, items):
 def random_model(rng: random.Random, symbols=("a", "b"), agents=("i",),
                  prop_names=("p", "q"), min_states: int = 1,
                  max_states: int = 4, regex_depth: int = 3,
-                 live: bool = True, pool=None) -> Model:
+                 live: bool = True) -> Model:
     """A random model. Every expectation has a non-empty language, as
-    ``Model`` requires, so ``live=False`` is refused. When ``pool`` is
-    given, expectations are drawn from it instead of being generated."""
+    ``Model`` requires, so ``live=False`` is refused."""
     if not live:
         raise InvalidInput("every expectation of a model has a non-empty "
                            "language")
@@ -75,11 +74,7 @@ def random_model(rng: random.Random, symbols=("a", "b"), agents=("i",),
     states = list(range(n))
     props = {s: frozenset(p for p in prop_names if rng.random() < 0.5)
              for s in states}
-    if pool is not None:
-        exp = {s: rng.choice(pool) for s in states}
-    else:
-        exp = {s: random_live_regex(rng, symbols, regex_depth)
-               for s in states}
+    exp = {s: random_live_regex(rng, symbols, regex_depth) for s in states}
     relations = {a: random_partition(rng, states) for a in agents}
     return Model(ox.Alphabet(symbols), agents, states, props, exp,
                  relations)

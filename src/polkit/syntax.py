@@ -288,19 +288,20 @@ def letters(f: Formula) -> frozenset:
 def definition(g: Formula) -> tuple:
     """How the truth of ``g`` follows from other formulas, in one step.
 
-    Returns ``(kind, operands)``: ``true`` and ``false`` with no
-    operands, ``not`` and ``eq`` with one (``g`` holds exactly when
-    the operand fails, or holds), ``or`` and ``and`` with several, or
+    Returns ``(kind, operands)``: ``not`` with one operand, which ``g``
+    negates; ``or`` and ``and`` with any number (an ``and`` of none is
+    true, an ``or`` of none false, a junction of one its operand); or
     ``free`` with none. Propositions, modalities over a single letter
     and the agent operators are free: their truth is not fixed by other
     formulas at the same state. A modality over a composite expression
-    unfolds one step toward the expression's head: sequencing peels its
-    first factor, a sum branches, a star either stops or runs its body
-    once and recurs, the empty word defers to the argument, and the
-    empty language makes a diamond false and a box true. The empty-word
-    and star rules are exact because every state of a model survives
-    the empty word (see ``models``). Every node is of a class that has
-    no subclass, so the cases dispatch on the exact class.
+    is the junction, ``or`` under a diamond and ``and`` under a box, of
+    one step toward the expression's head: sequencing peels its first
+    factor, a sum branches, a star either stops or runs its body once
+    and recurs, the empty word defers to the argument, and the empty
+    language has no branch. The empty-word and star rules are exact
+    because every state of a model survives the empty word (see
+    ``models``). Every node is of a class that has no subclass, so the
+    cases dispatch on the exact class.
     """
     cls = type(g)
     if cls is Or:
@@ -319,18 +320,18 @@ def definition(g: Formula) -> tuple:
             return (junction, (g.arg, make(pi.body, g)))
         if kind is ox.Concat:
             rest = ox.seq(*pi.parts[1:])
-            return ("eq", (make(pi.parts[0], make(rest, g.arg)),))
+            return (junction, (make(pi.parts[0], make(rest, g.arg)),))
         if kind is ox.Sum:
             return (junction, tuple(make(p, g.arg) for p in pi.parts))
         if kind is ox.Epsilon:
-            return ("eq", (g.arg,))
+            return (junction, (g.arg,))
         if kind is ox.Empty:
-            return ("false" if cls is Dia else "true", ())
+            return (junction, ())
         raise TypeError(f"unsupported expression {pi!r}")
     if cls is And:
         return ("and", g.parts)
     if cls is Top:
-        return ("true", ())
+        return ("and", ())
     if cls is Hat or cls is Know:
         return ("free", ())
     raise TypeError(f"not a Formula: {g!r}")

@@ -51,9 +51,13 @@ MUTANTS = [
      "        elif value[lits[1]] is False:\n",
      "add_clause keeps a unit without asserting it"),
     (SOLVER,
-     "                asserted.append(pos if kind == \"true\" else neg)\n",
-     "                add_clause([pos if kind == \"true\" else neg])\n",
+     "                asserted.append(own)\n",
+     "                add_clause([own])\n",
      "compile asserts a unit before its binary clauses"),
+    (SOLVER,
+     "                asserted.append(own)\n",
+     "                asserted.append(own ^ 1)\n",
+     "compile flips an empty junction's unit"),
     (SOLVER,
      "                        self.add_clause(learnt)\n"
      "                        if self.empty:\n"

@@ -309,9 +309,9 @@ def global_conjuncts(f, letters):
 def reference_database(f):
     """The clause database from one ``add_clause`` call per clause, in
     member order, then the diamond/box pairs, then the units: those of
-    the ``true`` and ``false`` members, then one per global conjunct. A
-    negation has no clause: it is its argument's literal with the sign
-    flipped."""
+    the junctions of no operands (an ``and`` true, an ``or`` false),
+    then one per global conjunct. A negation has no clause: it is its
+    argument's literal with the sign flipped."""
     shape = ReferenceShape(f)
     s = dps._Dpll(len(shape.members))
 
@@ -319,10 +319,9 @@ def reference_database(f):
         return reference_lit(g, shape.index) ^ (0 if positive else 1)
 
     for g, (kind, operands) in zip(shape.members, shape.definitions):
-        if kind == "eq":
-            s.add_clause([lit(g, False), lit(operands[0], True)])
-            s.add_clause([lit(g, True), lit(operands[0], False)])
-        elif kind == "or":
+        if not operands:
+            continue
+        if kind == "or":
             s.add_clause([lit(g, False)] + [lit(h, True) for h in operands])
             for h in operands:
                 s.add_clause([lit(g, True), lit(h, False)])
@@ -336,9 +335,9 @@ def reference_database(f):
             b = boxes.get(d.arg)
             if b is not None:
                 s.add_clause([lit(d, False), lit(b, True)])
-    for g, (kind, _) in zip(shape.members, shape.definitions):
-        if kind in ("true", "false"):
-            s.add_clause([lit(g, kind == "true")])
+    for g, (kind, operands) in zip(shape.members, shape.definitions):
+        if kind in ("or", "and") and not operands:
+            s.add_clause([lit(g, kind == "and")])
     for g in global_conjuncts(f, shape.letters):
         s.add_clause([lit(g, True)])
     return s

@@ -264,6 +264,17 @@ class TestDroneTruths:
         lines = m.explain("u", parse_formula(text, m.alphabet))
         assert lines[1].strip() == shown
 
+    def test_explain_walks_each_part_of_a_junction(self):
+        m = drone_model()
+        lines = m.explain("u", parse_formula("T1 | <s>T2", m.alphabet))
+        assert lines == [
+            "T1|<s>T2 @ u: True",
+            "  T1 @ u: True",
+            "  <s>T2 @ u: False",
+            "    no matching observation keeps the state alive with a true "
+            "body",
+        ]
+
 
 class TestLiveExpectations:
     """Every state expects some word, so none is dead on arrival."""

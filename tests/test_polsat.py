@@ -4,6 +4,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -100,6 +101,41 @@ class TestOneGuard:
         monkeypatch.setattr(ox, "_MAX_DERIVATIVES", 1)
         verdict = dp.pol_sat(sx.parse_formula("<(a;b)*>p"), dp.LabelBudget(1))
         assert isinstance(verdict, dp.Sat)
+
+
+def alternating_diamonds(n):
+    """``<b><a><b>..p`` with ``n`` diamonds. Its one-slot witness is a
+    chain of bubbles, and state elimination over them builds expressions
+    that grow exponentially with ``n``."""
+    return sx.parse_formula(
+        "".join(f"<{'ba'[i % 2]}>" for i in range(n)) + "p")
+
+
+class TestExtractionCap:
+    """``_graph_regex`` refuses to join edges past ``bts._JOIN_CAP``
+    nodes, so a witness whose expressions would outgrow memory ends in
+    an ``Unknown`` that names the cap."""
+
+    def test_join_cap_ends_in_unknown(self, monkeypatch):
+        f = alternating_diamonds(5)
+        assert isinstance(dp.pol_sat(f, dp.LabelBudget(1)), dp.Sat)
+        monkeypatch.setattr(bt, "_JOIN_CAP", 50)
+        assert dp.pol_sat(f, dp.LabelBudget(1)) == dp.Unknown(
+            "model extraction would join expressions of more than 50 nodes")
+
+    def test_a_chain_below_the_cap_stays_sat(self):
+        f = alternating_diamonds(17)
+        verdict = dp.pol_sat(f, dp.LabelBudget(1))
+        assert isinstance(verdict, dp.Sat)
+        assert verdict.model.check(verdict.state, f)
+
+    def test_a_long_chain_stops_at_the_cap(self):
+        start = time.perf_counter()
+        verdict = dp.pol_sat(alternating_diamonds(25), dp.LabelBudget(1))
+        assert time.perf_counter() - start < 5
+        assert verdict == dp.Unknown(
+            f"model extraction would join expressions of more than "
+            f"{bt._JOIN_CAP} nodes")
 
 
 def is_equivalence(rel, labels):

@@ -317,7 +317,7 @@ class TestClosure:
         assert fl == positive | {lnot(g) for g in positive}
 
     @pytest.mark.parametrize("text, kind, operands", [
-        ("true", "true", []),
+        ("true", "and", []),
         ("p", "free", []),
         ("<a>p", "free", []),
         ("K_i p", "free", []),
@@ -326,12 +326,14 @@ class TestClosure:
         ("p|q", "or", ["p", "q"]),
         ("<a+b>p", "or", ["<a>p", "<b>p"]),
         ("[a+b]p", "and", ["[a]p", "[b]p"]),
-        ("<a;b>p", "eq", ["<a><b>p"]),
+        ("<a;b>p", "or", ["<a><b>p"]),
         ("<a*>p", "or", ["p", "<a><a*>p"]),
         ("[a*]p", "and", ["p", "[a][a*]p"]),
-        ("<0*>p", "eq", ["p"]),
-        ("<0>p", "false", []),
-        ("[0]p", "true", []),
+        ("<0*>p", "or", ["p"]),
+        ("<0>p", "or", []),
+        ("[0]p", "and", []),
+        ("[a;b]p", "and", ["[a][b]p"]),
+        ("[0*]p", "and", ["p"]),
     ])
     def test_definition(self, text, kind, operands):
         assert sx.definition(pf(text)) == (kind, tuple(map(pf, operands)))
