@@ -17,7 +17,7 @@ from ..syntax import (
     prop as atom,
 )
 from .core import (
-    DpdlModel, dpdl_check, iff, implies, land, lor, parse_dpdl,
+    DpdlModel, dpdl_check, implies, land, lor, parse_dpdl,
 )
 from .oracle import brute_dpdl_sat, pol_bounded_sat
 from .polsat import decode_bts, pol_sat
@@ -26,7 +26,7 @@ from .translate import LabelBudget, Translation, full_budget
 
 __all__ = [
     "Top", "Atom", "Not", "Or", "And", "Dia", "Box",
-    "top", "atom", "lnot", "lor", "land", "dia", "box", "implies", "iff",
+    "top", "atom", "lnot", "lor", "land", "dia", "box", "implies",
     "closure", "dpdl_size", "print_dpdl", "parse_dpdl",
     "DpdlModel", "dpdl_check",
     "LabelBudget", "Translation", "full_budget",

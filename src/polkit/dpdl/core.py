@@ -25,20 +25,20 @@ from ..errors import InvalidInput, ParseError, UnknownState, UnknownSymbol
 from ..models import _collect, _mapping, _ordered
 
 __all__ = [
-    "lor", "land", "implies", "iff", "parse_dpdl",
+    "lor", "land", "implies", "parse_dpdl",
     "DpdlModel", "dpdl_check",
 ]
 
 
-def _junction(cls, tag, parts, empty):
+def _junction(cls, tag, parts):
     flat = []
     for p in parts:
-        if isinstance(p, cls):
+        if type(p) is cls:
             flat.extend(p.parts)
         else:
             flat.append(p)
     if not flat:
-        return empty
+        return sx.top() if cls is sx.And else sx.lnot(sx.top())
     if len(flat) == 1:
         if not isinstance(flat[0], sx.Formula):
             sx._refuse(flat[0])
@@ -48,19 +48,15 @@ def _junction(cls, tag, parts, empty):
 
 
 def lor(*parts) -> sx.Formula:
-    return _junction(sx.Or, "|", parts, sx.lnot(sx.top()))
+    return _junction(sx.Or, "|", parts)
 
 
 def land(*parts) -> sx.Formula:
-    return _junction(sx.And, "&", parts, sx.top())
+    return _junction(sx.And, "&", parts)
 
 
 def implies(a: sx.Formula, b: sx.Formula) -> sx.Formula:
     return lor(sx.lnot(a), b)
-
-
-def iff(a: sx.Formula, b: sx.Formula) -> sx.Formula:
-    return land(lor(sx.lnot(a), b), lor(sx.lnot(b), a))
 
 
 def parse_dpdl(text: str, alphabet=None) -> sx.Formula:

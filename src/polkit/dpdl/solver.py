@@ -717,19 +717,27 @@ class _Dpll:
     def _assume(self, assumptions):
         """Open level 1 with the assumptions; a core if they fail.
 
-        They are propagated one at a time from the last. That order
-        decides which core comes back: it favours the later assumptions.
+        Every assumption is assigned, from the last to the first, and
+        then all of them are propagated at once. An assumption that is
+        already false, on level 0 or by a complementary assumption
+        assigned before it, fails at once: the core is the two
+        assumptions, or the one alone. Otherwise the core holds the
+        assumptions that the propagation's conflict rests on. The order
+        of the trail decides which core comes back, and with it which
+        lemma the lazy regime learns; a ``sat`` answer is the least
+        model in ``decide`` in any order.
         """
         self.trail_lim.append(len(self.trail))
+        value = self.value
         for lit in reversed(assumptions):
-            truth = self.value[lit]
+            truth = value[lit]
             if truth is False:
                 return self._final([lit >> 1], [lit])
             if truth is None:
                 self._assign(lit, None)
-                conflict = self._propagate()
-                if conflict is not None:
-                    return self._final([q >> 1 for q in conflict], [])
+        conflict = self._propagate()
+        if conflict is not None:
+            return self._final([q >> 1 for q in conflict], [])
         return None
 
     def solve(self, assumptions):

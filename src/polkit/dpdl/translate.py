@@ -248,20 +248,25 @@ class Translation:
 
     # -- construction ------------------------------------------------------
 
-    def _sem(self, psi: sx.Formula) -> sx.Formula:
-        """Truth-assignment clause for one proposition, modal or agent
-        member, all slots.
+    def _sem(self, psi: sx.Formula) -> list:
+        """Truth-assignment clauses for one proposition, modal or agent
+        member, two per slot.
 
         A proposition's atom is the negation of its negation's atom.
         A modal or agent member's atom is pinned, both ways, to the
-        truth of its argument at the slots it reads.
+        truth of its argument at the slots it reads. Each pin comes back
+        as its two implications, slot by slot, which the invariant's one
+        flat conjunction takes as they are.
         """
         if isinstance(psi, (sx.Hat, sx.Know)) and psi.agent == self.agents[0]:
             pinned = self._chains(psi)
         else:
             pinned = [self._pinned(psi, ell) for ell in self.labels]
-        return dc.land(*[dc.iff(self.at(ell, psi), p)
-                         for ell, p in zip(self.labels, pinned)])
+        out = []
+        for ell, p in zip(self.labels, pinned):
+            x = self.at(ell, psi)
+            out += (dc.implies(x, p), dc.implies(p, x))
+        return out
 
     def _pinned(self, psi: sx.Formula, ell: int) -> sx.Formula:
         """What the atom of ``psi`` at slot ``ell`` is pinned to, an
@@ -326,8 +331,9 @@ class Translation:
 
     def _build(self) -> sx.Formula:
         letters = [ox.atom(a) for a in self.alphabet]
-        invariant = [self._sem(psi) for psi in self.fl if isinstance(
-            psi, (sx.Prop, sx.Hat, sx.Know, sx.Dia, sx.Box))]
+        invariant = [x for psi in self.fl if isinstance(
+            psi, (sx.Prop, sx.Hat, sx.Know, sx.Dia, sx.Box))
+            for x in self._sem(psi)]
         kept = [self.at(ell, g) for psi in self.fl
                 if isinstance(psi, sx.Prop)
                 for ell in self.labels for g in (psi, sx.lnot(psi))]

@@ -118,12 +118,18 @@ class _Junction(Formula):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
+        size = len(parts) - 1
+        depth = 0
         for p in parts:
             if not isinstance(p, Formula):
                 _refuse(p)
+            size += p.size
+            d = p.depth
+            if d > depth:
+                depth = d
         self.parts = parts
-        self.size = len(parts) - 1 + sum(p.size for p in parts)
-        self.depth = 1 + max(p.depth for p in parts)
+        self.size = size
+        self.depth = 1 + depth
 
 
 class Or(_Junction):

@@ -79,6 +79,11 @@ MUTANTS = [
      "                g = sx.dia(pi, arg)",
      "_refute skips its unsat check"),
     (SOLVER,
+     "            if truth is False:\n"
+     "                return self._final([lit >> 1], [lit])\n",
+     "",
+     "_assume skips its already-false check"),
+    (SOLVER,
      "                b = boxes.get(d.arg)\n",
      "                b = None\n",
      "compile drops the diamond/box pair clause"),

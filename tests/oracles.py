@@ -38,6 +38,23 @@ def node_count(node) -> int:
     raise TypeError(f"not a formula or expression: {node!r}")
 
 
+def node_depth(node) -> int:
+    """Nodes on the longest path from ``node`` down to a leaf, by plain
+    recursion; a modality's paths run into its expression as well as
+    its argument."""
+    if isinstance(node, (sx.Or, sx.And, Sum, Concat)):
+        return 1 + max(map(node_depth, node.parts))
+    if isinstance(node, (sx.Dia, sx.Box)):
+        return 1 + max(node_depth(node.pi), node_depth(node.arg))
+    if isinstance(node, (sx.Not, sx.Hat, sx.Know)):
+        return 1 + node_depth(node.arg)
+    if isinstance(node, Star):
+        return 1 + node_depth(node.body)
+    if isinstance(node, (sx.Top, sx.Prop, Empty, Epsilon, Atom)):
+        return 1
+    raise TypeError(f"not a formula or expression: {node!r}")
+
+
 def match_positions(e: ObsExpr, word: tuple, i: int, memo=None) -> frozenset:
     """All j with word[i:j] in L(e), by span decomposition (no derivatives)."""
     if memo is None:
@@ -288,6 +305,25 @@ class AllPairsTranslation(dp.Translation):
                 for i in self.agents
                 for x, z in itertools.combinations(self.labels, 2)
                 for y in self.labels if y not in (x, z)]
+
+
+class JunctionPinnedTranslation(dp.Translation):
+    """The bubble encoding with each member's pins built as junctions:
+    a pin is the conjunction ``implies(a, p) & implies(p, a)`` of the
+    member's atom ``a`` and what it is pinned to, and a member's pins
+    are one conjunction over all slots, which the invariant's
+    ``dpdl.land`` flattens. ``Translation`` writes the implications
+    straight into the invariant, so both build the same interned
+    node."""
+
+    def _sem(self, psi):
+        if isinstance(psi, (sx.Hat, sx.Know)) and psi.agent == self.agents[0]:
+            pinned = self._chains(psi)
+        else:
+            pinned = [self._pinned(psi, ell) for ell in self.labels]
+        return [dp.land(*[dp.land(dp.implies(self.at(ell, psi), p),
+                                  dp.implies(p, self.at(ell, psi)))
+                          for ell, p in zip(self.labels, pinned)])]
 
 
 def slot_fact(f, atoms) -> bool:

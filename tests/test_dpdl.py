@@ -19,6 +19,7 @@ from polkit.dpdl import solver as dps
 from polkit.errors import InvalidInput, ParseError, ResourceBudgetExceeded
 
 from conftest import dpdl_formula_strategy
+from oracles import JunctionPinnedTranslation
 
 
 def satisfies(assign, clauses):
@@ -381,12 +382,42 @@ class TestOneWalk:
         assert_one_walk(TRANSLATIONS[name]().formula)
 
 
+class TestPins:
+    """Each pin's two implications go straight into the invariant, and
+    the encoding is the node that pins built as junctions give."""
+
+    @pytest.mark.parametrize("name", sorted(TRANSLATIONS))
+    def test_same_encoding_on_translations(self, name):
+        t = TRANSLATIONS[name]()
+        assert JunctionPinnedTranslation(t.source, t.budget).formula is (
+            t.formula)
+
+    @pytest.mark.parametrize("labels", [1, 2, 3])
+    def test_same_encoding_on_a_seeded_sample(self, labels):
+        rng = random.Random(8)
+        done = 0
+        while done < 25:
+            phi = corpus.random_formula(rng, ("a", "b"), ("i", "j"),
+                                        ("p", "q"), depth=3)
+            if 2 ** len(sx.fl_closure(phi)) <= labels:
+                continue
+            budget = dp.LabelBudget(labels)
+            assert JunctionPinnedTranslation(phi, budget).formula is (
+                dp.Translation(phi, budget).formula), sx.print_formula(phi)
+            done += 1
+
+
 class TestCompilation:
     # random formulas seldom hold a diamond and a box over one letter
-    # and one argument; the example does, so its pair clause is compared
+    # and one argument; the first example does, so its pair clause is
+    # compared. The other two repeat an operand or complement one, so
+    # the binary clauses that compile writes directly meet add_clause's
+    # merge and tautology check on the same operands
     @settings(max_examples=200, deadline=None)
     @given(dpdl_formula_strategy())
     @example(dp.parse_dpdl("<a>p|[a]p&[b]~q"))
+    @example(dp.parse_dpdl("p|p|q"))
+    @example(dp.parse_dpdl("p|~p|q"))
     def test_same_database_as_one_call_per_clause(self, f):
         assert_compiled_as_reference(f)
 

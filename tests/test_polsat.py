@@ -424,7 +424,8 @@ class TestEncoding:
                                  sx.lnot(t.surv(m)), t.at(m, psi.arg))
                           for m in t.labels])
                 for ell in t.labels]
-            agree = dp.land(*[dp.iff(c, p) for c, p in zip(chains, pairwise)])
+            agree = dp.land(*[dp.land(dp.implies(c, p), dp.implies(p, c))
+                              for c, p in zip(chains, pairwise)])
             atoms = ([t.rel("i", x, x + 1).name for x in t.labels[:-1]]
                      + [g.name for m in t.labels
                         for g in (t.surv(m), t.at(m, psi.arg))])

@@ -17,7 +17,7 @@ from polkit.syntax import (
 )
 
 from conftest import formula_strategy
-from oracles import node_count
+from oracles import node_count, node_depth
 
 AB = Alphabet(["a", "b"])
 # proposition names that only a quoted token carries
@@ -265,25 +265,28 @@ class TestInspection:
 
 
 class TestSizeField:
-    """The size each constructor keeps equals a recursive count."""
+    """The size and depth each constructor keeps equal recursive counts."""
 
     def test_random_formulas(self):
         rng = random.Random(3)
         for _ in range(300):
             f = random_formula(rng, agents=("i", "j"), depth=4)
             assert formula_size(f) == f.size == node_count(f)
+            assert f.depth == node_depth(f)
 
     def test_random_regexes(self):
         rng = random.Random(4)
         for _ in range(300):
             e = random_regex(rng, ("a", "b"), depth=5)
             assert ox.expr_size(e) == e.size == node_count(e)
+            assert e.depth == node_depth(e)
 
     def test_translation_with_flattened_junctions(self):
         t = dp.Translation(pf("hK_i p & K_j <a>q"), dp.LabelBudget(2))
         assert any(isinstance(g, And) and len(g.parts) > 2
                    for g in dp.closure(t.formula))
         assert formula_size(t.formula) == node_count(t.formula)
+        assert t.formula.depth == node_depth(t.formula)
 
     def test_non_nodes_are_type_errors(self):
         with pytest.raises(TypeError):
