@@ -30,7 +30,7 @@ from . import obsregex as ox
 from . import syntax as sx
 from .errors import (InvalidInput, NotABts, ResourceBudgetExceeded,
                      UnknownState)
-from .models import (Model, _collect, _mapping, _ordered, block_map,
+from .models import (Model, _collect, _has, _mapping, _ordered, block_map,
                      ordered_blocks, state_sort_key)
 from .obsregex import Alphabet
 
@@ -174,16 +174,16 @@ class Bubble:
 
     def block(self, agent, s) -> frozenset:
         """Equivalence class of ``s``; unlisted agents see singletons."""
-        if s not in self.labels:
+        if not _has(self.labels, s):
             raise UnknownState(f"state {s!r} not in bubble")
-        assigned = self._blocks.get(agent)
-        return assigned[s] if assigned is not None else frozenset({s})
+        if not _has(self._blocks, agent):
+            return frozenset({s})
+        return self._blocks[agent][s]
 
     def relation_blocks(self, agent):
-        assigned = self._blocks.get(agent)
-        if assigned is None:
+        if not _has(self._blocks, agent):
             return tuple(frozenset({s}) for s in self.states)
-        return ordered_blocks(assigned)
+        return ordered_blocks(self._blocks[agent])
 
     def __repr__(self):
         return f"Bubble(states={self.states!r})"
@@ -373,14 +373,14 @@ def _fulfilled(t: Bts, start: int, s, f, want: bool) -> bool:
     """Does some word of f.pi keep ``s`` alive from bubble ``start`` to a
     bubble whose label of ``s`` has f.arg exactly when ``want``?"""
 
-    def step(bi):
-        for a in t.alphabet:
-            j = t.delta.get((bi, a))
-            if j is not None and s in t.bubbles[j].labels:
-                yield a, j
+    symbols = t.alphabet.symbols
+
+    def step(bi, a):
+        j = t.delta.get((bi, a))
+        return (j,) if j is not None and s in t.bubbles[j].labels else ()
 
     return ox.search(
-        f.pi, start, step,
+        f.pi, start, lambda bi: symbols, step,
         lambda bi: (f.arg in t.bubbles[bi].labels[s]) == want) is not None
 
 
@@ -497,12 +497,18 @@ def extract_model(t: Bts):
     for (i, a), j in t.delta.items():
         if i == t.initial:
             delta[(n, a)] = j
+    # states that survive in the same bubbles share one elimination
+    by_finals = {}
     exp = {}
     for s in init.states:
         finals = frozenset(i for i, b in enumerate(t.bubbles)
                            if s in b.labels)
-        e = _graph_regex(n + 1, delta, n, finals)
-        exp[s] = ox.epsilon() if ox.is_empty_language(e) else e
+        e = by_finals.get(finals)
+        if e is None:
+            e = _graph_regex(n + 1, delta, n, finals)
+            e = by_finals[finals] = (ox.epsilon() if ox.is_empty_language(e)
+                                     else e)
+        exp[s] = e
     agents = tuple(_ordered(set(init.agents) | set(sx.agents(t.formula)),
                             "the agents"))
     props = {s: frozenset(f.name for f in init.labels[s]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .. import obsregex as ox
 from .. import syntax as sx
 from ..errors import InvalidInput, ParseError, UnknownState, UnknownSymbol
-from ..models import _collect, _mapping, _ordered
+from ..models import _collect, _has, _mapping, _ordered
 
 __all__ = [
     "lor", "land", "implies", "parse_dpdl",
@@ -137,7 +137,7 @@ def dpdl_check(m: DpdlModel, s, f: sx.Formula) -> bool:
     answer depends on the order of the operands; a non-formula is a
     ``TypeError`` where the evaluation reaches it.
     """
-    if s not in m.val:
+    if not _has(m.val, s):
         raise UnknownState(f"state {s!r} not in model")
     _check_formula(f)
     return _evaluator(m)(s, f)
@@ -156,12 +156,14 @@ def _evaluator(m: DpdlModel):
     transitions, iterated in the evaluator's own frame (``ox.walk``),
     so a program letter that the model lacks labels no transition."""
     memo = {st: {} for st in m.states}
+    trans = m.trans
 
-    def step(st):
-        for a in m.alphabet:
-            t = m.trans.get((st, a))
-            if t is not None:
-                yield a, t
+    def letters(st):
+        return m.alphabet
+
+    def step(st, a):
+        t = trans.get((st, a))
+        return () if t is None else (t,)
 
     def ev(st, g):
         known = memo[st]
@@ -190,7 +192,7 @@ def _evaluator(m: DpdlModel):
             # a walk ending at a body with truth ``want`` decides
             want = isinstance(g, sx.Dia)
             v = not want
-            for t, q in ox.walk(g.pi, st, step):
+            for t, q in ox.walk(g.pi, st, letters, step):
                 if q.nullable and ev(t, g.arg) is want:
                     v = want
                     break

@@ -357,18 +357,14 @@ class _Exact:
         return (ox.nullable(expr)
                 and self.atoms[i][self.shape.index[arg]] == want)
 
-    def _edges(self, j):
-        """The (letter, atom) steps a walk from atom ``j`` may take."""
-        for a in self._demands[j]:
-            for k in self._candidates(j, a):
-                yield a, k
-
     def _discharge_walk(self, i, pi, arg, want):
         """Shortest walk from atom ``i`` along a word of ``pi`` to an atom
         giving ``arg`` the truth ``want``, as (letter, atom) steps; None
         when there is none."""
         var = self.shape.index[arg]
-        return ox.search(pi, i, self._edges,
+        # a walk from atom j tries the letters j demands, in order, each
+        # toward the live atoms that meet the demand
+        return ox.search(pi, i, self._demands.__getitem__, self._candidates,
                          lambda j: self.atoms[j][var] == want)
 
     def eliminate(self):
@@ -930,18 +926,19 @@ class _Lazy:
                     child = register(key, result)
                 trans[(nid, a)] = child
 
-        def step(j):
-            for a in shape.letters:
-                child = trans.get((j, a))
-                if child is not None:
-                    yield a, child
+        def letters(j):
+            return shape.letters
+
+        def step(j, a):
+            child = trans.get((j, a))
+            return () if child is None else (child,)
 
         missing = []
         for nid, assign in enumerate(assigns):
             for pi, arg, want in shape.eventualities(assign):
                 var = shape.index[arg]
                 if not any(q.nullable and assigns[j][var] == want
-                           for j, q in ox.walk(pi, nid, step)):
+                           for j, q in ox.walk(pi, nid, letters, step)):
                     missing.append((pi, arg, want))
         if missing:
             return missing

@@ -37,7 +37,15 @@ one sweep of the product ORs those sets together, for every state at
 once, where a per-state search would walk the product once per state.
 The sweep is ``obsregex.walk``, iterated in ``_eval``'s own frame, so
 each formula level costs one frame; it expands no context whose
-survivors are all found already, and it stops once all are.
+survivors are all found already, and it stops once all are. The walk
+steps derivative first: it asks for a context's successor by a letter
+only when the program's derivative by that letter is not empty, so a
+check builds no context that its programs cannot enter.
+
+Each context does its own work once: a step derives the survivors'
+residuals and sets the successor's survivor mask in one loop, and the
+agents' blocks cut to the survivors are kept on the context the first
+time a knowledge operator reads them.
 
 Every state expects some word: ``Model`` refuses an expectation whose
 language is empty. Such a state would survive no observation, not even
@@ -62,8 +70,6 @@ from .errors import (InvalidInput, ResourceBudgetExceeded, UnknownAgent,
 from .obsregex import ObsExpr
 
 __all__ = ["Model", "state_sort_key"]
-
-_MISSING = object()
 
 # Entries of ``Model._memo``, one per (reached model, formula) pair and
 # shared, like the graph, with the models ``update`` returns: far above
@@ -93,6 +99,14 @@ def _ordered(items, what, key=None) -> list:
         return sorted(items, key=key)
     except TypeError:
         raise InvalidInput(f"{what} cannot be put in order") from None
+
+
+def _has(table, key) -> bool:
+    """``key in table``; a key that cannot be hashed is in no table."""
+    try:
+        return key in table
+    except TypeError:
+        return False
 
 
 def _collect(kind, items, what):
@@ -154,16 +168,21 @@ class _Ctx:
     ``exp`` maps the survivors to their residuals in state order, the
     bit order of ``mask``, the survivors' bit mask; read in that order,
     the residuals and the mask key the context. Propositions and
-    relations are those of the base model, restricted.
+    relations are those of the base model, restricted. ``steps`` maps
+    each letter stepped so far to the successor context, as a tuple of
+    one, or to ``()`` when no state survives the letter. ``blocks``
+    maps each agent read so far to the blocks of its partition
+    restricted to the survivors, as bit masks, the empty ones left out.
     """
 
-    __slots__ = ("cid", "mask", "exp", "steps")
+    __slots__ = ("cid", "mask", "exp", "steps", "blocks")
 
     def __init__(self, cid, mask, exp):
         self.cid = cid
         self.mask = mask
         self.exp = exp
         self.steps = {}
+        self.blocks = {}
 
 
 class Model:
@@ -189,7 +208,12 @@ class Model:
                                      "the states", state_sort_key))
         if not self.states:
             raise InvalidInput("a model needs at least one state")
-        known = set(self.states)
+        try:
+            known = set(self.states)
+            hash(self.agents)
+        except TypeError:
+            raise InvalidInput("a state or agent id cannot be "
+                               "hashed") from None
         if len(known) != len(self.states):
             raise InvalidInput("duplicate state ids")
         props = _mapping(props, "the propositions")
@@ -229,7 +253,7 @@ class Model:
         for s in self.states:
             for p in self.props[s]:
                 self._prop_masks[p] = self._prop_masks.get(p, 0) | self._bit[s]
-        self._block_masks = {agent: [self._mask(b)
+        self._block_masks = {agent: [sum(map(self._bit.__getitem__, b))
                                      for b in set(assigned.values())]
                              for agent, assigned in self._blocks.items()}
         self._ctxs = {}
@@ -238,25 +262,22 @@ class Model:
         # memo, since the models ``update`` returns keep the names
         self._checked = set()
         # a dict of its own, so that editing ``self.exp`` re-keys nothing
-        self._top = self._ctx_for(dict(self.exp))
+        self._top = self._ctx_for((1 << len(self.states)) - 1,
+                                  dict(self.exp))
 
     # -- structure ------------------------------------------------------------
 
-    def _mask(self, states) -> int:
-        bit = self._bit
-        return sum(bit[s] for s in states)
-
     def block(self, agent: str, s):
         """The equivalence class of ``s`` under the agent's relation."""
-        if agent not in self._blocks:
+        if not _has(self._blocks, agent):
             raise UnknownAgent(f"agent {agent!r} not in model")
-        if s not in self.props:
+        if not _has(self.props, s):
             raise UnknownState(f"state {s!r} not in model")
         return self._blocks[agent][s]
 
     def relation_blocks(self, agent: str):
         """The partition of the agent's relation, canonically ordered."""
-        if agent not in self._blocks:
+        if not _has(self._blocks, agent):
             raise UnknownAgent(f"agent {agent!r} not in model")
         return ordered_blocks(self._blocks[agent])
 
@@ -276,7 +297,8 @@ class Model:
         for sym in _collect(tuple, word, "the word"):
             self.alphabet.require(sym)
             if ctx is not None:
-                ctx = self._step(ctx, sym)
+                nxt = self._step(ctx, sym)
+                ctx = nxt[0] if nxt else None
         if ctx is None:
             return None
         new = copy.copy(self)
@@ -291,8 +313,7 @@ class Model:
 
     # -- residuation graph ------------------------------------------------
 
-    def _ctx_for(self, exp):
-        mask = self._mask(exp)
+    def _ctx_for(self, mask, exp):
         # bit order is state order, and every map given here is built in
         # state order: the top's over self.states, each step's by walking
         # its parent's map in order
@@ -306,18 +327,23 @@ class Model:
             self._ctxs[key] = ctx
         return ctx
 
-    def _step(self, ctx: _Ctx, sym: str) -> "_Ctx | None":
-        got = ctx.steps.get(sym, _MISSING)
-        if got is not _MISSING:
+    def _step(self, ctx: _Ctx, sym: str) -> tuple:
+        """``ctx``'s successor by ``sym`` as a tuple of one, or ``()``
+        when no state survives ``sym``: the successors that
+        ``ox.walk`` asks for."""
+        got = ctx.steps.get(sym)
+        if got is not None:
             return got
+        bit = self._bit
         exp = {}
+        mask = 0
         for s, e in ctx.exp.items():
             e = ox.derive(e, sym)
-            if not ox.is_empty_language(e):
+            if not e.empty:
                 exp[s] = e
-        nxt = self._ctx_for(exp) if exp else None
-        ctx.steps[sym] = nxt
-        return nxt
+                mask |= bit[s]
+        got = ctx.steps[sym] = (self._ctx_for(mask, exp),) if mask else ()
+        return got
 
     def residuation_graph(self):
         """Explore every context reachable by observations from this
@@ -333,11 +359,12 @@ class Model:
         edges = {}
         for ctx in order:  # the order grows while it is read
             for sym in self.alphabet:
-                nxt = self._step(ctx, sym)
-                if nxt is not None and nxt not in ids:
-                    ids[nxt] = len(order)
-                    order.append(nxt)
-                edges[(ids[ctx], sym)] = None if nxt is None else ids[nxt]
+                got = self._step(ctx, sym)
+                for nxt in got:
+                    if nxt not in ids:
+                        ids[nxt] = len(order)
+                        order.append(nxt)
+                edges[(ids[ctx], sym)] = ids[got[0]] if got else None
         contexts = {ids[c]: dict(c.exp) for c in order}
         return contexts, edges
 
@@ -345,7 +372,14 @@ class Model:
 
     def check(self, s, f: sx.Formula) -> bool:
         """Is the formula true at state ``s``?"""
-        if s not in self.props:
+        # the bit table is shared with the models ``update`` returns, so
+        # a state that did not survive to this model has a bit outside
+        # the top context's survivors
+        try:
+            bit = self._bit.get(s, 0) & self._top.mask
+        except TypeError:  # an unhashable id names no state
+            bit = 0
+        if not bit:
             raise UnknownState(f"state {s!r} not in model")
         # a formula is memoized only once it, or a formula containing
         # it, passed the depth and name checks, so a hit needs neither
@@ -353,7 +387,7 @@ class Model:
         if got is None:
             self._check_formula(f)
             got = self._eval(self._top, f)
-        return bool(got & self._bit[s])
+        return bool(got & bit)
 
     def _check_formula(self, f) -> None:
         """``UnknownSymbol`` or ``UnknownAgent`` for a letter or an agent
@@ -404,7 +438,11 @@ class Model:
                 if not val:
                     break
         elif isinstance(f, (sx.Hat, sx.Know)):
-            blocks = [b & ctx.mask for b in self._block_masks[f.agent]]
+            blocks = ctx.blocks.get(f.agent)
+            if blocks is None:
+                mask = ctx.mask
+                blocks = ctx.blocks[f.agent] = [
+                    m for b in self._block_masks[f.agent] if (m := b & mask)]
             arg = self._eval(ctx, f.arg)
             # the blocks are disjoint, so their sum is their union
             if isinstance(f, sx.Hat):  # the blocks that meet the body
@@ -418,15 +456,12 @@ class Model:
             # module docstring), so it is neither evaluated nor expanded
             want = isinstance(f, sx.Dia)
             found = 0
-            symbols, succ = self.alphabet.symbols, self._step
+            symbols = self.alphabet.symbols
 
-            def step(c):
-                if not c.mask & ~found:
-                    return ()
-                return [(a, n) for a in symbols
-                        if (n := succ(c, a)) is not None]
+            def letters(c):
+                return symbols if c.mask & ~found else ()
 
-            for c, q in ox.walk(f.pi, ctx, step):
+            for c, q in ox.walk(f.pi, ctx, letters, self._step):
                 if q.nullable and c.mask & ~found:
                     got = self._eval(c, f.arg)
                     found |= got if want else c.mask & ~got
@@ -449,13 +484,12 @@ class Model:
         Branches where s has already died are skipped: a state that does
         not survive w survives no extension of w either.
         """
-        def step(c):
-            for sym in self.alphabet:
-                nc = self._step(c, sym)
-                if nc is not None and s in nc.exp:
-                    yield sym, nc
+        symbols = self.alphabet.symbols
 
-        path = ox.search(pi, ctx, step,
+        def step(c, sym):
+            return [n for n in self._step(c, sym) if s in n.exp]
+
+        path = ox.search(pi, ctx, lambda c: symbols, step,
                          lambda c: self._holds(c, s, body) is want)
         if path is None:
             return None
@@ -466,7 +500,7 @@ class Model:
     def explain(self, s, f: sx.Formula):
         """Evaluate and return human-readable lines showing why, at most
         ``_EXPLAIN_LINES`` of them before a truncation mark."""
-        if s not in self.props:
+        if not _has(self.props, s):
             raise UnknownState(f"state {s!r} not in model")
         self._check_formula(f)
         lines = []

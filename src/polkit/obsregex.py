@@ -20,10 +20,12 @@ Derivatives are cached in one bounded table.
 The derivative of an expression by a symbol follows Brzozowski: the
 language of ``derive(pi, a)`` is exactly ``{u | a u in L(pi)}``. So an
 expression's derivatives are the states of its automaton, and ``walk``
-generates the product of a graph with that automaton by deriving the
-expression along each edge's letter, on demand (Owens, Reppy & Turon,
-JFP 2009). Model checking, bubble validation and the dynamic-logic
-solver all consume it, directly or through ``search``.
+generates the product of a graph with that automaton on demand (Owens,
+Reppy & Turon, JFP 2009), derivative first: it derives the expression by
+a letter, and asks the graph for that letter's successors only when the
+derivative's language is not empty. Model checking, bubble validation
+and the dynamic-logic solver all consume it, directly or through
+``search``.
 """
 
 from __future__ import annotations
@@ -81,7 +83,10 @@ class Alphabet:
         self._index = {s: i for i, s in enumerate(syms)}
 
     def __contains__(self, sym):
-        return sym in self._index
+        try:
+            return sym in self._index
+        except TypeError:  # an unhashable symbol is in no alphabet
+            return False
 
     def __iter__(self):
         return iter(self.symbols)
@@ -90,7 +95,7 @@ class Alphabet:
         return len(self.symbols)
 
     def require(self, sym):
-        if sym not in self._index:
+        if sym not in self:
             raise UnknownSymbol(f"symbol {sym!r} not in alphabet {list(self.symbols)}")
 
 
@@ -233,12 +238,10 @@ def alt(*parts) -> ObsExpr:
             continue
         else:
             flat.append(p)
-    uniq = sorted(set(flat), key=print_regex)
-    if not uniq:
-        return _EMPTY
-    if len(uniq) == 1:
-        return uniq[0]
-    uniq = tuple(uniq)
+    uniq = set(flat)
+    if len(uniq) < 2:  # a lone part is neither sorted nor printed
+        return uniq.pop() if uniq else _EMPTY
+    uniq = tuple(sorted(uniq, key=print_regex))
     return _intern(("+",) + uniq, Sum, uniq)
 
 
@@ -420,26 +423,30 @@ def _meet(e: ObsExpr, met: set) -> None:
     met.add(e)
 
 
-def walk(e: ObsExpr, start, step):
+def walk(e: ObsExpr, start, letters, step):
     """The live pairs of the product of ``e``'s automaton with a graph,
     the one loop over such products.
 
     Yields ``(node, derivative)`` pairs from ``(start, e)``, breadth
-    first and each once. ``step(node)`` yields the graph's ``(symbol,
-    successor)`` edges, and each edge derives the pair's expression by
-    its symbol. A pair whose derivative has an empty language is never
-    yielded: no walk through it ends at a nullable one. ``step(node)``
-    is called only when the pair after ``node``'s is asked for, so it
-    may prune by what the consumer has found. Each derivative is met
-    (``_meet``, which raises ExpressionTooDeep and StateBudgetExceeded)
-    before its pair is yielded. A suspended generator holds no frame, so
-    an evaluator that iterates a walk in its own frame spends one frame
+    first and each once. The walk steps derivative first: for each
+    letter of ``letters(node)``, in that order, it derives the pair's
+    expression, and only when the derivative's language is not empty
+    does it ask ``step(node, letter)`` for the node's successors by that
+    letter, an iterable of nodes. So the graph is never asked for a
+    successor that no word of the expression can reach, and a pair
+    whose derivative has an empty language is never yielded: no walk
+    through it ends at a nullable one. ``letters(node)`` is called only
+    when the pair after ``node``'s is asked for, so it may prune by
+    what the consumer has found. Each derivative is met (``_meet``,
+    which raises ExpressionTooDeep and StateBudgetExceeded) before its
+    pair is yielded. A suspended generator holds no frame, so an
+    evaluator that iterates a walk in its own frame spends one frame
     per formula level.
     """
-    return _walk(e, start, step, {})
+    return _walk(e, start, letters, step, {})
 
 
-def _walk(e, start, step, parent):
+def _walk(e, start, letters, step, parent):
     # parent: each queued pair -> the pair and symbol it was reached by
     parent[(start, e)] = None
     queue = [] if e.empty else [(start, e)]
@@ -449,20 +456,23 @@ def _walk(e, start, step, parent):
         if q not in met:
             _meet(q, met)
         yield pair
-        for sym, nxt in step(node):
+        for sym in letters(node):
             q2 = _derive(q, sym)
-            if not q2.empty and (nxt, q2) not in parent:
-                parent[(nxt, q2)] = (pair, sym)
-                queue.append((nxt, q2))
+            if q2.empty:
+                continue
+            for nxt in step(node, sym):
+                if (nxt, q2) not in parent:
+                    parent[(nxt, q2)] = (pair, sym)
+                    queue.append((nxt, q2))
 
 
-def search(e: ObsExpr, start, step, goal):
+def search(e: ObsExpr, start, letters, step, goal):
     """Shortest walk to a goal through the pairs of ``walk(e, start,
-    step)``, asking ``goal(node)`` only at nullable pairs: the
+    letters, step)``, asking ``goal(node)`` only at nullable pairs: the
     ``(symbol, node)`` steps to the first goal met, ``[]`` when the
     start pair is one, or None when no goal can be reached."""
     parent = {}
-    for pair in _walk(e, start, step, parent):
+    for pair in _walk(e, start, letters, step, parent):
         if pair[1].nullable and goal(pair[0]):
             path = []
             while parent[pair] is not None:

@@ -2,15 +2,17 @@
 
 Each mutant is one textual edit of one source file: it drops or weakens
 one law of the encoding (``translate.py``), one step of the solver
-(``solver.py``), or one refusal or memo key of the model checker
-(``core.py``) or of the brute-force oracle (``oracle.py``). The script applies the mutants one at a time, each to
-a fresh temporary copy of the checkout's ``src/``, ``tests/`` and
-``perfbench/``, never to the checkout itself, and runs Tier-1 on the
-copy with ``-x`` under a time limit. A mutant is killed when a test
-fails or the run outlasts the limit, and the script prints the first
-failing test; a mutant that passes Tier-1 survived, and needs a test or
-a written argument that it is equivalent. The unmutated copy runs
-first, and must pass.
+(``solver.py``), one refusal or memo key of the model checker
+(``core.py``) or of the brute-force oracle (``oracle.py``), the
+derivative-first order of the product walk (``obsregex.py``), or one
+survivor mask of ``Model`` (``models.py``). The script applies the
+mutants one at a time, each to a fresh temporary copy of the checkout's
+``src/``, ``tests/`` and ``perfbench/``, never to the checkout itself,
+and runs Tier-1 on the copy with ``-x`` under a time limit. A mutant
+is killed when a test fails or the run outlasts the limit, and the
+script prints the first failing test; a mutant that passes Tier-1
+survived, and needs a test or a written argument that it is
+equivalent. The unmutated copy runs first, and must pass.
 
 Run it from the root of the checkout; a full pass takes a few
 minutes::
@@ -37,6 +39,8 @@ SOLVER = "src/polkit/dpdl/solver.py"
 TRANSLATE = "src/polkit/dpdl/translate.py"
 CORE = "src/polkit/dpdl/core.py"
 ORACLE = "src/polkit/dpdl/oracle.py"
+OBSREGEX = "src/polkit/obsregex.py"
+MODELS = "src/polkit/models.py"
 # seconds per Tier-1 run: an unmutated run takes about 30 s on two
 # shared vCPUs, so only a mutant that makes the solver loop or blow up
 # reaches it
@@ -158,6 +162,27 @@ MUTANTS = [
      "    dc._check_formula(f)\n",
      "    sx._check_depth(f)\n",
      "brute_dpdl_sat skips its up-front agent refusal"),
+    (OBSREGEX,
+     "        for sym in letters(node):\n"
+     "            q2 = _derive(q, sym)\n"
+     "            if q2.empty:\n"
+     "                continue\n"
+     "            for nxt in step(node, sym):\n",
+     "        for sym in letters(node):\n"
+     "            nexts = step(node, sym)\n"
+     "            q2 = _derive(q, sym)\n"
+     "            if q2.empty:\n"
+     "                continue\n"
+     "            for nxt in nexts:\n",
+     "the walk asks for a successor before deriving"),
+    (MODELS,
+     "m for b in self._block_masks[f.agent] if (m := b & mask)]",
+     "b for b in self._block_masks[f.agent] if b & mask]",
+     "the per-context block cache skips the survivor mask"),
+    (MODELS,
+     "bit = self._bit.get(s, 0) & self._top.mask",
+     "bit = self._bit.get(s, 0)",
+     "check's hit path skips the survivor mask"),
 ]
 
 

@@ -377,11 +377,15 @@ def language_equivalent(e1: ObsExpr, e2: ObsExpr, alphabet=None) -> bool:
         for sym in syms:
             alphabet.require(sym)
 
-    def step(q):
-        return [(sym, ox.derive(q, sym)) for sym in alphabet]
+    def letters(q):
+        return alphabet.symbols
+
+    def step(q, sym):
+        return (ox.derive(q, sym),)
 
     def differs(ea, eb):
-        return ox.search(ea, eb, step, lambda q: not q.nullable) is not None
+        return ox.search(ea, eb, letters, step,
+                         lambda q: not q.nullable) is not None
 
     return not differs(e1, e2) and not differs(e2, e1)
 

@@ -536,6 +536,73 @@ UNSOUND = [
 ]
 
 
+def random_structures(rng, tries):
+    """The structures among ``tries`` random ones that ``is_bts``
+    accepts: labels from hintikka_by_masks, random bubbles of up to
+    three states, relations and transitions."""
+    labels = {}
+    for _ in range(tries):
+        phi = cx.random_formula(rng, depth=rng.randint(1, 3),
+                                regex_depth=rng.randint(0, 2))
+        fl = sx.fl_closure(phi)
+        if len(fl) > 12:
+            continue
+        if fl not in labels:
+            labels[fl] = hintikka_by_masks(fl)
+        hs = labels[fl]
+        initial = [h for h in hs if phi in h]
+        if not initial:
+            continue
+        n = rng.randint(1, 3)
+        bubbles = []
+        for k in range(n):
+            states = [s for s in range(3) if rng.random() < 0.6]
+            if k == 0 and 0 not in states:
+                states.insert(0, 0)
+            label = {s: rng.choice(hs) for s in states}
+            if k == 0:
+                label[0] = rng.choice(initial)
+            bubbles.append(bt.Bubble(
+                states, label, {"i": cx.random_partition(rng, states)}))
+        delta = {}
+        for i in range(n):
+            for a in ("a", "b"):
+                j = rng.randrange(n + 1)
+                if j < n:
+                    delta[(i, a)] = j
+        t = bt.Bts(phi, bubbles, delta, alphabet=("a", "b"))
+        if bt.is_bts(t) is True:
+            yield t
+
+
+def own_eliminations(t):
+    """Each initial state's expectation from a state elimination of its
+    own, as ``extract_model`` documents it."""
+    n = len(t.bubbles)
+    delta = dict(t.delta)
+    delta.update({(n, a): j for (i, a), j in t.delta.items()
+                  if i == t.initial})
+    exp = {}
+    for s in t.bubbles[t.initial].states:
+        finals = frozenset(i for i, b in enumerate(t.bubbles)
+                           if s in b.labels)
+        e = bt._graph_regex(n + 1, delta, n, finals)
+        exp[s] = ox.epsilon() if ox.is_empty_language(e) else e
+    return exp
+
+
+class TestSharedElimination:
+    def test_states_in_the_same_bubbles_share_an_expectation(self):
+        # one elimination per set of bubbles gives every state the
+        # expectation that an elimination of its own gives it
+        shared = 0
+        for t in random_structures(random.Random(40), 1500):
+            m, _ = bt.extract_model(t)
+            assert m.exp == own_eliminations(t)
+            shared += len(set(map(id, m.exp.values()))) < len(m.exp)
+        assert shared > 50
+
+
 class TestSoundness:
     @pytest.mark.parametrize("text, present, loops", UNSOUND)
     def test_one_sided_structures_are_refused(self, text, present, loops):
@@ -552,41 +619,9 @@ class TestSoundness:
     def test_random_structures(self):
         # labels from hintikka_by_masks, random bubbles, relations and
         # transitions: every accepted structure is a certificate
-        rng = random.Random(5)
-        labels = {}
         accepted = 0
-        for _ in range(3000):
-            phi = cx.random_formula(rng, depth=rng.randint(1, 3),
-                                    regex_depth=rng.randint(0, 2))
-            fl = sx.fl_closure(phi)
-            if len(fl) > 12:
-                continue
-            if fl not in labels:
-                labels[fl] = hintikka_by_masks(fl)
-            hs = labels[fl]
-            initial = [h for h in hs if phi in h]
-            if not initial:
-                continue
-            n = rng.randint(1, 3)
-            bubbles = []
-            for k in range(n):
-                states = [s for s in range(3) if rng.random() < 0.6]
-                if k == 0 and 0 not in states:
-                    states.insert(0, 0)
-                label = {s: rng.choice(hs) for s in states}
-                if k == 0:
-                    label[0] = rng.choice(initial)
-                bubbles.append(bt.Bubble(
-                    states, label, {"i": cx.random_partition(rng, states)}))
-            delta = {}
-            for i in range(n):
-                for a in ("a", "b"):
-                    j = rng.randrange(n + 1)
-                    if j < n:
-                        delta[(i, a)] = j
-            t = bt.Bts(phi, bubbles, delta, alphabet=("a", "b"))
-            if bt.is_bts(t) is not True:
-                continue
+        for t in random_structures(random.Random(5), 3000):
+            phi = t.formula
             accepted += 1
             m, s0 = bt.extract_model(t)
             assert m.check(s0, phi), sx.print_formula(phi)

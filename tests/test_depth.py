@@ -107,8 +107,9 @@ def test_deep_expression_is_refused():
     e = deep_program(3001)
     assert e.depth == 3001
     alphabet = ox.Alphabet(["a", "b"])
-    for refuse in (lambda: ox.search(e, 0, lambda n: [], lambda n: True),
-                   lambda: next(ox.walk(e, 0, lambda n: [])),
+    for refuse in (lambda: ox.search(e, 0, lambda n: [], lambda n, a: [],
+                             lambda n: True),
+                   lambda: next(ox.walk(e, 0, lambda n: [], lambda n, a: [])),
                    lambda: ox.derive(e, "a"),
                    lambda: ox.star(ox.alt(ox.epsilon(), e)),
                    lambda: Model(alphabet, [], [0], {0: set()}, {0: e},

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from oracles import (member_oracle, residual_maps, residuated_model,
                      stepwise_check, validity_sample, words_up_to)
 from polkit import models
+from polkit.bts import Bubble
+from polkit.dpdl import DpdlModel, dpdl_check
 from polkit import obsregex as ox
 from polkit import syntax as sx
 from polkit.corpus import (drone_model, random_formula, random_model,
@@ -156,6 +158,28 @@ class TestSharedUpdate:
         for f in fs:
             with pytest.raises(UnknownState):
                 mc.check("v", f)
+
+    def test_agent_operators_read_the_survivors_blocks(self):
+        # each context keeps its agents' blocks cut to its survivors: a
+        # block that lost states to an update counts only those left
+        rng = random.Random(40)
+        agents = ("i", "j")
+        formulas = [parse_formula(text) for text in (
+            "K_i p", "hK_i p", "K_j ~q", "hK_j (p&q)", "K_i true",
+            "~K_j (p|q)", "K_i hK_j p", "<a>K_i p", "[b]hK_j q")]
+        for _ in range(60):
+            m = random_model(rng, agents=agents, max_states=6)
+            for f in formulas:
+                for s in m.states:
+                    m.check(s, f)
+            for w in (("a",), ("b",), ("a", "b"), ("b", "b")):
+                fresh = residuated_model(m, w)
+                if fresh is None:
+                    continue
+                mw = m.update(w)
+                for f in formulas:
+                    for s in fresh.states:
+                        assert mw.check(s, f) == fresh.check(s, f), (w, s, f)
 
     def test_graph_ids_are_local(self):
         rng = random.Random(5)
@@ -469,6 +493,25 @@ class TestCheckerAgainstStepwise:
             assert m.explain(s, f)[0].endswith(f": {m.check(s, f)}")
 
 
+class TestDerivativeFirst:
+    def test_a_diamond_builds_only_the_contexts_its_program_enters(self):
+        # every state expects every word, so each letter leads somewhere;
+        # <a>p derives its program by b and c to nothing, and by a to
+        # 0*, which no letter keeps alive: the check steps the top by a
+        # alone, and the a-successor not at all
+        abc = Alphabet(["a", "b", "c"])
+        anything = parse_regex("(a+b+c)*", abc)
+        m = Model(abc, [], [0, 1], {0: {"p"}},
+                  {0: anything, 1: parse_regex("(a;b)*", abc)}, {})
+        assert m.check(0, parse_formula("<a>p", abc))
+        assert not m.check(1, parse_formula("<a>p", abc))
+        assert len(m._ctxs) == 2
+        assert list(m._top.steps) == ["a"]
+        (after_a,) = m._top.steps["a"]
+        assert after_a.steps == {}
+        assert after_a.mask == m._top.mask
+
+
 class TestMemo:
     def test_memo_stays_bounded(self):
         # a long-lived model checked against a stream of formulas: the
@@ -513,6 +556,29 @@ class TestErrors:
                   {})
         with pytest.raises(UnknownAgent):
             Model(["a"], ["i"], [0], {}, {0: ox.epsilon()}, {"j": [{0}]})
+
+    # an id that cannot be hashed names no state, agent or letter
+    @pytest.mark.parametrize("call,error", [
+        (lambda m: m.check(["u"], sx.top()), UnknownState),
+        (lambda m: m.update(("c",)).check(["u"], sx.top()), UnknownState),
+        (lambda m: m.explain(["u"], sx.top()), UnknownState),
+        (lambda m: m.block("d", ["u"]), UnknownState),
+        (lambda m: m.block(["d"], "u"), UnknownAgent),
+        (lambda m: m.relation_blocks(["d"]), UnknownAgent),
+        (lambda m: m.update([["s"]]), UnknownSymbol),
+        (lambda m: Model(m.alphabet, ["d"], [["u"]], {},
+                         {("u",): ox.epsilon()}, {}), InvalidInput),
+        (lambda m: Model(m.alphabet, [["d"]], ["u"], {},
+                         {"u": ox.epsilon()}, {}), InvalidInput),
+        (lambda m: dpdl_check(DpdlModel([0], {}, {0: ()}), [0], sx.top()),
+         UnknownState),
+        (lambda m: Bubble(["u"], {"u": ()}).block("d", ["u"]), UnknownState),
+    ], ids=["check", "check-updated", "explain", "block-state", "block-agent",
+            "relation-blocks", "update", "model-state", "model-agent",
+            "dpdl-check", "bubble-block"])
+    def test_unhashable_ids(self, call, error):
+        with pytest.raises(error):
+            call(drone_model())
 
     def test_regex_symbols_validated(self):
         with pytest.raises(Exception):

@@ -26,17 +26,27 @@ def re(text):
     return parse_regex(text, AB)
 
 
+def both_letters(node):
+    return AB.symbols
+
+
+def derivative_step(q, sym):
+    # the graph whose nodes are the derivatives themselves
+    return (derive(q, sym),)
+
+
 def live_derivatives(e):
     """The derivatives of ``e`` by words over {a, b} whose language is not
     empty, in the order that ``ox.search`` meets them on the graph whose
     nodes are the derivatives themselves."""
     met = []
 
-    def step(q):
+    def letters(q):
         met.append(q)
-        return [(sym, derive(q, sym)) for sym in AB]
+        return AB.symbols
 
-    assert ox.search(e, e, step, lambda q: False) is None
+    assert ox.search(e, e, letters, derivative_step,
+                     lambda q: False) is None
     return met
 
 
@@ -285,10 +295,11 @@ class TestDfaAndEquivalence:
         # nullable derivative exactly when e holds w
         e = re("b*;a;a;(a+b)*")
         for w in words_up_to(("a", "b"), 5):
-            def step(i):
-                return [(w[i], i + 1)] if i < len(w) else []
+            def letters(i):
+                return w[i:i + 1]
 
-            found = ox.search(e, 0, step, lambda i: i == len(w))
+            found = ox.search(e, 0, letters, lambda i, a: (i + 1,),
+                              lambda i: i == len(w))
             assert (found is not None) == member_oracle(e, w)
 
     def test_budget(self, monkeypatch):
@@ -345,10 +356,11 @@ class TestDfaAndEquivalence:
 
 class TestProductSearch:
     # 0 -a-> 1 -a-> 2 -a-> 3 and a shortcut 0 -b-> 3
-    LINE = {0: [("a", 1), ("b", 3)], 1: [("a", 2)], 2: [("a", 3)], 3: []}
+    LINE = {0: {"a": 1, "b": 3}, 1: {"a": 2}, 2: {"a": 3}, 3: {}}
 
     def walk(self, text, goal):
-        return ox.search(re(text), 0, self.LINE.__getitem__, goal)
+        return ox.search(re(text), 0, self.LINE.__getitem__,
+                         lambda n, a: (self.LINE[n][a],), goal)
 
     def test_shortest_walk(self):
         assert self.walk("(a+b)*", lambda n: n == 3) == [("b", 3)]
@@ -371,14 +383,18 @@ class TestProductSearch:
         # the prefixes of a;b keep the automaton alive
         expanded = []
 
-        def step(n):
+        def letters(n):
             expanded.append(n)
-            return [("a", (n + 1) % 3), ("b", (n + 1) % 3)]
+            return AB.symbols
 
-        assert ox.search(re("a;b"), 0, step, lambda n: False) is None
+        def step(n, a):
+            return ((n + 1) % 3,)
+
+        assert ox.search(re("a;b"), 0, letters, step,
+                         lambda n: False) is None
         assert expanded == [0, 1, 2]
         expanded.clear()
-        assert ox.search(empty(), 0, step, lambda n: True) is None
+        assert ox.search(empty(), 0, letters, step, lambda n: True) is None
         assert expanded == []
 
     def test_automata_are_cached_and_the_cache_is_bounded(self):
@@ -390,32 +406,37 @@ class TestProductSearch:
         assert info.currsize <= info.maxsize
 
 
-def reference_pairs(e, start, step):
+def reference_pairs(e, start, letters, step):
     """The live pairs of the product breadth first, each once, written
     out without ``ox.walk``."""
     if is_empty_language(e):
         return []
     order, seen = [(start, e)], {(start, e)}
     for node, q in order:
-        for sym, nxt in step(node):
+        for sym in letters(node):
             q2 = derive(q, sym)
-            if not is_empty_language(q2) and (nxt, q2) not in seen:
-                seen.add((nxt, q2))
-                order.append((nxt, q2))
+            if is_empty_language(q2):
+                continue
+            for nxt in step(node, sym):
+                if (nxt, q2) not in seen:
+                    seen.add((nxt, q2))
+                    order.append((nxt, q2))
     return order
 
 
 class TestWalk:
     # three nodes in a cycle, both letters on every edge
+    cycle = staticmethod(both_letters)
+
     @staticmethod
-    def cycle(n):
-        return [("a", (n + 1) % 3), ("b", (n + 1) % 3)]
+    def next_node(n, sym):
+        return ((n + 1) % 3,)
 
     @given(obs_expr_strategy())
     @settings(max_examples=150)
     def test_live_pairs_once_breadth_first(self, e):
-        pairs = list(ox.walk(e, 0, self.cycle))
-        assert pairs == reference_pairs(e, 0, self.cycle)
+        pairs = list(ox.walk(e, 0, self.cycle, self.next_node))
+        assert pairs == reference_pairs(e, 0, self.cycle, self.next_node)
         assert len(set(pairs)) == len(pairs)
         assert not any(is_empty_language(q) for _, q in pairs)
 
@@ -423,44 +444,65 @@ class TestWalk:
     @settings(max_examples=100)
     def test_order_is_the_order_search_meets(self, e):
         # on the graph of e's own derivatives each pair is (q, q)
-        def step(q):
-            return [(sym, derive(q, sym)) for sym in AB]
-
-        pairs = list(ox.walk(e, e, step))
+        pairs = list(ox.walk(e, e, both_letters, derivative_step))
         assert all(n is q for n, q in pairs)
         assert [n for n, _ in pairs] == live_derivatives(e)
 
     def test_empty_expression_yields_nothing(self):
         asked = []
-        assert list(ox.walk(empty(), 0,
-                            lambda n: asked.append(n) or [])) == []
-        assert list(ox.walk(re("a;0"), 0,
-                            lambda n: asked.append(n) or [])) == []
+
+        def letters(n):
+            asked.append(n)
+            return AB.symbols
+
+        assert list(ox.walk(empty(), 0, letters, self.next_node)) == []
+        assert list(ox.walk(re("a;0"), 0, letters, self.next_node)) == []
         assert asked == []
 
     def test_step_follows_the_consumers_body(self):
+        # letters after each body; a successor only by the letter that
+        # keeps a;b;a alive, and none out of the last pair's 0*
         events = []
 
-        def step(n):
-            events.append(("step", n))
+        def letters(n):
+            events.append(("letters", n))
             return self.cycle(n)
 
-        for n, _ in ox.walk(re("a;b;a"), 0, step):
+        def step(n, sym):
+            events.append(("step", n, sym))
+            return self.next_node(n, sym)
+
+        for n, _ in ox.walk(re("a;b;a"), 0, letters, step):
             events.append(("body", n))
-        assert events == [("body", 0), ("step", 0), ("body", 1),
-                          ("step", 1), ("body", 2), ("step", 2),
-                          ("body", 0), ("step", 0)]
+        assert events == [("body", 0), ("letters", 0), ("step", 0, "a"),
+                          ("body", 1), ("letters", 1), ("step", 1, "b"),
+                          ("body", 2), ("letters", 2), ("step", 2, "a"),
+                          ("body", 0), ("letters", 0)]
+
+    def test_asks_no_successor_by_a_dead_letter(self):
+        # a counting graph over three letters: each letter leads from n
+        # to n + 1, up to 4; a;(b+c);c dies by every other letter
+        asked = []
+
+        def step(n, sym):
+            asked.append((n, sym))
+            return (n + 1,) if n < 4 else ()
+
+        e = parse_regex("a;(b+c);c", ["a", "b", "c"])
+        pairs = list(ox.walk(e, 0, lambda n: "abc", step))
+        assert [n for n, _ in pairs] == [0, 1, 2, 3]
+        assert asked == [(0, "a"), (1, "b"), (1, "c"), (2, "c")]
 
     def test_consumer_prunes_through_step(self):
-        # the body marks node 1 done, and step then offers no edge out
-        # of it, so the walk ends there
+        # the body marks node 1 done, and letters then offers no letter
+        # out of it, so the walk ends there
         done = set()
 
-        def step(n):
-            return [] if n in done else self.cycle(n)
+        def letters(n):
+            return () if n in done else self.cycle(n)
 
         seen = []
-        for n, _ in ox.walk(re("(a+b)*"), 0, step):
+        for n, _ in ox.walk(re("(a+b)*"), 0, letters, self.next_node):
             seen.append(n)
             if n == 1:
                 done.add(n)
@@ -469,28 +511,27 @@ class TestWalk:
     def test_break_stops_stepping(self):
         asked = []
 
-        def step(n):
+        def letters(n):
             asked.append(n)
             return self.cycle(n)
 
-        for n, _ in ox.walk(re("(a+b)*"), 0, step):
+        for n, _ in ox.walk(re("(a+b)*"), 0, letters, self.next_node):
             if n == 2:
                 break
         assert asked == [0, 1]
 
     def test_caps_fire_before_the_pair_is_yielded(self, monkeypatch):
         # (a+b)*;a;(a+b);(a+b);(a+b) has 16 live derivatives
-        def step(q):
-            return [(sym, derive(q, sym)) for sym in AB]
-
         e = re("(a+b)*;a;(a+b);(a+b);(a+b)")
         monkeypatch.setattr(ox, "_MAX_DERIVATIVES", 3)
         yielded = []
         with pytest.raises(StateBudgetExceeded):
-            for n, _ in ox.walk(e, e, step):
+            for n, _ in ox.walk(e, e, both_letters, derivative_step):
                 yielded.append(n)
         assert len(yielded) == 3
-        assert len(list(ox.walk(re("a;b"), re("a;b"), step))) == 3
+        ab = re("a;b")
+        assert len(list(ox.walk(ab, ab, both_letters,
+                                derivative_step))) == 3
 
 
 class TestWords:
